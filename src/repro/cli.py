@@ -364,18 +364,8 @@ def cmd_obs(args) -> int:
 
     if args.action != "report":  # pragma: no cover - argparse choices
         raise SystemExit(f"unknown obs action {args.action!r}")
-    store_dir = args.store_dir
-    if store_dir is None and not args.no_store:
-        from repro.store.store import default_store_root
-
-        store_dir = default_store_root()
     path = write_report(
-        args.output,
-        traces=args.trace,
-        bench_kernel=args.bench_kernel,
-        bench_extraction=args.bench_extraction,
-        store_dir=store_dir,
-        title=args.title,
+        args.output, traces=args.trace, ledgers=args.ledger, title=args.title
     )
     print(f"(report written to {path})")
     return 0
@@ -486,7 +476,6 @@ def cmd_serve(args) -> int:
         seed=args.seed,
         batch_size=args.batch_size,
         queue_depth=args.queue_depth,
-        read_mode=args.read_mode,
         crash_times=_parse_crashes(args.crash),
     )
 
@@ -498,8 +487,7 @@ def cmd_serve(args) -> int:
         host, port = server.sockets[0].getsockname()[:2]
         print(
             f"consensus service on {host}:{port} "
-            f"(n={config.n}, batch={config.batch_size}, "
-            f"reads={config.read_mode})",
+            f"(n={config.n}, batch={config.batch_size})",
             flush=True,
         )
         try:
@@ -525,7 +513,6 @@ def cmd_load(args) -> int:
         seed=args.seed,
         batch_size=args.batch_size,
         queue_depth=args.queue_depth,
-        read_mode=args.read_mode,
         crash_times=_parse_crashes(args.crash),
     )
     spec = LoadSpec(
@@ -872,28 +859,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="include this JSONL trace (repeatable)",
     )
     obs.add_argument(
-        "--bench-kernel",
-        default="BENCH_kernel.json",
+        "--ledger",
+        action="append",
+        default=[],
         metavar="FILE",
-        help="committed kernel benchmark report (default BENCH_kernel.json)",
-    )
-    obs.add_argument(
-        "--bench-extraction",
-        default="BENCH_extraction.json",
-        metavar="FILE",
-        help="committed extraction benchmark report",
-    )
-    obs.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="result store root to scan for shelved bench baselines "
-        "(default: benchmarks/results/store)",
-    )
-    obs.add_argument(
-        "--no-store",
-        action="store_true",
-        help="skip the bench shelf; chart only the committed reports",
+        help="chart this ledger file in the perf trajectory (repeatable; "
+        "written by benchmarks/ledger/run.py --json-out)",
     )
     obs.add_argument(
         "--output",
@@ -965,13 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-size", type=int, default=4)
     serve.add_argument("--queue-depth", type=int, default=64)
     serve.add_argument(
-        "--read-mode",
-        choices=["majority", "local"],
-        default="majority",
-        help="majority: certified reads only; local: serve a replica's "
-        "decided (uncertified) state — unsafe, demo only",
-    )
-    serve.add_argument(
         "--crash", action="append", default=[], metavar="PID:TIME"
     )
     serve.set_defaults(func=cmd_serve)
@@ -984,9 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--seed", type=int, default=0)
     load.add_argument("--batch-size", type=int, default=4)
     load.add_argument("--queue-depth", type=int, default=64)
-    load.add_argument(
-        "--read-mode", choices=["majority", "local"], default="majority"
-    )
     load.add_argument(
         "--crash", action="append", default=[], metavar="PID:TIME"
     )

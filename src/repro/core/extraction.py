@@ -28,7 +28,7 @@ from typing import Any, Dict, FrozenSet, Generator, List, Mapping, Optional, Tup
 
 from repro.core.dag import DagCore, Sample, SampleDAG
 from repro.core.simtrie import IncrementalExtractionEngine
-from repro.core.simulation import PathSimulation, find_deciding_schedule
+from repro.core.simulation import PathSimulation
 from repro.kernel.automaton import Automaton, Process, ProcessContext
 # Aliased: ``obs`` is the observation local inside program() below.
 from repro import obs as obslib
@@ -44,19 +44,20 @@ class ExtractionSearch:
     grows (``Sch`` is monotone — Lemma 4.5/4.11), so each initial
     configuration's schedule is cached until the barrier moves.
 
-    ``use_trie`` routes the search through the incremental simulation trie
+    The search runs through the incremental simulation trie
     (:mod:`repro.core.simtrie`): chains share simulated prefixes between
     attempts and between the I_0 and I_1 configurations, and subsets whose
     fresh samples are unchanged since a failed attempt are skipped.  The
-    results are identical to the from-scratch search (oracle-tested);
-    ``snapshot_stride`` tunes how densely simulator snapshots are cached.
+    results are identical to the from-scratch reference
+    :func:`repro.core.simulation.find_deciding_schedule` (oracle-tested in
+    ``tests/core/test_simtrie.py``); ``snapshot_stride`` tunes how densely
+    simulator snapshots are cached.
     """
 
     search_growth: int = 12
     max_path_len: int = 2000
     minimize_participants: bool = True
     max_subset_size: Optional[int] = None  # cap candidate quorum size
-    use_trie: bool = True
     snapshot_stride: int = 8
 
 
@@ -97,21 +98,17 @@ class SigmaNuExtractor(Process):
         self.search = search if search is not None else ExtractionSearch()
         self.evidence: List[_QuorumEvidence] = []
         self.core: Optional[DagCore] = None
-        self.engine: Optional[IncrementalExtractionEngine] = (
-            IncrementalExtractionEngine(
-                subject, n, snapshot_stride=self.search.snapshot_stride
-            )
-            if self.search.use_trie
-            else None
+        self.engine = IncrementalExtractionEngine(
+            subject, n, snapshot_stride=self.search.snapshot_stride
         )
 
     def initial_output(self) -> Any:
         # Line 2: Sigma^nu-output_p <- Pi.
         return frozenset(range(self.n))
 
-    def search_counters(self) -> Optional[Dict[str, int]]:
-        """The trie's work counters (``None`` on the from-scratch path)."""
-        return self.engine.counters.as_dict() if self.engine else None
+    def search_counters(self) -> Dict[str, int]:
+        """The trie's work counters."""
+        return self.engine.counters.as_dict()
 
     def _find(
         self,
@@ -140,23 +137,14 @@ class SigmaNuExtractor(Process):
         target: int,
         barrier: Sample,
     ) -> Optional[PathSimulation]:
+        # A method of its own so the oracle in tests/core/test_simtrie.py
+        # can put the from-scratch reference search in its place.
         search = self.search
-        if self.engine is not None:
-            return self.engine.find_deciding_schedule(
-                proposals,
-                fresh,
-                target,
-                barrier=barrier,
-                max_path_len=search.max_path_len,
-                minimize_participants=search.minimize_participants,
-                max_subset_size=search.max_subset_size,
-            )
-        return find_deciding_schedule(
-            self.subject,
-            self.n,
+        return self.engine.find_deciding_schedule(
             proposals,
             fresh,
-            target=target,
+            target,
+            barrier=barrier,
             max_path_len=search.max_path_len,
             minimize_participants=search.minimize_participants,
             max_subset_size=search.max_subset_size,

@@ -1,21 +1,13 @@
 """Environment attribution: one stamp format for every durable artifact.
 
-``BENCH_kernel.json``, ``BENCH_extraction.json``, exported traces and every
-:mod:`repro.store` record header carry the same environment stamp — git SHA,
-python version, platform and CPU counts — enough to pin a number to a commit
-and a machine.  This module is the single owner of that format (it used to
-be duplicated between the two benchmark scripts via ``repro.obs.export``).
-
-:func:`environment_digest` reduces the stamp to the *machine* identity
-(python + platform + CPU count, deliberately excluding the git SHA and the
-CPU affinity mask), which is how the store shelves benchmark baselines:
-"the most recent report from this same environment" is a lookup by digest,
-regardless of which commit produced it.
+Exported traces and every :mod:`repro.store` record header carry the same
+environment stamp — git SHA, python version, platform and CPU counts —
+enough to pin a number to a commit and a machine.  This module is the
+single owner of that format.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import platform
 import subprocess
@@ -59,22 +51,6 @@ def environment_stamp(repo_root: Optional[str] = None) -> Dict[str, Any]:
     }
     _STAMP_CACHE[repo_root] = stamp
     return dict(stamp)
-
-
-def environment_digest(stamp: Optional[Dict[str, Any]] = None) -> str:
-    """A short hex id of the *machine* environment (commit-independent).
-
-    Two reports share a digest iff they came from the same python version,
-    platform string and CPU count — the fields that make wall-clock numbers
-    comparable.  Git SHA and the affinity mask are excluded on purpose:
-    baselines are compared *across* commits, and the affinity mask moves
-    with container scheduling noise.
-    """
-    stamp = stamp if stamp is not None else environment_stamp()
-    text = "|".join(
-        repr(stamp.get(field)) for field in ("python", "platform", "cpu_count")
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def clear_stamp_cache() -> None:

@@ -26,7 +26,6 @@ from repro.analysis.tables import Table
 from repro.consensus.flood_p import FloodSetPerfect
 from repro.consensus.mostefaoui_raynal import MostefaouiRaynal
 from repro.consensus.quorum_mr import QuorumMR
-from repro.core.extraction import ExtractionSearch
 from repro.detectors.omega import Omega
 from repro.detectors.paired import PairedDetector
 from repro.detectors.perfect import Perfect
@@ -220,16 +219,13 @@ def _exp3_subject(label: str):
     raise ValueError(f"unknown EXP-3 subject {label!r}")
 
 
-def _exp3_task(
-    label: str, pattern: FailurePattern, seed: int, use_trie: bool = True
-):
+def _exp3_task(label: str, pattern: FailurePattern, seed: int):
     subject, detector = _exp3_subject(label)
     return run_extraction(
         subject,
         detector,
         pattern,
         seed=seed,
-        search=ExtractionSearch(use_trie=use_trie),
         trace="metrics",
     )
 
@@ -238,16 +234,13 @@ def exp3_extraction(
     ns: Sequence[int] = (3, 4),
     seeds: Sequence[int] = tuple(range(3)),
     jobs: int = 1,
-    use_trie: bool = True,
     store: Any = None,
 ) -> Table:
     """EXP-3 (Thms 5.4/5.8): T_{D -> Sigma^nu} over several (D, A) pairs.
 
     Because every subject algorithm here solves *uniform* consensus with its
     detector, the extracted history must satisfy full Sigma as well
-    (Theorem 5.8) — both verdicts are reported.  ``use_trie`` toggles the
-    incremental search engine (the table's shape and verdicts are identical
-    either way; only the wall-clock differs).
+    (Theorem 5.8) — both verdicts are reported.
     """
     subjects = [
         ("(Omega,Sigma) / quorum-MR", None),
@@ -272,12 +265,7 @@ def exp3_extraction(
                 tasks.append(
                     SweepTask(
                         _exp3_task,
-                        dict(
-                            label=label,
-                            pattern=pattern,
-                            seed=seed,
-                            use_trie=use_trie,
-                        ),
+                        dict(label=label, pattern=pattern, seed=seed),
                     )
                 )
             groups.append((label, n))

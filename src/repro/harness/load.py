@@ -15,8 +15,9 @@ order.  Two consequences the test harness leans on:
 
 Latency is measured in ticks from scheduled submission to commit; the
 report carries p50/p99/max plus commands per kernel step — the
-deterministic throughput measure ``BENCH_service.json`` tracks (wall-time
-commands/sec is reported too, but only the logical numbers gate CI).
+deterministic throughput measure (its inverse is the perf ledger's
+``ksteps_per_cmd``, ``benchmarks/ledger/run.py``; wall-time commands/sec
+is reported too, but only the logical numbers are exact).
 """
 
 from __future__ import annotations

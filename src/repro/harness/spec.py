@@ -17,7 +17,6 @@ TOML (one spec per file)::
     [params]
     ns = [3]
     seeds = [0, 1, 2]
-    use_trie = true
 
 CSV (one spec per row; columns map to parameter overrides)::
 

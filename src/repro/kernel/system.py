@@ -129,7 +129,8 @@ class System:
       sentinel instead of a record.  The executed run is *identical* to the
       full-trace run — same scheduling, deliveries and detector values —
       only the recording is skipped, which makes large sweeps markedly
-      cheaper (see ``benchmarks/bench_micro.py``).
+      cheaper (``interp_steps_per_s`` of ``benchmarks/ledger/run.py``'s
+      ``kernel_lanes`` workload is measured in this mode).
     """
 
     def __init__(

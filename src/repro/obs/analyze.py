@@ -21,8 +21,8 @@ Entry points
   comparison (logical ticks exact, ``wall_ms`` tolerant), including
   counter deltas from the traces' metrics records;
 * :func:`render_flame` — an ASCII flamegraph over the path tree;
-* :func:`top_regressions` — the top-N suspect paths of a diff, used by
-  ``check_regression.py --attribute`` to name the stage a CI failure
+* :func:`top_regressions` — the top-N suspect paths of a diff, the
+  default view of ``repro trace diff``: it names the stage a regression
   lives in.
 
 Everything operates on parsed record lists

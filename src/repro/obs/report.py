@@ -7,11 +7,10 @@ dependencies beyond the standard library:
   ``/2``): the ASCII flamegraph and timeline from
   :mod:`repro.obs.analyze` / :mod:`repro.obs.inspect`, the top span-path
   aggregates as an HTML table, and the trace's counter totals;
-* **Perf trajectory** — the committed ``BENCH_kernel.json`` /
-  ``BENCH_extraction.json`` plus every report shelved in the result
-  store's bench shelf (``repro.store``), charted per section as inline
-  SVG sparklines across commits (kernel steps/sec, batch speedup,
-  extraction scratch-vs-trie seconds, tracing overhead).
+* **Perf trajectory** — the ledger files given (``repro-ledger/1``, as
+  written by ``benchmarks/ledger/run.py --json-out``), charted as one
+  inline SVG sparkline per (workload, end-to-end metric) over the
+  medians, in the order the files were given.
 
 Everything is inlined — styles, SVG, data — so the artifact can be
 archived from CI and opened anywhere with no network.  All text passes
@@ -169,153 +168,63 @@ def _trace_section(path: str, records: List[Dict[str, Any]]) -> str:
 # Perf trajectory
 # ----------------------------------------------------------------------
 
-#: (section title, unit, extractor) — one sparkline row per entry.
-_KERNEL_SERIES: List[Tuple[str, str, Any]] = [
-    (
-        "kernel full trace",
-        "steps/s",
-        lambda r: (r.get("kernel") or {}).get("full", {}).get("steps_per_sec"),
-    ),
-    (
-        "kernel metrics trace",
-        "steps/s",
-        lambda r: (r.get("kernel") or {})
-        .get("metrics", {})
-        .get("steps_per_sec"),
-    ),
-    (
-        "batched kernel",
-        "steps/s",
-        lambda r: _batch_primary(r).get("steps_per_sec"),
-    ),
-    (
-        "batch speedup vs serial",
-        "x",
-        lambda r: (r.get("batch") or {}).get("speedup"),
-    ),
-    (
-        "tracing-off micro-bench",
-        "steps/s",
-        lambda r: (r.get("obs") or {}).get("off", {}).get("steps_per_sec"),
-    ),
-    (
-        "tracing overhead",
-        "%",
-        lambda r: (r.get("obs") or {}).get("overhead_pct"),
-    ),
-]
+#: The one benchmark schema (``benchmarks/ledger/run.py --json-out``).
+LEDGER_SCHEMA = "repro-ledger/1"
 
 
-def _batch_primary(report: Mapping[str, Any]) -> Dict[str, Any]:
-    batch = report.get("batch") or {}
-    mode = batch.get("primary_mode")
-    primary = batch.get(mode) if mode else None
-    return primary if isinstance(primary, dict) else {}
-
-
-def _report_stamp(report: Mapping[str, Any]) -> str:
-    sha = ((report.get("environment") or {}).get("git_sha") or "local")[:8]
-    when = (report.get("generated_at") or "?")[:10]
-    return f"{when} {sha}"
-
-
-def load_kernel_history(
-    committed: Optional[Dict[str, Any]],
-    store_dir: Optional[str],
-) -> List[Dict[str, Any]]:
-    """Shelved bench-kernel reports (oldest first), committed one last.
-
-    The shelf is scanned across *all* environment digests — a trajectory
-    over commits tolerates machine changes better than it tolerates
-    missing history — and ordered by ``generated_at``.  The committed
-    report is appended unless the shelf already holds the same stamp.
-    """
-    reports: List[Dict[str, Any]] = []
-    if store_dir:
-        shelf = os.path.join(store_dir, "bench", "kernel")
-        paths: List[str] = []
-        for dirpath, _dirnames, filenames in os.walk(shelf):
-            paths.extend(
-                os.path.join(dirpath, n)
-                for n in filenames
-                if n.endswith(".json")
-            )
-        for path in paths:
-            try:
-                with open(path) as fh:
-                    report = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            if isinstance(report, dict):
-                reports.append(report)
-    if committed is not None:
-        stamps = {_report_stamp(r) for r in reports}
-        if _report_stamp(committed) not in stamps:
-            reports.append(committed)
-    reports.sort(key=lambda r: r.get("generated_at") or "")
-    return reports
-
-
-def _trajectory_section(
-    kernel_history: List[Dict[str, Any]],
-    extraction: Optional[Dict[str, Any]],
-) -> str:
+def _trajectory_section(ledgers: Sequence[str]) -> str:
+    """One sparkline per (workload, end-to-end metric), points in file order."""
     parts = ['<div class="section">', "<h2>perf trajectory</h2>"]
-    if kernel_history:
-        labels = [_report_stamp(r) for r in kernel_history]
+    if not ledgers:
         parts.append(
-            '<p class="muted">bench-kernel reports: '
-            + html.escape(" &rarr; ".join(labels)).replace(
-                "&amp;rarr;", "&rarr;"
-            )
-            + "</p>"
+            '<p class="muted">no ledger files given (pass --ledger FILE, '
+            "written by benchmarks/ledger/run.py --json-out)</p>"
         )
-        rows = []
-        for title, unit, extract in _KERNEL_SERIES:
-            series = [
-                (label, value)
-                for label, value in (
-                    (label, extract(r))
-                    for label, r in zip(labels, kernel_history)
-                )
-                if isinstance(value, (int, float))
-            ]
-            if not series:
-                continue
-            values = [v for _, v in series]
-            rows.append(
-                "<tr><td>{}</td><td>{}</td><td class=num>{:g} {}</td>"
-                "</tr>".format(
-                    html.escape(title),
-                    svg_sparkline(values, labels=[l for l, _ in series]),
-                    values[-1],
-                    html.escape(unit),
+    labels: List[str] = []
+    series: Dict[Tuple[str, str, str], List[Tuple[str, float]]] = {}
+    for path in ledgers:
+        label = os.path.basename(path)
+        doc = _load_json(path)
+        reason = None
+        if doc is None:
+            reason = "unreadable"
+        elif doc.get("schema") != LEDGER_SCHEMA:
+            reason = f"schema {doc.get('schema')!r} is not {LEDGER_SCHEMA}"
+        if reason:
+            parts.append(
+                '<p class="muted">{}: skipped: {}</p>'.format(
+                    html.escape(label), html.escape(reason)
                 )
             )
-        if rows:
-            parts.append(
-                "<table><tr><th>series</th><th>across commits</th>"
-                "<th>latest</th></tr>" + "".join(rows) + "</table>"
+            continue
+        labels.append(label)
+        for workload, row in doc["workloads"].items():
+            for metric, summary in row["end_to_end"].items():
+                key = (workload, metric, summary["unit"])
+                series.setdefault(key, []).append((label, summary["median"]))
+    if series:
+        rows = "".join(
+            "<tr><td>{}</td><td>{}</td><td>{}</td>"
+            "<td class=num>{:g} {}</td></tr>".format(
+                html.escape(workload),
+                html.escape(metric),
+                svg_sparkline(
+                    [v for _, v in points], labels=[l for l, _ in points]
+                ),
+                points[-1][1],
+                html.escape(unit),
             )
-    else:
-        parts.append('<p class="muted">no bench-kernel reports found</p>')
-    if extraction is not None:
-        totals = extraction.get("totals") or {}
-        scratch = totals.get("scratch_s")
-        trie = totals.get("trie_s")
-        parts.append("<h3>extraction backends (committed)</h3>")
-        if isinstance(scratch, (int, float)) and isinstance(
-            trie, (int, float)
-        ):
-            parts.append(
-                "<table><tr><th>backend</th><th>seconds</th></tr>"
-                f"<tr><td>from scratch</td><td class=num>{scratch:g}</td></tr>"
-                f"<tr><td>incremental trie</td><td class=num>{trie:g}</td></tr>"
-                "<tr><td>speedup</td><td class=num>{}&times;</td></tr>"
-                "</table>".format(totals.get("speedup", "?"))
+            for (workload, metric, unit), points in series.items()
+        )
+        parts.append(
+            '<p class="muted">ledger files: {}</p>'.format(
+                " &rarr; ".join(html.escape(label) for label in labels)
             )
-        stamp = html.escape(_report_stamp(extraction))
-        parts.append(f'<p class="muted">from BENCH_extraction.json ({stamp})</p>')
+        )
+        parts.append(
+            "<table><tr><th>workload</th><th>metric (median)</th>"
+            "<th>across files</th><th>latest</th></tr>" + rows + "</table>"
+        )
     parts.append("</div>")
     return "\n".join(parts)
 
@@ -327,9 +236,7 @@ def _trajectory_section(
 
 def build_report(
     traces: Optional[Sequence[str]] = None,
-    bench_kernel: Optional[str] = None,
-    bench_extraction: Optional[str] = None,
-    store_dir: Optional[str] = None,
+    ledgers: Optional[Sequence[str]] = None,
     title: str = "repro run observatory",
 ) -> str:
     """Assemble the full HTML document; file paths may each be absent."""
@@ -360,10 +267,7 @@ def build_report(
             )
             continue
         body.append(_trace_section(path, records))
-    committed = _load_json(bench_kernel)
-    extraction = _load_json(bench_extraction)
-    history = load_kernel_history(committed, store_dir)
-    body.append(_trajectory_section(history, extraction))
+    body.append(_trajectory_section(ledgers or []))
     return (
         "<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
         f"<title>{html.escape(title)}</title>"
@@ -377,27 +281,17 @@ def build_report(
 def write_report(
     path: str,
     traces: Optional[Sequence[str]] = None,
-    bench_kernel: Optional[str] = None,
-    bench_extraction: Optional[str] = None,
-    store_dir: Optional[str] = None,
+    ledgers: Optional[Sequence[str]] = None,
     title: str = "repro run observatory",
 ) -> str:
     """Build and write the report; returns ``path``."""
-    document = build_report(
-        traces=traces,
-        bench_kernel=bench_kernel,
-        bench_extraction=bench_extraction,
-        store_dir=store_dir,
-        title=title,
-    )
+    document = build_report(traces=traces, ledgers=ledgers, title=title)
     with open(path, "w") as fh:
         fh.write(document)
     return path
 
 
-def _load_json(path: Optional[str]) -> Optional[Dict[str, Any]]:
-    if not path:
-        return None
+def _load_json(path: str) -> Optional[Dict[str, Any]]:
     try:
         with open(path) as fh:
             document = json.load(fh)

@@ -12,9 +12,8 @@ operational rule: a decided slot is *nonuniformly* safe (correct replicas
 agree) but a faulty replica may have applied a divergent value before
 crashing, so a reply exposed to a client — which outlives any single
 replica — must wait until a majority of replica logs hold the value.
-``read_mode="majority"`` enforces this; ``read_mode="local"`` serves a
-single replica's decided state and exists only to *demonstrate* the
-anomaly the rule prevents.
+:meth:`ConsensusService.read` enforces this: it serves the certified
+prefix only, never a single replica's decided state.
 
 Determinism: under :class:`repro.service.clock.LogicalTimeLoop` the whole
 service — asyncio scheduling included — is a pure function of (config,

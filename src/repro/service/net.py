@@ -44,6 +44,16 @@ async def _handle_request(
                 "detail": "seq must be an integer",
             }
         try:
+            # The service keys tables by session and by command batch; a
+            # JSON array or object here would kill its batcher task.
+            hash((session, request["cmd"]))
+        except TypeError:
+            return {
+                "ok": False,
+                "error": "bad request",
+                "detail": "session and cmd must be JSON scalars",
+            }
+        try:
             reply = await service.submit(session, seq, request["cmd"])
         except Backpressure as exc:
             return {"ok": False, "error": "backpressure", "detail": str(exc)}

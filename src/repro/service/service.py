@@ -24,9 +24,7 @@ Reads: a reply may only expose *certified* state (see
 :mod:`repro.service.core`).  Reads are served under a *lease* — a
 believed-leader identity cached for ``lease_ticks`` — so steady-state
 reads cost no detector query.  The lease optimizes nothing about safety:
-``read_mode="majority"`` serves the certified prefix regardless of who
-holds the lease; ``read_mode="local"`` (unsafe, for demonstration) serves
-the lease holder's decided-but-possibly-uncertified log.
+a read serves the certified prefix regardless of who holds the lease.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import obs
 from repro.service.clock import TickClock
 from repro.service.core import ServiceCore
-from repro.smr.properties import ServiceInvariants, flatten_batches
+from repro.smr.properties import ServiceInvariants
 
 
 class Backpressure(Exception):
@@ -60,13 +58,10 @@ class ServiceConfig:
     queue_depth: int = 64
     steps_per_tick: int = 256
     lease_ticks: int = 64
-    read_mode: str = "majority"  # "majority" (safe) | "local" (unsafe demo)
     crash_times: Dict[int, int] = field(default_factory=dict)
     detector: Any = None
 
     def __post_init__(self) -> None:
-        if self.read_mode not in ("majority", "local"):
-            raise ValueError(f"unknown read_mode {self.read_mode!r}")
         if self.batch_size < 1 or self.max_inflight < 1:
             raise ValueError("batch_size and max_inflight must be >= 1")
 
@@ -196,13 +191,8 @@ class ConsensusService:
         self.stats["reads"] += 1
         if obs._ENABLED:
             obs.metrics().inc("service.reads")
-        if self.config.read_mode == "majority":
-            prefix, view = self._applied_slots, tuple(self.applied_commands)
-        else:  # "local": the lease holder's decided log, uncertified.
-            holder = self._lease[0] if self._lease else 0
-            log = self.core.replicas[holder].log
-            prefix, view = len(log), tuple(flatten_batches(log))
-        self.read_log.append((prefix, view))
+        view = tuple(self.applied_commands)
+        self.read_log.append((self._applied_slots, view))
         return view
 
     # ------------------------------------------------------------------

@@ -11,8 +11,7 @@ re-executes all of them, although almost none *moved*.  This package makes
   module the task's function transitively imports (the simtrie/PR-2
   fresh-signature idea applied at sweep granularity);
 * :class:`ResultStore` — atomic, merge-safe records keyed by the pair,
-  living under ``benchmarks/results/store/`` (gitignored), plus shelved
-  benchmark baselines per machine environment.
+  living under ``benchmarks/results/store/`` (gitignored).
 
 The sweep driver (:func:`repro.harness.parallel.run_sweep`) consults the
 store before dispatching: unchanged rows are served from disk, only moved

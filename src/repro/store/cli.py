@@ -103,10 +103,9 @@ def cmd_store(args) -> int:
 def _store_ls(args) -> int:
     store = _open_store(args)
     objects = store.ls()
-    bench = store.ls_bench()
     if args.json:
         json.dump(
-            {"root": store.root, "objects": objects, "bench": bench},
+            {"root": store.root, "objects": objects},
             sys.stdout,
             indent=2,
             sort_keys=True,
@@ -119,12 +118,6 @@ def _store_ls(args) -> int:
         print(
             f"  {entry['config_digest'][:12]} sig={entry['code_signature'][:12]} "
             f"{entry['fn']} {entry['bytes']}B {entry['created_at']}"
-        )
-    print(f"bench baselines: {len(bench)} record(s)")
-    for entry in bench:
-        print(
-            f"  {entry['kind']}/{entry['environment_digest']}/{entry['name']} "
-            f"{entry['bytes']}B"
         )
     return 0
 

@@ -4,7 +4,6 @@ Layout (documented for humans in ``benchmarks/results/README.md``)::
 
     <root>/
       objects/<digest[:2]>/<digest>/<signature[:16]>.json
-      bench/<kind>/<environment digest>/<UTC stamp>-<git sha or local>.json
 
 ``objects/`` holds one record per ``(config_digest, code_signature)`` pair:
 the digest names the *row* (canonical task kwargs, see
@@ -14,10 +13,6 @@ same row under different signatures coexist — switching a branch back
 restores its hits.  A lookup that finds the row only under *other*
 signatures is an **invalidation** (the code moved), distinct from a plain
 miss (never computed).
-
-``bench/`` shelves whole benchmark reports keyed by machine-environment
-digest, so regression checks can compare against "the most recent report
-from this same environment" rather than only the committed JSON.
 
 Write discipline — safe under ``--jobs N`` and concurrent sweeps:
 
@@ -51,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
-from repro.harness.envinfo import environment_digest, environment_stamp
+from repro.harness.envinfo import environment_stamp
 from repro.store.digest import UndigestableError, config_digest, fn_identity
 from repro.store.signature import ModuleSignatureIndex, default_index
 
@@ -315,35 +310,13 @@ class ResultStore:
             )
         return entries
 
-    def ls_bench(self) -> List[Dict[str, Any]]:
-        """Every shelved benchmark baseline (kind, env, path)."""
-        entries: List[Dict[str, Any]] = []
-        bench = os.path.join(self.root, "bench")
-        for path in sorted(_walk_json(bench)):
-            rel = os.path.relpath(path, bench)
-            parts = rel.split(os.sep)
-            if len(parts) != 3:
-                continue
-            kind, env_digest, name = parts
-            entries.append(
-                {
-                    "kind": kind,
-                    "environment_digest": env_digest,
-                    "name": name,
-                    "bytes": os.path.getsize(path),
-                    "path": os.path.relpath(path, self.root),
-                }
-            )
-        return entries
-
     def gc(self, mode: str = "stale", dry_run: bool = False) -> Dict[str, Any]:
         """Remove records; ``mode`` is ``"stale"`` (default) or ``"all"``.
 
         ``stale`` removes object records whose code signature is no longer
         the current signature of their function's module (including records
-        whose module vanished).  ``all`` clears every object record.  Bench
-        baselines are never collected (they are the point of keeping
-        history).  Returns a summary dict.
+        whose module vanished).  ``all`` clears every object record.
+        Returns a summary dict.
         """
         if mode not in ("stale", "all"):
             raise ValueError(f"unknown gc mode {mode!r}")
@@ -455,44 +428,6 @@ class ResultStore:
                 )
             rows.append(row)
         return {"counts": counts, "tasks": rows}
-
-    # ------------------------------------------------------------------
-    # Benchmark baselines
-    # ------------------------------------------------------------------
-
-    def put_bench(self, kind: str, report: Dict[str, Any]) -> str:
-        """Shelve a benchmark report as a queryable baseline; returns path."""
-        env = report.get("environment") or environment_stamp(self._repo_root)
-        env_digest = environment_digest(env)
-        sha = (env.get("git_sha") or "local")[:12]
-        name = f"{_utc_now().replace(':', '')}-{sha}.json"
-        path = os.path.join(self.root, "bench", kind, env_digest, name)
-        self._atomic_write_json(path, report)
-        return path
-
-    def latest_bench(
-        self, kind: str, env_digest: Optional[str] = None
-    ) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """The most recent shelved report of ``kind`` for this environment."""
-        env_digest = env_digest or environment_digest()
-        directory = os.path.join(self.root, "bench", kind, env_digest)
-        try:
-            names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
-        except OSError:
-            return None
-        for name in reversed(names):
-            path = os.path.join(directory, name)
-            report = self._read_bench(path)
-            if report is not None:
-                return path, report
-        return None
-
-    def _read_bench(self, path: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(path, "r") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
 
 
 def _decode_payload(record: Dict[str, Any]) -> Any:

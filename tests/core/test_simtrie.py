@@ -3,10 +3,11 @@ change: every result must be bit-identical to the from-scratch search.
 
 The tests here are oracle tests — trie-backed simulation against
 :func:`canonical_schedule`, the incremental engine against
-:func:`find_deciding_schedule`, full extraction runs with ``use_trie`` on
-against off — plus the soundness property behind cache invalidation:
-after a barrier refresh (Fig. 2 lines 17-19), every output quorum is
-justified by post-barrier samples only (no stale cached schedule leaks).
+:func:`find_deciding_schedule`, full extraction runs against a test-local
+extractor that searches from scratch — plus the soundness property behind
+cache invalidation: after a barrier refresh (Fig. 2 lines 17-19), every
+output quorum is justified by post-barrier samples only (no stale cached
+schedule leaks).
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 from repro.consensus.quorum_mr import QuorumMR
 from repro.core.boosting import ClosedPathMemo, trusted
 from repro.core.dag import BalancedChainBuilder, Sample, SampleDAG, balanced_chain
-from repro.core.extraction import ExtractionSearch, SigmaNuExtractor
+from repro.core.extraction import SigmaNuExtractor
 from repro.core.simtrie import IncrementalExtractionEngine, SimulationTrie
 from repro.core.simulation import canonical_schedule, find_deciding_schedule
 from repro.detectors import Omega, PairedDetector, Sigma
@@ -213,14 +214,28 @@ class TestIncrementalEngineOracle:
                 assert sims_equal(got, want), (tick, minimize, cap)
 
 
-def run_extractors(pattern, seed, use_trie, max_steps=1200):
+class ScratchExtractor(SigmaNuExtractor):
+    """The oracle side: every search from scratch, the trie never asked."""
+
+    def _find_impl(self, proposals, fresh, target, barrier):
+        search = self.search
+        return find_deciding_schedule(
+            self.subject,
+            self.n,
+            proposals,
+            fresh,
+            target=target,
+            max_path_len=search.max_path_len,
+            minimize_participants=search.minimize_participants,
+            max_subset_size=search.max_subset_size,
+        )
+
+
+def run_extractors(pattern, seed, extractor=SigmaNuExtractor, max_steps=1200):
     detector = PairedDetector(Omega(), Sigma("pivot"))
     history = sample_history_cached(detector, pattern, seed)
     processes = {
-        p: SigmaNuExtractor(
-            QuorumMR(), pattern.n, search=ExtractionSearch(use_trie=use_trie)
-        )
-        for p in range(pattern.n)
+        p: extractor(QuorumMR(), pattern.n) for p in range(pattern.n)
     }
     system = System(
         processes,
@@ -265,14 +280,14 @@ class TestEndToEndEquivalence:
         pattern = FailurePattern(
             n, {p: rng.randint(0, 40) for p in crashed}
         )
-        result_a, procs_a = run_extractors(pattern, seed, use_trie=False)
-        result_b, procs_b = run_extractors(pattern, seed, use_trie=True)
+        result_a, procs_a = run_extractors(pattern, seed, ScratchExtractor)
+        result_b, procs_b = run_extractors(pattern, seed)
         assert result_a.outputs == result_b.outputs
         assert evidence_key(procs_a) == evidence_key(procs_b)
 
     def test_counters_report_cache_work(self):
         pattern = FailurePattern(4, {})
-        _, procs = run_extractors(pattern, seed=5, use_trie=True)
+        _, procs = run_extractors(pattern, seed=5)
         counters = procs[0].search_counters()
         assert counters is not None
         assert counters["queries"] > 0
@@ -285,9 +300,10 @@ class TestEndToEndEquivalence:
         ) > 0
 
     def test_from_scratch_path_reports_no_counters(self):
+        # Guards the oracle itself: its scratch side never touched the trie.
         pattern = FailurePattern(3, {})
-        _, procs = run_extractors(pattern, seed=5, use_trie=False)
-        assert procs[0].search_counters() is None
+        _, procs = run_extractors(pattern, 5, ScratchExtractor)
+        assert not any(procs[0].search_counters().values())
 
 
 class TestBarrierRefreshInvalidation:
@@ -307,9 +323,7 @@ class TestBarrierRefreshInvalidation:
         pattern = FailurePattern(
             n, {p: rng.randint(0, 40) for p in crashed}
         )
-        _, procs = run_extractors(
-            pattern, seed, use_trie=True, max_steps=2000
-        )
+        _, procs = run_extractors(pattern, seed, max_steps=2000)
         refreshed = 0
         for p, proc in procs.items():
             for idx, e in enumerate(proc.evidence):

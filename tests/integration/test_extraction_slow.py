@@ -37,9 +37,7 @@ def test_extraction_n7_smoke(seed):
         seed=seed,
         max_steps=8000,
         min_outputs=2,
-        search=ExtractionSearch(
-            use_trie=True, minimize_participants=False, search_growth=30
-        ),
+        search=ExtractionSearch(minimize_participants=False, search_growth=30),
         trace="metrics",
     )
     assert outcome.result.stop_reason == "stop_condition", pattern

@@ -3,12 +3,7 @@
 import json
 
 from repro.obs.export import write_trace
-from repro.obs.report import (
-    build_report,
-    load_kernel_history,
-    svg_sparkline,
-    write_report,
-)
+from repro.obs.report import build_report, svg_sparkline, write_report
 from repro.obs.tracer import Tracer
 
 
@@ -22,21 +17,23 @@ def _trace_file(tmp_path, label="unit", name="t.jsonl"):
     return path
 
 
-def _bench_report(generated_at, sha, steps):
-    return {
-        "schema": "bench-kernel/2",
-        "generated_at": generated_at,
-        "environment": {"git_sha": sha},
-        "kernel": {
-            "full": {"steps_per_sec": steps},
-            "metrics": {"steps_per_sec": steps * 2},
-        },
-        "obs": {
-            "off": {"steps_per_sec": steps * 2},
-            "on": {"steps_per_sec": steps},
-            "overhead_pct": 100.0,
+def _ledger_file(tmp_path, name, medians, schema="repro-ledger/1"):
+    """A ledger-shaped document: {workload: {metric: (median, unit)}}."""
+    doc = {
+        "schema": schema,
+        "workloads": {
+            workload: {
+                "end_to_end": {
+                    metric: {"unit": unit, "median": median}
+                    for metric, (median, unit) in metrics.items()
+                }
+            }
+            for workload, metrics in medians.items()
         },
     }
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestSparkline:
@@ -56,55 +53,30 @@ class TestSparkline:
         assert "<svg" in svg_sparkline([3, 3, 3])
 
 
-class TestKernelHistory:
-    def test_shelf_reports_sorted_with_committed_appended(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(str(tmp_path / "store"))
-        store.put_bench("kernel", _bench_report("2026-01-02T00:00:00Z", "b" * 12, 200))
-        store.put_bench("kernel", _bench_report("2026-01-01T00:00:00Z", "a" * 12, 100))
-        committed = _bench_report("2026-01-03T00:00:00Z", "c" * 12, 300)
-        history = load_kernel_history(committed, store.root)
-        assert [r["environment"]["git_sha"][:1] for r in history] == ["a", "b", "c"]
-
-    def test_committed_not_duplicated_when_shelved(self, tmp_path):
-        from repro.store import ResultStore
-
-        store = ResultStore(str(tmp_path / "store"))
-        report = _bench_report("2026-01-01T00:00:00Z", "a" * 12, 100)
-        store.put_bench("kernel", report)
-        assert len(load_kernel_history(report, store.root)) == 1
-
-    def test_no_store_no_committed(self):
-        assert load_kernel_history(None, None) == []
-
-
 class TestBuildReport:
     def test_trace_section_and_trajectory(self, tmp_path):
         trace = _trace_file(tmp_path)
-        bench = tmp_path / "BENCH_kernel.json"
-        bench.write_text(
-            json.dumps(_bench_report("2026-01-01T00:00:00Z", "a" * 12, 100))
+        ledger = _ledger_file(
+            tmp_path, "a.json", {"burst_b1": {"wall_s": (2.5, "s")}}
         )
         html_doc = build_report(
-            traces=[trace], bench_kernel=str(bench), title="obs unit"
+            traces=[trace], ledgers=[ledger], title="obs unit"
         )
         assert html_doc.startswith("<!DOCTYPE html>")
         assert "obs unit" in html_doc
         assert "outer/inner" in html_doc
         assert "flamegraph" in html_doc
-        assert "tracing-off micro-bench" in html_doc
+        assert "burst_b1" in html_doc and "wall_s" in html_doc
         assert "<svg" in html_doc
 
     def test_missing_inputs_never_fail(self, tmp_path):
         html_doc = build_report(
             traces=[str(tmp_path / "absent.jsonl")],
-            bench_kernel=str(tmp_path / "absent.json"),
-            bench_extraction=str(tmp_path / "absent2.json"),
-            store_dir=str(tmp_path / "no-store"),
+            ledgers=[str(tmp_path / "absent.json")],
         )
         assert "skipped: unreadable" in html_doc
-        assert "no bench-kernel reports found" in html_doc
+        assert "absent.json: skipped: unreadable" in html_doc
+        assert "no ledger files given" in build_report()
 
     def test_invalid_trace_is_skipped_with_reason(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -118,35 +90,44 @@ class TestBuildReport:
         assert "<script>" not in html_doc
         assert "&lt;script&gt;" in html_doc
 
-    def test_extraction_totals_rendered(self, tmp_path):
-        extraction = tmp_path / "BENCH_extraction.json"
-        extraction.write_text(
-            json.dumps(
-                {
-                    "generated_at": "2026-01-01T00:00:00Z",
-                    "totals": {"scratch_s": 4.5, "trie_s": 0.9, "speedup": 5.0},
-                }
-            )
-        )
-        html_doc = build_report(bench_extraction=str(extraction))
-        assert "extraction backends" in html_doc
-        assert "4.5" in html_doc and "0.9" in html_doc
-
     def test_write_report_writes_the_document(self, tmp_path):
         out = tmp_path / "report.html"
         assert write_report(str(out)) == str(out)
         assert out.read_text().startswith("<!DOCTYPE html>")
 
-    def test_store_history_sparkline_spans_commits(self, tmp_path):
-        from repro.store import ResultStore
+    def test_ledger_sparklines_span_files_in_order(self, tmp_path):
+        first = _ledger_file(
+            tmp_path,
+            "parent.json",
+            {
+                "burst_b1": {"wall_s": (4.0, "s"), "cmds_per_s": (250, "1/s")},
+                "kernel_lanes": {"wall_s": (3.0, "s")},
+            },
+        )
+        second = _ledger_file(
+            tmp_path,
+            "change.json",
+            {
+                "burst_b1": {"wall_s": (2.0, "s"), "cmds_per_s": (500, "1/s")},
+                "kernel_lanes": {"wall_s": (3.5, "s")},
+            },
+        )
+        html_doc = build_report(ledgers=[first, second])
+        # One sparkline per (workload, metric), points in file order.
+        assert html_doc.count("<svg") == 3
+        assert "<title>parent.json: 4 | change.json: 2</title>" in html_doc
+        assert "<title>parent.json: 250 | change.json: 500</title>" in html_doc
+        assert "<title>parent.json: 3 | change.json: 3.5</title>" in html_doc
+        assert html_doc.index("cmds_per_s") < html_doc.index("kernel_lanes")
+        assert "500 1/s" in html_doc  # the latest column
 
-        store = ResultStore(str(tmp_path / "store"))
-        for day, sha, steps in (
-            ("2026-01-01T00:00:00Z", "a" * 12, 100),
-            ("2026-01-02T00:00:00Z", "b" * 12, 130),
-        ):
-            store.put_bench("kernel", _bench_report(day, sha, steps))
-        html_doc = build_report(store_dir=store.root)
-        assert "2026-01-01 aaaaaaaa" in html_doc
-        assert "2026-01-02 bbbbbbbb" in html_doc
-        assert "tracing overhead" in html_doc
+    def test_foreign_schema_is_skipped_with_reason(self, tmp_path):
+        good = _ledger_file(tmp_path, "good.json", {"w": {"m": (1.0, "s")}})
+        foreign = _ledger_file(
+            tmp_path, "old.json", {"w": {"m": (9.0, "s")}}, schema="bench-kernel/2"
+        )
+        html_doc = build_report(ledgers=[foreign, good])
+        assert "old.json: skipped: schema" in html_doc
+        assert "bench-kernel/2" in html_doc
+        assert html_doc.count("<svg") == 1
+        assert "<title>good.json: 1</title>" in html_doc

@@ -2,9 +2,7 @@
 
 Certification counts actual majority log matches, never detector output,
 so an injector can stall the service (liveness) but a read under lease
-must never expose an uncertified — nonuniform-unsafe — value.  The
-``read_mode="local"`` escape hatch exists precisely to show what goes
-wrong without the rule.
+must never expose an uncertified — nonuniform-unsafe — value.
 """
 
 import pytest
@@ -48,7 +46,7 @@ def chaos_traffic(commands: int = 12, run_ticks: int = 60, reads_every: int = 5)
 
 
 class TestCrashedLeaderOmega:
-    def config(self, read_mode="majority"):
+    def config(self):
         return ServiceConfig(
             n=3,
             seed=2,
@@ -56,7 +54,6 @@ class TestCrashedLeaderOmega:
             queue_depth=4,
             crash_times={0: 0},  # the liar's eternal leader, dead at t=0
             detector=PairedDetector(CrashedLeaderOmega(), SigmaNuPlus()),
-            read_mode=read_mode,
         )
 
     def test_stalls_but_never_exposes_uncertified(self):
@@ -167,38 +164,25 @@ class TestCertificationRule:
         assert applied == [("alice", 0, "safe")]
         assert view == (("alice", 0, "safe"),)
 
-    def test_local_mode_exposes_what_majority_blocks(self):
-        def scenario(read_mode):
-            async def main(loop):
-                clock = TickClock(loop)
-                service = ConsensusService(
-                    ServiceConfig(n=4, seed=0, read_mode=read_mode), clock
-                )
-                # Hand the replicas a 2-2 split log (never started: the
-                # state is exactly what we write here).
-                for p in (0, 1):
-                    service.core.replicas[p].log.append(self.A)
-                for p in (2, 3):
-                    service.core.replicas[p].log.append(self.B)
-                view = await service.read()
-                return view, service.read_log
+    def test_uncertified_read_is_blocked_and_checker_rejects_one(self):
+        logs = {0: [self.A], 1: [self.A], 2: [self.B], 3: [self.B]}
 
-            return run_logical(main)
+        async def main(loop):
+            clock = TickClock(loop)
+            service = ConsensusService(ServiceConfig(n=4, seed=0), clock)
+            # Hand the replicas a 2-2 split log (never started: the
+            # state is exactly what we write here).
+            for p, log in logs.items():
+                service.core.replicas[p].log.extend(log)
+            view = await service.read()
+            return view, service.read_log
 
-        safe_view, safe_reads = scenario("majority")
+        safe_view, safe_reads = run_logical(main)
         assert safe_view == ()  # nothing certified, nothing exposed
-        assert check_certified_reads(
-            safe_reads,
-            {0: [self.A], 1: [self.A], 2: [self.B], 3: [self.B]},
-            quorum=3,
-        ).ok
+        assert check_certified_reads(safe_reads, logs, quorum=3).ok
 
-        unsafe_view, unsafe_reads = scenario("local")
-        assert unsafe_view != ()  # an uncertified value leaked...
-        report = check_certified_reads(
-            unsafe_reads,
-            {0: [self.A], 1: [self.A], 2: [self.B], 3: [self.B]},
-            quorum=3,
-        )
-        assert not report.ok  # ...and the checker catches exactly that.
+        # A read that served replica 0's decided-but-uncertified slot.
+        unsafe_reads = [(1, (("alice", 0, "safe"),))]
+        report = check_certified_reads(unsafe_reads, logs, quorum=3)
+        assert not report.ok
         assert any("beyond certified" in v for v in report.violations)

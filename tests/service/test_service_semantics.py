@@ -179,9 +179,15 @@ class TestReadsAndLeases:
 
 
 class TestTcpFront:
-    def test_submit_read_stats_round_trip(self):
-        # Wall loop: the TCP front is production surface; semantics only
-        # (determinism is asserted on the logical-loop paths above).
+    # Wall loop: the TCP front is production surface; semantics only
+    # (determinism is asserted on the logical-loop paths above).
+
+    @staticmethod
+    def serve(body):
+        """Run ``body(connect)`` against a served service, then shut down.
+
+        ``connect()`` opens a connection and returns its ``rpc(payload)``.
+        """
         from repro.service.net import serve_tcp
 
         async def main():
@@ -192,38 +198,77 @@ class TestTcpFront:
             service.start()
             server = await serve_tcp(service, host="127.0.0.1", port=0)
             port = server.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writers = []
 
-            async def rpc(payload):
-                writer.write(json.dumps(payload).encode() + b"\n")
-                await writer.drain()
-                return json.loads(await reader.readline())
+            async def connect():
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writers.append(writer)
 
+                async def rpc(payload):
+                    writer.write(json.dumps(payload).encode() + b"\n")
+                    await writer.drain()
+                    return json.loads(
+                        await asyncio.wait_for(reader.readline(), 30)
+                    )
+
+                return rpc
+
+            try:
+                return await body(connect)
+            finally:
+                for writer in writers:
+                    writer.close()
+                    await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                await service.stop()
+
+        return asyncio.run(main())
+
+    def test_submit_read_stats_round_trip(self):
+        async def body(connect):
+            rpc = await connect()
             submit = await rpc(
                 {"op": "submit", "session": "tcp", "seq": 0, "cmd": "set"}
             )
             read = await rpc({"op": "read"})
             stats = await rpc({"op": "stats"})
             bad = await rpc({"op": "nope"})
-            writer.close()
-            await writer.wait_closed()
-            server.close()
-            await server.wait_closed()
-            await service.stop()
             return submit, read, stats, bad
 
-        submit, read, stats, bad = asyncio.run(main())
+        submit, read, stats, bad = self.serve(body)
         assert submit["ok"] and submit["status"] == "ok"
         assert read["ok"] and read["commands"] == [["tcp", 0, "set"]]
         assert stats["ok"] and stats["stats"]["committed"] == 1
         assert not bad["ok"]
 
+    def test_unhashable_fields_are_rejected_and_service_survives(self):
+        # A JSON array as cmd used to reach the batcher, which died on it
+        # (then the pump, then every later client hung, and stop() raised).
+        def submit(session, cmd):
+            return {"op": "submit", "session": session, "seq": 0, "cmd": cmd}
+
+        async def body(connect):
+            rpc = await connect()
+            rejected = [
+                await rpc(submit("s", ["set", "x", 1])),
+                await rpc(submit("s", {"set": "x"})),
+                await rpc(submit(["s"], "set")),
+            ]
+            same = await rpc(submit("s", "set x 1"))
+            other = await (await connect())(submit("t", "set y 2"))
+            return rejected, same, other
+
+        rejected, same, other = self.serve(body)
+        for reply in rejected:
+            assert not reply["ok"] and reply["error"] == "bad request"
+        assert same["ok"] and same["status"] == "ok"
+        assert other["ok"] and other["status"] == "ok"
+
 
 class TestConfigValidation:
-    def test_bad_read_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(read_mode="eventual")
-
     def test_bad_batching_rejected(self):
         with pytest.raises(ValueError):
             ServiceConfig(batch_size=0)

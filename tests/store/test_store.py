@@ -1,4 +1,4 @@
-"""ResultStore: roundtrip, invalidation, atomicity, gc, diff, bench shelf."""
+"""ResultStore: roundtrip, invalidation, atomicity, gc, diff."""
 
 import json
 import os
@@ -185,28 +185,6 @@ def test_diff_tasks_classifies(tmp_path):
         "miss",
         "unstorable",
     ]
-
-
-def test_bench_shelf_roundtrip(tmp_path):
-    from repro.harness.envinfo import environment_digest
-
-    store = make_store(tmp_path)
-    assert store.latest_bench("kernel") is None
-    first = {"schema": "bench-kernel/2", "kernel": {"full": 1}}
-    second = {"schema": "bench-kernel/2", "kernel": {"full": 2}}
-    path1 = store.put_bench("kernel", first)
-    path2 = store.put_bench("kernel", second)
-    assert environment_digest() in path1
-
-    found = store.latest_bench("kernel")
-    assert found is not None
-    path, report = found
-    # Most recent wins (same-second stamps sort by name; both written here).
-    assert path in (path1, path2)
-    assert report["schema"] == "bench-kernel/2"
-    assert store.latest_bench("kernel", "0" * 16) is None
-    kinds = {e["kind"] for e in store.ls_bench()}
-    assert kinds == {"kernel"}
 
 
 def test_environment_stamp_header_on_records(tmp_path):

@@ -329,7 +329,6 @@ class TestStoreCommand:
         assert main(["store", "ls", "--json", "--store-dir", store_dir]) == 0
         document = json.loads(capsys.readouterr().out)
         assert len(document["objects"]) == 2
-        assert document["bench"] == []
 
     def test_diff_reports_cached_rows(self, capsys, tmp_path):
         spec, store_dir = self.populate(tmp_path, capsys)
@@ -447,7 +446,6 @@ class TestObsReportCommand:
                 [
                     "obs", "report",
                     "--trace", str(trace),
-                    "--no-store",
                     "--output", str(out_html),
                     "--title", "unit report",
                 ]
@@ -459,6 +457,7 @@ class TestObsReportCommand:
         assert html.lstrip().lower().startswith("<!doctype html")
         assert "unit report" in html
         assert "exp.exp6" in html
+        assert "no ledger files given" in html
         # Self-contained: no external scripts, stylesheets or images.
         for marker in ("<script src=", "http://", "https://", "<img src="):
             assert marker not in html
@@ -474,8 +473,7 @@ class TestObsReportCommand:
                 [
                     "obs", "report",
                     "--trace", str(bad),
-                    "--bench-kernel", str(tmp_path / "absent.json"),
-                    "--no-store",
+                    "--ledger", str(tmp_path / "absent.json"),
                     "--output", str(out_html),
                 ]
             )
