@@ -195,11 +195,13 @@ async def run_load(
 
     # Open loop: wait for outstanding commits (latency recorded by the
     # done callbacks at commit time), up to the deadline.
-    while pending:
-        if all(f.done() for _s, f in pending):
-            break
+    settled = 0  # every future in pending[:settled] is done
+    while settled < len(pending):
+        if pending[settled][1].done():
+            settled += 1
+            continue
         if clock.now_ticks() >= deadline:
-            for _sent, future in pending:
+            for _sent, future in pending[settled:]:
                 if not future.done():
                     future.cancel()
                     report.timed_out += 1

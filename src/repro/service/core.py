@@ -11,7 +11,9 @@ two views of progress:
 * the *decided* log — the longest local log; nonuniformly safe only, and
 * the *certified* log — the per-slot quorum-majority entries of the
   longest prefix on which a majority of replica logs agree; the
-  client-exposable (uniform-safe) part.
+  client-exposable (uniform-safe) part.  It is retained and extended,
+  never recomputed: replica logs are append-only and a majority value is
+  unique, so a certified slot stays certified with the same value.
 
 The core is deliberately detector-skeptical: certification counts actual
 log matches, never detector output, so a lying injector (``SplitQuorums``,
@@ -26,7 +28,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.kernel.failures import FailurePattern
 from repro.kernel.system import System
-from repro.smr.properties import certified_log, certified_prefix_length
+from repro.smr.properties import extend_certified
 from repro.smr.replicated_log import Command, ReplicatedLogProcess
 
 
@@ -63,6 +65,7 @@ class ServiceCore:
             self.history.value if hasattr(self.history, "value") else self.history
         )
         self._fed_at: Dict[Command, int] = {}  # batch -> replica last fed
+        self._certified: List[Optional[Command]] = []  # only ever extended
 
     # ------------------------------------------------------------------
 
@@ -124,6 +127,10 @@ class ServiceCore:
                 moved += 1
         return moved
 
+    def forget_batch(self, batch: Command) -> None:
+        """``batch`` was applied: it will not be re-fed, drop its routing."""
+        self._fed_at.pop(batch, None)
+
     def step(self, budget: int) -> int:
         """Advance the kernel up to ``budget`` steps; returns steps taken."""
         taken = 0
@@ -146,23 +153,31 @@ class ServiceCore:
         best = max(self.replicas.values(), key=lambda r: len(r.log))
         return list(best.log)
 
+    def _certify(self) -> List[Optional[Command]]:
+        return extend_certified(
+            self._certified,
+            {p: r.log for p, r in self.replicas.items()},
+            self.quorum,
+        )
+
     def certified_log(self) -> List[Optional[Command]]:
         """Per-slot quorum-majority entries of the certified prefix.
 
         The uniform-safe log: each entry is backed by a majority of
         matching replica logs, so no single faulty replica's divergence
         can reach it.  This is the only log the service may apply from
-        or expose to clients.
+        or expose to clients.  A fresh list each call — the pump, which
+        runs every tick, takes :meth:`certified_since` instead.
         """
-        return certified_log(
-            {p: r.log for p, r in self.replicas.items()}, self.quorum
-        )
+        return list(self._certify())
+
+    def certified_since(self, start: int) -> List[Optional[Command]]:
+        """The certified entries of slots ``start`` onwards (a fresh list)."""
+        return self._certify()[start:]
 
     def certified_length(self) -> int:
         """Slots certified by a majority of matching replica logs."""
-        return certified_prefix_length(
-            {p: r.log for p, r in self.replicas.items()}, self.quorum
-        )
+        return len(self._certify())
 
     def logs(self) -> Dict[int, List[Optional[Command]]]:
         return {p: list(r.log) for p, r in self.replicas.items()}
@@ -176,7 +191,7 @@ class ServiceCore:
         alive = [p for p in range(self.n) if self.pattern.is_alive(p, t)]
         if not alive:
             return False
-        if any(self.replicas[p].pending_commands() for p in alive):
+        if any(self.replicas[p].has_pending() for p in alive):
             return True
         longest = max(len(self.replicas[p].log) for p in alive)
         return self.certified_length() < longest

@@ -97,6 +97,7 @@ class ConsensusService:
         self.applied_commands: List[Tuple] = []
         self.invariants = ServiceInvariants()
         self.read_log: List[Tuple[int, Tuple]] = []  # audit: (prefix, view)
+        self._read_view: Optional[Tuple] = None  # shared until next apply
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "shed": 0,
@@ -191,7 +192,9 @@ class ConsensusService:
         self.stats["reads"] += 1
         if obs._ENABLED:
             obs.metrics().inc("service.reads")
-        view = tuple(self.applied_commands)
+        view = self._read_view
+        if view is None:
+            view = self._read_view = tuple(self.applied_commands)
         self.read_log.append((self._applied_slots, view))
         return view
 
@@ -297,10 +300,9 @@ class ConsensusService:
         # Apply from the per-slot quorum-majority log, never from any
         # single replica: the longest local log may be a faulty replica's
         # and hold a divergent value inside the certified range.
-        log = self.core.certified_log()
-        certified = len(log)
-        if certified <= self._applied_slots:
+        if self.core.certified_length() <= self._applied_slots:
             return
+        fresh = self.core.certified_since(self._applied_slots)
         if obs._ENABLED:
             span_cm = obs.tracer().span(
                 "service.apply", tick=tick, from_slot=self._applied_slots
@@ -309,14 +311,14 @@ class ConsensusService:
             span_cm = None
         applied = 0
         with span_cm if span_cm is not None else _NULL_CM:
-            while self._applied_slots < certified:
+            for entry in fresh:
                 slot = self._applied_slots
-                entry = log[slot]
                 self._applied_slots += 1
                 if entry is None or entry[0] != "batch":
                     continue
                 _, _origin, bseq, commands = entry
                 self._inflight.pop(bseq, None)
+                self.core.forget_batch(entry)
                 if obs._ENABLED:
                     obs.tracer().event(
                         "service.decide", tick=tick, slot=slot, seq=bseq
@@ -341,8 +343,10 @@ class ConsensusService:
                             seq=seq,
                             slot=slot,
                         )
-        if applied and obs._ENABLED:
-            obs.metrics().inc("service.committed", applied)
+        if applied:
+            self._read_view = None
+            if obs._ENABLED:
+                obs.metrics().inc("service.committed", applied)
 
     # ------------------------------------------------------------------
     # Introspection (harness + bench)

@@ -26,6 +26,7 @@ from repro.smr.properties import (
     check_certified_reads,
     check_service_log,
     check_smr,
+    extend_certified,
     flatten_batches,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "check_certified_reads",
     "check_service_log",
     "check_smr",
+    "extend_certified",
     "flatten_batches",
     "is_batch",
     "run_replicated_log",

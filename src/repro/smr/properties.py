@@ -186,18 +186,20 @@ def check_service_log(decided: Sequence) -> SmrReport:
     return report
 
 
-def certified_log(logs: Mapping[int, Sequence], quorum: int) -> List:
-    """Per-slot quorum-majority entries of the certified prefix.
+def extend_certified(
+    prefix: List, logs: Mapping[int, Sequence], quorum: int
+) -> List:
+    """Extend ``prefix`` in place by the slots ``logs`` now certify.
 
     Slot ``i``'s certified entry is the value held at slot ``i`` by at
     least ``quorum`` replica logs; since quorum is a majority, that value
     is unique when it exists.  The prefix ends at the first slot with no
-    such value.  Certified state must always be read from this log, never
-    from any single replica — under the nonuniform model a faulty replica
-    may hold a divergent value inside the certified range, and its log
-    (even the longest one) is not a safe reference.
+    such value.  Voting continues from ``len(prefix)``: replica logs are
+    append-only, so a slot that a majority holds stays held with the same
+    value, and a prefix certified against earlier states of ``logs`` is
+    still exactly what a vote from slot 0 would return — the cost of a
+    call is the new slots, not the log.  Returns ``prefix``.
     """
-    prefix: List = []
     while True:
         slot = len(prefix)
         votes: Dict[object, int] = {}
@@ -213,6 +215,19 @@ def certified_log(logs: Mapping[int, Sequence], quorum: int) -> List:
         if winner is None:
             return prefix
         prefix.append(winner)
+
+
+def certified_log(logs: Mapping[int, Sequence], quorum: int) -> List:
+    """Per-slot quorum-majority entries of the certified prefix.
+
+    The from-scratch form of :func:`extend_certified` — what the offline
+    checkers use and what the retained online prefix must always equal.
+    Certified state must always be read from this log, never from any
+    single replica — under the nonuniform model a faulty replica may hold
+    a divergent value inside the certified range, and its log (even the
+    longest one) is not a safe reference.
+    """
+    return extend_certified([], logs, quorum)
 
 
 def certified_prefix_length(

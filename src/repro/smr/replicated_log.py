@@ -31,12 +31,28 @@ runs (:meth:`ReplicatedLogProcess.feed`), and *batch* commands —
 ``("batch", origin, seq, (cmd, ...))`` — are proposed strictly in ``seq``
 order per origin, which pins the applied command order regardless of how
 many replicas race to propose the same batches.
+
+``log`` is append-only: entries are added at the end and never changed or
+removed.  The replica relies on that to carry its view of the log (which
+commands are chosen, how many batches each origin has) forward instead of
+re-reading it, so a proposal, a feed or a forward costs the slots decided
+since the last one, not the log.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import (
+    Any,
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.nuc import AnucProcess
 from repro.kernel.automaton import (
@@ -93,27 +109,63 @@ class ReplicatedLogProcess(Process):
         self.applied: List[Command] = []  # the state machine history
         self._foreign_batches: List[Command] = []
         self._foreign_plain: List[Command] = []
-        self._forwarded: set = set()  # (command, leader) pairs already sent
+        self._forwarded: Dict[Command, set] = {}  # command -> leaders sent to
+        # The three pending pools as one multiset: the constructor may be
+        # handed a command twice.
+        self._known: Counter = Counter(self.commands)
+        # What log[:_synced] holds, folded in by _sync(): its distinct
+        # entries and the number of batch entries per origin.
+        self._synced = 0
+        self._chosen: set = set()
+        self._batch_counts: Dict[Any, int] = {}
+
+    def _sync(self) -> None:
+        """Fold the entries appended to ``log`` since the last call.
+
+        Lazy, because the log is also appended to from outside ``program``
+        (tests and the chaos suite hand replicas a log directly)."""
+        log = self.log
+        if self._synced > len(log):
+            raise RuntimeError("replica log shrank: it must be append-only")
+        for entry in log[self._synced :]:
+            self._chosen.add(entry)
+            if is_batch(entry):
+                origin = entry[1]
+                self._batch_counts[origin] = (
+                    self._batch_counts.get(origin, 0) + 1
+                )
+        self._synced = len(log)
 
     # -- dynamic command intake (the service feeds a running replica) ----
 
     def feed(self, command: Command) -> bool:
         """Queue ``command`` for proposal; ``False`` if already known."""
-        if (
-            command in self.commands
-            or command in self._foreign_batches
-            or command in self._foreign_plain
-            or command in self.log
-        ):
+        if not self._is_new(command):
             return False
         self.commands.append(command)
+        self._known[command] = 1
         return True
+
+    def _is_new(self, command: Command) -> bool:
+        """Neither pending in a pool nor already in the local log."""
+        self._sync()
+        return command not in self._known and command not in self._chosen
+
+    def _pending(self) -> Iterator[Command]:
+        self._sync()
+        chosen = self._chosen
+        for pool in (self.commands, self._foreign_batches, self._foreign_plain):
+            for command in pool:
+                if command not in chosen:
+                    yield command
 
     def pending_commands(self) -> List[Command]:
         """Commands known here but not yet in the local log."""
-        logged = set(self.log)
-        pools = (self.commands, self._foreign_batches, self._foreign_plain)
-        return [c for pool in pools for c in pool if c not in logged]
+        return list(self._pending())
+
+    def has_pending(self) -> bool:
+        """Whether :meth:`pending_commands` would be non-empty."""
+        return next(self._pending(), None) is not None
 
     # ------------------------------------------------------------------
 
@@ -138,6 +190,11 @@ class ReplicatedLogProcess(Process):
             itertools.count() if self.slots is None else range(self.slots)
         )
         for slot in slot_range:
+            # Nothing reads the outer context's message record (each slot's
+            # instance keeps its own); left alone it would hold every
+            # message ever delivered to this replica.
+            ctx.log.clear()
+            ctx.inbox.clear()
             proposal = self._next_proposal()
             inner_ctx = ProcessContext(ctx.pid, ctx.n)
             inner = AnucProcess(proposal)
@@ -199,11 +256,8 @@ class ReplicatedLogProcess(Process):
     # ------------------------------------------------------------------
 
     def _next_proposal(self) -> Command:
-        chosen = set(self.log)
-        batch_counts: Dict[Any, int] = {}
-        for entry in self.log:
-            if is_batch(entry):
-                batch_counts[entry[1]] = batch_counts.get(entry[1], 0) + 1
+        self._sync()
+        chosen, batch_counts = self._chosen, self._batch_counts
 
         def eligible(command: Command) -> bool:
             if command in chosen:
@@ -242,36 +296,38 @@ class ReplicatedLogProcess(Process):
         leader = self._leader_hint(d)
         if leader is None or leader == ctx.pid:
             return
-        logged = set(self.log)
+        self._sync()
         for command in self.commands:
-            if command in logged:
+            if command in self._chosen:
                 continue
-            key = (command, leader)
-            if key in self._forwarded:
+            sent_to = self._forwarded.get(command)
+            if sent_to is None:
+                sent_to = self._forwarded[command] = set()
+            elif leader in sent_to:
                 continue
             ctx.send(leader, (FWD, command))
-            self._forwarded.add(key)
+            sent_to.add(leader)
 
     def _accept_foreign(self, command: Command) -> None:
-        if (
-            command in self.commands
-            or command in self._foreign_batches
-            or command in self._foreign_plain
-            or command in self.log
-        ):
+        if not self._is_new(command):
             return
         if is_batch(command):
             self._foreign_batches.append(command)
         else:
             self._foreign_plain.append(command)
+        self._known[command] = 1
 
     def _purge_chosen(self, value: Optional[Command]) -> None:
         """Drop a freshly decided command from the pending pools."""
-        if value is None:
+        if value not in self._known:
             return
         for pool in (self.commands, self._foreign_batches, self._foreign_plain):
             if value in pool:
                 pool.remove(value)
+                self._known[value] -= 1
+        if not self._known[value]:
+            del self._known[value]
+        self._forwarded.pop(value, None)
 
     def _route(
         self,
