@@ -34,6 +34,7 @@ from typing import (
     Dict,
     FrozenSet,
     Generator,
+    Iterable,
     List,
     Optional,
     Set,
@@ -59,28 +60,36 @@ def snapshot_history(history: QuorumHistory) -> Dict[int, FrozenSet[Quorum]]:
     return {r: frozenset(quorums) for r, quorums in history.items() if quorums}
 
 
-def distrusts(history: QuorumHistory, pid: int, q: int, n: int) -> bool:
-    """Fig. 5 lines 51-53.
+def distrusted_members(
+    history: QuorumHistory, pid: int, members: Iterable[int], n: int
+) -> List[int]:
+    """The ``members`` that ``p`` distrusts, ascending (Fig. 5 lines 51-53).
 
     ``F_p``: processes with a quorum missing one of ``p``'s own quorums.
     ``p`` distrusts ``q`` iff some process ``r`` outside ``F_p`` has a quorum
-    disjoint from one of ``q``'s quorums.
+    disjoint from one of ``q``'s quorums.  ``F_p`` does not depend on
+    ``q``, so one check of a whole quorum computes it once.
     """
-    mine = history.get(pid, set())
-    considered_faulty = {
-        q2
-        for q2 in range(n)
-        if any(not (quorum & own) for quorum in history.get(q2, ()) for own in mine)
-    }
-    q_quorums = history.get(q, set())
+    mine = history.get(pid, ())
+    trusted_quorums: Set[Quorum] = set()  # of the processes outside F_p
     for r in range(n):
-        if r in considered_faulty:
-            continue
-        for r_quorum in history.get(r, ()):
-            for q_quorum in q_quorums:
-                if not (q_quorum & r_quorum):
-                    return True
-    return False
+        quorums = history.get(r, ())
+        if not any(not (quorum & own) for quorum in quorums for own in mine):
+            trusted_quorums.update(quorums)
+    return [
+        q
+        for q in sorted(members)
+        if any(
+            not (q_quorum & r_quorum)
+            for q_quorum in history.get(q, ())
+            for r_quorum in trusted_quorums
+        )
+    ]
+
+
+def distrusts(history: QuorumHistory, pid: int, q: int, n: int) -> bool:
+    """Whether ``p`` distrusts ``q`` (see :func:`distrusted_members`)."""
+    return bool(distrusted_members(history, pid, (q,), n))
 
 
 def considers_faulty(history: QuorumHistory, pid: int) -> FrozenSet[int]:
@@ -143,6 +152,7 @@ class AnucProcess(Process):
         acks: Dict[Quorum, Set[int]] = {}
         round_no: Dict[Quorum, int] = {}
         seen: Dict[Quorum, int] = {}  # absent key = infinity
+        received: Dict[Tuple[str, int], Dict[int, DeliveredMessage]] = {}
 
         # --- upon-receipt handlers (lines 35-42, run within any step) --
         def handler(message: DeliveredMessage) -> bool:
@@ -159,6 +169,10 @@ class AnucProcess(Process):
                 if acks[quorum] == set(quorum):  # line 42
                     seen[quorum] = round_no[quorum]
                 return True
+            # Round traffic: filed under (tag, round), first message per
+            # sender, so a wait condition looks its round up directly.
+            by_sender = received.setdefault((tag, message.payload[1]), {})
+            by_sender.setdefault(message.sender, message)
             return False
 
         ctx.add_handler(handler)
@@ -175,11 +189,7 @@ class AnucProcess(Process):
             return quorum
 
         def messages(tag: str, rnd: int) -> Dict[int, DeliveredMessage]:
-            found: Dict[int, DeliveredMessage] = {}
-            for m in ctx.log:
-                if m.payload[0] == tag and m.payload[1] == rnd:
-                    found.setdefault(m.sender, m)
-            return found
+            return received.get((tag, rnd), _NO_MESSAGES)
 
         # --- main loop (lines 13-33) -------------------------------------
         while True:
@@ -230,7 +240,7 @@ class AnucProcess(Process):
                     import_history(proposals[q].payload[3])
                 if not self.enable_distrust:
                     break
-                bad = [q for q in quorum if distrusts(history, pid, q, n)]
+                bad = distrusted_members(history, pid, quorum, n)
                 if not bad:
                     break
                 for q in bad:
@@ -265,6 +275,7 @@ class AnucProcess(Process):
 
 
 _INF = float("inf")
+_NO_MESSAGES: Dict[int, DeliveredMessage] = {}
 
 
 @dataclass

@@ -32,6 +32,7 @@ from repro.core.nuc import (
     SAW,
     UNKNOWN,
     Quorum,
+    distrusted_members,
     distrusts,
     snapshot_history,
 )
@@ -199,8 +200,8 @@ class AnucAutomaton(Automaton):
             return
         for q in sorted(quorum):  # line 27
             self._import_history(state, proposals[q][3])
-        if self.enable_distrust and any(
-            distrusts(state.history, state.pid, q, state.n) for q in quorum
+        if self.enable_distrust and distrusted_members(
+            state.history, state.pid, quorum, state.n
         ):
             return  # lines 25-28: retry with the next step's quorum
 

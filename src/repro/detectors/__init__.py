@@ -29,7 +29,12 @@ from repro.detectors.checkers import (
 )
 from repro.detectors.emulated import recorded_output_history
 from repro.detectors.omega import Omega
-from repro.detectors.paired import PairedDetector, PairedHistory
+from repro.detectors.paired import (
+    PairedDetector,
+    PairedHistory,
+    history_breakpoints,
+    segment_merge,
+)
 from repro.detectors.perfect import EventuallyPerfect, Perfect
 from repro.detectors.sigma import Sigma
 from repro.detectors.sigma_nu import SigmaNu
@@ -58,7 +63,9 @@ __all__ = [
     "check_sigma_nu",
     "check_sigma_nu_plus",
     "clear_history_cache",
+    "history_breakpoints",
     "history_cache_info",
     "recorded_output_history",
     "sample_history_cached",
+    "segment_merge",
 ]

@@ -306,7 +306,10 @@ class CoroutineRuntime:
                 f"({type(self.process).__name__}) crashed at step "
                 f"{self.ctx.step_count} (t={observation.time}): {exc}"
             ) from exc
-        init, self._pending_init_sends = self._pending_init_sends, []
+        init = self._pending_init_sends
+        if not init:
+            return sends  # the program's own list: take_step hands it over
+        self._pending_init_sends = []
         return list(init) + list(sends)
 
 

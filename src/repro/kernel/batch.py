@@ -3,7 +3,7 @@
 Sweeps, the chaos fuzzer and extraction sampling all execute many
 *independent* runs — same shape, different seeds or case specs.  The
 interpreted :class:`~repro.kernel.system.System` pays per-step dispatch
-costs (policy objects, coroutine adapters, per-entry aging objects) for
+costs (policy objects, coroutine adapters, per-entry queue objects) for
 every one of them.  :class:`BatchSystem` advances many runs ("lanes") in a
 single process with struct-of-arrays state and a fused step loop, and is
 **bit-identical** to the interpreted engine: for every supported
@@ -22,8 +22,8 @@ stays in Python lists on purpose: bit-identity pins every random draw to
 the exact ``random.Random`` scalar streams the interpreted engine uses
 (``{seed}/sched`` and ``{seed}/delivery/{p}``), which vectorized RNGs
 cannot reproduce, and CPython scalar indexing into lists is faster than
-into numpy arrays.  Numpy earns its keep on the control plane: merging
-detector-history breakpoints, retiring lanes, and aggregate statistics.
+into numpy arrays.  Numpy earns its keep on the control plane: retiring
+lanes and aggregate statistics.
 
 Capability probe
 ----------------
@@ -42,11 +42,13 @@ Bit-identity invariants the fused loop preserves
   ``rng.choice`` inlined as the exact ``getrandbits`` rejection loop;
 * delivery draws come from ``random.Random(f"{seed}/delivery/{p}")`` in
   the same order (age check, lambda roll, uniform pick);
-* message aging is O(1) via enqueue-time step notes instead of per-entry
-  counters, provably equal to the interpreted aging rule;
-* detector histories are pre-merged into per-process breakpoint arrays
-  advanced by a monotone cursor (no per-step bisect);
-* crash epochs advance by the same cursor rule as ``System.step``;
+* message age is the destination's step count now minus its count at
+  the send, the buffer's own definition, kept in flat arrays;
+* detector histories come pre-merged into per-process breakpoint arrays
+  (the history's own compiled tables, see
+  :func:`repro.detectors.paired.history_breakpoints`), advanced by a
+  monotone cursor instead of the interpreted engine's per-step bisect;
+* crash epochs advance by the same cursor rule as ``System.advance``;
 * the run loop replicates ``System._run_loop`` stop/extra-steps
   semantics, including the stop check before the first step.
 """
@@ -54,7 +56,6 @@ Bit-identity invariants the fused loop preserves
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
@@ -68,6 +69,7 @@ from typing import (
     Tuple,
 )
 
+from repro.detectors.paired import history_breakpoints
 from repro.kernel.automaton import (
     Automaton,
     AutomatonProcess,
@@ -223,81 +225,15 @@ _FAST_SCHEDULERS = ("random-fair", "round-robin", "weighted")
 _FAST_DELIVERIES = ("fair-random", "per-sender-fifo", "oldest-first")
 
 
-def _segment_merge(per_component: List[Tuple[List[int], List[Any]]]):
-    """Merge component breakpoint tables into one ``(times, values)`` pair.
-
-    Values at merged time ``t`` are the tuple of component values holding
-    at ``t`` — exactly ``PairedHistory.value``.  The gather runs on numpy
-    when available (breakpoint counts are the one place a batch build does
-    O(timeline) work per lane); the bisect fallback is value-identical.
-    """
-    if len(per_component) == 1:
-        return per_component[0]
-    # Numpy only pays off past a few dozen breakpoints; the typical
-    # detector timeline has a handful, where small-array overhead loses
-    # to bisect.
-    if _np is not None and sum(len(times) for times, _ in per_component) >= 64:
-        merged = _np.unique(
-            _np.concatenate(
-                [_np.asarray(times, dtype=_np.int64) for times, _ in per_component]
-            )
-        )
-        columns = []
-        for times, values in per_component:
-            idx = (
-                _np.searchsorted(
-                    _np.asarray(times, dtype=_np.int64), merged, side="right"
-                )
-                - 1
-            )
-            columns.append([values[i] for i in idx.tolist()])
-        merged_times = merged.tolist()
-    else:
-        merged_times = sorted({t for times, _ in per_component for t in times})
-        columns = []
-        for times, values in per_component:
-            columns.append(
-                [values[bisect_right(times, t) - 1] for t in merged_times]
-            )
-    merged_values = [tuple(col[i] for col in columns) for i in range(len(merged_times))]
-    return merged_times, merged_values
-
-
-def _history_breakpoints(history: Any, p: int):
-    """Per-process ``(times, values)`` for piecewise-constant histories.
-
-    Returns ``None`` for history types whose values cannot be proven
-    piecewise-constant ahead of the run (functional, recorded, adaptive or
-    injector-wrapped histories) — those lanes fall back.
-    """
-    from repro.detectors.base import ScheduleHistory
-    from repro.detectors.paired import PairedHistory
-
-    if type(history) is ScheduleHistory:
-        times = history._times.get(p)
-        if times is None:
-            return None
-        return list(times), list(history._values[p])
-    if type(history) is PairedHistory:
-        parts = []
-        for component in history.components:
-            part = _history_breakpoints(component, p)
-            if part is None:
-                return None
-            parts.append(part)
-        return _segment_merge(parts)
-    return None
-
-
 def _segment_tables(history: Any, n: int):
-    """Breakpoint tables for all processes, or ``None`` if unsupported."""
-    tables = []
-    for p in range(n):
-        table = _history_breakpoints(history, p)
-        if table is None:
-            return None
-        tables.append(table)
-    return tables
+    """Breakpoint tables for all processes, or ``None`` if unsupported.
+
+    The tables are the history's own compiled copy (shared with the
+    interpreted engine, which reads them through ``history.value``)."""
+    by_process = history_breakpoints(history)
+    if by_process is None or any(p not in by_process for p in range(n)):
+        return None
+    return [by_process[p] for p in range(n)]
 
 
 def probe_spec(spec: LaneSpec) -> Optional[str]:
@@ -424,7 +360,7 @@ class _FastLane:
         seed = spec.seed
         self.sched_rng = random.Random(f"{seed}/sched")
         self.dest_rngs = [random.Random(f"{seed}/delivery/{p}") for p in range(n)]
-        # Crash-epoch cursor (mirrors System's inlined _alive_at).
+        # Crash-epoch cursor (mirrors the one in System.advance).
         self.epochs = spec.pattern.alive_epochs()
         self.epoch_idx = 0
         self.alive = self.epochs[0][1]
@@ -824,11 +760,11 @@ def _advance(lane: _FastLane, ticks: int) -> None:
     """Advance one fast lane by up to ``ticks`` steps.
 
     This is the hot loop; every branch mirrors one line of
-    ``System.step`` / ``System._run_loop`` and the shipped policies, with
-    per-step dispatch replaced by integer mode codes, ``rng.choice``
+    ``System.advance`` / ``System._run_loop`` and the shipped policies,
+    with per-step dispatch replaced by integer mode codes, ``rng.choice``
     replaced by the inlined ``getrandbits`` rejection draw it performs
-    internally, and per-entry message aging replaced by enqueue-time step
-    notes.  Deviating from the interpreted engine here is a bug; the
+    internally, and pending-entry objects replaced by enqueue-time step
+    notes in flat arrays.  Deviating from the interpreted engine here is a bug; the
     oracle suite (``tests/kernel/test_batch.py``) enforces bit-identity.
     """
     t = lane.time
@@ -902,7 +838,7 @@ def _advance(lane: _FastLane, ticks: int) -> None:
                 break
             remaining_extra -= 1
 
-        # ---- System.step: crash-epoch cursor --------------------------
+        # ---- System.advance: crash-epoch cursor -----------------------
         if next_epoch_at is not None and t >= next_epoch_at:
             lane.advance_epochs(t)
             alive = lane.alive

@@ -22,12 +22,19 @@ stay indistinguishable in the simulator, too).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A unique in-flight message ``(sender, payload, dest)``."""
 
     sender: int
@@ -43,12 +50,27 @@ class Message:
         )
 
 
-@dataclass
 class _PendingEntry:
-    message: Message
-    # Number of steps the destination has taken since this message became
-    # pending; the aging counter used by fairness rules.
-    age_in_dest_steps: int = 0
+    """A pending message plus what its age is measured from.
+
+    A message's age is the number of steps its destination has taken
+    since the message became pending: the destination's step count now
+    minus its step count at the send.  Nothing is touched per step.
+    """
+
+    __slots__ = ("message", "_sent_at_dest_step", "_dest_steps")
+
+    def __init__(self, message: Message, dest_steps: Dict[int, int]):
+        self.message = message
+        self._dest_steps = dest_steps  # the buffer's live per-destination counts
+        self._sent_at_dest_step = dest_steps.get(message.dest, 0)
+
+    @property
+    def age_in_dest_steps(self) -> int:
+        """The aging counter used by fairness rules."""
+        return (
+            self._dest_steps.get(self.message.dest, 0) - self._sent_at_dest_step
+        )
 
 
 #: Shared empty queue returned for destinations with nothing pending.
@@ -60,6 +82,7 @@ class MessageBuffer:
 
     def __init__(self) -> None:
         self._pending: Dict[int, List[_PendingEntry]] = {}
+        self._dest_steps: Dict[int, int] = {}  # steps noted per destination
         self._seq: Dict[int, int] = {}
         self._sent_count = 0
         self._delivered_count = 0
@@ -74,7 +97,9 @@ class MessageBuffer:
         seq = self._seq.get(sender, 0)
         self._seq[sender] = seq + 1
         message = Message(sender, dest, payload, uid=(sender, seq), sent_at=now)
-        self._pending.setdefault(dest, []).append(_PendingEntry(message))
+        self._pending.setdefault(dest, []).append(
+            _PendingEntry(message, self._dest_steps)
+        )
         self._sent_count += 1
         return message
 
@@ -87,13 +112,8 @@ class MessageBuffer:
 
     def deliver(self, message: Message) -> None:
         """Remove ``message`` from the buffer (it is being received)."""
-        entries = self._pending.get(message.dest, [])
-        for i, entry in enumerate(entries):
-            if entry.message.uid == message.uid:
-                del entries[i]
-                self._delivered_count += 1
-                return
-        raise LookupError(f"{message!r} is not pending")
+        self._remove(message)
+        self._delivered_count += 1
 
     def supersede(self, message: Message) -> None:
         """Remove ``message`` as superseded by a newer equivalent.
@@ -101,18 +121,25 @@ class MessageBuffer:
         Counted separately from deliveries; semantically the message is
         received immediately after the message that subsumes it, where it
         changes nothing."""
-        entries = self._pending.get(message.dest, [])
+        self._remove(message)
+        self._superseded_count += 1
+
+    def _remove(self, message: Message) -> None:
+        entries = self._pending.get(message.dest, _NO_ENTRIES)
+        uid = message.uid
         for i, entry in enumerate(entries):
-            if entry.message.uid == message.uid:
+            pending = entry.message
+            # The message handed back is nearly always the pending object
+            # itself; uids settle the rest (a rebuilt but equal message).
+            if pending is message or pending.uid == uid:
                 del entries[i]
-                self._superseded_count += 1
                 return
         raise LookupError(f"{message!r} is not pending")
 
     def note_dest_step(self, dest: int) -> None:
         """Age every message pending for ``dest`` by one destination step."""
-        for entry in self._pending.get(dest, []):
-            entry.age_in_dest_steps += 1
+        steps = self._dest_steps
+        steps[dest] = steps.get(dest, 0) + 1
 
     def oldest_for(self, dest: int) -> Optional[Message]:
         entries = self._pending.get(dest, [])

@@ -180,7 +180,7 @@ class System:
         self._initial_outputs = {
             p: processes[p].initial_output() for p in range(self.n)
         }
-        # Resolve per-step dispatch once.  The history accessor is either a
+        # Resolve step dispatch once.  The history accessor is either a
         # History object (``.value``) or a plain callable; the delivery's
         # clock hook exists only on time-aware policies; the alive-set
         # timeline is precomputable only for immutable patterns
@@ -192,6 +192,7 @@ class System:
         self._next_process = self.scheduler.next_process
         self._note_dest_step = self.buffer.note_dest_step
         self._choose = self.delivery.choose
+        self._deliver = self.buffer.deliver
         self._send = self.buffer.send
         epochs_fn = getattr(pattern, "alive_epochs", None)
         if callable(epochs_fn):
@@ -212,22 +213,88 @@ class System:
     # Stepping
     # ------------------------------------------------------------------
 
-    def _history_value(self, p: int, t: int) -> Any:
-        return self._history_fn(p, t)
+    def advance(self, budget: int) -> int:
+        """Execute up to ``budget`` steps; returns the number executed.
 
-    def _alive_at(self, t: int) -> Tuple[int, ...]:
-        """The sorted alive tuple at ``t`` (epoch cursor, O(1) amortized)."""
-        if self._epochs is None:
-            return tuple(sorted(self.pattern.alive_at(t)))
-        while self._next_epoch_at is not None and t >= self._next_epoch_at:
-            self._epoch_idx += 1
-            self._alive_now = self._epochs[self._epoch_idx][1]
-            self._next_epoch_at = (
-                self._epochs[self._epoch_idx + 1][0]
-                if self._epoch_idx + 1 < len(self._epochs)
-                else None
-            )
-        return self._alive_now
+        Fewer than ``budget`` means no process could step (all crashed, or
+        the scheduler had none to name).  This loop is the one rendition of
+        the model's step — receive, query, transition, send — in the live
+        system: :meth:`step`, :meth:`run` and the service core all run it.
+        """
+        record_trace = self._record_trace
+        epochs = self._epochs
+        alive_at = self.pattern.alive_at
+        set_now = self._set_now
+        next_process = self._next_process
+        sched_rng = self._sched_rng
+        buffer = self.buffer
+        note_dest_step = self._note_dest_step
+        deliver = self._deliver
+        send = self._send
+        choose = self._choose
+        dest_steps = self._dest_steps
+        dest_rngs = self._dest_rngs
+        history_value = self._history_fn
+        runtimes = self.runtimes
+        steps = self.steps
+        queried = self.queried
+
+        t = self.time
+        alive = self._alive_now
+        next_epoch_at = self._next_epoch_at
+        taken = 0
+        while taken < budget:
+            if epochs is None:
+                # Mutable pattern (DeferredCrashPattern): ask it every step.
+                alive = tuple(sorted(alive_at(t)))
+            elif next_epoch_at is not None and t >= next_epoch_at:
+                # Crash-epoch cursor: between crash times the alive tuple
+                # is a constant.
+                idx = self._epoch_idx
+                while next_epoch_at is not None and t >= next_epoch_at:
+                    idx += 1
+                    next_epoch_at = (
+                        epochs[idx + 1][0] if idx + 1 < len(epochs) else None
+                    )
+                alive = epochs[idx][1]
+                self._epoch_idx = idx
+                self._alive_now = alive
+                self._next_epoch_at = next_epoch_at
+            if not alive:
+                break
+            if set_now is not None:
+                set_now(t)
+            pid = next_process(alive, t, sched_rng)
+            if pid is None:
+                break
+
+            note_dest_step(pid)
+            message = choose(buffer, pid, dest_steps[pid], dest_rngs[pid])
+            dest_steps[pid] += 1
+            if message is not None:
+                deliver(message)
+                delivered = DeliveredMessage(message.sender, message.payload)
+            else:
+                delivered = None
+
+            d = history_value(pid, t)
+            sends = runtimes[pid].step(Observation(delivered, d, t))
+            self.time = t + 1
+            if record_trace:
+                sent_messages = tuple(
+                    [send(pid, dest, payload, t) for dest, payload in sends]
+                )
+                queried[pid].append((t, d))
+                steps.append(
+                    StepRecord(len(steps), t, pid, message, d, sent_messages)
+                )
+            else:
+                # Metrics mode: enqueue the sends, build no per-step record.
+                for dest, payload in sends:
+                    send(pid, dest, payload, t)
+            t += 1
+            taken += 1
+        return taken
 
     def step(self) -> Optional[StepRecord]:
         """Execute one step; ``None`` when no process can step.
@@ -235,60 +302,9 @@ class System:
         Under ``trace="metrics"`` the :data:`STEP_TAKEN` sentinel is
         returned instead of a per-step record.
         """
-        t = self.time
-        # Inlined epoch cursor: between crash times the alive tuple is a
-        # cached constant (see _alive_at for the cursor advance / slow path).
-        next_at = self._next_epoch_at
-        if next_at is not None and t >= next_at:
-            alive = self._alive_at(t)
-        elif self._epochs is not None:
-            alive = self._alive_now
-        else:
-            alive = self._alive_at(t)
-        if not alive:
+        if not self.advance(1):
             return None
-        if self._set_now is not None:
-            self._set_now(t)
-        pid = self._next_process(alive, t, self._sched_rng)
-        if pid is None:
-            return None
-
-        self._note_dest_step(pid)
-        dest_steps = self._dest_steps
-        message = self._choose(
-            self.buffer, pid, dest_steps[pid], self._dest_rngs[pid]
-        )
-        dest_steps[pid] += 1
-        if message is not None:
-            self.buffer.deliver(message)
-            delivered = DeliveredMessage(message.sender, message.payload)
-        else:
-            delivered = None
-
-        d = self._history_fn(pid, t)
-        observation = Observation(message=delivered, detector_value=d, time=t)
-        sends = self.runtimes[pid].step(observation)
-        self.time = t + 1
-        if not self._record_trace:
-            # Metrics mode: enqueue the sends but build no per-step record.
-            send = self._send
-            for dest, payload in sends:
-                send(pid, dest, payload, now=t)
-            return STEP_TAKEN
-        sent_messages = tuple(
-            self._send(pid, dest, payload, now=t) for dest, payload in sends
-        )
-        self.queried[pid].append((t, d))
-        record = StepRecord(
-            index=len(self.steps),
-            time=t,
-            pid=pid,
-            message=message,
-            detector_value=d,
-            sends=sent_messages,
-        )
-        self.steps.append(record)
-        return record
+        return self.steps[-1] if self._record_trace else STEP_TAKEN
 
     def run(
         self,
@@ -329,24 +345,24 @@ class System:
     ) -> RunResult:
         # The uninstrumented loop: ``run`` adds the per-run span around it
         # when tracing is on; the per-step path is deliberately untouched.
-        reason = "max_steps"
         budget = max_steps
-        remaining_extra: Optional[int] = None
-        while budget > 0:
-            if remaining_extra is None and stop_when is not None and stop_when(self):
-                if extra_steps <= 0:
-                    reason = "stop_condition"
-                    break
-                remaining_extra = extra_steps
-            if remaining_extra is not None:
-                if remaining_extra <= 0:
-                    reason = "stop_condition"
-                    break
-                remaining_extra -= 1
-            if self.step() is None:
-                reason = "all_crashed"
-                break
-            budget -= 1
+        burst = budget
+        if stop_when is not None:
+            # The condition is checked before every step until it holds;
+            # the extra steps after that need no check and go in one burst.
+            while budget > 0 and not stop_when(self):
+                if not self.advance(1):
+                    return self.result(stop_reason="all_crashed")
+                budget -= 1
+            if budget <= 0:
+                return self.result(stop_reason="max_steps")
+            burst = min(budget, max(extra_steps, 0))
+        if self.advance(burst) < burst:
+            reason = "all_crashed"
+        elif burst < budget:
+            reason = "stop_condition"
+        else:
+            reason = "max_steps"
         return self.result(stop_reason=reason)
 
     # ------------------------------------------------------------------

@@ -133,13 +133,7 @@ class ServiceCore:
 
     def step(self, budget: int) -> int:
         """Advance the kernel up to ``budget`` steps; returns steps taken."""
-        taken = 0
-        step = self.system.step
-        for _ in range(budget):
-            if step() is None:
-                break
-            taken += 1
-        return taken
+        return self.system.advance(budget)
 
     # ------------------------------------------------------------------
 

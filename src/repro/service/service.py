@@ -155,7 +155,11 @@ class ConsensusService:
             self.stats["duplicates"] += 1
             return await self._register_waiter(key)
         future = self._register_waiter(key)
-        await self._intake.put((session, seq, op))
+        try:
+            await self._intake.put((session, seq, op))
+        except asyncio.CancelledError:  # client timeout, dropped connection
+            self._withdraw(key, future)
+            raise
         self._note_submit(session, seq)
         return await future
 
@@ -178,10 +182,7 @@ class ConsensusService:
             self.stats["shed"] += 1
             if obs._ENABLED:
                 obs.metrics().inc("service.shed")
-            self._waiters[key].remove(future)
-            if not self._waiters[key]:
-                del self._waiters[key]
-            future.cancel()
+            self._withdraw(key, future)
             raise Backpressure(f"intake queue full ({self.config.queue_depth})")
         self._note_submit(session, seq)
         return future
@@ -204,6 +205,20 @@ class ConsensusService:
         future = asyncio.get_running_loop().create_future()
         self._waiters.setdefault(key, []).append(future)
         return future
+
+    def _withdraw(self, key: Tuple, future: asyncio.Future) -> None:
+        """``future``'s command never entered the queue, so nothing would
+        ever resolve the waiters of ``key``: drop them, or a retry would
+        piggyback on them forever.  Submissions that piggybacked on this
+        one while it waited for queue space are refused like a shed one.
+        """
+        for waiter in self._waiters.pop(key):
+            if waiter is future:
+                waiter.cancel()
+            elif not waiter.done():
+                waiter.set_exception(
+                    Backpressure("the submission this one joined was withdrawn")
+                )
 
     def _note_submit(self, session, seq: int) -> None:
         self.stats["submitted"] += 1

@@ -1,7 +1,13 @@
 """A replicated log: one A_nuc instance per slot.
 
 Each process runs consensus instances sequentially; slot ``i``'s instance
-starts once slot ``i-1`` is decided locally.  Messages are tagged with
+starts once slot ``i-1`` is decided locally.  An instance is a state of
+:class:`~repro.core.nuc_automaton.AnucAutomaton` — the paper's own form of
+an algorithm, one ``transition`` per step, and the same A_nuc as the
+readable coroutine in :mod:`repro.core.nuc`: the two are pinned
+step-for-step equal by ``tests/core/test_nuc_equivalence.py``, and this
+replica equal to one driving the coroutine by
+``tests/smr/test_replica_equivalence.py``.  Messages are tagged with
 their slot; messages for future slots are stashed and replayed when the
 slot opens.  Because a replica that finishes a slot stops serving that
 instance, deciders broadcast a ``DECIDED`` notice that lets laggards
@@ -54,14 +60,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.nuc import AnucProcess
-from repro.kernel.automaton import (
-    CoroutineRuntime,
-    DeliveredMessage,
-    Observation,
-    Process,
-    ProcessContext,
-)
+from repro.core.nuc_automaton import AnucAutomaton
+from repro.kernel.automaton import DeliveredMessage, Process, ProcessContext
 
 SLOT = "S"  # (S, slot, inner_payload): one consensus instance's traffic
 DECIDED = "DEC"  # (DEC, slot, value): decider's short-circuit notice
@@ -72,6 +72,10 @@ BATCH = "batch"  # ("batch", origin, seq, (command, ...)): a service batch
 Command = Tuple  # e.g. ("append", pid, k) or ("noop", pid)
 
 NOOP: Command = ("noop", -1)
+
+#: Every slot of every replica is an instance of this one automaton; the
+#: per-slot state is what ``initial_state`` returns.
+_ANUC = AnucAutomaton()
 
 
 def is_batch(command: Any) -> bool:
@@ -195,10 +199,7 @@ class ReplicatedLogProcess(Process):
             # message ever delivered to this replica.
             ctx.log.clear()
             ctx.inbox.clear()
-            proposal = self._next_proposal()
-            inner_ctx = ProcessContext(ctx.pid, ctx.n)
-            inner = AnucProcess(proposal)
-            runtime = CoroutineRuntime(inner, inner_ctx)
+            state = _ANUC.initial_state(ctx.pid, ctx.n, self._next_proposal())
             replay = list(stashed.pop(slot, ()))
 
             while True:
@@ -207,19 +208,16 @@ class ReplicatedLogProcess(Process):
                     break
                 if replay:
                     message: Optional[DeliveredMessage] = replay.pop(0)
-                    obs_time = ctx.time
                     d = ctx.detector_value
                     if d is None:
                         # No real step taken yet: take one to get a value.
                         obs = yield from ctx.take_step()
                         d = obs.detector_value
-                        obs_time = obs.time
                         if obs.message is not None:
                             self._route(obs.message, slot, replay, stashed)
                 else:
                     obs = yield from ctx.take_step()
                     d = obs.detector_value
-                    obs_time = obs.time
                     message = None
                     if obs.message is not None:
                         message = self._route(obs.message, slot, replay, stashed)
@@ -227,13 +225,11 @@ class ReplicatedLogProcess(Process):
                     value = decided_notices[slot]
                     break
                 self._maybe_forward(ctx, d)
-                sends = runtime.step(
-                    Observation(message=message, detector_value=d, time=obs_time)
-                )
+                sends = _ANUC.transition(state, ctx.pid, message, d).sends
                 for dest, payload in sends:
                     ctx.send(dest, (SLOT, slot, payload))
-                if inner_ctx.decision is not None:
-                    value = inner_ctx.decision
+                if state.decided is not None:
+                    value = state.decided
                     ctx.send_to_all((DECIDED, slot, value))
                     break
 

@@ -102,6 +102,42 @@ class TestBackpressure:
         assert stats["committed"] == 8
         assert stats["shed"] == 0
 
+    def test_submit_cancelled_while_queue_is_full_can_be_retried(self):
+        # A client timeout cancels submit() inside `await intake.put()`:
+        # the command never entered the queue, so its waiter must go too,
+        # or the retry piggybacks on it and hangs forever.
+        async def main(loop):
+            service = ConsensusService(
+                ServiceConfig(n=3, seed=0, queue_depth=1, batch_size=1),
+                TickClock(loop),
+            )
+            first = service.try_submit("s", 0, ("x", 0))  # fills the queue
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(service.submit("s", 1, ("x", 1)), 0.01)
+            withdrawn = ("s", 1) not in service._waiters
+            # A submission that joined the blocked one is refused with it.
+            blocked = loop.create_task(service.submit("s", 2, ("x", 2)))
+            await asyncio.sleep(0)
+            joined = service.try_submit("s", 2, ("x", 2))
+            blocked.cancel()
+            with pytest.raises(Backpressure):
+                await joined
+            service.start()
+            await first
+            retried = await service.submit("s", 1, ("x", 1))
+            await service.stop()
+            return (
+                withdrawn, retried, list(service.applied_commands),
+                dict(service._waiters), service.stats,
+            )
+
+        withdrawn, retried, applied, waiters, stats = run_logical(main)
+        assert withdrawn
+        assert retried[0] == "ok"
+        assert applied == [("s", 0, ("x", 0)), ("s", 1, ("x", 1))]
+        assert waiters == {}
+        assert stats["submitted"] == 2 and stats["duplicates"] == 1
+
 
 class TestReadsAndLeases:
     def test_read_serves_certified_prefix(self):

@@ -1,0 +1,223 @@
+"""The replica on the automaton == the replica on the coroutine.
+
+A replica runs each slot's consensus instance as an ``AnucAutomaton``
+state.  It used to build an ``AnucProcess`` with its own context and
+runtime per slot and feed it observations; that slot loop is kept here,
+test-local, as the reference.  Both replicas must produce the same run —
+every step's process, delivered message, detector value and sends — and
+the same logs and applied sequences, on the chaos ``smr`` rows and on a
+schedule where a laggard falls slots behind and catches up by replaying
+stashed traffic.
+"""
+
+import itertools
+from typing import Dict, List, Optional
+
+import pytest
+
+from repro.chaos.matrix import CONFIGS
+from repro.chaos.space import build_delivery, build_scheduler, draw_case
+from repro.core.nuc import AnucProcess
+from repro.detectors import PairedHistory, ScheduleHistory, sample_history_cached
+from repro.kernel.automaton import (
+    CoroutineRuntime,
+    DeliveredMessage,
+    Observation,
+    ProcessContext,
+)
+from repro.kernel.failures import FailurePattern
+from repro.kernel.messages import BlockingPolicy, FairRandomDelivery
+from repro.kernel.scheduler import WeightedScheduler
+from repro.kernel.system import System
+from repro.smr.replicated_log import DECIDED, FWD, SLOT, ReplicatedLogProcess
+
+
+class CoroutineSlotReplica(ReplicatedLogProcess):
+    """The reference: one coroutine ``AnucProcess`` per slot."""
+
+    def program(self, ctx: ProcessContext):
+        stashed: Dict[int, List[DeliveredMessage]] = {}
+        decided_notices: Dict[int, object] = {}
+
+        def outer_handler(message: DeliveredMessage) -> bool:
+            payload = message.payload
+            if payload[0] == DECIDED:
+                _, slot, value = payload
+                decided_notices.setdefault(slot, value)
+                return True
+            if payload[0] == FWD:
+                self._accept_foreign(payload[1])
+                return True
+            return False
+
+        ctx.add_handler(outer_handler)
+
+        slot_range = (
+            itertools.count() if self.slots is None else range(self.slots)
+        )
+        for slot in slot_range:
+            ctx.log.clear()
+            ctx.inbox.clear()
+            proposal = self._next_proposal()
+            inner_ctx = ProcessContext(ctx.pid, ctx.n)
+            runtime = CoroutineRuntime(AnucProcess(proposal), inner_ctx)
+            replay = list(stashed.pop(slot, ()))
+
+            while True:
+                if slot in decided_notices:
+                    value = decided_notices[slot]
+                    break
+                if replay:
+                    message: Optional[DeliveredMessage] = replay.pop(0)
+                    obs_time = ctx.time
+                    d = ctx.detector_value
+                    if d is None:
+                        obs = yield from ctx.take_step()
+                        d = obs.detector_value
+                        obs_time = obs.time
+                        if obs.message is not None:
+                            self._route(obs.message, slot, replay, stashed)
+                else:
+                    obs = yield from ctx.take_step()
+                    d = obs.detector_value
+                    obs_time = obs.time
+                    message = None
+                    if obs.message is not None:
+                        message = self._route(obs.message, slot, replay, stashed)
+                if slot in decided_notices:
+                    value = decided_notices[slot]
+                    break
+                self._maybe_forward(ctx, d)
+                sends = runtime.step(
+                    Observation(message=message, detector_value=d, time=obs_time)
+                )
+                for dest, payload in sends:
+                    ctx.send(dest, (SLOT, slot, payload))
+                if inner_ctx.decision is not None:
+                    value = inner_ctx.decision
+                    ctx.send_to_all((DECIDED, slot, value))
+                    break
+
+            decided_notices.setdefault(slot, value)
+            self.log.append(value)
+            self._purge_chosen(value)
+            if value is not None and value[0] != "noop":
+                self.applied.append(value)
+
+        while True:
+            obs = yield from ctx.take_step()
+            self._maybe_forward(ctx, obs.detector_value)
+            if obs.message is not None and obs.message.payload[0] == SLOT:
+                _, slot, _inner = obs.message.payload
+                if slot in decided_notices:
+                    ctx.send(
+                        obs.message.sender, (DECIDED, slot, decided_notices[slot])
+                    )
+
+
+def run_both(make_system, max_steps, stop_when=None):
+    """Run the same configuration on each replica class; compare it all."""
+    outcomes = []
+    for replica_cls in (ReplicatedLogProcess, CoroutineSlotReplica):
+        system, processes = make_system(replica_cls)
+        stop = None if stop_when is None else (lambda s: stop_when(processes))
+        result = system.run(max_steps=max_steps, stop_when=stop)
+        outcomes.append((result, processes))
+    (new, new_procs), (ref, ref_procs) = outcomes
+    assert new.total_steps == ref.total_steps
+    for mine, theirs in zip(new.steps, ref.steps):
+        assert mine == theirs  # pid, delivery, detector value and sends
+    assert new.stop_reason == ref.stop_reason
+    for p in new_procs:
+        assert new_procs[p].log == ref_procs[p].log, p
+        assert new_procs[p].applied == ref_procs[p].applied, p
+        assert new_procs[p].pending_commands() == ref_procs[p].pending_commands()
+    return new, new_procs
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_chaos_smr_rows(index):
+    config = CONFIGS["smr-honest"]
+    case = draw_case(
+        config.name, 0, index, max_steps=config.max_steps, **config.draw_kwargs()
+    )
+    pattern = case.pattern()
+    history = sample_history_cached(config.detector(), pattern, case.run_seed())
+    commands = case.proposal_map()
+    slots = 2
+
+    def make_system(replica_cls):
+        processes = {
+            p: replica_cls(list(commands.get(p, ())), slots=slots)
+            for p in range(case.n)
+        }
+        system = System(
+            processes,
+            pattern,
+            history,
+            seed=case.run_seed(),
+            scheduler=build_scheduler(case.scheduler),
+            delivery=build_delivery(case.delivery),
+        )
+        return system, processes
+
+    def logs_full(processes):
+        return all(len(processes[p].log) >= slots for p in pattern.correct)
+
+    result, _ = run_both(make_system, case.max_steps, logs_full)
+    assert result.stop_reason == "stop_condition"
+
+
+def test_laggard_replays_stashed_slots():
+    # p0 and p1 form a quorum of their own and race ahead; p2 rarely steps
+    # and hears no DECIDED notice until late, so the others' traffic for
+    # the slots it has not reached piles up in its stash and is replayed,
+    # slot by slot, once it gets there.
+    n, slots = 3, 6
+    pattern = FailurePattern(n, {})
+    fast, everyone = frozenset({0, 1}), frozenset({0, 1, 2})
+    history = PairedHistory(
+        [
+            ScheduleHistory({p: [(0, 0)] for p in range(n)}),
+            ScheduleHistory({0: [(0, fast)], 1: [(0, fast)], 2: [(0, everyone)]}),
+        ]
+    )
+    commands = {p: [("append", p, i) for i in range(2)] for p in range(n)}
+    worst_lag = []
+
+    def make_system(replica_cls):
+        processes = {p: replica_cls(commands[p], slots=slots) for p in range(n)}
+        delivery = BlockingPolicy(
+            FairRandomDelivery(),
+            blocked=lambda m: m.dest == 2 and m.payload[0] == DECIDED,
+            release_time=600,
+        )
+        system = System(
+            processes,
+            pattern,
+            history,
+            seed=3,
+            scheduler=WeightedScheduler({0: 1.0, 1: 1.0, 2: 0.15}, max_gap=400),
+            delivery=delivery,
+        )
+        worst_lag.append(0)
+        return system, processes
+
+    def watch_lag(processes):
+        lag = max(len(r.log) for r in processes.values()) - len(processes[2].log)
+        worst_lag[-1] = max(worst_lag[-1], lag)
+        return all(len(r.log) >= slots for r in processes.values())
+
+    result, processes = run_both(make_system, 40_000, watch_lag)
+    assert result.stop_reason == "stop_condition"
+    assert worst_lag[0] == worst_lag[1] >= 2
+    # The laggard ran its own instance of every slot, on replayed traffic
+    # for all but the first, long after the others had left them.
+    laggard_slots = {
+        m.payload[1]
+        for step in result.steps
+        if step.pid == 2
+        for m in step.sends
+        if m.payload[0] == SLOT
+    }
+    assert laggard_slots == set(range(slots))
