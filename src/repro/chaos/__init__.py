@@ -47,7 +47,9 @@ from repro.chaos.matrix import (
     run_matrix,
 )
 from repro.chaos.shrinker import ShrinkResult, shrink_schedule
-from repro.chaos.space import FuzzCase, build_delivery, build_scheduler, draw_case
+from repro.chaos.space import FuzzCase, draw_case
+from repro.kernel.messages import build_delivery
+from repro.kernel.scheduler import build_scheduler
 
 __all__ = [
     "COUNTEREXAMPLE_SCHEMA",

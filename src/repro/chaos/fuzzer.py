@@ -35,7 +35,7 @@ from typing import (
     Tuple,
 )
 
-from repro.chaos.space import FuzzCase, build_delivery, build_scheduler, draw_case, mutate_case
+from repro.chaos.space import FuzzCase, draw_case, mutate_case
 from repro.consensus.interface import consensus_outcome
 from repro.consensus.properties import (
     check_nonuniform_consensus,
@@ -43,6 +43,8 @@ from repro.consensus.properties import (
 )
 from repro.detectors.base import FailureDetector, sample_history_cached
 from repro.kernel.automaton import AutomatonProcess
+from repro.kernel.messages import build_delivery
+from repro.kernel.scheduler import build_scheduler
 from repro.kernel.system import RunResult, System
 from repro import obs as _obs
 
@@ -195,25 +197,6 @@ def _classify(report_violations: Sequence[str], config: str, case: FuzzCase, ste
     return out
 
 
-def _judge_consensus(
-    config: ChaosConfig, case: FuzzCase, result: RunResult, trace: str
-) -> CaseOutcome:
-    """Judge a finished consensus run — pure in ``(config, case, result)``,
-    so a bit-identical batch-lane result yields an identical outcome."""
-    proposals = case.proposal_map()
-    outcome = consensus_outcome(result, proposals)
-    nonuniform = check_nonuniform_consensus(outcome)
-    uniform = check_uniform_consensus(outcome, require_termination=False)
-    violations = _classify(
-        list(nonuniform.violations)
-        + [m for m in uniform.violations if m.startswith("uniform agreement")],
-        config.name,
-        case,
-        result.total_steps,
-    )
-    return _outcome(case, result, violations, trace)
-
-
 def _execute_consensus(
     config: ChaosConfig, case: FuzzCase, trace: str
 ) -> CaseOutcome:
@@ -232,38 +215,17 @@ def _execute_consensus(
     result = system.run(
         max_steps=case.max_steps, stop_when=lambda s: s.all_correct_decided()
     )
-    return _judge_consensus(config, case, result, trace)
-
-
-def _consensus_lane_spec(config: ChaosConfig, case: FuzzCase, trace: str):
-    """The batch lane reproducing ``_execute_consensus``'s kernel run.
-
-    Automaton algorithms become fast-path candidates; A_nuc's coroutine
-    processes ride along as an interpreted fallback lane (same results, no
-    speedup), so a whole consensus wave drains through one BatchSystem.
-    """
-    from repro.kernel.batch import LaneSpec
-
-    pattern = case.pattern()
-    history = sample_history_cached(config.detector(), pattern, case.run_seed())
-    common = dict(
-        pattern=pattern,
-        history=history,
-        seed=case.run_seed(),
-        max_steps=case.max_steps,
-        scheduler=case.scheduler,
-        delivery=case.delivery,
-        trace=trace,
-        stop="all-correct-decided",
+    outcome = consensus_outcome(result, case.proposal_map())
+    nonuniform = check_nonuniform_consensus(outcome)
+    uniform = check_uniform_consensus(outcome, require_termination=False)
+    violations = _classify(
+        list(nonuniform.violations)
+        + [m for m in uniform.violations if m.startswith("uniform agreement")],
+        config.name,
+        case,
+        result.total_steps,
     )
-    if config.algorithm == "anuc":
-        return LaneSpec(
-            processes_factory=lambda: _consensus_processes(config, case), **common
-        )
-    processes = _consensus_processes(config, case)
-    automaton = processes[0].automaton
-    proposals = case.proposal_map()
-    return LaneSpec(automaton=automaton, proposals=proposals, **common)
+    return _outcome(case, result, violations, trace)
 
 
 def _execute_register(
@@ -387,60 +349,6 @@ _EXECUTORS = {
 }
 
 
-def _recheck_termination(
-    config: ChaosConfig,
-    outcome: CaseOutcome,
-    executor: Callable[[ChaosConfig, FuzzCase, str], CaseOutcome],
-) -> CaseOutcome:
-    """Discard suggested termination violations that a fair rerun refutes.
-
-    See :func:`execute_case` for the rationale; this is the shared tail of
-    the serial and batched execution paths.
-    """
-    suggested = any(v.property == "termination" for v in outcome.violations)
-    if not suggested or "termination" in config.expected:
-        return outcome
-    fair_case = _dc_replace(
-        outcome.case, scheduler=("round-robin",), delivery=("oldest-first",)
-    )
-    fair = executor(config, fair_case, "metrics")
-    if any(v.property == "termination" for v in fair.violations):
-        return outcome
-    kept = tuple(v for v in outcome.violations if v.property != "termination")
-    props = tuple(sorted({v.property for v in kept}))
-    if _obs._ENABLED:
-        _obs.metrics().inc("chaos.termination_rechecks")
-    return CaseOutcome(
-        case=outcome.case,
-        violations=kept,
-        steps=outcome.steps + fair.steps,
-        signature=outcome.signature[:3] + (props,) + outcome.signature[4:],
-        schedule=outcome.schedule,
-    )
-
-
-def _execute_wave(
-    config: ChaosConfig, cases: Sequence[FuzzCase]
-) -> List[CaseOutcome]:
-    """Run a wave of consensus cases through one batch engine and judge each.
-
-    Bit-identical to ``[execute_case(config, c) for c in cases]`` with obs
-    disabled: the batch lanes reproduce ``_execute_consensus``'s runs
-    exactly (fast path or interpreted fallback), judging is pure in the
-    ``RunResult``, and the termination recheck reruns serially per case.
-    """
-    from repro.kernel.batch import BatchSystem
-
-    specs = [_consensus_lane_spec(config, case, "metrics") for case in cases]
-    results = BatchSystem(specs).run()
-    return [
-        _recheck_termination(
-            config, _judge_consensus(config, case, result, "metrics"), _execute_consensus
-        )
-        for case, result in zip(cases, results)
-    ]
-
-
 def execute_case(
     config: ChaosConfig, case: FuzzCase, trace: str = "metrics"
 ) -> CaseOutcome:
@@ -470,7 +378,28 @@ def execute_case(
     if executor is None:
         raise ValueError(f"unknown chaos kind {config.kind!r}")
     outcome = executor(config, case, trace)
-    outcome = _recheck_termination(config, outcome, executor)
+    suggested = any(v.property == "termination" for v in outcome.violations)
+    if suggested and "termination" not in config.expected:
+        fair_case = _dc_replace(
+            case, scheduler=("round-robin",), delivery=("oldest-first",)
+        )
+        fair = executor(config, fair_case, "metrics")
+        if not any(v.property == "termination" for v in fair.violations):
+            kept = tuple(
+                v for v in outcome.violations if v.property != "termination"
+            )
+            props = tuple(sorted({v.property for v in kept}))
+            outcome = CaseOutcome(
+                case=outcome.case,
+                violations=kept,
+                steps=outcome.steps + fair.steps,
+                signature=outcome.signature[:3]
+                + (props,)
+                + outcome.signature[4:],
+                schedule=outcome.schedule,
+            )
+            if _obs._ENABLED:
+                _obs.metrics().inc("chaos.termination_rechecks")
     if _obs._ENABLED:
         reg = _obs.metrics()
         reg.inc("chaos.cases")
@@ -485,41 +414,23 @@ def execute_case(
 # ----------------------------------------------------------------------
 
 
-#: Largest speculative wave the batched fuzz loop grows to.
-_MAX_WAVE = 16
-
-
 def fuzz_config(
     config: ChaosConfig,
     seed: int = 0,
     budget: Optional[int] = None,
     stop_on: Optional[str] = None,
     max_cases: Optional[int] = None,
-    batch: Optional[bool] = None,
 ) -> FuzzReport:
     """Fuzz one config under a total kernel-step budget.
 
     ``stop_on`` stops the loop as soon as a violation of that property is
     recorded (the matrix passes the config's primary property); without it
     the loop runs until the step budget or ``max_cases`` is exhausted.
-    Deterministic in ``(config, seed, budget, stop_on, max_cases)`` —
-    ``batch`` never changes the report.
+    Deterministic in ``(config, seed, budget, stop_on, max_cases)``.
 
-    ``batch`` drains the budget loop through the batched kernel
-    (:class:`repro.kernel.batch.BatchSystem`): cases are drawn
-    *speculatively* in waves of up to ``_MAX_WAVE``, executed together, and
-    validated in draw order.  Whenever a consumed case would have changed
-    what the serial loop draws next (its signature grew the corpus, or it
-    ended the budget/case quota), the loop rewinds the draw rng to just
-    after that case and discards the speculated remainder, so the sequence
-    of consumed cases — and the report — is bit-identical to the serial
-    loop.  The wave size doubles after every fully consumed wave and
-    resets to 1 on a rewind, which keeps speculation waste near zero in
-    the early phase where every case grows the corpus.  ``batch=None``
-    (the default) batches exactly the ``consensus`` configs; register/smr
-    stops are closures over live process state the lane vocabulary cannot
-    express, and observability forces the serial path (fast lanes skip
-    the interpreted engine's telemetry).
+    Every case is one ``System.run()`` through :func:`execute_case`, drawn
+    after the previous one was judged: a case that grows the corpus changes
+    what is drawn next, so there is nothing to run ahead of.
     """
     budget = config.budget if budget is None else budget
     rng = random.Random(f"chaos/loop/{config.name}/{seed}")
@@ -528,90 +439,43 @@ def fuzz_config(
     seen: set = set()
     index = 0
 
-    def draw() -> FuzzCase:
-        nonlocal index
-        if corpus and rng.random() < 0.5:
-            base = corpus[rng.randrange(len(corpus))]
-            case = mutate_case(base, rng, index=index, **config.mutate_kwargs())
-        else:
-            case = draw_case(
-                config.name,
-                seed,
-                index,
-                max_steps=config.max_steps,
-                **config.draw_kwargs(),
-            )
-        index += 1
-        return case
-
-    def consume(case: FuzzCase, outcome: CaseOutcome) -> Tuple[bool, bool]:
-        """Record one executed case; returns ``(grew_corpus, stop_now)``."""
-        report.cases += 1
-        report.steps += outcome.steps
-        grew = outcome.signature not in seen
-        if grew:
-            seen.add(outcome.signature)
-            corpus.append(case)
-        report.violations.extend(outcome.violations)
-        stop_now = stop_on is not None and any(
-            v.property == stop_on for v in outcome.violations
-        )
-        return grew, stop_now
-
     def body() -> None:
-        while report.steps < budget:
-            if max_cases is not None and report.cases >= max_cases:
-                return
-            case = draw()
-            _, stop_now = consume(case, execute_case(config, case))
-            if stop_now:
-                return
-        report.exhausted = True
-
-    def body_batched() -> None:
         nonlocal index
-        wave_size = 1
         while report.steps < budget:
             if max_cases is not None and report.cases >= max_cases:
                 return
-            cap = wave_size
-            if max_cases is not None:
-                cap = min(cap, max_cases - report.cases)
-            # Speculative draw: snapshot the rng after every case so a
-            # mispredicted remainder can be rewound and redrawn.
-            wave: List[Tuple[FuzzCase, Any, int]] = []
-            while len(wave) < cap:
-                wave.append((draw(), rng.getstate(), index))
-            outcomes = _execute_wave(config, [case for case, _, _ in wave])
-            consumed = len(wave)
-            for k, ((case, state, idx), outcome) in enumerate(zip(wave, outcomes)):
-                grew, stop_now = consume(case, outcome)
-                if stop_now:
-                    return
-                if k + 1 < len(wave) and (
-                    grew
-                    or report.steps >= budget
-                    or (max_cases is not None and report.cases >= max_cases)
-                ):
-                    # The serial loop would have drawn the next case from
-                    # this state (or not at all); the speculated remainder
-                    # assumed otherwise, so rewind and discard it.
-                    rng.setstate(state)
-                    index = idx
-                    consumed = k + 1
-                    break
-            wave_size = 1 if consumed < len(wave) else min(2 * wave_size, _MAX_WAVE)
+            if corpus and rng.random() < 0.5:
+                base = corpus[rng.randrange(len(corpus))]
+                case = mutate_case(
+                    base, rng, index=index, **config.mutate_kwargs()
+                )
+            else:
+                case = draw_case(
+                    config.name,
+                    seed,
+                    index,
+                    max_steps=config.max_steps,
+                    **config.draw_kwargs(),
+                )
+            index += 1
+            outcome = execute_case(config, case)
+            report.cases += 1
+            report.steps += outcome.steps
+            if outcome.signature not in seen:
+                seen.add(outcome.signature)
+                corpus.append(case)
+            report.violations.extend(outcome.violations)
+            if stop_on is not None and any(
+                v.property == stop_on for v in outcome.violations
+            ):
+                return
         report.exhausted = True
 
-    use_batch = config.kind == "consensus" if batch is None else bool(batch)
-    use_batch = use_batch and config.kind == "consensus"
     if _obs._ENABLED:
         with _obs.tracer().span(
             "chaos.fuzz", config=config.name, seed=seed, budget=budget
         ):
             body()
-    elif use_batch:
-        body_batched()
     else:
         body()
     report.corpus_size = len(corpus)

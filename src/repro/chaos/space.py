@@ -7,7 +7,9 @@ spec, step budget and the run seed — drawn deterministically from a single
 be embedded verbatim in a ``repro-counterexample/1`` artifact and rebuilt.
 
 Scheduler and delivery *instances* are stateful (cursors, aging bounds), so
-they are built fresh from their specs for every execution.
+they are built fresh from their specs for every execution, by
+:func:`repro.kernel.scheduler.build_scheduler` and
+:func:`repro.kernel.messages.build_delivery`.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-# The spec vocabulary is owned by the batched kernel (whose capability
-# probe must understand every spec the fuzzer can draw); re-exported here
-# because fuzz artifacts and the shrinker historically import it from the
-# case space.
-from repro.kernel.batch import build_delivery, build_scheduler
 from repro.kernel.failures import FailurePattern
 
 

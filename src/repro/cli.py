@@ -652,11 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
         "every N)",
     )
     sweep.add_argument(
-        "--batch",
-        action="store_true",
-        help="pack plannable tasks into the batched kernel (BatchSystem)",
-    )
-    sweep.add_argument(
         "--no-store",
         action="store_true",
         help="execute every row; do not read or write the result store",

@@ -66,12 +66,6 @@ class LeaderQuorumConsensus(Automaton):
     #: human-readable algorithm name
     name = "leader-quorum-consensus"
 
-    #: ``transition`` loops ``_try_advance`` to a fixpoint of
-    #: ``(state, msgs, d)``, so an empty delivery under an unchanged
-    #: detector value can never fire a wait that the previous step left
-    #: unsatisfied — the λ-step no-op contract holds for the whole family.
-    lambda_quiescent = True
-
     # -- hooks ----------------------------------------------------------
 
     def leader_of(self, d: Any) -> int:

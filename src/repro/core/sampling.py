@@ -9,10 +9,9 @@ standalone version used to study the DAG machinery itself (Observations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Generator
 
-from repro.core.dag import DagCore, SampleDAG
+from repro.core.dag import DagCore
 from repro.kernel.automaton import Process, ProcessContext
 
 
@@ -31,98 +30,3 @@ class DagBuilder(Process):
                 core.absorb(obs.message.payload)
             core.sample(obs.detector_value, obs.time)  # lines 6, 8-10
             ctx.send_to_all(core.dag)  # line 11
-
-
-@dataclass
-class DagRun:
-    """One finished A_DAG run: its kernel result and per-process DAGs."""
-
-    seed: int
-    result: Any  # RunResult
-    cores: Dict[int, DagCore]
-
-    @property
-    def dags(self) -> Dict[int, SampleDAG]:
-        return {p: core.dag for p, core in self.cores.items()}
-
-
-def sample_dag_runs(
-    detector,
-    pattern,
-    seeds: Sequence[int],
-    max_steps: int,
-    delivery: Optional[Tuple[Any, ...]] = ("coalescing",),
-    scheduler: Optional[Tuple[Any, ...]] = None,
-    batch: bool = True,
-    use_numpy: Optional[bool] = None,
-) -> List[DagRun]:
-    """Bulk-sample detector histories into DAGs-of-samples, one run per seed.
-
-    This is the sampling front half of the extraction transformations: each
-    seed draws its own detector history (via the shared
-    :func:`~repro.detectors.base.sample_history_cached` cache) and runs
-    A_DAG over it, yielding per-process :class:`SampleDAG`\\ s whose fresh
-    parts feed the deciding-schedule search (Fig. 2 lines 14-17).
-
-    ``batch=True`` (the default) packs all seeds into one
-    :class:`~repro.kernel.batch.BatchSystem` — DAG lanes are fast-path
-    eligible, so hundreds of seeds advance per tick sweep — and is
-    bit-identical to the serial path: same schedules, same ``RunResult``
-    per seed, same DAG node sets.  ``scheduler``/``delivery`` are lane spec
-    tuples (see :func:`repro.kernel.batch.build_delivery`); the default
-    coalescing delivery mirrors the extraction harness.
-    """
-    from repro.detectors.base import sample_history_cached
-
-    if batch:
-        from repro.kernel.batch import BatchSystem, LaneSpec
-
-        specs = [
-            LaneSpec(
-                pattern=pattern,
-                history=sample_history_cached(detector, pattern, seed),
-                seed=seed,
-                max_steps=max_steps,
-                program="dag-builder",
-                scheduler=scheduler,
-                delivery=delivery,
-                trace="metrics",
-            )
-            for seed in seeds
-        ]
-        engine = BatchSystem(specs, use_numpy=use_numpy)
-        results = engine.run()
-        return [
-            DagRun(seed=seed, result=result, cores=engine.extras(i))
-            for i, (seed, result) in enumerate(zip(seeds, results))
-        ]
-
-    from repro.kernel.batch import build_delivery, build_scheduler
-    from repro.kernel.system import System
-
-    runs: List[DagRun] = []
-    for seed in seeds:
-        history = sample_history_cached(detector, pattern, seed)
-        processes = {p: DagBuilder() for p in range(pattern.n)}
-        system = System(
-            processes,
-            pattern,
-            history,
-            seed=seed,
-            scheduler=(
-                build_scheduler(scheduler) if scheduler is not None else None
-            ),
-            delivery=(
-                build_delivery(delivery) if delivery is not None else None
-            ),
-            trace="metrics",
-        )
-        result = system.run(max_steps=max_steps)
-        runs.append(
-            DagRun(
-                seed=seed,
-                result=result,
-                cores={p: proc.core for p, proc in processes.items()},
-            )
-        )
-    return runs

@@ -8,8 +8,9 @@ their leader and quorum components from a paired history, e.g.
 A pair of piecewise-constant components is itself piecewise-constant, so
 its per-process breakpoint tables are merged once, when the pair is built
 (:func:`segment_merge`), and ``value(p, t)`` is one ``bisect`` into the
-merged table.  The batched kernel runs its lanes off the same tables
-(:func:`history_breakpoints`), so both engines read one compiled copy.
+merged table.  The fused lane of ``repro.kernel.batch`` runs off the same
+tables (:func:`history_breakpoints`), so both engines read one compiled
+copy.
 """
 
 from __future__ import annotations

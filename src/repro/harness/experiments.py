@@ -31,8 +31,6 @@ from repro.detectors.paired import PairedDetector
 from repro.detectors.perfect import Perfect
 from repro.detectors.sigma import Sigma
 from repro.detectors.sigma_nu import SigmaNu
-from repro.detectors.base import sample_history_cached
-from repro.harness.batch import BatchPlan, judge_consensus, register_batch_planner
 from repro.harness.parallel import SweepTask, run_sweep
 from repro.harness.runner import (
     random_binary_proposals,
@@ -44,7 +42,6 @@ from repro.harness.runner import (
     run_nuc,
     run_stack,
 )
-from repro.kernel.batch import LaneSpec
 from repro.kernel.failures import FailurePattern
 from repro.separation.contamination import run_contamination_scenario
 from repro import obs as _obs
@@ -54,14 +51,13 @@ def _sweep(
     name: str,
     tasks: List[SweepTask],
     jobs: int,
-    batch: bool = False,
     store: Any = None,
 ) -> List[Any]:
     """Dispatch an experiment's tasks under an ``exp.<name>`` span."""
     if not _obs._ENABLED:
-        return run_sweep(tasks, jobs=jobs, batch=batch, store=store)
+        return run_sweep(tasks, jobs=jobs, store=store)
     with _obs.tracer().span(f"exp.{name}", tasks=len(tasks), jobs=jobs):
-        return run_sweep(tasks, jobs=jobs, batch=batch, store=store)
+        return run_sweep(tasks, jobs=jobs, store=store)
 
 
 def exp1_nuc_sufficiency(
@@ -471,38 +467,10 @@ _EXP7_ALGOS = (
 )
 
 
-@register_batch_planner(_exp7_task)
-def _plan_exp7_task(kwargs: Dict[str, Any]) -> Any:
-    """Batch the EXP-7 automaton rows; A_nuc rows keep the coroutine path."""
-    algo = kwargs["algo"]
-    if algo == "MR (Omega, majority env)":
-        automaton, detector = MostefaouiRaynal(), Omega()
-    elif algo == "quorum-MR (Omega,Sigma)":
-        automaton, detector = QuorumMR(), PairedDetector(Omega(), Sigma("pivot"))
-    else:
-        return None
-    pattern = kwargs["pattern"]
-    proposals = kwargs["proposals"]
-    seed = kwargs["seed"]
-    history = sample_history_cached(detector, pattern, seed)
-    spec = LaneSpec(
-        pattern=pattern,
-        history=history,
-        seed=seed,
-        max_steps=20000,  # run_consensus_algorithm's default budget
-        automaton=automaton,
-        proposals=proposals,
-        trace="full",
-        stop="all-correct-decided",
-    )
-    return BatchPlan(spec=spec, post=lambda result: judge_consensus(result, proposals))
-
-
 def exp7_scaling(
     ns: Sequence[int] = (2, 3, 4, 5, 6, 7),
     seeds: Sequence[int] = (0, 1, 2),
     jobs: int = 1,
-    batch: bool = True,
     store: Any = None,
 ) -> Table:
     """EXP-7 (cost profile): steps and messages to decision for A_nuc vs the
@@ -538,7 +506,7 @@ def exp7_scaling(
                     )
                 )
             groups.append((algo, n))
-    results = _sweep("exp7", tasks, jobs, batch=batch, store=store)
+    results = _sweep("exp7", tasks, jobs, store=store)
     cursor = 0
     for label, n in groups:
         outcomes = results[cursor : cursor + len(seeds)]

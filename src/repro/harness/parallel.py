@@ -83,7 +83,6 @@ def run_sweep(
     tasks: Iterable[SweepTask],
     jobs: Optional[int] = 1,
     chunksize: Optional[int] = None,
-    batch: bool = False,
     store: Optional[Any] = None,
 ) -> List[Any]:
     """Execute ``tasks`` with ``jobs`` workers; results in task order.
@@ -93,18 +92,10 @@ def run_sweep(
     time (default: enough chunks for ~4 rounds per worker, which amortizes
     task pickling without starving stragglers).
 
-    ``batch=True`` packs tasks with a registered batch planner (see
-    :mod:`repro.harness.batch`) into one in-process
-    :class:`~repro.kernel.batch.BatchSystem` and runs only the remainder
-    through the normal path — results stay in task order and are
-    byte-identical to an unbatched sweep.  Batching is skipped while
-    observability is enabled (fast lanes don't replay the interpreted
-    engine's telemetry).
-
     ``store`` (a :class:`repro.store.ResultStore`) makes the sweep
     incremental: each task is addressed by ``(config_digest,
     code_signature)``; rows already in the store are served from disk and
-    only the remainder executes — through exactly the same jobs/batch path,
+    only the remainder executes — through exactly the same ``jobs`` path,
     so a warm sweep is byte-identical to a cold one.  All store lookups and
     writes happen in *this* process (workers never touch the store), which
     keeps the ``store.hit`` / ``store.miss`` / ``store.invalidated``
@@ -117,24 +108,9 @@ def run_sweep(
     if store is not None and task_list:
         # Before the sweep.tasks inc: rows served from the store are not
         # dispatched, and the recursive miss dispatch counts its own.
-        return _run_sweep_stored(task_list, jobs, chunksize, batch, store)
+        return _run_sweep_stored(task_list, jobs, chunksize, store)
     if _obs._ENABLED:
         _obs.metrics().inc("sweep.tasks", len(task_list))
-    if batch and not _obs._ENABLED and task_list:
-        from repro.harness.batch import execute_batched
-
-        results, unplanned = execute_batched(task_list)
-        if len(unplanned) < len(task_list):
-            if unplanned:
-                rest = run_sweep(
-                    [task_list[i] for i in unplanned],
-                    jobs=jobs,
-                    chunksize=chunksize,
-                )
-                for i, value in zip(unplanned, rest):
-                    results[i] = value
-            return results
-        # No task was plannable: fall through to the normal path.
     if jobs <= 1 or len(task_list) <= 1:
         return [task.run() for task in task_list]
     jobs = min(jobs, len(task_list))
@@ -160,14 +136,13 @@ def _run_sweep_stored(
     task_list: List[SweepTask],
     jobs: Optional[int],
     chunksize: Optional[int],
-    batch: bool,
     store: Any,
 ) -> List[Any]:
     """The store-backed path of :func:`run_sweep`.
 
     Lookups, accounting and writes run in the parent; misses (plus
     invalidated and unstorable rows) are re-dispatched through the plain
-    ``run_sweep`` path with the same jobs/batch settings.
+    ``run_sweep`` path with the same ``jobs`` setting.
 
     Under observability the stages that make a warm sweep warm become
     visible: a ``store.lookup`` span with one ``store.row`` event per row
@@ -224,7 +199,7 @@ def _run_sweep_stored(
         registry.inc("store.skipped", skipped)
     if pending:
         fresh, telemetries = _execute_pending(
-            [task_list[i] for i in pending], jobs, chunksize, batch, tracer
+            [task_list[i] for i in pending], jobs, chunksize, tracer
         )
         writes = 0
         for j, (i, value) in enumerate(zip(pending, fresh)):
@@ -247,7 +222,6 @@ def _execute_pending(
     tasks: List[SweepTask],
     jobs: Optional[int],
     chunksize: Optional[int],
-    batch: bool,
     tracer: Optional[Any],
 ) -> Tuple[List[Any], Optional[List[Optional[Dict[str, Any]]]]]:
     """Execute the store's pending rows; per-row telemetry when traced.
@@ -257,14 +231,10 @@ def _execute_pending(
     branch inline — same ``sweep.tasks`` accounting, same inline-vs-pool
     split, same delta merge order — while keeping each task's registry
     delta (jobs=1 adds the task's span-path aggregates) so the caller can
-    store them per row.  Batching is skipped while tracing is on, exactly
-    as ``run_sweep`` itself skips it.
+    store them per row.
     """
     if tracer is None:
-        return (
-            run_sweep(tasks, jobs=jobs, chunksize=chunksize, batch=batch),
-            None,
-        )
+        return run_sweep(tasks, jobs=jobs, chunksize=chunksize), None
     if _obs._ENABLED:  # always true here; keeps the guard contract literal
         registry = _obs.metrics()
         registry.inc("sweep.tasks", len(tasks))

@@ -5,7 +5,7 @@ one EXP-1..EXP-9 family and overrides its parameters; expansion into
 :class:`~repro.harness.parallel.SweepTask` lists is the experiment
 function's own deterministic loop, so a spec-driven sweep is byte-identical
 to calling the function directly — and flows through the same
-``run_sweep(jobs=N, batch=True, store=...)`` machinery, including the
+``run_sweep(jobs=N, store=...)`` machinery, including the
 content-addressed result store.
 
 TOML (one spec per file)::
@@ -31,7 +31,7 @@ default.  In TOML, a table value ``{ range = N }`` (or ``{ start = A,
 stop = B }``) likewise expands to ``[0, .., N-1]`` — TOML has no compact
 range syntax and thousand-element seed lists are unreadable.
 
-Execution parameters (``jobs``, ``batch``, ``store``) are *not* spec
+Execution parameters (``jobs``, ``store``) are *not* spec
 parameters: the spec describes the workload, the caller describes the
 machine.  ``validate`` rejects unknown parameter names against the
 experiment function's signature, so a typo fails before any run starts.
@@ -97,7 +97,7 @@ class SweepSpec:
     def validate(self) -> None:
         """Reject parameter names the experiment function does not accept."""
         accepted = set(signature(self.runner()).parameters)
-        reserved = {"jobs", "batch", "store"}
+        reserved = {"jobs", "store"}
         bad = sorted(set(self.params) - (accepted - reserved))
         if bad:
             raise SpecError(
@@ -109,17 +109,13 @@ class SweepSpec:
     def run(
         self,
         jobs: int = 1,
-        batch: bool = False,
         store: Any = None,
     ) -> Table:
         """Execute the sweep; returns its rendered-ready table."""
         self.validate()
         runner = self.runner()
         kwargs: Dict[str, Any] = dict(self.params)
-        accepted = set(signature(runner).parameters)
         kwargs["jobs"] = jobs
-        if "batch" in accepted:
-            kwargs["batch"] = batch
         if store is not None:
             kwargs["store"] = store
         if _obs._ENABLED:

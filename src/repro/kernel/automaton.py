@@ -82,16 +82,6 @@ class Automaton:
     that).  ``transition`` must be deterministic in ``(state, msg, d)``.
     """
 
-    #: Declares the λ-step no-op contract: when True, a transition with
-    #: ``msg=None`` and a detector value equal to the previous step's is
-    #: guaranteed to change nothing — same state, no sends, no new
-    #: decision.  Holds for automata whose ``transition`` drives the state
-    #: to a fixpoint of ``(state, received messages, d)`` before returning
-    #: (e.g. the repeat-until phase machines).  The batched kernel uses
-    #: this to skip redundant empty deliveries; it must never be set on an
-    #: automaton that can make progress across two identical observations.
-    lambda_quiescent = False
-
     def initial_state(self, pid: int, n: int, proposal: Any) -> Any:
         raise NotImplementedError
 

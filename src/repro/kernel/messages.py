@@ -414,3 +414,25 @@ def _default_coalescible(payload: Any) -> bool:
 def _looks_like_dag(payload: Any) -> bool:
     # Duck-typed to avoid a kernel -> core import cycle.
     return hasattr(payload, "add_local_sample") and hasattr(payload, "frontier")
+
+
+def build_delivery(spec: Sequence[Any]) -> DeliveryPolicy:
+    """A fresh delivery policy instance from its serializable spec.
+
+    Specs are tuples of primitives — ``("fair-random", lambda_prob,
+    max_age)``, ``("per-sender-fifo", lambda_prob, max_age)``,
+    ``("oldest-first",)``, ``("coalescing"[, inner_spec])`` — the delivery
+    half of the vocabulary :func:`repro.kernel.scheduler.build_scheduler`
+    speaks.
+    """
+    kind = spec[0]
+    if kind == "fair-random":
+        return FairRandomDelivery(lambda_prob=spec[1], max_age=spec[2])
+    if kind == "per-sender-fifo":
+        return PerSenderFifoDelivery(lambda_prob=spec[1], max_age=spec[2])
+    if kind == "oldest-first":
+        return OldestFirstDelivery()
+    if kind == "coalescing":
+        inner = build_delivery(spec[1]) if len(spec) > 1 else None
+        return CoalescingDelivery(inner=inner)
+    raise ValueError(f"unknown delivery spec {spec!r}")

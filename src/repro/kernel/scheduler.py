@@ -13,7 +13,7 @@ argument.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 
 class SchedulingPolicy:
@@ -157,3 +157,26 @@ class ScriptedScheduler(SchedulingPolicy):
             if candidate in alive:
                 return candidate
         return self.fallback.next_process(alive, time, rng)
+
+
+def build_scheduler(spec: Sequence[Any]) -> SchedulingPolicy:
+    """A fresh scheduler instance from its serializable spec.
+
+    Specs are tuples of primitives — ``("round-robin",)``,
+    ``("random-fair", max_gap)``, ``("weighted", ((pid, weight), ...),
+    max_gap)``, ``("scripted", script[, fallback_spec])`` — so a run's
+    scheduler can be written into an artifact and rebuilt per execution
+    (instances carry cursors and cannot be shared).
+    """
+    kind = spec[0]
+    if kind == "round-robin":
+        return RoundRobinScheduler()
+    if kind == "random-fair":
+        return RandomFairScheduler(max_gap=spec[1])
+    if kind == "weighted":
+        weights = {int(p): w for p, w in spec[1]}
+        return WeightedScheduler(weights, max_gap=spec[2])
+    if kind == "scripted":
+        fallback = build_scheduler(spec[2]) if len(spec) > 2 else None
+        return ScriptedScheduler(list(spec[1]), fallback=fallback)
+    raise ValueError(f"unknown scheduler spec {spec!r}")

@@ -35,10 +35,6 @@ KERNEL_PACKAGES: Tuple[str, ...] = (
     "repro.core",
     "repro.detectors",
     "repro.consensus",
-    # The batch lane planner builds LaneSpecs that must replay bit-identically,
-    # so it lives under the same determinism contract as the kernel itself
-    # (``repro.kernel.batch`` is already covered by the ``repro.kernel`` prefix).
-    "repro.harness.batch",
 )
 
 #: Everything shipped under ``repro.`` except the observability layer itself

@@ -1,13 +1,12 @@
 """RPR4xx — fork/parallel-safety rules.
 
-``run_sweep --jobs N`` forks workers; ``BatchSystem`` interleaves hundreds
-of lanes in one process.  Both assume worker code leaves *no trace in
-module-level state*: results cross the fork boundary by return value, and
-observability crosses it through the obs delta-shipping protocol (workers
-return registry deltas, the parent merges them in task order — the only
-sanctioned mutation path).  These rules check exactly that, over the
-dependency cone of the real worker entry points (``SweepTask`` fn
-registrations and the ``exp<N>`` experiment runners):
+``run_sweep --jobs N`` forks workers and assumes worker code leaves *no
+trace in module-level state*: results cross the fork boundary by return
+value, and observability crosses it through the obs delta-shipping
+protocol (workers return registry deltas, the parent merges them in task
+order — the only sanctioned mutation path).  These rules check exactly
+that, over the dependency cone of the real worker entry points
+(``SweepTask`` fn registrations and the ``exp<N>`` experiment runners):
 
 * RPR401 — mutable module-global state written by any function reachable
   from a worker entry point: under ``--jobs N`` the write lands in a

@@ -43,7 +43,7 @@ def cmd_sweep(args) -> int:
     sections: List[str] = []
     spec_names: List[str] = []
     for spec in specs:
-        table = spec.run(jobs=args.jobs, batch=args.batch, store=store)
+        table = spec.run(jobs=args.jobs, store=store)
         sections.append(table.render())
         spec_names.append(spec.name or spec.experiment)
     rendered = "\n\n".join(sections) + "\n"
@@ -58,7 +58,6 @@ def cmd_sweep(args) -> int:
         "spec": args.spec,
         "sweeps": spec_names,
         "jobs": args.jobs,
-        "batch": args.batch,
         "store": None if store is None else store.root,
         "table_sha256": hashlib.sha256(rendered.encode("utf-8")).hexdigest(),
     }

@@ -116,8 +116,8 @@ def config_digest(fn: Callable[..., Any], kwargs: Dict[str, Any]) -> str:
 
     Raises :class:`UndigestableError` when any argument lacks a canonical
     form.  By construction the digest is independent of dict insertion
-    order and of *how* the sweep executes (``jobs``/``batch`` never appear
-    in task kwargs).
+    order and of *how* the sweep executes (``jobs`` never appears in task
+    kwargs).
     """
     body: Tuple[Any, ...] = (DIGEST_SCHEMA, fn_identity(fn), canonical(kwargs))
     return hashlib.sha256(repr(body).encode("utf-8")).hexdigest()

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro import obs
 from repro.chaos.fuzzer import (
     PROPERTIES,
     ChaosConfig,
@@ -210,6 +211,20 @@ class TestFuzzLoop:
         report = fuzz_config(FAST_REGISTER, seed=0)
         assert report.exhausted
         assert report.violations == []
+
+    def test_obs_enabled_report_identical(self):
+        """Observability adds a span and counters, never a different report."""
+        config = CONFIGS["ct-honest"]
+        kwargs = dict(seed=2, budget=3000)
+        plain = fuzz_config(config, **kwargs)
+        obs.enable(fresh_metrics=True)
+        try:
+            traced = fuzz_config(config, **kwargs)
+            assert obs.metrics().snapshot()["counters"]["chaos.cases"] > 0
+        finally:
+            obs.disable()
+            obs.reset_metrics()
+        assert traced == plain
 
 
 class TestRegistryConfigs:

@@ -3,7 +3,9 @@
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chaos.injectors import SplitQuorums, TrustedUnionLiar
-from repro.chaos.space import FuzzCase, build_delivery, build_scheduler
+from repro.chaos.space import FuzzCase
+from repro.kernel.messages import build_delivery
+from repro.kernel.scheduler import build_scheduler
 from tests.strategies import detector_histories, failure_patterns, fuzz_cases
 
 SETTINGS = settings(

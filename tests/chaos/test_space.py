@@ -8,8 +8,6 @@ from repro.chaos.space import (
     FuzzCase,
     MUTATION_DIMENSIONS,
     PROPOSAL_STYLES,
-    build_delivery,
-    build_scheduler,
     draw_case,
     mutate_case,
 )
@@ -17,12 +15,14 @@ from repro.kernel.messages import (
     FairRandomDelivery,
     OldestFirstDelivery,
     PerSenderFifoDelivery,
+    build_delivery,
 )
 from repro.kernel.scheduler import (
     RandomFairScheduler,
     RoundRobinScheduler,
     ScriptedScheduler,
     WeightedScheduler,
+    build_scheduler,
 )
 
 

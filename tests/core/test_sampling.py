@@ -93,70 +93,3 @@ class TestDagBuilderRun:
             own = [s for s in procs[p].core.dag.nodes() if s.pid == p]
             ks = sorted(s.k for s in own)
             assert ks == list(range(1, len(ks) + 1))
-
-
-def canon_dag(dag):
-    """Structural identity of a DAG (payload objects differ per run)."""
-    return sorted((s.pid, s.k, repr(s.d), s.frontier, s.t) for s in dag.nodes())
-
-
-class TestSampleDagRuns:
-    """Bulk sampling through the batch engine equals one-run-at-a-time."""
-
-    def _detector(self):
-        from repro.detectors import Omega, PairedDetector, Sigma
-
-        return PairedDetector(Omega(), Sigma("pivot"))
-
-    def test_batch_equals_serial(self):
-        from repro.core.sampling import sample_dag_runs
-
-        pattern = FailurePattern(4, {2: 30})
-        detector = self._detector()
-        seeds = list(range(6))
-        batched = sample_dag_runs(detector, pattern, seeds, max_steps=250)
-        serial = sample_dag_runs(
-            detector, pattern, seeds, max_steps=250, batch=False
-        )
-        for b, s in zip(batched, serial):
-            assert b.seed == s.seed
-            assert b.result == s.result
-            assert set(b.dags) == set(s.dags) == set(range(4))
-            for p in range(4):
-                assert canon_dag(b.dags[p]) == canon_dag(s.dags[p])
-
-    def test_pure_python_control_plane_identical(self):
-        from repro.core.sampling import sample_dag_runs
-
-        pattern = FailurePattern(3, {})
-        detector = self._detector()
-        seeds = (0, 5)
-        with_np = sample_dag_runs(detector, pattern, seeds, max_steps=150)
-        without = sample_dag_runs(
-            detector, pattern, seeds, max_steps=150, use_numpy=False
-        )
-        for a, b in zip(with_np, without):
-            assert a.result == b.result
-            for p in range(3):
-                assert canon_dag(a.dags[p]) == canon_dag(b.dags[p])
-
-    def test_sampled_dags_feed_the_extraction_search(self):
-        """The bulk-sampled DAG's fresh part drives the deciding-schedule
-        search of Fig. 2 — the consumer the bulk API exists for."""
-        from repro.consensus.quorum_mr import QuorumMR
-        from repro.core.sampling import sample_dag_runs
-        from repro.core.simulation import find_deciding_schedule
-
-        pattern = FailurePattern(3, {})
-        detector = self._detector()
-        (run,) = sample_dag_runs(detector, pattern, [1], max_steps=260)
-        dag = run.dags[0]
-        sim = find_deciding_schedule(
-            QuorumMR(),
-            3,
-            {p: 0 for p in range(3)},
-            dag.nodes(),
-            target=0,
-            max_path_len=400,
-        )
-        assert sim is not None and sim.decisions.get(0) == 0

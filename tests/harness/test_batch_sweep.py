@@ -1,9 +1,7 @@
-"""``run_sweep(batch=...)`` and chunking parity: plans never change results.
+"""Chunking parity of ``run_sweep``: how tasks are dealt never changes results.
 
-The batch planner registry turns plannable sweep tasks into lanes of one
-:class:`~repro.kernel.batch.BatchSystem`; everything here asserts the only
-observable difference is speed — results stay in task order and equal the
-unbatched (and unchunked) sweep byte for byte.
+Results stay in task order and equal the serial sweep byte for byte, for
+every chunk size and job count.
 """
 
 import random
@@ -12,14 +10,12 @@ import pytest
 
 from repro.consensus.quorum_mr import QuorumMR
 from repro.detectors import Omega, PairedDetector, Sigma
-from repro.harness.batch import execute_batched, plan_task
 from repro.harness.parallel import SweepTask, run_sweep
 from repro.harness.runner import random_pattern, run_consensus_algorithm
-from repro.kernel.scheduler import RoundRobinScheduler
 
 
-def _tasks(count=6, scheduler_every=None):
-    """Consensus sweep tasks; every ``scheduler_every``-th is unplannable."""
+def _tasks(count=6):
+    """Consensus sweep tasks, one seed each."""
     tasks = []
     for i in range(count):
         rng = random.Random(i)
@@ -32,58 +28,15 @@ def _tasks(count=6, scheduler_every=None):
             "seed": i,
             "max_steps": 2000,
         }
-        if scheduler_every and i % scheduler_every == 0:
-            kwargs["scheduler"] = RoundRobinScheduler()
         tasks.append(SweepTask(run_consensus_algorithm, kwargs))
     return tasks
-
-
-class TestBatchedSweep:
-    def test_batch_equals_serial_results(self):
-        tasks = _tasks()
-        assert run_sweep(tasks, batch=True) == run_sweep(tasks, batch=False)
-
-    def test_mixed_planned_and_unplanned_keep_task_order(self):
-        tasks = _tasks(count=8, scheduler_every=3)
-        plans = [plan_task(t) for t in tasks]
-        assert any(p is None for p in plans) and any(
-            p is not None for p in plans
-        )
-        # Fresh tasks per sweep: the unplannable ones carry stateful
-        # scheduler instances that a run mutates in place.
-        assert run_sweep(tasks, batch=True) == run_sweep(
-            _tasks(count=8, scheduler_every=3), batch=False
-        )
-
-    def test_execute_batched_reports_unplanned_indices(self):
-        tasks = _tasks(count=6, scheduler_every=2)
-        results, unplanned = execute_batched(tasks)
-        assert unplanned == [0, 2, 4]
-        for i, result in enumerate(results):
-            assert (result is None) == (i in unplanned)
-
-    def test_exp7_table_identical_with_and_without_batch(self):
-        from repro.harness import experiments
-
-        kwargs = dict(ns=(2, 3), seeds=(0, 1), jobs=1)
-        batched = experiments.exp7_scaling(**kwargs, batch=True).render()
-        serial = experiments.exp7_scaling(**kwargs, batch=False).render()
-        assert batched == serial
 
 
 class TestChunkingParity:
     """Results are byte-identical for every chunk size and job count."""
 
-    @pytest.mark.parametrize("chunksize", [None, 1, 3, 7])
+    @pytest.mark.parametrize("chunksize", [None, 1, 2, 3, 7])
     def test_chunksize_never_changes_results(self, chunksize):
         tasks = _tasks(count=7)
         baseline = run_sweep(tasks, jobs=1)
         assert run_sweep(tasks, jobs=2, chunksize=chunksize) == baseline
-
-    def test_chunked_batched_and_serial_agree(self):
-        tasks = _tasks(count=6)
-        assert (
-            run_sweep(tasks, jobs=1)
-            == run_sweep(tasks, jobs=2, chunksize=2)
-            == run_sweep(tasks, batch=True)
-        )

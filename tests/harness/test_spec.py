@@ -171,7 +171,7 @@ def test_unknown_param_rejected_before_running():
 
 
 def test_reserved_execution_params_rejected():
-    for reserved in ("jobs", "batch", "store"):
+    for reserved in ("jobs", "store"):
         spec = SweepSpec(experiment="exp6", params={reserved: 1})
         with pytest.raises(SpecError):
             spec.validate()

@@ -514,10 +514,10 @@ class TestRegistry:
 
 
 class TestBatchModuleScope:
-    """The batched kernel and its lane planner sit inside the determinism
-    rules' scope: RPR101 is global, RPR102-RPR105 name them explicitly."""
+    """The fused lane sits inside the determinism rules' scope: RPR101 is
+    global, RPR102-RPR105 cover it through the ``repro.kernel`` prefix."""
 
-    BATCH_MODULES = ("repro.kernel.batch", "repro.harness.batch")
+    BATCH_MODULES = ("repro.kernel.batch",)
 
     def test_determinism_rules_apply_to_batch_modules(self):
         from repro.lint.registry import all_rules

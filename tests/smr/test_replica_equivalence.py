@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro.chaos.matrix import CONFIGS
-from repro.chaos.space import build_delivery, build_scheduler, draw_case
+from repro.chaos.space import draw_case
 from repro.core.nuc import AnucProcess
 from repro.detectors import PairedHistory, ScheduleHistory, sample_history_cached
 from repro.kernel.automaton import (
@@ -26,8 +26,12 @@ from repro.kernel.automaton import (
     ProcessContext,
 )
 from repro.kernel.failures import FailurePattern
-from repro.kernel.messages import BlockingPolicy, FairRandomDelivery
-from repro.kernel.scheduler import WeightedScheduler
+from repro.kernel.messages import (
+    BlockingPolicy,
+    FairRandomDelivery,
+    build_delivery,
+)
+from repro.kernel.scheduler import WeightedScheduler, build_scheduler
 from repro.kernel.system import System
 from repro.smr.replicated_log import DECIDED, FWD, SLOT, ReplicatedLogProcess
 
