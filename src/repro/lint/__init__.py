@@ -2,29 +2,39 @@
 
 Every load-bearing feature of this reproduction — prefix replay in the
 simulation trie, byte-identical ``--jobs N`` sweeps, the traced-vs-untraced
-oracle tests, the LRU history cache — is sound only because the codebase
-follows the determinism discipline of the paper's step/schedule/run
-formalism: seeded RNGs only, no wall clock in the kernel, ordered iteration
-over unordered containers, pure automata, guarded instrumentation.  This
-package makes those unwritten rules *checkable*.
+oracle tests, the LRU history cache, the content-addressed result store —
+is sound only because the codebase follows the determinism discipline of
+the paper's step/schedule/run formalism: seeded RNGs only, no wall clock in
+the kernel, ordered iteration over unordered containers, pure automata,
+guarded instrumentation, fork-safe workers, statically visible code.  This
+package makes those rules *checkable*.
+
+One AST pass per file (:mod:`repro.lint.project.facts`) records every site
+any rule needs; each rule is one class over the whole-program
+:class:`~repro.lint.project.graph.Project`, reporting its direct sites and
+its cross-module legs.
 
 Rule codes
 ----------
 
 ``RPR1xx``
-    Determinism: unseeded randomness, wall-clock/environment reads,
-    unordered iteration, identity-based ordering, float equality.
+    Determinism: global/unseeded randomness (101), wall-clock and
+    environment reads (102), unordered iteration (103), identity-based
+    keys (104).
 ``RPR2xx``
-    Model fidelity: automaton purity, detector cacheability contracts,
-    ``copy_state`` completeness.
+    Model fidelity: automaton purity (201).
 ``RPR3xx``
     Observability hygiene: instrumentation guarded by the ``_ENABLED``
-    module flag.
+    module flag (301).
+``RPR4xx``
+    Fork safety: module-global writes in sweep-worker code (401).
+``RPR5xx``
+    Store soundness: dynamic code loading in store-keyed code (501).
 
 Usage
 -----
 
-``python -m repro lint [PATHS] [--format json] [--baseline FILE] [--strict]``
+``python -m repro lint [PATHS] [--format json] [--output FILE] [--strict]``
 
 or programmatically::
 
@@ -34,15 +44,14 @@ or programmatically::
         print(finding.render())
 
 Inline suppressions use ``# repro: noqa RPR103 -- <reason>`` on the
-offending line; grandfathered findings live in a committed baseline file
-(see :mod:`repro.lint.baseline`).  The full rule catalog (with rationale)
-is in ``docs/linting.md``.
+offending line.  The rule catalog (with rationale) and the suppression
+policy are in ``docs/linting.md``.
 """
 
 from __future__ import annotations
 
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, all_rules, get_rule, register
+from repro.lint.registry import Rule, all_rules, get_rule, known_codes, register
 from repro.lint.engine import LintResult, lint_source, run_lint
 
 __all__ = [
@@ -51,6 +60,7 @@ __all__ = [
     "Rule",
     "all_rules",
     "get_rule",
+    "known_codes",
     "lint_source",
     "register",
     "run_lint",

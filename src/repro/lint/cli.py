@@ -1,18 +1,16 @@
 """The ``python -m repro lint`` subcommand.
 
-Exit codes: 0 clean, 1 findings (plus, under ``--strict``, stale baseline
-entries or reason-less suppressions), 2 usage errors.
+Exit codes: 0 clean, 1 findings (plus, under ``--strict``, reason-less
+suppressions or suppressions naming a code no rule has), 2 usage errors.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Optional
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import run_lint
-from repro.lint.registry import all_project_rules, all_rules
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.registry import all_rules
+from repro.lint.reporters import render_json, render_text
 
 
 def add_arguments(parser) -> None:
@@ -25,29 +23,9 @@ def add_arguments(parser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="stdout report format (default: text)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="serve per-file analysis from the content-addressed result "
-        "store (REPRO_STORE_DIR or benchmarks/results/store); only files "
-        "whose (content, rule-set) moved are re-parsed — findings are "
-        "byte-identical to a cold run",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of grandfathered findings (repro-lint-baseline/1)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a new baseline and exit 0",
     )
     parser.add_argument(
         "--output",
@@ -58,8 +36,8 @@ def add_arguments(parser) -> None:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="additionally fail on stale baseline entries and "
-        "reason-less noqa comments",
+        help="additionally fail on reason-less noqa comments and on noqa "
+        "comments naming a code no rule has",
     )
     parser.add_argument(
         "--verbose",
@@ -76,61 +54,15 @@ def add_arguments(parser) -> None:
 def cmd_lint(args) -> int:
     if args.list_rules:
         for rule in all_rules():
-            scope = (
-                "everywhere"
-                if rule.scope is None
-                else ", ".join(rule.scope)
-            )
-            print(f"{rule.code} {rule.name} [{scope}]")
-            print(f"    {rule.summary}")
-        for rule in all_project_rules():
-            print(f"{rule.code} {rule.name} [whole-program]")
+            print(f"{rule.code} {rule.name} [{rule.describe_scope()}]")
             print(f"    {rule.summary}")
         return 0
 
-    baseline: Optional[Baseline] = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-
-    cache = None
-    if args.changed:
-        from repro.lint.project.cache import FactsCache
-
-        cache = FactsCache()
-        if not cache.usable:
-            print(
-                "warning: repro.lint has no code signature here; "
-                "running cold",
-                file=sys.stderr,
-            )
-            cache = None
-
     try:
-        result = run_lint(args.paths, baseline=baseline, cache=cache)
+        result = run_lint(args.paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if result.cache_stats is not None:
-        # stderr only: warm and cold stdout/artifacts stay byte-identical.
-        print(
-            f"lint cache: {result.cache_stats['hits']} hit(s), "
-            f"{result.cache_stats['misses']} miss(es)",
-            file=sys.stderr,
-        )
-
-    if args.write_baseline:
-        new_baseline = Baseline.from_findings(result.findings)
-        new_baseline.save(args.write_baseline)
-        print(
-            f"wrote {len(new_baseline.entries)} entries to "
-            f"{args.write_baseline}"
-        )
-        return 0
 
     if args.output:
         with open(args.output, "w") as fh:
@@ -138,8 +70,6 @@ def cmd_lint(args) -> int:
 
     if args.format == "json":
         sys.stdout.write(render_json(result))
-    elif args.format == "sarif":
-        sys.stdout.write(render_sarif(result))
     else:
         print(render_text(result, verbose=args.verbose))
 

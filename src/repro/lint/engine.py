@@ -1,38 +1,25 @@
-"""Lint engine: file collection, rule execution, suppression & baseline.
+"""Lint engine: file collection, the facts pass, the rules, suppressions.
 
-Two phases, both pure and deterministic:
-
-1. **Per-file** — parse once into a :class:`FileContext`, run every
-   single-file rule whose scope covers the module, and extract the file's
-   :class:`~repro.lint.project.facts.FileFacts`.  With a
-   :class:`~repro.lint.project.cache.FactsCache` attached
-   (``repro lint --changed``), this whole phase is skipped for files whose
-   (content, rule-set) pair is already in the result store — findings and
-   facts replay from the cached record.
-2. **Project** — build the :class:`~repro.lint.project.graph.Project` from
-   all facts and run the flow-aware rules over it.  This phase always
-   runs (it is cross-file by construction) but needs no ASTs, which is why
-   warm runs are fast *and* byte-identical to cold runs.
-
-Files are visited in sorted order and findings are sorted by
-(path, line, col, code); inline ``# repro: noqa`` suppressions and the
-optional baseline apply uniformly to both phases.
+One pure, deterministic pipeline: every file is parsed once and distilled
+into :class:`~repro.lint.project.facts.FileFacts` (the one AST pass); the
+:class:`~repro.lint.project.graph.Project` is built from all facts; every
+rule runs over it once.  Files are visited in sorted order, findings are
+sorted by (path, line, col, code, message), and inline ``# repro: noqa``
+suppressions apply on each finding's reported line.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import Baseline
-from repro.lint.context import FileContext, module_name_for_path
-from repro.lint.findings import Finding, assign_occurrences
-from repro.lint.noqa import Suppression, parse_suppressions, suppression_for
-from repro.lint.project.cache import FactsCache
+from repro.lint.context import FileContext
+from repro.lint.findings import Finding
+from repro.lint.noqa import Suppression, suppression_for
 from repro.lint.project.facts import FileFacts, extract_facts
 from repro.lint.project.graph import build_project
-from repro.lint.registry import all_project_rules, all_rules
+from repro.lint.registry import all_rules, known_codes
 
 #: Directory names never descended into.  ``fixtures`` holds committed
 #: multi-file lint fixtures (intentionally violating rules); tests copy
@@ -46,30 +33,19 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)  # actionable
     suppressed: List[Tuple[Finding, Suppression]] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[dict] = field(default_factory=list)
-    unreasoned_noqa: List[Suppression] = field(default_factory=list)
+    #: (path, suppression) of used suppressions that give no reason
+    unreasoned_noqa: List[Tuple[str, Suppression]] = field(default_factory=list)
+    #: (path, suppression) of suppressions naming a code no rule has
+    unknown_noqa: List[Tuple[str, Suppression]] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    #: cache accounting for ``--changed`` runs; never serialized into
-    #: reports (warm and cold reports must stay byte-identical)
-    cache_stats: Optional[Dict[str, int]] = None
 
     def exit_code(self, strict: bool = False) -> int:
         if self.findings or self.parse_errors:
             return 1
-        if strict and (self.stale_baseline or self.unreasoned_noqa):
+        if strict and (self.unreasoned_noqa or self.unknown_noqa):
             return 1
         return 0
-
-    @property
-    def all_findings(self) -> List[Finding]:
-        """Every finding including suppressed/baselined (for reporting)."""
-        out = list(self.findings)
-        out.extend(f for f, _ in self.suppressed)
-        out.extend(self.baselined)
-        out.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-        return out
 
 
 def collect_files(paths: Sequence[str]) -> List[str]:
@@ -91,189 +67,59 @@ def collect_files(paths: Sequence[str]) -> List[str]:
     return sorted(dict.fromkeys(out))
 
 
-def _raw_findings(ctx: FileContext) -> List[Finding]:
-    found: List[Finding] = []
-    for rule in all_rules():
-        if rule.applies_to(ctx.module):
-            found.extend(rule.check(ctx))
-    found.sort(key=lambda f: (f.line, f.col, f.code))
-    return found
-
-
-@dataclass
-class _FileRecord:
-    """One analyzed file: findings, suppression table, project facts."""
-
-    path: str
-    module: str
-    findings: List[Finding]
-    suppressions: Dict[int, Suppression]
-    facts: FileFacts
-
-
-def _suppressions_from_facts(facts: FileFacts) -> Dict[int, Suppression]:
-    return {
-        entry["line"]: Suppression(
-            line=entry["line"],
-            codes=frozenset(entry["codes"]),
-            reason=entry["reason"],
-        )
-        for entry in facts.suppressions
-    }
-
-
-def _analyze_file(
-    path: str, source: str, source_sha: str
-) -> Tuple[_FileRecord, Dict]:
-    """Parse + single-file rules + facts; returns the record and its
-    cache payload."""
-    ctx = FileContext(path, source)
-    findings = _raw_findings(ctx)
-    facts = extract_facts(ctx, source_sha)
-    # Raw (pre-suppression) single-file findings ride inside the facts:
-    # the flow rules consult them to avoid duplicating in-file reports.
-    facts.findings = [f.to_json() for f in findings]
-    payload = {"facts": facts.to_dict()}
-    record = _FileRecord(
-        path=path,
-        module=ctx.module,
-        findings=findings,
-        suppressions=parse_suppressions(ctx.lines),
-        facts=facts,
-    )
-    return record, payload
-
-
-def _record_from_cache(path: str, module: str, cached: Dict) -> _FileRecord:
-    facts = FileFacts.from_dict(cached["facts"])
-    facts.path = path  # same content may have moved since it was cached
-    findings = [Finding.from_json(d) for d in facts.findings]
-    for finding in findings:
-        finding.path = path
-    return _FileRecord(
-        path=path,
-        module=module,
-        findings=findings,
-        suppressions=_suppressions_from_facts(facts),
-        facts=facts,
-    )
-
-
-def _project_findings(records: Sequence[_FileRecord]) -> List[Finding]:
-    project = build_project([r.facts for r in records])
-    found: List[Finding] = []
-    for rule in all_project_rules():
-        found.extend(rule.check(project))
+def _assemble(files: Sequence[FileFacts], result: LintResult) -> None:
+    """Run every rule over the project and fold in the suppressions."""
+    project = build_project(files)
+    found = [finding for rule in all_rules() for finding in rule.check(project)]
     found.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.message))
-    return found
 
-
-def _assemble(
-    records: Sequence[_FileRecord],
-    result: "LintResult",
-    baseline: Optional[Baseline],
-) -> None:
-    """Suppressions + project phase + occurrences + baseline, in order."""
-    by_module: Dict[str, _FileRecord] = {}
-    for record in records:
-        by_module.setdefault(record.module, record)
-
-    kept: List[Finding] = []
+    tables: Dict[str, Dict[int, Suppression]] = {
+        facts.path: facts.suppressions for facts in files
+    }
     used: Dict[Tuple[str, int], Suppression] = {}
-
-    def fold(finding: Finding, record: _FileRecord) -> None:
-        hit = suppression_for(record.suppressions, finding.line, finding.code)
+    for finding in found:
+        hit = suppression_for(tables.get(finding.path, {}), finding.line, finding.code)
         if hit is None:
-            kept.append(finding)
+            result.findings.append(finding)
         else:
             finding.suppressed = True
-            used[(record.module, hit.line)] = hit
+            used[(finding.path, hit.line)] = hit
             result.suppressed.append((finding, hit))
 
-    for record in records:
-        for finding in record.findings:
-            fold(finding, record)
-    for finding in _project_findings(records):
-        record = by_module.get(finding.module)
-        if record is None:  # pragma: no cover - module always indexed
-            kept.append(finding)
-            continue
-        fold(finding, record)
-
-    for key in sorted(used):
-        if not used[key].reason:
-            result.unreasoned_noqa.append(used[key])
-
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.message))
-    assign_occurrences(kept)
-    if baseline is not None:
-        fresh, stale = baseline.apply(kept)
-        result.baselined = [f for f in kept if f.baselined]
-        result.stale_baseline = stale
-        kept = fresh
-    result.findings = kept
+    result.unreasoned_noqa = [
+        (path, supp) for (path, _), supp in sorted(used.items()) if not supp.reason
+    ]
+    known = set(known_codes())
+    result.unknown_noqa = [
+        (facts.path, supp)
+        for facts in project.files
+        for _, supp in sorted(facts.suppressions.items())
+        if supp.codes - known
+    ]
 
 
 def lint_source(
     source: str, path: str = "<string>", module: Optional[str] = None
 ) -> List[Finding]:
-    """Lint one source string; returns post-suppression findings.
-
-    The fixture-driven rule tests build on this: no filesystem involved.
-    Runs both phases — the project phase sees a single-file project, so
-    flow rules needing cross-module context simply find none.
-    """
-    ctx = FileContext(path, source, module=module)
-    findings = _raw_findings(ctx)
-    facts = extract_facts(ctx, FactsCache.source_sha(source.encode("utf-8")))
-    facts.findings = [f.to_json() for f in findings]
-    record = _FileRecord(
-        path=path,
-        module=ctx.module,
-        findings=findings,
-        suppressions=parse_suppressions(ctx.lines),
-        facts=facts,
-    )
+    """Lint one source string as a one-file project; returns the findings
+    left after suppressions.  The rule fixture tests build on this."""
     result = LintResult()
-    _assemble([record], result, baseline=None)
+    _assemble([extract_facts(FileContext(path, source, module=module))], result)
     return result.findings
 
 
-def run_lint(
-    paths: Sequence[str],
-    baseline: Optional[Baseline] = None,
-    cache: Optional[FactsCache] = None,
-) -> LintResult:
-    """Lint files/directories and fold in suppressions and the baseline.
-
-    With ``cache``, per-file analysis is served from the result store for
-    files whose (content, rule-set signature) is unchanged; only moved
-    files are re-parsed.  Findings are byte-identical either way.
-    """
+def run_lint(paths: Sequence[str]) -> LintResult:
+    """Lint files/directories and fold in suppressions."""
     result = LintResult()
-    records: List[_FileRecord] = []
+    files: List[FileFacts] = []
     for path in collect_files(paths):
         try:
             with open(path, "rb") as fh:
-                raw = fh.read()
-            source_sha = FactsCache.source_sha(raw)
-            module = module_name_for_path(path)
-            cached = cache.load(module, source_sha) if cache is not None else None
-            if cached is not None:
-                record = _record_from_cache(path, module, cached)
-            else:
-                record, payload = _analyze_file(
-                    path, raw.decode("utf-8"), source_sha
-                )
-                if cache is not None:
-                    cache.save(module, source_sha, payload)
+                source = fh.read().decode("utf-8")
+            files.append(extract_facts(FileContext(path, source)))
         except (SyntaxError, UnicodeDecodeError) as exc:
             result.parse_errors.append(f"{path}: {exc}")
             continue
         result.files_checked += 1
-        records.append(record)
-
-    _assemble(records, result, baseline)
-    if cache is not None:
-        result.cache_stats = cache.stats()
+    _assemble(files, result)
     return result

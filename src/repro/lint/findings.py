@@ -1,26 +1,14 @@
-"""Finding records and stable fingerprints.
+"""Finding records.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-*fingerprint* intentionally excludes the line number: baselines must survive
-unrelated edits that shift code up or down, so the fingerprint hashes the
-module, the rule code, the normalized text of the offending line, and two
-occurrence indices: ``occurrence`` (which distinct offending *line* this is
-among identical (module, code, snippet) triples) and ``line_occurrence``
-(which finding this is *on* that line — two identical findings on one line
-must not collapse into a single baseline entry).
-
-Flow-aware findings additionally carry an ``evidence`` chain: the call
-hops from the reported site down to the concrete source line in another
-file.  Evidence is reporting payload only — it never enters the
-fingerprint, so refactoring an intermediate helper does not orphan a
-baseline entry.
+A :class:`Finding` is one rule violation at one source location.  Findings
+that cross module boundaries carry an ``evidence`` chain: the call hops
+from the reported site down to the concrete source line in another file.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -35,26 +23,9 @@ class Finding:
     message: str  # human-readable description
     rule_name: str = ""  # short rule slug ("unordered-iteration")
     snippet: str = ""  # stripped source text of the offending line
-    occurrence: int = 0  # distinct-line index among (module, code, snippet)
-    line_occurrence: int = 0  # index among identical findings on one line
     suppressed: bool = False  # matched an inline ``# repro: noqa``
-    baselined: bool = False  # matched a baseline entry
-    #: cross-file call hops from this site to the taint source (flow rules)
+    #: cross-file call hops from this site to the taint source
     evidence: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by baseline matching."""
-        basis = "\x1f".join(
-            (
-                self.module,
-                self.code,
-                self.snippet,
-                str(self.occurrence),
-                str(self.line_occurrence),
-            )
-        )
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"
@@ -78,56 +49,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "evidence": list(self.evidence),
         }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_json` output (cache replay).
-
-        Occurrence indices are *not* persisted — the engine reassigns them
-        over the full merged finding list, so cached and fresh findings
-        fingerprint identically.
-        """
-        return cls(
-            code=data["code"],
-            path=data["path"],
-            module=data["module"],
-            line=data["line"],
-            col=data["col"],
-            message=data["message"],
-            rule_name=data.get("rule", ""),
-            snippet=data.get("snippet", ""),
-            evidence=list(data.get("evidence", [])),
-        )
-
-
-def assign_occurrences(findings) -> None:
-    """Number findings that share (module, code, snippet) so their
-    fingerprints stay distinct and stable under reordering.
-
-    ``occurrence`` counts *distinct lines* (in first-seen order — the
-    engine feeds findings sorted by file and line, so this is stable);
-    ``line_occurrence`` separates several identical findings on one line.
-    """
-    line_index: Dict[Any, Dict[int, int]] = {}
-    on_line: Dict[Any, int] = {}
-    for finding in findings:
-        key = (finding.module, finding.code, finding.snippet)
-        lines = line_index.setdefault(key, {})
-        if finding.line not in lines:
-            lines[finding.line] = len(lines)
-        finding.occurrence = lines[finding.line]
-        line_key = key + (finding.line,)
-        finding.line_occurrence = on_line.get(line_key, 0)
-        on_line[line_key] = finding.line_occurrence + 1
-
-
-def reset_occurrences(findings) -> None:
-    """Zero occurrence indices before a fresh :func:`assign_occurrences`."""
-    for finding in findings:
-        finding.occurrence = 0
-        finding.line_occurrence = 0

@@ -4,7 +4,8 @@ A suppression lives on the physical line of the finding it silences.  A
 bare ``# repro: noqa`` (no codes) silences every rule on that line; listing
 codes silences only those.  Everything after ``--`` (or an em dash) is a
 free-form reason — the suppression policy in ``docs/linting.md`` asks for
-one on every exemption, and ``--strict`` enforces it.
+one on every exemption, and ``--strict`` enforces it, as it rejects a code
+no rule has.
 """
 
 from __future__ import annotations

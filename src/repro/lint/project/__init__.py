@@ -1,31 +1,15 @@
 """Whole-program analysis layer for :mod:`repro.lint`.
 
-The single-file rules (PR 4) see one :class:`~repro.lint.context.FileContext`
-at a time; everything here sees the *project*: a symbol table and module
-graph built from per-file facts, a call graph with class-hierarchy
-resolution for ``Automaton``/``Process``/``FailureDetector`` subclass
-trees, and a small forward dataflow engine (a taint lattice over RNG
-streams, wall-clock/env reads, and evident-set order) that flow-aware
-rules plug into.
-
-The split matters for incrementality: :mod:`repro.lint.project.facts`
-extracts everything the project phase needs from one parsed file into a
-plain-dict record, so warm runs (``repro lint --changed``) never re-parse
-unchanged files — cached facts are content-addressed in the result store
-(:mod:`repro.lint.project.cache`) keyed by file digest + rule-set
-signature, and the project phase replays from facts alone.
+:mod:`~repro.lint.project.facts` is the one AST pass: it distills each file
+into plain-dict site records.  :mod:`~repro.lint.project.graph` builds the
+:class:`Project` from every file's facts — a symbol table and module graph,
+a call graph, class-hierarchy analysis over ``Automaton``/``Process``
+subclass trees — and :mod:`~repro.lint.project.dataflow` runs the
+deterministic fixpoints (taint, dependency cones, order-sink parameters)
+the rules query.
 """
 
-from repro.lint.project.cache import FactsCache, ruleset_signature
-from repro.lint.project.facts import FACTS_SCHEMA, FileFacts, extract_facts
+from repro.lint.project.facts import FileFacts, extract_facts
 from repro.lint.project.graph import Project, build_project
 
-__all__ = [
-    "FACTS_SCHEMA",
-    "FactsCache",
-    "FileFacts",
-    "Project",
-    "build_project",
-    "extract_facts",
-    "ruleset_signature",
-]
+__all__ = ["FileFacts", "Project", "build_project", "extract_facts"]

@@ -1,8 +1,7 @@
 """Forward dataflow over the call graph: taint, cones, order-sink params.
 
 Three fixpoints, all deterministic (BFS by rounds, sorted iteration, first
-assignment wins) so cold and warm runs — and serial and any future parallel
-drivers — report byte-identical evidence chains:
+assignment wins) so every run reports byte-identical evidence chains:
 
 * :func:`propagate_taint` — the caller-directed taint lattice.  A function
   is tainted when it contains a source site (global-RNG draw, wall-clock
@@ -23,12 +22,17 @@ the reporting site, the last is the concrete source.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.lint.project.graph import Project
+from repro.lint.project.graph import Project, module_of
+from repro.lint.registry import in_packages
 
 Hop = Dict[str, Any]
 Chain = List[Hop]
+
+#: Modules that never seed taint: the guarded observability layer (its
+#: effects are delta-merged, not model state) and the linter itself.
+TAINT_EXEMPT = ("repro.obs", "repro.lint")
 
 
 def propagate_taint(
@@ -64,6 +68,24 @@ def propagate_taint(
     return taint
 
 
+def taint_from(
+    project: Project,
+    kind: str,
+    fallback: Optional[Callable[[str], Optional[Hop]]] = None,
+) -> Dict[str, Chain]:
+    """Taint seeded at each function's first ``kind`` site (or, without one,
+    at the site ``fallback(fid)`` names), spread to its callers."""
+    sources: Dict[str, Chain] = {}
+    for fid in sorted(project.functions):
+        if in_packages(module_of(fid), TAINT_EXEMPT):
+            continue
+        sites = project.functions[fid][kind]
+        site = sites[0] if sites else (fallback(fid) if fallback else None)
+        if site is not None:
+            sources[fid] = [project.hop(fid, site)]
+    return propagate_taint(project, sources)
+
+
 def reachable_cone(
     project: Project, roots: Dict[str, Hop], max_rounds: int = 64
 ) -> Dict[str, Chain]:
@@ -92,7 +114,18 @@ def reachable_cone(
     return cone
 
 
-def _callee_param_index(
+def chain_source(chain: Chain) -> Tuple[str, int]:
+    """(module, line) of a chain's concrete source site (its last hop)."""
+    return (chain[-1]["module"], chain[-1]["line"])
+
+
+def root_note(chain: Chain) -> str:
+    """How a cone chain's root was registered (its first hop)."""
+    first = chain[0]
+    return first.get("note") or f"{first['module']}:{first['line']}"
+
+
+def callee_param_index(
     project: Project, target: str, call: Dict[str, Any]
 ) -> List[Tuple[str, Dict[str, Any]]]:
     """``[(callee_param_name, arg_shape)]`` pairs for one resolved call."""
@@ -139,7 +172,7 @@ def order_sink_params(
             for call, target in project.call_edges.get(fid, []):
                 if target is None or target not in sinks or target == fid:
                     continue
-                for callee_param, shape in _callee_param_index(
+                for callee_param, shape in callee_param_index(
                     project, target, call
                 ):
                     name = shape.get("name")

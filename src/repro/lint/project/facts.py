@@ -1,131 +1,162 @@
-"""Per-file analysis facts: everything the project phase needs, no AST.
+"""Per-file facts: the linter's one AST pass.
 
-One :class:`FileFacts` record distills a parsed file into plain dicts:
-symbols (functions, classes, module-level bindings), import tables, call
-sites with argument shape, taint sources (global-RNG draws, wall-clock/env
-reads), purity observations (I/O, module-global mutation), evident-set
-order facts, dynamic-import sites, and obs-registry accesses — plus the
-file's single-file rule findings and its ``# repro: noqa`` table.
+:func:`extract_facts` reads one parsed file and records, per function
+scope, every site any rule needs.  This module is therefore the one place
+where each hazard is *recognised*; rules only decide where a site counts:
 
-Facts are the unit of incrementality: they serialize into the result
-store keyed by (file digest, rule-set signature), so a warm
-``repro lint --changed`` run rebuilds the whole-program phase from cached
-facts without re-parsing unchanged files.  Everything here must therefore
-be a pure function of the file's source text, and the record must be
-complete enough that cold and warm runs produce byte-identical findings.
+* ``rng`` — global-RNG draws and unseeded ``random.Random`` construction,
+  ``rng_imports`` — ``from random import <fn>`` statements (RPR101);
+* ``clock`` — wall-clock, environment and process-identity reads (RPR102);
+* ``unordered`` — iteration order observed on an evident set or a bare
+  ``.keys()``, and ``order_params`` — parameters whose order is observed
+  (RPR103, one classifier for both);
+* ``ids`` — ``id()`` calls (RPR104);
+* ``io``, ``gwrites`` and ``globals`` — I/O, module-global writes and
+  ``global`` statements (RPR201, RPR401);
+* ``obs`` — ``obs.metrics()``/``obs.tracer()`` calls outside an
+  ``_ENABLED`` guard (RPR301);
+* ``dynamic`` — dynamic code loading (RPR501);
+* ``calls`` — call sites with argument shapes: the call graph's edges.
+
+Alongside them: the symbols the project graph resolves names through
+(import tables, top-level value bindings, classes with bases and methods)
+and the file's ``# repro: noqa`` table.  Scopes are the top-level
+functions and methods (``"f"``, ``"Cls.m"``) plus ``"<module>"`` for
+import-time code; a nested function belongs to its outermost owner.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.context import FileContext, top_level_names
-from repro.lint.noqa import parse_suppressions
-from repro.lint.rules._helpers import (
-    ORDER_INSENSITIVE_CALLS,
+from repro.lint.context import (
+    FileContext,
     call_name,
+    dotted_text,
     guarded_by_enabled,
+    is_set_annotation,
+    params_of,
     root_name,
+    scope_walk,
+    scopes,
+    top_level_names,
 )
-from repro.lint.rules.determinism import (
-    DATETIME_AMBIENT,
-    GLOBAL_RANDOM_FNS,
-    OS_AMBIENT,
-    SAFE_RANDOM_IMPORTS,
-    WALL_CLOCK_TIME_FNS,
-    _is_evident_set,
-    _scope_set_bindings,
-)
-from repro.lint.rules.fidelity import (
-    AUTOMATON_HOME_MODULES,
-    IO_CALLS,
-    MUTATOR_METHODS,
-    _classes_matching,
-)
+from repro.lint.noqa import Suppression, parse_suppressions
 
-FACTS_SCHEMA = "repro-lint-facts/1"
-
-#: Constructor calls whose result is evidently a mutable container.
-_MUTABLE_CONSTRUCTORS = {
-    "dict",
-    "list",
-    "set",
-    "bytearray",
-    "defaultdict",
-    "OrderedDict",
-    "Counter",
-    "deque",
+#: Module-level ``random.*`` functions that consume the *global* RNG.
+GLOBAL_RANDOM_FNS = {
+    "betavariate",
+    "choice",
+    "choices",
+    "expovariate",
+    "gammavariate",
+    "gauss",
+    "getrandbits",
+    "lognormvariate",
+    "normalvariate",
+    "paretovariate",
+    "randbytes",
+    "randint",
+    "random",
+    "randrange",
+    "sample",
+    "seed",
+    "shuffle",
+    "triangular",
+    "uniform",
+    "vonmisesvariate",
+    "weibullvariate",
 }
 
-#: The sentinel function name for module-level (import-time) code.
+#: Importable names from ``random`` that are fine to import anywhere.
+SAFE_RANDOM_IMPORTS = {"Random", "SystemRandom"}
+
+WALL_CLOCK_TIME_FNS = {
+    "time",
+    "time_ns",
+    "monotonic",
+    "monotonic_ns",
+    "perf_counter",
+    "perf_counter_ns",
+    "process_time",
+    "process_time_ns",
+}
+
+OS_AMBIENT = {"environ", "getenv", "urandom", "getpid", "getrandom"}
+
+DATETIME_AMBIENT = {"now", "utcnow", "today"}
+
+IO_CALLS = {"print", "open", "input"}
+
+#: Method-call names that mutate their receiver.
+MUTATOR_METHODS = {
+    "add",
+    "append",
+    "clear",
+    "discard",
+    "extend",
+    "insert",
+    "pop",
+    "popitem",
+    "remove",
+    "setdefault",
+    "update",
+}
+
+#: Builtins whose result does not depend on the argument's iteration order.
+ORDER_INSENSITIVE_CALLS = {
+    "sorted",
+    "set",
+    "frozenset",
+    "sum",
+    "len",
+    "min",
+    "max",
+    "any",
+    "all",
+}
+
+#: ``repro.obs`` entry points whose call sites must be guarded.
+OBS_ACCESSORS = {"metrics", "tracer"}
+
+#: The scope name of module-level (import-time) code.
 MODULE_SCOPE = "<module>"
 
-
-def dotted_text(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a pure Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+_SITE_KINDS = (
+    "calls",
+    "rng",
+    "rng_imports",
+    "clock",
+    "unordered",
+    "ids",
+    "io",
+    "gwrites",
+    "globals",
+    "obs",
+    "dynamic",
+)
 
 
 @dataclass
 class FileFacts:
-    """The serializable whole-program facts of one source file."""
+    """Everything the rules need from one source file."""
 
     path: str
     module: str
-    sha: str
-    #: raw single-file rule findings (pre-suppression), as ``Finding.to_json``
-    findings: List[Dict[str, Any]] = field(default_factory=list)
-    #: ``# repro: noqa`` table: {line, codes, reason}
-    suppressions: List[Dict[str, Any]] = field(default_factory=list)
+    #: the ``# repro: noqa`` table, by line
+    suppressions: Dict[int, Suppression] = field(default_factory=dict)
     #: local alias -> module for plain ``import`` statements
     module_imports: Dict[str, str] = field(default_factory=dict)
     #: local name -> (module, original) for ``from module import name``
-    from_imports: Dict[str, List[str]] = field(default_factory=dict)
+    from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: top-level ``name = dotted.expr`` value bindings
     bindings: Dict[str, str] = field(default_factory=dict)
-    #: qualname ("f" / "Cls.m" / "<module>") -> function facts dict
+    #: scope name ("f" / "Cls.m" / "<module>") -> function facts dict
     functions: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: class name -> {"bases": [...], "line": int, "methods": [...]}
     classes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: names assigned at module level
-    top_globals: List[str] = field(default_factory=list)
-    #: subset of top_globals bound to evidently mutable containers
-    mutable_globals: List[str] = field(default_factory=list)
-    #: class names the single-file RPR201 pass already recognizes
-    infile_automata: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": FACTS_SCHEMA,
-            "path": self.path,
-            "module": self.module,
-            "sha": self.sha,
-            "findings": self.findings,
-            "suppressions": self.suppressions,
-            "module_imports": self.module_imports,
-            "from_imports": self.from_imports,
-            "bindings": self.bindings,
-            "functions": self.functions,
-            "classes": self.classes,
-            "top_globals": self.top_globals,
-            "mutable_globals": self.mutable_globals,
-            "infile_automata": self.infile_automata,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FileFacts":
-        if data.get("schema") != FACTS_SCHEMA:
-            raise ValueError(f"unsupported facts schema {data.get('schema')!r}")
-        return cls(**{k: v for k, v in data.items() if k != "schema"})
 
 
 def _site(node: ast.AST, ctx: FileContext, detail: str = "") -> Dict[str, Any]:
@@ -138,105 +169,136 @@ def _site(node: ast.AST, ctx: FileContext, detail: str = "") -> Dict[str, Any]:
     }
 
 
-class _FunctionScanner:
-    """Extracts one function's facts (calls, taints, purity, order)."""
+def unseeded(call: ast.Call) -> bool:
+    """No argument at all, or one literal ``None``: the seed is OS entropy."""
+    given = list(call.args) + [kw.value for kw in call.keywords]
+    return not given or (
+        len(given) == 1
+        and isinstance(given[0], ast.Constant)
+        and given[0].value is None
+    )
 
-    def __init__(
-        self,
-        ctx: FileContext,
-        extractor: "FactsExtractor",
-        qualname: str,
-        scope_node: ast.AST,
-        nodes: List[ast.AST],
+
+def is_evident_set(node: ast.AST, bound: Set[str]) -> bool:
+    """Is ``node`` evidently a set (literal, ``set()``/``frozenset()``, a set
+    operator, or a name ``bound`` to one)?"""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and call_name(node) in ("set", "frozenset"):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in bound
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
     ):
-        self.ctx = ctx
-        self.ex = extractor
-        self.qualname = qualname
+        return is_evident_set(node.left, bound) or is_evident_set(node.right, bound)
+    return False
+
+
+def set_bindings(scope_node: ast.AST, nodes: List[ast.AST]) -> Set[str]:
+    """Names evidently bound to sets within one lexical scope (``nodes``,
+    its :func:`scope_walk`): set-annotated parameters and names, and names
+    only ever assigned evident sets."""
+    set_like = {
+        arg.arg for arg in params_of(scope_node) if is_set_annotation(arg.annotation)
+    }
+    other: Set[str] = set()  # also bound to something that is not a set
+    for node in nodes:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                if is_evident_set(node.value, set_like):
+                    set_like.add(target.id)
+                else:
+                    other.add(target.id)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            if is_set_annotation(node.annotation):
+                set_like.add(node.target.id)
+    return set_like - other
+
+
+def order_observations(
+    ctx: FileContext, node: ast.AST
+) -> Iterator[Tuple[ast.AST, ast.AST, str]]:
+    """Yield ``(operand, anchor, what)`` for each operation at ``node`` whose
+    result depends on ``operand``'s iteration order: for-loops,
+    comprehensions (not a generator fed straight into ``sum``/``sorted``/
+    ...), ``list()``/``tuple()`` and argument-less ``.pop()``."""
+    if isinstance(node, ast.For):
+        yield node.iter, node.iter, "iterated by a for-loop"
+    elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
+        parent = ctx.parent(node)
+        if (
+            isinstance(node, ast.GeneratorExp)
+            and isinstance(parent, ast.Call)
+            and call_name(parent) in ORDER_INSENSITIVE_CALLS
+            and parent.args
+            and parent.args[0] is node
+        ):
+            return
+        for gen in node.generators:
+            yield gen.iter, gen.iter, "iterated by a comprehension"
+    elif isinstance(node, ast.Call):
+        name = call_name(node)
+        if name in ("list", "tuple") and len(node.args) == 1:
+            yield node.args[0], node, f"fixed into a {name}()"
+        elif (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+            and not node.args
+        ):
+            yield node.func.value, node, "popped arbitrarily (.pop())"
+
+
+def _iterated_keys(ctx: FileContext, node: ast.AST) -> bool:
+    """A bare ``d.keys()`` iterated by a for-loop or comprehension."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "keys"
+        and not node.args
+    ):
+        return False
+    parent = ctx.parent(node)
+    return isinstance(parent, (ast.For, ast.comprehension)) and parent.iter is node
+
+
+class _FunctionScanner:
+    """Records one scope's sites."""
+
+    def __init__(self, ex: "_Extractor", scope_node: ast.AST, nodes: List[ast.AST]):
+        self.ex = ex
+        self.ctx = ex.ctx
         self.nodes = nodes
-        self.params: List[str] = []
-        if isinstance(scope_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = scope_node.args
-            self.params = [
-                a.arg
-                for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-            ]
-            self.set_bound = _scope_set_bindings(scope_node)
-            self.lineno = scope_node.lineno
-        else:
-            self.set_bound = _scope_set_bindings(scope_node)
-            self.lineno = 1
-        self.local_funcs: Set[str] = set()
+        self.params = [arg.arg for arg in params_of(scope_node)]
+        lineno = getattr(scope_node, "lineno", 1)
+        #: the scope's own set bindings (argument shapes of its call sites)
+        self.set_bound = ex.bound_of_scope[id(scope_node)]
         self.local_names: Set[str] = set()
         self.global_decls: Set[str] = set()
-        self.registry_vars: Set[str] = set()
-        self.facts: Dict[str, Any] = {
-            "line": self.lineno,
-            "params": self.params,
-            "calls": [],
-            "rng": [],
-            "clock": [],
-            "io": [],
-            "gwrites": [],
-            "order_params": {},
-            "dynamic": [],
-            "modpatch": [],
-            "obs_oob": [],
-        }
+        self.facts: Dict[str, Any] = {"line": lineno, "params": self.params}
+        for kind in _SITE_KINDS:
+            self.facts[kind] = []
+        self.facts["order_params"] = {}
 
     def scan(self) -> Dict[str, Any]:
-        # Pass 1: local binding structure (shadowing, nested defs, registry
-        # variables) so pass 2 can classify sites correctly.
+        # Pass 1: local binding structure (shadowing, global declarations)
+        # so pass 2 can tell module globals from locals.
         for node in self.nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name != self.qualname.rsplit(".", 1)[-1]:
-                    self.local_funcs.add(node.name)
-            elif isinstance(node, ast.Global):
+            if isinstance(node, ast.Global):
                 self.global_decls.update(node.names)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         self.local_names.add(target.id)
-                        if self._is_metrics_call(node.value):
-                            self.registry_vars.add(target.id)
         for node in self.nodes:
             self._scan_node(node)
-        for key in (
-            "calls",
-            "rng",
-            "clock",
-            "io",
-            "gwrites",
-            "dynamic",
-            "modpatch",
-            "obs_oob",
-        ):
-            self.facts[key].sort(key=lambda s: (s.get("line", 0), s.get("col", 0)))
+        for kind in _SITE_KINDS:
+            self.facts[kind].sort(key=lambda s: (s["line"], s["col"]))
         return self.facts
 
-    # -- classification helpers -------------------------------------------
-
-    def _is_metrics_call(self, node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "metrics":
-            return "metrics" in self.ex.obs_metric_names
-        return isinstance(func, ast.Attribute) and func.attr == "metrics"
-
-    def _arg_shape(self, node: ast.AST) -> Dict[str, Any]:
-        shape: Dict[str, Any] = {}
-        if _is_evident_set(node, self.set_bound):
-            shape["set"] = True
-        if isinstance(node, ast.Lambda):
-            shape["closure"] = "<lambda>"
-        text = dotted_text(node)
-        if text is not None:
-            shape["name"] = text
-            if text in self.local_funcs:
-                shape["closure"] = text
-        return shape
-
-    # -- node dispatch -----------------------------------------------------
+    def _add(self, kind: str, node: ast.AST, detail: str, **extra: Any) -> None:
+        self.facts[kind].append(_site(node, self.ctx, detail) | extra)
 
     def _scan_node(self, node: ast.AST) -> None:
         if isinstance(node, ast.Call):
@@ -247,17 +309,55 @@ class _FunctionScanner:
             self._scan_name_load(node)
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             self._scan_assign(node)
+        elif isinstance(node, ast.Global):
+            self._add("globals", node, ", ".join(node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            for item in node.names:
+                if item.name not in SAFE_RANDOM_IMPORTS:
+                    self._add(
+                        "rng_imports",
+                        node,
+                        f"'from random import {item.name}' binds a global-RNG "
+                        f"function",
+                    )
+        self._scan_order(node)
+
+    def _scan_order(self, node: ast.AST) -> None:
+        # Direct sites are judged with the bindings of the node's own
+        # lexical scope (None inside a lambda); parameters are this
+        # scope's, observed anywhere beneath it.
+        bound = self.ex.bound_at.get(id(node))
+        order = self.facts["order_params"]
+        for operand, anchor, what in order_observations(self.ctx, node):
+            if bound is not None and is_evident_set(operand, bound):
+                self._add("unordered", anchor, f"set {what}")
+            if (
+                isinstance(operand, ast.Name)
+                and operand.id in self.params
+                and operand.id not in order
+            ):
+                order[operand.id] = _site(anchor, self.ctx, what)
+        if bound is not None and _iterated_keys(self.ctx, node):
+            self._add("unordered", node, "bare .keys() iterated")
+
+    def _arg_shape(self, node: ast.AST) -> Dict[str, Any]:
+        shape: Dict[str, Any] = {}
+        if is_evident_set(node, self.set_bound):
+            shape["set"] = True
+        text = dotted_text(node)
+        if text is not None:
+            shape["name"] = text
+        return shape
 
     def _scan_call(self, node: ast.Call) -> None:
         ex = self.ex
-        ctx = self.ctx
         name = call_name(node)
         func = node.func
 
         # Call-graph edge (pure Name/Attribute chains only).
         callee = dotted_text(func)
         if callee is not None:
-            call_fact = _site(node, ctx)
+            call_fact = _site(node, self.ctx)
             call_fact["callee"] = callee
             args = [self._arg_shape(a) for a in node.args]
             kwargs = {
@@ -268,34 +368,30 @@ class _FunctionScanner:
             if any(args) or any(kwargs.values()):
                 call_fact["args"] = args
                 call_fact["kwargs"] = {k: v for k, v in kwargs.items() if v}
+            if unseeded(node):
+                call_fact["noseed"] = True
             self.facts["calls"].append(call_fact)
 
-        # RNG sources (mirrors RPR101, recorded regardless of findings).
+        # The global RNG, through a module alias or a from-import.
         if (
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
             and func.value.id in ex.random_aliases
         ):
-            if func.attr in GLOBAL_RANDOM_FNS:
-                self.facts["rng"].append(
-                    _site(node, ctx, f"random.{func.attr}() draws the global RNG")
-                )
-            elif func.attr == "Random" and not node.args and not node.keywords:
-                self.facts["rng"].append(
-                    _site(node, ctx, "unseeded random.Random() uses OS entropy")
-                )
-        elif name in ex.random_bad_from:
-            self.facts["rng"].append(
-                _site(
-                    node,
-                    ctx,
-                    f"{name}() is the global-RNG random.{ex.random_bad_from[name]}",
-                )
-            )
+            leaf: Optional[str] = func.attr
+            spelled = f"random.{leaf}()"
+        else:
+            leaf = ex.random_from.get(name) if name else None
+            spelled = f"{name}() (random.{leaf})"
+        if leaf in GLOBAL_RANDOM_FNS:
+            self._add("rng", node, f"{spelled} draws from the process-global RNG")
+        elif leaf == "Random" and unseeded(node):
+            self._add("rng", node, f"unseeded {spelled} falls back to OS entropy")
 
-        # I/O (mirrors RPR201's call leg).
         if name in IO_CALLS:
-            self.facts["io"].append(_site(node, ctx, f"calls {name}()"))
+            self._add("io", node, f"calls {name}()")
+        if name == "id":
+            self._add("ids", node, "id() exposes the allocator")
 
         # Mutator method on a module-level global.
         if (
@@ -303,99 +399,87 @@ class _FunctionScanner:
             and func.attr in MUTATOR_METHODS
             and isinstance(func.value, ast.Name)
             and self._names_global(func.value.id)
-            and not guarded_by_enabled(ctx, node)
+            and not guarded_by_enabled(self.ctx, node)
         ):
-            self.facts["gwrites"].append(
-                _site(node, ctx, f"{func.value.id}.{func.attr}(...)")
-                | {"name": func.value.id}
+            self._add(
+                "gwrites",
+                node,
+                f"{func.value.id}.{func.attr}(...)",
+                name=func.value.id,
             )
 
-        # Dynamic-import / opaque-dispatch sites.
+        self._scan_obs(node, func)
         self._scan_dynamic(node, name)
 
-        # Out-of-band obs-registry writes.
-        self._scan_obs_oob(node, func)
+    def _scan_obs(self, node: ast.Call, func: ast.AST) -> None:
+        aliases = self.ex.obs_aliases
+        if not (
+            aliases
+            and isinstance(func, ast.Attribute)
+            and func.attr in OBS_ACCESSORS
+        ):
+            return
+        base = func.value
+        if isinstance(base, ast.Name) and base.id in aliases:
+            alias = base.id
+        elif dotted_text(base) == "repro.obs":
+            alias = "repro.obs"
+        else:
+            return
+        if not guarded_by_enabled(self.ctx, node):
+            self._add("obs", node, f"{alias}.{func.attr}()", alias=alias)
 
     def _scan_dynamic(self, node: ast.Call, name: Optional[str]) -> None:
-        ctx = self.ctx
         func = node.func
         if name == "__import__":
-            self.facts["dynamic"].append(_site(node, ctx, "__import__(...)"))
+            self._add("dynamic", node, "__import__(...)")
         elif name in ("exec", "eval"):
-            self.facts["dynamic"].append(_site(node, ctx, f"{name}(...)"))
+            self._add("dynamic", node, f"{name}(...)")
         elif name in self.ex.importlib_from:
-            self.facts["dynamic"].append(
-                _site(node, ctx, f"importlib.{self.ex.importlib_from[name]}(...)")
+            self._add(
+                "dynamic", node, f"importlib.{self.ex.importlib_from[name]}(...)"
             )
         elif isinstance(func, ast.Attribute):
             base = dotted_text(func.value)
-            if base is not None and (
-                self.ex.module_imports.get(base.split(".")[0]) == "importlib"
-                or base == "importlib"
-                or base.startswith("importlib.")
-            ):
-                if func.attr in ("import_module", "reload", "exec_module"):
-                    self.facts["dynamic"].append(
-                        _site(node, ctx, f"{base}.{func.attr}(...)")
-                    )
-        if name == "getattr" and len(node.args) >= 2:
-            target, attr = node.args[0], node.args[1]
-            is_constant = isinstance(attr, ast.Constant)
-            target_text = dotted_text(target)
             if (
-                not is_constant
+                base is not None
+                and (
+                    self.ex.module_imports.get(base.split(".")[0]) == "importlib"
+                    or base == "importlib"
+                    or base.startswith("importlib.")
+                )
+                and func.attr in ("import_module", "reload", "exec_module")
+            ):
+                self._add("dynamic", node, f"{base}.{func.attr}(...)")
+        if name == "getattr" and len(node.args) >= 2:
+            target_text = dotted_text(node.args[0])
+            if (
+                not isinstance(node.args[1], ast.Constant)
                 and target_text is not None
                 and self.ex.names_module(target_text)
             ):
-                self.facts["dynamic"].append(
-                    _site(
-                        node,
-                        self.ctx,
-                        f"getattr({target_text}, <dynamic>) module dispatch",
-                    )
+                self._add(
+                    "dynamic",
+                    node,
+                    f"getattr({target_text}, <dynamic>) module dispatch",
                 )
 
-    def _scan_obs_oob(self, node: ast.Call, func: ast.AST) -> None:
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr not in ("merge", "reset"):
-            return
-        base = func.value
-        from_registry = (
-            isinstance(base, ast.Name) and base.id in self.registry_vars
-        ) or self._is_metrics_call(base)
-        if from_registry:
-            self.facts["obs_oob"].append(
-                _site(node, self.ctx, f"registry.{func.attr}(...)")
-            )
-
     def _scan_attribute(self, node: ast.Attribute) -> None:
-        ctx = self.ctx
         ex = self.ex
         base = node.value
         if isinstance(base, ast.Name):
             if base.id in ex.time_aliases and node.attr in WALL_CLOCK_TIME_FNS:
-                self.facts["clock"].append(
-                    _site(node, ctx, f"time.{node.attr} reads the wall clock")
-                )
+                self._add("clock", node, f"time.{node.attr} reads the wall clock")
             elif base.id in ex.os_aliases and node.attr in OS_AMBIENT:
-                self.facts["clock"].append(
-                    _site(node, ctx, f"os.{node.attr} reads ambient process state")
+                self._add(
+                    "clock", node, f"os.{node.attr} reads ambient process state"
                 )
             elif base.id in ex.datetime_classes and node.attr in DATETIME_AMBIENT:
-                self.facts["clock"].append(
-                    _site(node, ctx, f"datetime.{node.attr}() reads the wall clock")
+                self._add(
+                    "clock", node, f"datetime.{node.attr}() reads the wall clock"
                 )
             elif base.id == "sys" and node.attr in ("stdout", "stderr", "stdin"):
-                self.facts["io"].append(_site(node, ctx, f"touches sys.{node.attr}"))
-            elif base.id in self.registry_vars and node.attr in (
-                "_counters",
-                "_gauges",
-                "_timers",
-            ):
-                self.facts["obs_oob"].append(
-                    _site(node, ctx, f"touches registry.{node.attr}")
-                )
+                self._add("io", node, f"touches sys.{node.attr}")
         elif (
             isinstance(base, ast.Attribute)
             and isinstance(base.value, ast.Name)
@@ -403,25 +487,23 @@ class _FunctionScanner:
             and base.attr in ("datetime", "date")
             and node.attr in DATETIME_AMBIENT
         ):
-            self.facts["clock"].append(
-                _site(
-                    node, ctx, f"datetime.{base.attr}.{node.attr}() reads the wall clock"
-                )
+            self._add(
+                "clock",
+                node,
+                f"datetime.{base.attr}.{node.attr}() reads the wall clock",
             )
 
     def _scan_name_load(self, node: ast.Name) -> None:
         ex = self.ex
         if node.id in ex.time_from:
-            self.facts["clock"].append(
-                _site(node, self.ctx, f"time.{ex.time_from[node.id]} reads the wall clock")
+            self._add(
+                "clock", node, f"time.{ex.time_from[node.id]} reads the wall clock"
             )
         elif node.id in ex.os_from:
-            self.facts["clock"].append(
-                _site(
-                    node,
-                    self.ctx,
-                    f"os.{ex.os_from[node.id]} reads ambient process state",
-                )
+            self._add(
+                "clock",
+                node,
+                f"os.{ex.os_from[node.id]} reads ambient process state",
             )
 
     def _names_global(self, name: str) -> bool:
@@ -430,113 +512,41 @@ class _FunctionScanner:
             return False
         if name in self.global_decls:
             return True
-        return name not in self.local_names and name not in {
-            p for p in self.params
-        }
+        return name not in self.local_names and name not in self.params
 
     def _scan_assign(self, node: ast.AST) -> None:
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         for target in targets:
             if isinstance(target, ast.Name):
                 if target.id in self.global_decls and not guarded_by_enabled(
                     self.ctx, node
                 ):
-                    self.facts["gwrites"].append(
-                        _site(self.ctx_node(node), self.ctx, f"rebinds global {target.id}")
-                        | {"name": target.id}
+                    # ``rebind``: the ``global`` statement is its own site.
+                    self._add(
+                        "gwrites",
+                        node,
+                        f"rebinds global {target.id}",
+                        name=target.id,
+                        rebind=True,
                     )
             elif isinstance(target, (ast.Subscript, ast.Attribute)):
                 root = root_name(target)
-                if root is None or guarded_by_enabled(self.ctx, node):
-                    continue
-                if self._names_global(root):
-                    self.facts["gwrites"].append(
-                        _site(self.ctx_node(node), self.ctx, f"writes through {root}")
-                        | {"name": root}
-                    )
-                elif (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in self.ex.module_imports
-                    and target.value.id not in self.local_names
-                ):
-                    self.facts["modpatch"].append(
-                        _site(
-                            self.ctx_node(node),
-                            self.ctx,
-                            f"rebinds {target.value.id}.{target.attr} at runtime",
-                        )
-                        | {"target": self.ex.module_imports[target.value.id]}
-                    )
-
-    @staticmethod
-    def ctx_node(node: ast.AST) -> ast.AST:
-        return node
-
-    def scan_order_params(self, scope_node: ast.AST) -> None:
-        """Which parameters flow into order-fixing operations?"""
-        if not self.params:
-            return
-        params = set(self.params)
-        order: Dict[str, Dict[str, Any]] = {}
-
-        def note(param: str, node: ast.AST, op: str) -> None:
-            if param not in order:
-                order[param] = _site(node, self.ctx, op)
-
-        for node in self.nodes:
-            if isinstance(node, ast.For):
-                if isinstance(node.iter, ast.Name) and node.iter.id in params:
-                    note(node.iter.id, node.iter, "iterated by a for-loop")
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-                if isinstance(node, ast.GeneratorExp):
-                    parent = self.ctx.parent(node)
-                    if (
-                        isinstance(parent, ast.Call)
-                        and isinstance(parent.func, ast.Name)
-                        and parent.func.id in ORDER_INSENSITIVE_CALLS
-                        and parent.args
-                        and parent.args[0] is node
-                    ):
-                        continue
-                for gen in node.generators:
-                    if isinstance(gen.iter, ast.Name) and gen.iter.id in params:
-                        note(gen.iter.id, gen.iter, "iterated by a comprehension")
-            elif isinstance(node, ast.Call):
-                name = call_name(node)
                 if (
-                    name in ("list", "tuple")
-                    and len(node.args) == 1
-                    and isinstance(node.args[0], ast.Name)
-                    and node.args[0].id in params
+                    root is not None
+                    and self._names_global(root)
+                    and not guarded_by_enabled(self.ctx, node)
                 ):
-                    note(node.args[0].id, node, f"fixed into a {name}()")
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "pop"
-                    and not node.args
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in params
-                ):
-                    note(node.func.value.id, node, "popped arbitrarily (.pop())")
-        self.facts["order_params"] = order
+                    self._add("gwrites", node, f"writes through {root}", name=root)
 
 
-class FactsExtractor:
-    """Builds a :class:`FileFacts` from one :class:`FileContext`."""
+class _Extractor:
+    """File-level tables shared by every scope's scanner."""
 
-    def __init__(self, ctx: FileContext, sha: str):
+    def __init__(self, ctx: FileContext):
         self.ctx = ctx
-        self.sha = sha
         tree = ctx.tree
         self.random_aliases = ctx.module_aliases("random")
-        self.random_bad_from = {
-            local: original
-            for local, original in ctx.imported_names("random").items()
-            if original not in SAFE_RANDOM_IMPORTS
-        }
+        self.random_from = ctx.imported_names("random")
         self.time_aliases = ctx.module_aliases("time")
         self.os_aliases = ctx.module_aliases("os")
         self.datetime_mod_aliases = ctx.module_aliases("datetime")
@@ -555,15 +565,12 @@ class FactsExtractor:
             for local, original in ctx.imported_names("os").items()
             if original in OS_AMBIENT
         }
-        self.importlib_from = {
-            local: original
-            for local, original in ctx.imported_names("importlib").items()
-        }
-        self.obs_metric_names = set(ctx.imported_names("repro.obs"))
+        self.importlib_from = ctx.imported_names("importlib")
+        self.obs_aliases = ctx.module_aliases("repro.obs")
         self.top_globals = top_level_names(tree)
         self.module_imports: Dict[str, str] = {}
         self.from_imports: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(tree):
+        for node in ctx.imports:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     local = item.asname or item.name.split(".")[0]
@@ -580,50 +587,46 @@ class FactsExtractor:
                             node.module,
                             item.name,
                         )
+        # Set bindings per lexical scope, and of the scope of every node
+        # (nodes inside a lambda belong to none).
+        self.bound_of_scope: Dict[int, Set[str]] = {}
+        self.bound_at: Dict[int, Set[str]] = {}
+        for scope in scopes(tree):
+            nodes = list(scope_walk(scope))
+            bound = self.bound_of_scope[id(scope)] = set_bindings(scope, nodes)
+            for node in nodes:
+                self.bound_at[id(node)] = bound
 
     def names_module(self, dotted: str) -> bool:
         head = dotted.split(".")[0]
         if head in self.module_imports:
             return True
-        target = self.from_imports.get(head)
         # ``from repro.harness import experiments`` style: heuristically a
-        # module when the imported name is lowercase and not called often —
-        # resolved precisely at the project level; here only used to gate
-        # the getattr-dispatch fact.
-        return target is not None and head == head.lower() and "." not in head
+        # module when the imported name is lowercase.
+        return head in self.from_imports and head == head.lower()
 
     def extract(self) -> FileFacts:
         ctx = self.ctx
         tree = ctx.tree
-        facts = FileFacts(path=ctx.path, module=ctx.module, sha=self.sha)
-        facts.module_imports = dict(sorted(self.module_imports.items()))
-        facts.from_imports = {
-            k: list(v) for k, v in sorted(self.from_imports.items())
-        }
-        facts.top_globals = sorted(self.top_globals)
-        facts.suppressions = [
-            {"line": s.line, "codes": sorted(s.codes), "reason": s.reason}
-            for _, s in sorted(parse_suppressions(ctx.lines).items())
-        ]
+        facts = FileFacts(
+            path=ctx.path,
+            module=ctx.module,
+            suppressions=parse_suppressions(ctx.lines),
+            module_imports=self.module_imports,
+            from_imports=self.from_imports,
+        )
 
-        # Top-level value bindings and mutable globals.
         for stmt in tree.body:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name):
-                    text = dotted_text(stmt.value)
-                    if text is not None and "." in text:
-                        facts.bindings[target.id] = text
-                    if self._is_mutable_value(stmt.value):
-                        facts.mutable_globals.append(target.id)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
+            if (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
             ):
-                if stmt.value is not None and self._is_mutable_value(stmt.value):
-                    facts.mutable_globals.append(stmt.target.id)
-        facts.mutable_globals.sort()
+                text = dotted_text(stmt.value)
+                if text is not None and "." in text:
+                    facts.bindings[stmt.targets[0].id] = text
 
-        # Classes and their methods.
+        # Classes and their methods; every top-level def and method is a scope.
         scope_defs: Dict[str, ast.AST] = {}
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -634,51 +637,31 @@ class FactsExtractor:
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         methods.append(sub.name)
                         scope_defs[f"{stmt.name}.{sub.name}"] = sub
-                bases = [
-                    text
-                    for text in (dotted_text(b) for b in stmt.bases)
-                    if text is not None
-                ]
                 facts.classes[stmt.name] = {
-                    "bases": bases,
+                    "bases": [
+                        text
+                        for text in (dotted_text(b) for b in stmt.bases)
+                        if text is not None
+                    ],
                     "line": stmt.lineno,
                     "methods": sorted(methods),
                 }
-        facts.infile_automata = sorted(
-            _classes_matching(ctx, {"Automaton", "Process"}, AUTOMATON_HOME_MODULES)
-        )
 
-        # Function scopes (nested defs attribute to their outermost owner).
         owned: Set[int] = set()
         for qualname, node in sorted(scope_defs.items()):
             nodes = [n for n in ast.walk(node) if n is not node]
             owned.update(id(n) for n in nodes)
             owned.add(id(node))
-            scanner = _FunctionScanner(ctx, self, qualname, node, nodes)
-            scanner.scan()
-            scanner.scan_order_params(node)
-            facts.functions[qualname] = scanner.facts
-
+            facts.functions[qualname] = _FunctionScanner(self, node, nodes).scan()
         module_nodes = [
             n for n in ast.walk(tree) if n is not tree and id(n) not in owned
         ]
-        scanner = _FunctionScanner(ctx, self, MODULE_SCOPE, tree, module_nodes)
-        scanner.scan()
-        facts.functions[MODULE_SCOPE] = scanner.facts
+        facts.functions[MODULE_SCOPE] = _FunctionScanner(
+            self, tree, module_nodes
+        ).scan()
         return facts
 
-    @staticmethod
-    def _is_mutable_value(value: ast.AST) -> bool:
-        if isinstance(
-            value, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-        ):
-            return True
-        return (
-            isinstance(value, ast.Call)
-            and call_name(value) in _MUTABLE_CONSTRUCTORS
-        )
 
-
-def extract_facts(ctx: FileContext, sha: str) -> FileFacts:
-    """Extract the whole-program facts of one parsed file."""
-    return FactsExtractor(ctx, sha).extract()
+def extract_facts(ctx: FileContext) -> FileFacts:
+    """The facts of one parsed file."""
+    return _Extractor(ctx).extract()

@@ -1,8 +1,7 @@
 """The project graph: symbols, module graph, call graph, class hierarchy.
 
-Built purely from :class:`~repro.lint.project.facts.FileFacts` records —
-no AST survives to this layer, which is what makes warm runs possible:
-cached facts replay into an identical :class:`Project`.
+Built purely from :class:`~repro.lint.project.facts.FileFacts` records:
+no AST survives to this layer.
 
 Identifiers
 -----------
@@ -17,20 +16,19 @@ Resolution follows from-imports, module imports, top-level value bindings
 with a visited set so import cycles terminate.  Anything leaving the linted
 file set resolves to ``("external", dotted)`` — precise enough to recognize
 ``repro.kernel.automaton.Automaton`` ancestry even when only a subtree is
-being linted.
+being linted.  A base that resolves nowhere (no import binds it) still
+names its class: ``class Leaky(Automaton)`` in a lone file is an automaton.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.findings import Finding
 from repro.lint.project.facts import MODULE_SCOPE, FileFacts
-from repro.lint.rules.fidelity import AUTOMATON_HOME_MODULES
+from repro.lint.registry import in_packages
 
 #: Where the harness's store-keyed / forked entry points live.
 SWEEP_TASK_CLASS = "repro.harness.parallel:SweepTask"
-RUN_SWEEP_FN = "repro.harness.parallel:run_sweep"
 
 
 def is_sweep_task_ctor(res: Optional["Resolution"]) -> bool:
@@ -42,49 +40,49 @@ def is_sweep_task_ctor(res: Optional["Resolution"]) -> bool:
     )
 
 
-def is_run_sweep(res: Optional["Resolution"]) -> bool:
-    return res in (
-        ("function", RUN_SWEEP_FN),
-        ("external", "repro.harness.parallel.run_sweep"),
-    )
-
-#: Class roots whose subclass trees carry the model-fidelity contract.
-_CHA_ROOT_NAMES = ("Automaton", "Process", "FailureDetector")
-_CHA_HOME_PREFIXES = AUTOMATON_HOME_MODULES + (
-    "repro.kernel",
-    "repro.detectors",
-)
+#: The automaton base classes (Section 2's I/O automata) and the packages
+#: that define them: their subclass trees carry the purity contract.
+AUTOMATON_ROOTS = ("Automaton", "Process")
+AUTOMATON_HOMES = ("repro.kernel", "repro.consensus", "repro.smr")
 
 Resolution = Tuple[str, str]  # (kind, identifier)
+
+
+def module_of(fid: str) -> str:
+    """The module part of a function or class id."""
+    return fid.split(":", 1)[0]
 
 
 class Project:
     """The whole-program view the flow-aware rules query."""
 
-    def __init__(self, facts_by_module: Dict[str, FileFacts]):
-        self.facts = facts_by_module
+    def __init__(self, files: List[FileFacts]):
+        #: every linted file, by path
+        self.files = files
+        #: module -> facts; of two files mapping to one module, the
+        #: lexically-first path wins (never the case for real trees)
+        self.facts: Dict[str, FileFacts] = {}
+        for record in sorted(files, key=lambda f: (f.module, f.path)):
+            self.facts.setdefault(record.module, record)
         #: fid -> function facts dict (same shape as FileFacts.functions values)
         self.functions: Dict[str, Dict[str, Any]] = {}
         #: cid -> class record with ``resolved_bases`` added
         self.classes: Dict[str, Dict[str, Any]] = {}
-        for module, facts in facts_by_module.items():
+        for module, facts in self.facts.items():
             for qual, fn in facts.functions.items():
                 self.functions[f"{module}:{qual}"] = fn
             for name, cls in facts.classes.items():
                 self.classes[f"{module}:{name}"] = dict(cls)
         self._resolve_bases()
-        #: cid -> names of the contract roots its ancestry reaches
-        self.class_roots: Dict[str, Set[str]] = self._root_closure()
-        self.automaton_classes: Set[str] = {
-            cid
-            for cid, roots in self.class_roots.items()
-            if roots & {"Automaton", "Process"}
-        }
+        #: cids whose ancestry reaches an automaton root, across modules
+        self.automaton_classes: Set[str] = self._automaton_closure()
         #: fid -> [(call_fact, target_fid or None)]
         self.call_edges: Dict[str, List[Tuple[Dict[str, Any], Optional[str]]]] = {}
-        #: target fid -> sorted caller fids
-        self.callers: Dict[str, List[str]] = {}
-        self._build_call_graph()
+        for fid in sorted(self.functions):
+            self.call_edges[fid] = [
+                (call, self._target_for_call(fid, call["callee"]))
+                for call in self.functions[fid].get("calls", [])
+            ]
 
     # ------------------------------------------------------------------
     # Symbol resolution
@@ -168,61 +166,53 @@ class Project:
 
     def _resolve_bases(self) -> None:
         for cid in sorted(self.classes):
-            module = cid.split(":", 1)[0]
-            resolved: List[Resolution] = []
-            for base in self.classes[cid]["bases"]:
-                res = self.resolve(module, base)
-                if res is not None:
-                    resolved.append(res)
-            self.classes[cid]["resolved_bases"] = resolved
+            self.classes[cid]["resolved_bases"] = [
+                self.resolve(module_of(cid), base) or ("unresolved", base)
+                for base in self.classes[cid]["bases"]
+            ]
 
-    def _is_root_external(self, dotted: str) -> bool:
-        """Does an unresolved base evidently name a known contract root?"""
-        head, _, leaf = dotted.rpartition(".")
-        if leaf not in _CHA_ROOT_NAMES:
+    @staticmethod
+    def _is_root_base(kind: str, ident: str) -> bool:
+        """Does a base outside the linted classes name an automaton root?
+        An external one must live in an automaton home package; one that no
+        import binds is taken at its word."""
+        head, _, leaf = ident.rpartition(".")
+        if leaf not in AUTOMATON_ROOTS:
             return False
-        if not head:
-            return False
-        return any(
-            head == prefix or head.startswith(prefix + ".")
-            for prefix in _CHA_HOME_PREFIXES
+        if kind == "unresolved":
+            return True
+        return (
+            kind == "external" and bool(head) and in_packages(head, AUTOMATON_HOMES)
         )
 
-    def _root_closure(self) -> Dict[str, Set[str]]:
-        """For every class id: which Automaton/Process/FailureDetector
-        contract roots its ancestry reaches, across module boundaries."""
-        root_name: Dict[str, str] = {}
-        for cid in self.classes:
-            module, name = cid.split(":", 1)
-            if name in _CHA_ROOT_NAMES and any(
-                module == prefix or module.startswith(prefix + ".")
-                for prefix in _CHA_HOME_PREFIXES
-            ):
-                root_name[cid] = name
+    def _automaton_closure(self) -> Set[str]:
+        """Every class id whose ancestry reaches ``Automaton``/``Process``."""
+        memo: Dict[str, bool] = {}
 
-        memo: Dict[str, Set[str]] = {}
-
-        def reaches(cid: str, stack: Set[str]) -> Set[str]:
+        def reaches(cid: str, stack: Set[str]) -> bool:
             if cid in memo:
                 return memo[cid]
             if cid in stack:
-                return set()  # inheritance cycle in broken input
+                return False  # inheritance cycle in broken input
             stack.add(cid)
-            found: Set[str] = set()
-            if cid in root_name:
-                found.add(root_name[cid])
-            for kind, ident in self.classes[cid].get("resolved_bases", []):
+            module, name = cid.split(":", 1)
+            found = name in AUTOMATON_ROOTS and in_packages(module, AUTOMATON_HOMES)
+            for kind, ident in self.classes[cid]["resolved_bases"]:
+                if found:
+                    break
                 if kind == "class":
-                    found |= reaches(ident, stack)
-                elif kind == "external" and self._is_root_external(ident):
-                    found.add(ident.rpartition(".")[2])
+                    found = reaches(ident, stack)
+                else:
+                    found = self._is_root_base(kind, ident)
             stack.discard(cid)
             memo[cid] = found
             return found
 
-        return {cid: reaches(cid, set()) for cid in sorted(self.classes)}
+        return {cid for cid in sorted(self.classes) if reaches(cid, set())}
 
-    def mro_lookup(self, cid: str, method: str, _seen: Optional[Set[str]] = None) -> Optional[str]:
+    def mro_lookup(
+        self, cid: str, method: str, _seen: Optional[Set[str]] = None
+    ) -> Optional[str]:
         """The fid implementing ``method`` for class ``cid`` (DFS over bases)."""
         if _seen is None:
             _seen = set()
@@ -264,18 +254,6 @@ class Project:
             return self.mro_lookup(ident, "__init__")
         return None
 
-    def _build_call_graph(self) -> None:
-        callers: Dict[str, Set[str]] = {}
-        for fid in sorted(self.functions):
-            edges: List[Tuple[Dict[str, Any], Optional[str]]] = []
-            for call in self.functions[fid].get("calls", []):
-                target = self._target_for_call(fid, call["callee"])
-                edges.append((call, target))
-                if target is not None:
-                    callers.setdefault(target, set()).add(fid)
-            self.call_edges[fid] = edges
-        self.callers = {fid: sorted(srcs) for fid, srcs in callers.items()}
-
     # ------------------------------------------------------------------
     # Harness entry points
     # ------------------------------------------------------------------
@@ -290,8 +268,8 @@ class Project:
         """
         roots: Dict[str, Dict[str, Any]] = {}
         for fid in sorted(self.functions):
-            module = fid.split(":", 1)[0]
-            for call, _target in self.call_edges.get(fid, []):
+            module = module_of(fid)
+            for call, _target in self.call_edges[fid]:
                 res = self.resolve(module, call["callee"])
                 if not is_sweep_task_ctor(res):
                     continue
@@ -327,31 +305,6 @@ class Project:
                     )
         return roots
 
-    # ------------------------------------------------------------------
-    # Finding construction
-    # ------------------------------------------------------------------
-
-    def make_finding(
-        self,
-        rule,
-        module: str,
-        site: Dict[str, Any],
-        message: str,
-        evidence: Optional[List[Dict[str, Any]]] = None,
-    ) -> Finding:
-        facts = self.facts[module]
-        return Finding(
-            code=rule.code,
-            path=facts.path,
-            module=module,
-            line=site.get("line", 1),
-            col=site.get("col", 0),
-            message=message,
-            rule_name=rule.name,
-            snippet=site.get("snippet", ""),
-            evidence=list(evidence or []),
-        )
-
     def hop(self, fid: str, site: Dict[str, Any], note: str = "") -> Dict[str, Any]:
         """One evidence-chain hop anchored in ``fid``'s file."""
         module = fid.split(":", 1)[0]
@@ -367,21 +320,5 @@ class Project:
 
 
 def build_project(facts: Iterable[FileFacts]) -> Project:
-    """Index facts by module and build the project graph.
-
-    When two files map to the same dotted module (possible with unpacked
-    fixtures), the lexically-first path wins — deterministic, and the
-    engine never feeds duplicates for real trees.
-    """
-    by_module: Dict[str, FileFacts] = {}
-    for record in sorted(facts, key=lambda f: (f.module, f.path)):
-        by_module.setdefault(record.module, record)
-    return Project(by_module)
-
-
-def in_packages(module: str, prefixes: Sequence[str]) -> bool:
-    """Shared scope predicate (same semantics as ``Rule.applies_to``)."""
-    return any(
-        module == prefix or module.startswith(prefix + ".")
-        for prefix in prefixes
-    )
+    """The project graph over every file's facts, in path order."""
+    return Project(sorted(facts, key=lambda f: f.path))

@@ -1,12 +1,12 @@
-"""Rule base class and the global rule registry.
+"""The rule base class and the registry: one class per code.
 
-A rule is a class with a unique ``code`` (``RPRnnn``), a short ``name``
-slug, a one-line ``summary`` (the catalog entry), an optional package
-``scope`` (dotted-module prefixes the rule is confined to; ``None`` means
-every linted file), and a ``check(ctx)`` generator yielding
-:class:`~repro.lint.findings.Finding` objects.
-
-Register with the :func:`register` decorator::
+A rule has a unique ``code`` (``RPRnnn``), a short ``name`` slug, a
+one-line ``summary`` (the catalog entry), a package ``scope`` (dotted-module
+prefixes whose sites it reports; ``None`` means every linted module) minus
+``exempt`` prefixes, and a ``check(project)`` generator yielding
+:class:`~repro.lint.findings.Finding` objects.  A rule sees the whole
+:class:`~repro.lint.project.graph.Project`, so it reports its direct sites
+and its cross-module legs from the same facts::
 
     @register
     class NoWallClock(Rule):
@@ -15,7 +15,7 @@ Register with the :func:`register` decorator::
         summary = "..."
         scope = KERNEL_PACKAGES
 
-        def check(self, ctx):
+        def check(self, project):
             ...
 
 Importing :mod:`repro.lint.rules` populates the registry.
@@ -24,7 +24,7 @@ Importing :mod:`repro.lint.rules` populates the registry.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.lint.findings import Finding
 
@@ -37,11 +37,14 @@ KERNEL_PACKAGES: Tuple[str, ...] = (
     "repro.consensus",
 )
 
-#: Everything shipped under ``repro.`` except the observability layer itself
-#: and this linter (neither executes on a replayed hot path).
-REPRO_PACKAGES: Tuple[str, ...] = ("repro",)
-
 _CODE_RE = re.compile(r"^RPR\d{3}$")
+
+
+def in_packages(module: str, prefixes: Sequence[str]) -> bool:
+    """Is ``module`` one of ``prefixes`` or inside one of them?"""
+    return any(
+        module == prefix or module.startswith(prefix + ".") for prefix in prefixes
+    )
 
 
 class Rule:
@@ -50,46 +53,57 @@ class Rule:
     code: str = ""
     name: str = ""
     summary: str = ""
-    #: dotted-module prefixes this rule applies to; ``None`` = everywhere
+    #: dotted-module prefixes this rule reports in; ``None`` = everywhere
     scope: Optional[Tuple[str, ...]] = None
+    #: prefixes carved out of ``scope``
+    exempt: Tuple[str, ...] = ()
 
     def applies_to(self, module: str) -> bool:
-        if self.scope is None:
-            return True
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self.scope
-        )
+        if self.scope is not None and not in_packages(module, self.scope):
+            return False
+        return not in_packages(module, self.exempt)
 
-    def check(self, ctx) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    # Helper: build a finding anchored at an AST node.
-    def finding(self, ctx, node, message: str) -> Finding:
-        return ctx.make_finding(self, node, message)
-
-
-class ProjectRule:
-    """Base class for whole-program (flow-aware) rules.
-
-    A project rule sees the :class:`~repro.lint.project.graph.Project`
-    built from every linted file at once and yields findings with
-    cross-file evidence chains.  Project rules may *share* a code with a
-    single-file rule (the flow-aware RPR101/102/103/201 companions extend
-    the same contract interprocedurally), so they live in a separate
-    registry; :func:`known_codes` is the union.
-    """
-
-    code: str = ""
-    name: str = ""
-    summary: str = ""
+    def describe_scope(self) -> str:
+        where = "everywhere" if self.scope is None else ", ".join(self.scope)
+        if self.exempt:
+            where += " except " + ", ".join(self.exempt)
+        return where
 
     def check(self, project) -> Iterator[Finding]:
         raise NotImplementedError
 
+    def sites(self, project, *kinds: str) -> Iterator[Tuple[Any, Dict[str, Any]]]:
+        """``(facts, site)`` for every ``kinds`` fact site in the modules
+        this rule covers, over every linted file."""
+        for facts in project.files:
+            if self.applies_to(facts.module):
+                for fn in facts.functions.values():
+                    for kind in kinds:
+                        for site in fn[kind]:
+                            yield facts, site
+
+    def finding(
+        self,
+        facts,
+        site: Dict[str, Any],
+        message: str,
+        evidence: Optional[List[Dict[str, Any]]] = None,
+    ) -> Finding:
+        """A finding at ``site`` (a facts site record) of file ``facts``."""
+        return Finding(
+            code=self.code,
+            path=facts.path,
+            module=facts.module,
+            line=site.get("line", 1),
+            col=site.get("col", 0),
+            message=message,
+            rule_name=self.name,
+            snippet=site.get("snippet", ""),
+            evidence=list(evidence or []),
+        )
+
 
 _REGISTRY: Dict[str, Rule] = {}
-_PROJECT_REGISTRY: Dict[str, ProjectRule] = {}
 
 
 def register(rule_cls: Type[Rule]) -> Type[Rule]:
@@ -103,40 +117,13 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
     return rule_cls
 
 
-def register_project(rule_cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    if not _CODE_RE.match(rule_cls.code or ""):
-        raise ValueError(
-            f"project rule {rule_cls.__name__} has invalid code "
-            f"{rule_cls.code!r}"
-        )
-    key = f"{rule_cls.code}/{rule_cls.name}"
-    if key in _PROJECT_REGISTRY:
-        raise ValueError(f"duplicate project rule {key}")
-    _PROJECT_REGISTRY[key] = rule_cls()
-    return rule_cls
-
-
 def _ensure_loaded() -> None:
-    # Importing the rules package runs every single-file @register
-    # decorator; the project-rule modules are imported separately because
-    # they depend on repro.lint.project (which imports rule helpers — a
-    # cycle if rules/__init__ pulled them in directly).
     import repro.lint.rules  # noqa: F401  (import for side effect)
-    from repro.lint.rules import (  # noqa: F401
-        flow,
-        parallel_safety,
-        store_soundness,
-    )
 
 
 def all_rules() -> List[Rule]:
     _ensure_loaded()
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def all_project_rules() -> List[ProjectRule]:
-    _ensure_loaded()
-    return [_PROJECT_REGISTRY[key] for key in sorted(_PROJECT_REGISTRY)]
 
 
 def get_rule(code: str) -> Rule:
@@ -145,8 +132,6 @@ def get_rule(code: str) -> Rule:
 
 
 def known_codes() -> List[str]:
-    """Every code either registry can emit (union, sorted)."""
+    """Every code a rule can emit, sorted."""
     _ensure_loaded()
-    codes = set(_REGISTRY)
-    codes.update(rule.code for rule in _PROJECT_REGISTRY.values())
-    return sorted(codes)
+    return sorted(_REGISTRY)

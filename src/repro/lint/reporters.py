@@ -1,31 +1,20 @@
-"""Text, JSON, and SARIF reporters for lint results.
+"""Text and JSON reporters for lint results.
 
-The JSON report carries a versioned ``schema`` marker (``repro-lint/2``)
-like the trace exporter, so CI artifacts stay parseable as the tool grows;
-``/2`` adds the per-finding ``evidence`` chains and per-line occurrence
-fingerprints of the whole-program rules.  The SARIF reporter emits
-standard SARIF 2.1.0 so findings land in code-scanning UIs: evidence hops
-become ``relatedLocations`` and the stable fingerprint becomes a
-``partialFingerprints`` entry.
+The JSON report carries a versioned ``schema`` marker like the trace
+exporter, so CI artifacts stay parseable as the tool changes: ``/2`` added
+the per-finding ``evidence`` chains, ``/3`` dropped the baseline fields
+(``fingerprint``, ``baselined``, ``stale_baseline``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List
 
 from repro.lint.engine import LintResult
-from repro.lint.findings import Finding
-from repro.lint.registry import all_project_rules, all_rules
+from repro.lint.registry import known_codes
 
-JSON_SCHEMA = "repro-lint/2"
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+JSON_SCHEMA = "repro-lint/3"
 
 
 def summarize(result: LintResult) -> Dict[str, Any]:
@@ -36,29 +25,25 @@ def summarize(result: LintResult) -> Dict[str, Any]:
         "files_checked": result.files_checked,
         "findings": len(result.findings),
         "suppressed": len(result.suppressed),
-        "baselined": len(result.baselined),
-        "stale_baseline": len(result.stale_baseline),
         "parse_errors": len(result.parse_errors),
         "by_code": dict(sorted(per_code.items())),
     }
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:
-    lines: List[str] = []
-    for finding in result.findings:
-        lines.append(finding.render())
+    lines: List[str] = [finding.render() for finding in result.findings]
     for error in result.parse_errors:
         lines.append(f"PARSE ERROR: {error}")
-    for entry in result.stale_baseline:
+    for path, supp in result.unreasoned_noqa:
         lines.append(
-            f"stale baseline entry: {entry.get('path', '?')} "
-            f"{entry['code']} [{entry['fingerprint']}] — finding no longer "
-            f"exists; remove it from the baseline"
+            f"{path}:{supp.line}: noqa without a reason; suppressions "
+            f"must say why (# repro: noqa RPRnnn -- reason)"
         )
-    for supp in result.unreasoned_noqa:
+    for path, supp in result.unknown_noqa:
+        unknown = ", ".join(sorted(supp.codes - set(known_codes())))
         lines.append(
-            f"noqa without reason at line {supp.line}: suppressions must "
-            f"say why (# repro: noqa RPRnnn -- reason)"
+            f"{path}:{supp.line}: noqa names a code no rule has "
+            f"({unknown}); see --list-rules"
         )
     if verbose and result.suppressed:
         lines.append("")
@@ -69,24 +54,15 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
                 f"— {reason}"
             )
     summary = summarize(result)
-    lines.append("")
     per_code = ", ".join(
         f"{code}={count}" for code, count in summary["by_code"].items()
     )
+    lines.append("")
     lines.append(
         f"{summary['files_checked']} file(s) checked: "
         f"{summary['findings']} finding(s)"
         + (f" ({per_code})" if per_code else "")
-        + (
-            f", {summary['suppressed']} suppressed"
-            if summary["suppressed"]
-            else ""
-        )
-        + (
-            f", {summary['baselined']} baselined"
-            if summary["baselined"]
-            else ""
-        )
+        + (f", {summary['suppressed']} suppressed" if summary["suppressed"] else "")
     )
     return "\n".join(lines)
 
@@ -97,114 +73,12 @@ def report_json(result: LintResult) -> Dict[str, Any]:
         "summary": summarize(result),
         "findings": [f.to_json() for f in result.findings],
         "suppressed": [
-            {
-                "finding": finding.to_json(),
-                "reason": supp.reason,
-            }
+            {"finding": finding.to_json(), "reason": supp.reason}
             for finding, supp in result.suppressed
         ],
-        "baselined": [f.to_json() for f in result.baselined],
-        "stale_baseline": list(result.stale_baseline),
         "parse_errors": list(result.parse_errors),
     }
 
 
 def render_json(result: LintResult) -> str:
     return json.dumps(report_json(result), indent=2, sort_keys=True) + "\n"
-
-
-def _sarif_uri(path: str) -> str:
-    """A relative, forward-slash artifact URI for ``path``."""
-    rel = os.path.relpath(path) if os.path.isabs(path) else path
-    if rel.startswith(".."):
-        rel = path  # outside the working tree: keep the absolute path
-    return rel.replace(os.sep, "/")
-
-
-def _sarif_rules() -> List[Dict[str, Any]]:
-    """The SARIF rule catalog: one entry per code (codes shared between a
-    single-file rule and its flow-aware companion collapse into one)."""
-    by_code: Dict[str, Dict[str, Any]] = {}
-    for rule in list(all_rules()) + list(all_project_rules()):
-        if rule.code not in by_code:
-            by_code[rule.code] = {
-                "id": rule.code,
-                "name": rule.name,
-                "shortDescription": {"text": rule.summary},
-                "help": {"text": "See docs/linting.md for the rule catalog."},
-            }
-    return [by_code[code] for code in sorted(by_code)]
-
-
-def _sarif_result(
-    finding: Finding, rule_index: Dict[str, int], suppressed: bool
-) -> Dict[str, Any]:
-    result: Dict[str, Any] = {
-        "ruleId": finding.code,
-        "ruleIndex": rule_index[finding.code],
-        "level": "error",
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": _sarif_uri(finding.path)},
-                    "region": {
-                        "startLine": finding.line,
-                        "startColumn": finding.col + 1,
-                        "snippet": {"text": finding.snippet},
-                    },
-                }
-            }
-        ],
-        "partialFingerprints": {"reproLintFingerprint/v1": finding.fingerprint},
-    }
-    if finding.evidence:
-        result["relatedLocations"] = [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": _sarif_uri(hop.get("path", "?"))},
-                    "region": {
-                        "startLine": hop.get("line", 1),
-                        "snippet": {"text": hop.get("snippet", "")},
-                    },
-                },
-                "message": {"text": hop.get("note") or "call hop"},
-            }
-            for hop in finding.evidence
-        ]
-    if suppressed:
-        result["suppressions"] = [{"kind": "inSource"}]
-    return result
-
-
-def report_sarif(result: LintResult) -> Dict[str, Any]:
-    """The result as a SARIF 2.1.0 log (one run)."""
-    rules = _sarif_rules()
-    rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    results = [
-        _sarif_result(f, rule_index, suppressed=False) for f in result.findings
-    ]
-    results.extend(
-        _sarif_result(f, rule_index, suppressed=True)
-        for f, _ in result.suppressed
-    )
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "version": JSON_SCHEMA.rsplit("/", 1)[-1],
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-
-
-def render_sarif(result: LintResult) -> str:
-    return json.dumps(report_sarif(result), indent=2, sort_keys=True) + "\n"

@@ -1,9 +1,9 @@
-"""Rule modules; importing this package populates the single-file registry.
+"""Rule modules; importing this package populates the registry."""
 
-The project-rule modules (``flow``, ``parallel_safety``,
-``store_soundness``) are imported by ``registry._ensure_loaded`` instead:
-they depend on :mod:`repro.lint.project`, which itself imports helpers
-from this package — importing them here would close that cycle.
-"""
-
-from repro.lint.rules import determinism, fidelity, observability  # noqa: F401
+from repro.lint.rules import (  # noqa: F401
+    determinism,
+    fidelity,
+    observability,
+    parallel_safety,
+    store_soundness,
+)

@@ -3,69 +3,75 @@
 The step/schedule/run formalism (Section 2) makes a run a pure function of
 (initial configuration, schedule, detector history, seed).  Prefix replay,
 the LRU history cache, ``--jobs N`` parity and the traced/untraced oracle
-all assume exactly that.  These rules catch the syntactic patterns that
-break it: ambient randomness, wall-clock and environment reads, iteration
-order leaking out of unordered containers, identity-based ordering, and
-float equality in decision predicates.
+all assume exactly that.  These rules catch the patterns that break it:
+ambient randomness, wall-clock and environment reads, iteration order
+leaking out of unordered containers, and identity-based keys.
+
+Each rule reports its *direct* sites (recognised by the facts pass) in the
+modules it covers, and — for RPR101/102/103 — the *kernel boundary*: a
+kernel-scope call whose callee in another module draws, reads or observes
+the hazard, with an evidence chain of call hops down to the concrete
+source line.  A boundary finding whose source is already a direct site is
+dropped: one finding per defect.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from repro.lint.findings import Finding
-from repro.lint.registry import KERNEL_PACKAGES, Rule, register
-from repro.lint.rules._helpers import (
-    ORDER_INSENSITIVE_CALLS,
-    call_name,
-    is_set_annotation,
-    scope_walk,
-    scopes,
+from repro.lint.project.dataflow import (
+    TAINT_EXEMPT,
+    Chain,
+    callee_param_index,
+    chain_source,
+    order_sink_params,
+    taint_from,
 )
+from repro.lint.project.facts import GLOBAL_RANDOM_FNS
+from repro.lint.project.graph import Project, module_of
+from repro.lint.registry import KERNEL_PACKAGES, Rule, in_packages, register
 
-#: Module-level ``random.*`` functions that consume the *global* RNG.
-GLOBAL_RANDOM_FNS = {
-    "betavariate",
-    "choice",
-    "choices",
-    "expovariate",
-    "gammavariate",
-    "gauss",
-    "getrandbits",
-    "lognormvariate",
-    "normalvariate",
-    "paretovariate",
-    "randbytes",
-    "randint",
-    "random",
-    "randrange",
-    "sample",
-    "seed",
-    "shuffle",
-    "triangular",
-    "uniform",
-    "vonmisesvariate",
-    "weibullvariate",
-}
+Site = Tuple[str, int]  # (module, line)
 
-#: Importable names from ``random`` that are fine to use anywhere.
-SAFE_RANDOM_IMPORTS = {"Random", "SystemRandom"}
 
-WALL_CLOCK_TIME_FNS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "process_time",
-    "process_time_ns",
-}
+def kernel_calls(project: Project):
+    """``(fid, call, target)`` for every call site in kernel scope."""
+    for fid in sorted(project.functions):
+        if in_packages(module_of(fid), KERNEL_PACKAGES):
+            for call, target in project.call_edges[fid]:
+                yield fid, call, target
 
-OS_AMBIENT = {"environ", "getenv", "urandom", "getpid", "getrandom"}
 
-DATETIME_AMBIENT = {"now", "utcnow", "today"}
+def _boundary_chain(
+    target: Optional[str], taint: Dict[str, Chain], flagged: Set[Site]
+) -> Optional[Chain]:
+    """The taint chain of a callee outside kernel scope, unless its source
+    is one of the rule's direct sites (already reported)."""
+    if (
+        target is None
+        or target not in taint
+        or in_packages(module_of(target), KERNEL_PACKAGES)
+    ):
+        return None
+    chain = taint[target]
+    return None if chain_source(chain) in flagged else chain
+
+
+def _rng_binding(project: Project, fid: str, call: Dict[str, Any]) -> Optional[str]:
+    """What an unresolved call draws, when its name resolves (through
+    imports, re-exports or value bindings) into ``random``."""
+    res = project.resolve(module_of(fid), call["callee"])
+    if res is None or res[0] != "external":
+        return None
+    head, _, leaf = res[1].rpartition(".")
+    if head != "random":
+        return None
+    if leaf in GLOBAL_RANDOM_FNS:
+        return f"the global-RNG random.{leaf}"
+    if leaf == "Random" and call.get("noseed"):
+        return "an unseeded random.Random()"
+    return None
 
 
 @register
@@ -75,61 +81,57 @@ class GlobalRandomRule(Rule):
     code = "RPR101"
     name = "global-random"
     summary = (
-        "use of the module-global random RNG (random.random(), "
-        "random.choice(), unseeded random.Random(), from-imports of its "
-        "functions); draw from an explicitly seeded random.Random instead"
+        "draws from the module-global random RNG (random.random(), "
+        "random.choice(), from-imports of its functions) or an unseeded "
+        "random.Random() — everywhere; plus kernel-scope calls reaching one "
+        "through a binding or another module; draw from an explicitly "
+        "seeded random.Random instead"
     )
-    scope = None  # everywhere: tests and benchmarks must replay too
 
-    def check(self, ctx) -> Iterator[Finding]:
-        aliases = ctx.module_aliases("random")
-        from_imports = ctx.imported_names("random")
-        bad_from = {
-            local: original
-            for local, original in from_imports.items()
-            if original not in SAFE_RANDOM_IMPORTS
-        }
+    def check(self, project: Project) -> Iterator[Finding]:
+        flagged: Set[Site] = set()
+        for facts, site in self.sites(project, "rng", "rng_imports"):
+            flagged.add((facts.module, site["line"]))
+            yield self.finding(
+                facts,
+                site,
+                f"{site['detail']}; use an explicitly seeded random.Random",
+            )
 
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
-                for item in node.names:
-                    if item.name not in SAFE_RANDOM_IMPORTS:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"'from random import {item.name}' binds a "
-                            f"global-RNG function; import random.Random and "
-                            f"seed it explicitly",
-                        )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in aliases
-                ):
-                    if func.attr in GLOBAL_RANDOM_FNS:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"random.{func.attr}() draws from the process-"
-                            f"global RNG; use a seeded random.Random "
-                            f"instance",
-                        )
-                    elif func.attr == "Random" and not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "random.Random() without a seed falls back to "
-                            "OS entropy; pass an explicit seed",
-                        )
-                elif isinstance(func, ast.Name) and func.id in bad_from:
+        def binding_source(fid: str) -> Optional[Dict[str, Any]]:
+            for call, target in project.call_edges[fid]:
+                what = None if target else _rng_binding(project, fid, call)
+                if what:
+                    return dict(call, detail=f"{call['callee']}() resolves to {what}")
+            return None
+
+        taint = taint_from(project, "rng", binding_source)
+        for fid, call, target in kernel_calls(project):
+            module = module_of(fid)
+            facts = project.facts[module]
+            if target is None:
+                what = _rng_binding(project, fid, call)
+                if what and (module, call["line"]) not in flagged:
                     yield self.finding(
-                        ctx,
-                        node,
-                        f"{func.id}() is the global-RNG random."
-                        f"{bad_from[func.id]}; use a seeded random.Random",
+                        facts,
+                        call,
+                        f"{call['callee']}() resolves to {what} through a "
+                        f"cross-module binding; draw from an explicitly "
+                        f"seeded random.Random",
+                        evidence=[project.hop(fid, call, note=f"resolves to {what}")],
                     )
+                continue
+            chain = _boundary_chain(target, taint, flagged)
+            if chain is not None:
+                yield self.finding(
+                    facts,
+                    call,
+                    f"{call['callee']}() transitively draws from the process-"
+                    f"global RNG (source: {chain[-1]['module']}:"
+                    f"{chain[-1]['line']}); kernel runs must be pure "
+                    f"functions of (config, schedule, seed)",
+                    evidence=[project.hop(fid, call, note="kernel boundary")] + chain,
+                )
 
 
 @register
@@ -141,144 +143,34 @@ class WallClockRule(Rule):
     summary = (
         "wall-clock, PID, or environment reads (time.time, datetime.now, "
         "os.environ, os.urandom, ...) inside the kernel-adjacent packages, "
-        "whose runs must be pure functions of (config, schedule, seed)"
+        "or reached from them through calls into other modules; their runs "
+        "must be pure functions of (config, schedule, seed)"
     )
     scope = KERNEL_PACKAGES
 
-    def check(self, ctx) -> Iterator[Finding]:
-        time_aliases = ctx.module_aliases("time")
-        os_aliases = ctx.module_aliases("os")
-        datetime_mod_aliases = ctx.module_aliases("datetime")
-        datetime_classes = {
-            local
-            for local, original in ctx.imported_names("datetime").items()
-            if original in ("datetime", "date")
-        }
-        time_from = {
-            local: original
-            for local, original in ctx.imported_names("time").items()
-            if original in WALL_CLOCK_TIME_FNS
-        }
-        os_from = {
-            local: original
-            for local, original in ctx.imported_names("os").items()
-            if original in OS_AMBIENT
-        }
-
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute):
-                base = node.value
-                if isinstance(base, ast.Name):
-                    if base.id in time_aliases and node.attr in WALL_CLOCK_TIME_FNS:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"time.{node.attr} reads the wall clock; kernel "
-                            f"time is the logical step counter",
-                        )
-                    elif base.id in os_aliases and node.attr in OS_AMBIENT:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"os.{node.attr} reads ambient process state; "
-                            f"runs must not depend on the environment",
-                        )
-                    elif (
-                        base.id in datetime_classes and node.attr in DATETIME_AMBIENT
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"datetime.{node.attr}() reads the wall clock",
-                        )
-                elif (
-                    isinstance(base, ast.Attribute)
-                    and isinstance(base.value, ast.Name)
-                    and base.value.id in datetime_mod_aliases
-                    and base.attr in ("datetime", "date")
-                    and node.attr in DATETIME_AMBIENT
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"datetime.{base.attr}.{node.attr}() reads the wall clock",
-                    )
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in time_from:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"time.{time_from[node.id]} reads the wall clock",
-                    )
-                elif node.id in os_from:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"os.{os_from[node.id]} reads ambient process state",
-                    )
-
-
-class _SetBindings:
-    """Names evidently bound to set-typed values within one scope."""
-
-    def __init__(self) -> None:
-        self.set_like: Set[str] = set()
-        self.tainted: Set[str] = set()  # also bound to something non-set
-
-    def names(self) -> Set[str]:
-        return self.set_like - self.tainted
-
-
-def _is_evident_set(node: ast.AST, bound: Set[str]) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and call_name(node) in ("set", "frozenset"):
-        return True
-    if isinstance(node, ast.Name):
-        return node.id in bound
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        return _is_evident_set(node.left, bound) or _is_evident_set(
-            node.right, bound
-        )
-    return False
-
-
-def _scope_set_bindings(scope_node: ast.AST) -> Set[str]:
-    bindings = _SetBindings()
-    if isinstance(scope_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        for arg in (
-            list(scope_node.args.posonlyargs)
-            + list(scope_node.args.args)
-            + list(scope_node.args.kwonlyargs)
-        ):
-            if is_set_annotation(arg.annotation):
-                bindings.set_like.add(arg.arg)
-    for node in scope_walk(scope_node):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                if _is_evident_set(node.value, bindings.set_like):
-                    bindings.set_like.add(target.id)
-                else:
-                    bindings.tainted.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            if is_set_annotation(node.annotation):
-                bindings.set_like.add(node.target.id)
-    return bindings.names()
-
-
-def _inside_order_insensitive_sink(ctx, comp: ast.AST) -> bool:
-    """A generator expression fed straight into sum()/sorted()/... is safe."""
-    parent = ctx.parent(comp)
-    return (
-        isinstance(parent, ast.Call)
-        and isinstance(parent.func, ast.Name)
-        and parent.func.id in ORDER_INSENSITIVE_CALLS
-        and parent.args
-        and parent.args[0] is comp
-    )
+    def check(self, project: Project) -> Iterator[Finding]:
+        flagged: Set[Site] = set()
+        for facts, site in self.sites(project, "clock"):
+            flagged.add((facts.module, site["line"]))
+            yield self.finding(
+                facts,
+                site,
+                f"{site['detail']}; kernel time is the logical step counter",
+            )
+        taint = taint_from(project, "clock")
+        for fid, call, target in kernel_calls(project):
+            chain = _boundary_chain(target, taint, flagged)
+            if chain is None:
+                continue
+            yield self.finding(
+                project.facts[module_of(fid)],
+                call,
+                f"{call['callee']}() transitively reads ambient state "
+                f"({chain[-1].get('note') or 'wall clock'}; source: "
+                f"{chain[-1]['module']}:{chain[-1]['line']}); kernel "
+                f"time is the logical step counter",
+                evidence=[project.hop(fid, call, note="kernel boundary")] + chain,
+            )
 
 
 @register
@@ -288,84 +180,48 @@ class UnorderedIterationRule(Rule):
     code = "RPR103"
     name = "unordered-iteration"
     summary = (
-        "order-sensitive iteration over a bare set/frozenset (or bare "
-        ".keys()) without sorted(); set order varies with hash seeding and "
-        "insertion history, breaking replay and --jobs parity"
+        "order-sensitive use (for, comprehension, list()/tuple(), .pop()) of "
+        "an evident set or a bare .keys() without sorted(), in the kernel "
+        "packages or in a callee they pass a set to; set order varies with "
+        "hash seeding and insertion history, breaking replay and --jobs "
+        "parity"
     )
     scope = KERNEL_PACKAGES
 
-    def check(self, ctx) -> Iterator[Finding]:
-        for scope_node, _body in scopes(ctx.tree):
-            bound = _scope_set_bindings(scope_node)
-            for node in scope_walk(scope_node):
-                yield from self._check_node(ctx, node, bound)
-
-    def _check_node(self, ctx, node: ast.AST, bound: Set[str]) -> Iterator[Finding]:
-        if isinstance(node, ast.For) and _is_evident_set(node.iter, bound):
+    def check(self, project: Project) -> Iterator[Finding]:
+        flagged: Set[Site] = set()
+        for facts, site in self.sites(project, "unordered"):
+            flagged.add((facts.module, site["line"]))
             yield self.finding(
-                ctx,
-                node.iter,
-                "for-loop over a set; wrap the iterable in sorted() so the "
-                "visit order is deterministic",
+                facts,
+                site,
+                f"{site['detail']}: the order is arbitrary; iterate sorted(...) "
+                f"(or use min()/max()) instead",
             )
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            if isinstance(node, ast.GeneratorExp) and _inside_order_insensitive_sink(
-                ctx, node
-            ):
-                return
-            for gen in node.generators:
-                if _is_evident_set(gen.iter, bound):
-                    yield self.finding(
-                        ctx,
-                        gen.iter,
-                        "comprehension over a set produces an order-"
-                        "dependent result; iterate sorted(...) instead",
-                    )
-        elif isinstance(node, ast.Call):
-            name = call_name(node)
-            if (
-                name in ("list", "tuple")
-                and len(node.args) == 1
-                and _is_evident_set(node.args[0], bound)
-            ):
+        sinks = order_sink_params(project)
+        for fid, call, target in kernel_calls(project):
+            if target not in sinks or in_packages(module_of(target), TAINT_EXEMPT):
+                continue
+            for param, shape in callee_param_index(project, target, call):
+                chain = sinks[target].get(param)
+                if (
+                    not shape.get("set")
+                    or chain is None
+                    or chain_source(chain) in flagged
+                ):
+                    continue
                 yield self.finding(
-                    ctx,
-                    node,
-                    f"{name}() over a set fixes an arbitrary order; use "
-                    f"sorted() instead",
+                    project.facts[module_of(fid)],
+                    call,
+                    f"set passed into {call['callee']}({param}=...) has "
+                    f"its iteration order observed at "
+                    f"{chain[-1]['module']}:{chain[-1]['line']}; sort "
+                    f"before the call or inside the sink",
+                    evidence=[
+                        project.hop(fid, call, note=f"evident set bound to '{param}'")
+                    ]
+                    + chain,
                 )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "pop"
-                and not node.args
-                and _is_evident_set(node.func.value, bound)
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "set.pop() removes an arbitrary element; use "
-                    "min()/max() or next(iter(sorted(...)))",
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "keys"
-                and not node.args
-            ):
-                parent = ctx.parent(node)
-                iterated = (
-                    isinstance(parent, ast.For)
-                    and parent.iter is node
-                    or isinstance(parent, ast.comprehension)
-                    and parent.iter is node
-                )
-                if iterated:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "iterating bare .keys() signals set-like intent; "
-                        "iterate the dict directly (insertion-ordered) or "
-                        "sorted(d)",
-                    )
 
 
 @register
@@ -381,54 +237,11 @@ class IdentityOrderingRule(Rule):
     )
     scope = KERNEL_PACKAGES
 
-    def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and call_name(node) == "id":
-                yield self.finding(
-                    ctx,
-                    node,
-                    "id() exposes the allocator; derive ordering/keys from "
-                    "model data (pids, times, payloads) instead",
-                )
-
-
-@register
-class FloatEqualityRule(Rule):
-    """RPR105: float equality in decision/quorum predicates."""
-
-    code = "RPR105"
-    name = "float-equality"
-    summary = (
-        "== / != against a float (literal, float() cast, or true-division "
-        "result) inside the kernel-adjacent packages; decision and quorum "
-        "predicates must use integer arithmetic or explicit tolerances"
-    )
-    scope = KERNEL_PACKAGES
-
-    @staticmethod
-    def _evidently_float(node: ast.AST) -> bool:
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            return True
-        if isinstance(node, ast.Call) and call_name(node) == "float":
-            return True
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            return True
-        return False
-
-    def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left] + list(node.comparators)
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                if self._evidently_float(left) or self._evidently_float(right):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "float equality is representation-dependent; compare "
-                        "integers (e.g. 2*count >= n) or use an explicit "
-                        "tolerance",
-                    )
-                    break
+    def check(self, project: Project) -> Iterator[Finding]:
+        for facts, site in self.sites(project, "ids"):
+            yield self.finding(
+                facts,
+                site,
+                "id() exposes the allocator; derive ordering/keys from "
+                "model data (pids, times, payloads) instead",
+            )

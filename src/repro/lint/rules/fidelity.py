@@ -1,96 +1,20 @@
 """RPR2xx — model-fidelity rules.
 
 The paper's algorithms are I/O automata: a step reads one observation,
-updates local state, and emits sends — nothing else.  These rules hold the
-implementation to that contract (purity of automaton methods), and to the
-two repo-specific contracts layered on top of it: detectors must be honest
-about their cacheability (the history LRU keys on ``cache_key()``), and
-``copy_state`` overrides must copy *every* field (the simulation trie
-branches configurations through them).
+updates local state, and emits sends — nothing else.  RPR201 holds every
+``Automaton``/``Process`` subclass to that contract, wherever its ancestry
+is found (class-hierarchy analysis across modules), both in its own
+methods and through the functions they call in other modules.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, Set, Tuple
 
-from repro.lint.context import top_level_names
 from repro.lint.findings import Finding
+from repro.lint.project.dataflow import chain_source, taint_from
+from repro.lint.project.graph import Project
 from repro.lint.registry import Rule, register
-from repro.lint.rules._helpers import call_name, class_fields, guarded_by_enabled
-
-#: Modules whose exported classes are automaton/process bases.
-AUTOMATON_HOME_MODULES = ("repro.kernel.automaton", "repro.consensus", "repro.smr")
-
-#: Method-call names that mutate their receiver.
-MUTATOR_METHODS = {
-    "add",
-    "append",
-    "clear",
-    "discard",
-    "extend",
-    "insert",
-    "pop",
-    "popitem",
-    "remove",
-    "setdefault",
-    "update",
-}
-
-IO_CALLS = {"print", "open", "input"}
-
-#: Constructor calls whose result the generic ``cache_key()`` cannot key.
-UNKEYABLE_CONSTRUCTORS = {"dict", "list", "set", "bytearray"}
-
-
-def _base_names(cls: ast.ClassDef) -> List[str]:
-    names = []
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return names
-
-
-def _classes_matching(
-    ctx, roots: Set[str], home_modules=()
-) -> Dict[str, ast.ClassDef]:
-    """In-file classes whose ancestry (resolved within the file, seeded by
-    ``roots`` names and imports from ``home_modules``) matches."""
-    imported_matches: Set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            if any(
-                node.module == home or node.module.startswith(home + ".")
-                for home in home_modules
-            ):
-                for item in node.names:
-                    imported_matches.add(item.asname or item.name)
-
-    all_classes = {
-        node.name: node
-        for node in ast.walk(ctx.tree)
-        if isinstance(node, ast.ClassDef)
-    }
-    matching: Dict[str, ast.ClassDef] = {}
-    changed = True
-    while changed:
-        changed = False
-        for name, cls in all_classes.items():
-            if name in matching:
-                continue
-            for base in _base_names(cls):
-                if (
-                    base in roots
-                    or any(root in base for root in roots)
-                    or base in imported_matches
-                    or base in matching
-                ):
-                    matching[name] = cls
-                    changed = True
-                    break
-    return matching
 
 
 @register
@@ -100,207 +24,68 @@ class AutomatonPurityRule(Rule):
     code = "RPR201"
     name = "automaton-purity"
     summary = (
-        "Automaton/Process subclass methods performing I/O (print/open/"
-        "input, sys.stdout) or mutating module globals; steps must be pure "
-        "functions of (state, observation) or replay and merging break"
+        "Automaton/Process subclass methods (ancestry resolved across "
+        "modules) performing I/O (print/open/input, sys.stdout), writing "
+        "module globals or declaring them global, or calling into functions "
+        "that transitively perform I/O; steps must be pure functions of "
+        "(state, observation) or replay and merging break"
     )
-    scope = None
 
-    def check(self, ctx) -> Iterator[Finding]:
-        automata = _classes_matching(
-            ctx, {"Automaton", "Process"}, AUTOMATON_HOME_MODULES
-        )
-        if not automata:
-            return
-        module_globals = top_level_names(ctx.tree)
-        for cls in automata.values():
-            for stmt in cls.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield from self._check_method(ctx, cls, stmt, module_globals)
-
-    def _check_method(
-        self, ctx, cls: ast.ClassDef, method, module_globals: Set[str]
-    ) -> Iterator[Finding]:
-        for node in ast.walk(method):
-            if isinstance(node, ast.Global):
+    def check(self, project: Project) -> Iterator[Finding]:
+        methods = [
+            f"{cid}.{method}"
+            for cid in sorted(project.automaton_classes)
+            for method in project.classes[cid]["methods"]
+        ]
+        flagged: Set[Tuple[str, int]] = set()
+        for fid in methods:
+            module, owner = fid.split(":", 1)
+            facts = project.facts[module]
+            fn = project.functions[fid]
+            for site in fn["io"]:
+                flagged.add((module, site["line"]))
                 yield self.finding(
-                    ctx,
-                    node,
-                    f"{cls.name}.{method.name} rebinds module globals "
-                    f"({', '.join(node.names)}); keep all mutable state in "
-                    f"the automaton state object",
+                    facts,
+                    site,
+                    f"{owner} {site['detail']}; automaton steps must not "
+                    f"perform I/O",
                 )
-            elif isinstance(node, ast.Call):
-                name = call_name(node)
-                if name in IO_CALLS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{cls.name}.{method.name} calls {name}(); automaton "
-                        f"steps must not perform I/O",
-                    )
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in MUTATOR_METHODS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in module_globals
-                    and not guarded_by_enabled(ctx, node)
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{cls.name}.{method.name} mutates module-level "
-                        f"'{node.func.value.id}'; automaton state must live "
-                        f"in the state object",
-                    )
-            elif isinstance(node, ast.Attribute):
-                if (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id == "sys"
-                    and node.attr in ("stdout", "stderr", "stdin")
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{cls.name}.{method.name} touches sys.{node.attr}; "
-                        f"automaton steps must not perform I/O",
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
+            for site in fn["globals"]:
+                flagged.add((module, site["line"]))
+                yield self.finding(
+                    facts,
+                    site,
+                    f"{owner} rebinds module globals ({site['detail']}); keep "
+                    f"all mutable state in the automaton state object",
                 )
-                for target in targets:
-                    if (
-                        isinstance(target, (ast.Subscript, ast.Attribute))
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id in module_globals
-                        and not guarded_by_enabled(ctx, node)
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{cls.name}.{method.name} writes through module-"
-                            f"level '{target.value.id}'; steps must be pure",
-                        )
+            for site in fn["gwrites"]:
+                if site.get("rebind"):
+                    continue  # reported at its ``global`` statement
+                flagged.add((module, site["line"]))
+                yield self.finding(
+                    facts,
+                    site,
+                    f"{owner} mutates module-level '{site['name']}' "
+                    f"({site['detail']}); automaton state must live in the "
+                    f"state object",
+                )
 
-
-@register
-class DetectorCacheKeyRule(Rule):
-    """RPR202: detectors with unkeyable state need an explicit cache_key."""
-
-    code = "RPR202"
-    name = "detector-cache-key"
-    summary = (
-        "FailureDetector subclass stores state the generic cache_key() "
-        "cannot key (dict/list/set/lambda attributes) without overriding "
-        "cache_key(); the history LRU then silently never caches it — "
-        "declare a config tuple, or return None with a comment if stateful"
-    )
-    scope = ("repro",)
-
-    def check(self, ctx) -> Iterator[Finding]:
-        detectors = _classes_matching(ctx, {"Detector"}, ("repro.detectors",))
-        for cls in detectors.values():
-            if cls.name == "FailureDetector":
-                continue
-            has_cache_key = any(
-                isinstance(stmt, ast.FunctionDef) and stmt.name == "cache_key"
-                for stmt in cls.body
-            )
-            if has_cache_key:
-                continue
-            init = next(
-                (
-                    stmt
-                    for stmt in cls.body
-                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
-                ),
-                None,
-            )
-            if init is None:
-                continue
-            for node in ast.walk(init):
-                if not isinstance(node, ast.Assign):
+        io_taint = taint_from(project, "io")
+        for fid in methods:
+            module, owner = fid.split(":", 1)
+            for call, target in project.call_edges[fid]:
+                if target is None or target not in io_taint or target in methods:
+                    continue  # a callee method gets its own direct finding
+                chain = io_taint[target]
+                if chain_source(chain) in flagged:
                     continue
-                stores_self = any(
-                    isinstance(t, ast.Attribute)
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id == "self"
-                    for t in node.targets
-                )
-                if stores_self and self._unkeyable(node.value):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{cls.name} stores an unkeyable attribute; the "
-                        f"generic cache_key() silently returns None — "
-                        f"override cache_key() explicitly",
-                    )
-
-    @staticmethod
-    def _unkeyable(value: ast.AST) -> bool:
-        if isinstance(
-            value,
-            (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp, ast.Lambda),
-        ):
-            return True
-        if isinstance(value, ast.Call) and call_name(value) in UNKEYABLE_CONSTRUCTORS:
-            return True
-        return False
-
-
-@register
-class CopyStateCompletenessRule(Rule):
-    """RPR203: ``copy_state`` must reproduce every state field."""
-
-    code = "RPR203"
-    name = "copy-state-completeness"
-    summary = (
-        "copy_state override constructs the state class but omits fields it "
-        "declares; a branched configuration then silently resets the "
-        "dropped field, corrupting trie snapshots and bounded exploration"
-    )
-    scope = None
-
-    def check(self, ctx) -> Iterator[Finding]:
-        classes = {
-            node.name: node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for cls in classes.values():
-            for stmt in cls.body:
-                if (
-                    isinstance(stmt, ast.FunctionDef)
-                    and stmt.name == "copy_state"
-                ):
-                    yield from self._check_copy_state(ctx, cls, stmt, classes)
-
-    def _check_copy_state(
-        self, ctx, cls: ast.ClassDef, method: ast.FunctionDef, classes
-    ) -> Iterator[Finding]:
-        for node in ast.walk(method):
-            if not (isinstance(node, ast.Return) and isinstance(node.value, ast.Call)):
-                continue
-            call = node.value
-            target_name = call_name(call)
-            target = classes.get(target_name) if target_name else None
-            if target is None:
-                continue
-            if any(kw.arg is None for kw in call.keywords):
-                continue  # **kwargs forwarding: assume complete
-            fields = class_fields(target)
-            if not fields:
-                continue
-            ordered = sorted(fields, key=fields.get)
-            provided = set(ordered[: len(call.args)])
-            provided.update(kw.arg for kw in call.keywords)
-            missing = [name for name in ordered if name not in provided]
-            if missing:
                 yield self.finding(
-                    ctx,
+                    project.facts[module],
                     call,
-                    f"{cls.name}.copy_state constructs {target_name} without "
-                    f"field(s) {', '.join(missing)}; every field of the "
-                    f"state must be copied",
+                    f"{owner} calls {call['callee']}() which transitively "
+                    f"performs I/O "
+                    f"(source: {chain[-1]['module']}:{chain[-1]['line']}); "
+                    f"automaton steps must not perform I/O",
+                    evidence=[project.hop(fid, call, note="automaton method")]
+                    + chain,
                 )

@@ -1,28 +1,23 @@
 """RPR3xx — observability hygiene.
 
-PR 3's tracing layer is sound because every instrumentation site is guarded
+The tracing layer is sound because every instrumentation site is guarded
 by the ``obs._ENABLED`` module flag: with tracing off the hot paths execute
 zero extra work, and the traced/untraced oracle tests prove bit-identical
-runs.  An unguarded ``obs.metrics()`` / ``obs.tracer()`` write erodes both
+runs.  An unguarded ``obs.metrics()`` / ``obs.tracer()`` call erodes both
 properties one site at a time — this rule keeps the idiom mechanical.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
-from repro.lint.rules._helpers import guarded_by_enabled
-
-#: ``repro.obs`` entry points whose call sites must be guarded.
-OBS_ACCESSORS = {"metrics", "tracer"}
 
 
 @register
 class GuardedInstrumentationRule(Rule):
-    """RPR301: obs writes must sit behind the ``_ENABLED`` flag."""
+    """RPR301: obs calls must sit behind the ``_ENABLED`` flag."""
 
     code = "RPR301"
     name = "guarded-instrumentation"
@@ -32,44 +27,17 @@ class GuardedInstrumentationRule(Rule):
         "unguarded sites tax the hot path and can skew traced-vs-untraced "
         "equivalence"
     )
-    scope = None  # custom applies_to below
+    scope = ("repro",)
+    #: the obs package itself and the linter are not instrumented code
+    exempt = ("repro.obs", "repro.lint")
 
-    def applies_to(self, module: str) -> bool:
-        if not (module == "repro" or module.startswith("repro.")):
-            return False
-        # The obs package itself and the linter are not instrumented code.
-        return not module.startswith(("repro.obs", "repro.lint"))
-
-    def check(self, ctx) -> Iterator[Finding]:
-        aliases = ctx.module_aliases("repro.obs")
-        if not aliases:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute) and func.attr in OBS_ACCESSORS
-            ):
-                continue
-            base = func.value
-            is_obs = (
-                isinstance(base, ast.Name) and base.id in aliases
-            ) or (
-                isinstance(base, ast.Attribute)
-                and base.attr == "obs"
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "repro"
-            )
-            if not is_obs:
-                continue
-            if guarded_by_enabled(ctx, node):
-                continue
-            alias = base.id if isinstance(base, ast.Name) else "repro.obs"
+    def check(self, project) -> Iterator[Finding]:
+        for facts, site in self.sites(project, "obs"):
+            alias = site["alias"]
             yield self.finding(
-                ctx,
-                node,
-                f"unguarded {alias}.{func.attr}() instrumentation; wrap the "
-                f"site in `if {alias}._ENABLED:` (or bail out early) so "
-                f"untraced runs pay zero overhead",
+                facts,
+                site,
+                f"unguarded {site['detail']} instrumentation; wrap the site in "
+                f"`if {alias}._ENABLED:` (or bail out early) so untraced runs "
+                f"pay zero overhead",
             )

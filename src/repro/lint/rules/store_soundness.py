@@ -3,20 +3,13 @@
 ``repro.store`` decides "this row need not re-run" by hashing the *static*
 import closure of the task function's module
 (:mod:`repro.store.signature`).  That is sound exactly as long as the code
-a task executes is the code the AST can see.  Two constructs break it —
-silently, as wrong cached answers rather than crashes:
-
-* RPR501 — dynamic code loading (``importlib.import_module``,
-  ``__import__``, ``exec``/``eval``, ``getattr(module, <computed>)``
-  dispatch) reachable from a store-keyed entry point.  The loaded module's
-  source is invisible to the signature: edit it and every dependent row
-  still *hits*.  Each finding names the poisonable entry point and carries
-  the call path to the dynamic site.
-* RPR502 — runtime monkey-patching (``mod.attr = ...`` on an imported
-  module) reachable from a store-keyed entry point or inside kernel scope.
-  The patched module's signature never changes, so rows computed before
-  and after the patch are indistinguishable in the store; results become
-  execution-order-dependent.
+a task executes is the code the AST can see.  RPR501 flags dynamic code
+loading (``importlib.import_module``, ``__import__``, ``exec``/``eval``,
+``getattr(module, <computed>)`` dispatch) reachable from a store-keyed
+entry point: the loaded module's source is invisible to the signature, so
+editing it leaves every dependent row a (stale) cache hit.  Each finding
+names the poisonable entry point and carries the call path to the dynamic
+site.
 
 The paired test in ``tests/lint/test_store_soundness.py`` demonstrates the
 hole end-to-end: a dynamically-imported plugin is edited, the signature
@@ -26,48 +19,17 @@ import site.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List
+from typing import Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.project.dataflow import reachable_cone
+from repro.lint.project.dataflow import reachable_cone, root_note
 from repro.lint.project.facts import MODULE_SCOPE
-from repro.lint.project.graph import Project, in_packages
-from repro.lint.registry import KERNEL_PACKAGES, ProjectRule, register_project
-
-#: The store itself does controlled dynamic work (pickle), and the linter
-#: imports rule modules; neither is store-keyed worker code.
-EXEMPT_MODULES = ("repro.lint",)
+from repro.lint.project.graph import Project, module_of
+from repro.lint.registry import Rule, register
 
 
-def _cone_with_imports(project: Project):
-    """The call cone of the store-keyed entry points, widened with the
-    import-time (``<module>``) code of every module hosting cone functions
-    — module bodies run on worker import, inside the same signature."""
-    cone = reachable_cone(project, project.sweep_entry_points())
-    modules = {fid.split(":", 1)[0] for fid in cone}
-    for module in sorted(modules):
-        fid = f"{module}:{MODULE_SCOPE}"
-        if fid in project.functions and fid not in cone:
-            cone[fid] = [
-                {
-                    "path": project.facts[module].path,
-                    "module": module,
-                    "function": MODULE_SCOPE,
-                    "line": 1,
-                    "snippet": "",
-                    "note": f"import-time code of worker module {module}",
-                }
-            ]
-    return cone
-
-
-def _entry_name(chain: List[Dict[str, Any]]) -> str:
-    first = chain[0]
-    return first.get("note") or f"{first.get('module', '?')}:{first.get('line', '?')}"
-
-
-@register_project
-class DynamicImportInConeRule(ProjectRule):
+@register
+class DynamicImportInConeRule(Rule):
     """RPR501: dynamic code loading inside a store-keyed dependency cone."""
 
     code = "RPR501"
@@ -78,71 +40,38 @@ class DynamicImportInConeRule(ProjectRule):
         "repro.store.signature's static import closure, so editing it "
         "leaves every dependent row a (stale) cache hit"
     )
+    #: the linter imports its own rule modules; it is no store-keyed code
+    exempt = ("repro.lint",)
 
     def check(self, project: Project) -> Iterator[Finding]:
-        cone = _cone_with_imports(project)
+        cone = reachable_cone(project, project.sweep_entry_points())
+        # Module bodies run on worker import, inside the same signature.
+        for module in sorted({module_of(fid) for fid in cone}):
+            fid = f"{module}:{MODULE_SCOPE}"
+            if fid in project.functions and fid not in cone:
+                cone[fid] = [
+                    {
+                        "path": project.facts[module].path,
+                        "module": module,
+                        "function": MODULE_SCOPE,
+                        "line": 1,
+                        "snippet": "",
+                        "note": f"import-time code of worker module {module}",
+                    }
+                ]
         for fid in sorted(cone):
-            module = fid.split(":", 1)[0]
-            if in_packages(module, EXEMPT_MODULES):
-                continue
+            module = module_of(fid)
             fn = project.functions.get(fid)
-            if fn is None:
+            if fn is None or not self.applies_to(module):
                 continue
             chain = cone[fid]
-            for site in fn.get("dynamic", []):
-                yield project.make_finding(
-                    self,
-                    module,
+            for site in fn["dynamic"]:
+                yield self.finding(
+                    project.facts[module],
                     site,
-                    f"{site.get('detail', 'dynamic import')} is reachable "
-                    f"from store-keyed entry point ({_entry_name(chain)}); "
-                    f"the loaded code escapes the store's import-closure "
-                    f"signature — import statically or key the store on "
-                    f"the loaded source explicitly",
+                    f"{site['detail']} is reachable from store-keyed entry "
+                    f"point ({root_note(chain)}); the loaded code escapes the "
+                    f"store's import-closure signature — import statically or "
+                    f"key the store on the loaded source explicitly",
                     evidence=chain + [project.hop(fid, site)],
-                )
-
-
-@register_project
-class ModuleMonkeyPatchRule(ProjectRule):
-    """RPR502: runtime monkey-patching of imported modules."""
-
-    code = "RPR502"
-    name = "module-monkey-patch"
-    summary = (
-        "assignment to an attribute of an imported module reachable from a "
-        "store-keyed entry point or inside kernel scope: the patched "
-        "module's code signature never changes, so stored rows computed "
-        "before and after the patch are indistinguishable"
-    )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        cone = _cone_with_imports(project)
-        for fid in sorted(project.functions):
-            module = fid.split(":", 1)[0]
-            if in_packages(module, EXEMPT_MODULES):
-                continue
-            in_cone = fid in cone
-            if not in_cone and not in_packages(module, KERNEL_PACKAGES):
-                continue
-            fn = project.functions[fid]
-            chain = cone.get(fid, [])
-            for site in fn.get("modpatch", []):
-                where = (
-                    f"reachable from store-keyed entry point "
-                    f"({_entry_name(chain)})"
-                    if in_cone
-                    else "inside kernel scope"
-                )
-                yield project.make_finding(
-                    self,
-                    module,
-                    site,
-                    f"{site.get('detail', 'module attribute rebind')} "
-                    f"({where}); monkey-patching changes behaviour without "
-                    f"changing module '{site.get('target', '?')}'s code "
-                    f"signature — results become patch-order-dependent",
-                    evidence=(chain + [project.hop(fid, site)])
-                    if chain
-                    else [project.hop(fid, site)],
                 )

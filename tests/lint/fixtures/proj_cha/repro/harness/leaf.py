@@ -1,8 +1,8 @@
 """Lint fixture: an automaton subclass only class-hierarchy analysis sees.
 
 ``LoggingLeaf`` extends ``MiddleMachine`` from another module; nothing in
-this file names ``Automaton``, so the single-file RPR201 pass never
-recognizes the class at all.
+this file names ``Automaton``, so linted alone the class is not an
+automaton at all.
 """
 
 from repro.harness.machines import MiddleMachine

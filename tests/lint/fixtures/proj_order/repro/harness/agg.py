@@ -1,8 +1,8 @@
 """Lint fixture: an order-sensitive sink parameter in another module.
 
 ``items`` is iterated by a for-loop whose visit order shapes the result;
-nothing in this file says callers will pass a set, so the single-file pass
-has nothing to flag in either file alone.
+nothing in this file says callers will pass a set, so neither file has
+anything to flag alone.
 """
 
 

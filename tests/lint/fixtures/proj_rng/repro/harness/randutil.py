@@ -1,8 +1,8 @@
 """Lint fixture: a cross-module value binding of the global RNG.
 
-``pick`` is an *assignment*, not a call — the single-file RPR101 pass has
-nothing to flag here, and the kernel-side caller never mentions ``random``
-at all.  Only whole-program resolution connects the two.
+``pick`` is an *assignment*, not a call — linted alone, this file has
+nothing to flag, and the kernel-side caller never mentions ``random`` at
+all.  Only whole-program resolution connects the two.
 """
 
 import random

@@ -2,7 +2,7 @@
 
 Includes the two acceptance gates: the repository lints clean under
 ``--strict``, and the committed fixture of seeded violations exits nonzero
-naming every rule code.
+naming every rule code, each at its seeded line.
 """
 
 import json
@@ -44,14 +44,21 @@ class TestSelfLint:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 finding(s)" in proc.stdout
 
-    def test_src_lints_clean_against_committed_baseline(self):
-        proc = run_cli(
-            "lint", "src", "--strict", "--baseline", "lint-baseline.json"
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
 
 class TestSeededFixture:
+    #: (code, line) of every finding the fixture must produce, in report
+    #: order (path, line, col, code) — one seeded violation per code.
+    EXPECTED = [
+        ("RPR101", 21),
+        ("RPR102", 25),
+        ("RPR103", 30),
+        ("RPR104", 36),
+        ("RPR201", 41),
+        ("RPR301", 46),
+        ("RPR401", 53),
+        ("RPR501", 58),
+    ]
+
     @pytest.fixture()
     def fixture_file(self, tmp_path):
         # Under a repro/kernel/ directory so package-scoped rules fire.
@@ -65,8 +72,9 @@ class TestSeededFixture:
         proc = run_cli("lint", str(fixture_file), "--format", "json")
         assert proc.returncode == 1
         report = json.loads(proc.stdout)
-        fired = {f["code"] for f in report["findings"]}
-        assert fired == set(known_codes())
+        found = [(f["code"], f["line"]) for f in report["findings"]]
+        assert found == self.EXPECTED
+        assert {code for code, _ in found} == set(known_codes())
 
     def test_text_report_names_every_code(self, fixture_file):
         proc = run_cli("lint", str(fixture_file))
@@ -87,47 +95,8 @@ class TestCliOptions:
         target.write_text("x = 1\n")
         assert main(["lint", str(target), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro-lint/2"
+        assert report["schema"] == "repro-lint/3"
         assert report["summary"]["files_checked"] == 1
-
-    def test_sarif_format_is_valid_2_1_0(self, tmp_path, capsys):
-        pkg = tmp_path / "repro" / "kernel"
-        pkg.mkdir(parents=True)
-        target = pkg / "dirty.py"
-        target.write_text("import time\nt = time.time()\n")
-        assert main(["lint", str(target), "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-
-        assert log["version"] == "2.1.0"
-        assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-        (run,) = log["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == sorted(set(rule_ids))  # unique, sorted
-        assert set(rule_ids) == set(known_codes())
-
-        (result,) = run["results"]
-        assert result["ruleId"] == "RPR102"
-        assert rule_ids[result["ruleIndex"]] == "RPR102"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["region"]["startLine"] == 2
-        assert location["region"]["startColumn"] >= 1
-        assert "dirty.py" in location["artifactLocation"]["uri"]
-        assert result["partialFingerprints"]["reproLintFingerprint/v1"]
-
-    def test_sarif_marks_suppressed_findings(self, tmp_path, capsys):
-        pkg = tmp_path / "repro" / "kernel"
-        pkg.mkdir(parents=True)
-        target = pkg / "noqa.py"
-        target.write_text(
-            "import time\nt = time.time()  # repro: noqa RPR102 -- test\n"
-        )
-        assert main(["lint", str(target), "--format", "sarif"]) == 0
-        log = json.loads(capsys.readouterr().out)
-        (result,) = log["runs"][0]["results"]
-        assert result["suppressions"] == [{"kind": "inSource"}]
 
     def test_output_artifact_written(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
@@ -136,29 +105,8 @@ class TestCliOptions:
         code = main(["lint", str(target), "--output", str(artifact)])
         capsys.readouterr()
         assert code == 0
-        assert json.loads(artifact.read_text())["schema"] == "repro-lint/2"
+        assert json.loads(artifact.read_text())["schema"] == "repro-lint/3"
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["lint", "no/such/path"]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_bad_baseline_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")
-        code = main(["lint", str(target), "--baseline", str(bad)])
-        capsys.readouterr()
-        assert code == 2
-
-    def test_write_baseline_then_lint_clean(self, tmp_path, capsys):
-        pkg = tmp_path / "repro" / "kernel"
-        pkg.mkdir(parents=True)
-        target = pkg / "dirty.py"
-        target.write_text("import time\nt = time.time()\n")
-        baseline = tmp_path / "baseline.json"
-
-        assert main(["lint", str(target)]) == 1
-        assert main(["lint", str(target), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main(["lint", str(target), "--baseline", str(baseline)]) == 0

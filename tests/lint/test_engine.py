@@ -1,13 +1,11 @@
-"""Engine behaviour: suppressions, baselines, fingerprints, reporters."""
+"""Engine behaviour: suppressions, file collection, reporters."""
 
 import json
 
 import pytest
 
 from repro.lint import lint_source
-from repro.lint.baseline import SCHEMA, Baseline
 from repro.lint.engine import collect_files, run_lint
-from repro.lint.findings import Finding, assign_occurrences
 from repro.lint.noqa import parse_suppressions
 from repro.lint.reporters import JSON_SCHEMA, render_json, render_text
 
@@ -98,6 +96,19 @@ class TestRunLint:
         assert result.exit_code(strict=False) == 0
         assert result.exit_code(strict=True) == 1
 
+    def test_unknown_noqa_code_strict_only(self, tmp_path):
+        # Built by concatenation so this line is no suppression itself.
+        src = "x = 1  # repro: noqa " + "RPR999 -- no such rule\n"
+        target = write_kernel_file(tmp_path, src)
+        result = run_lint([str(target)])
+        assert result.findings == []
+        assert [(s.line, sorted(s.codes)) for _, s in result.unknown_noqa] == [
+            (1, ["RPR999"])
+        ]
+        assert result.exit_code(strict=False) == 0
+        assert result.exit_code(strict=True) == 1
+        assert "RPR999" in render_text(result)
+
     def test_collect_files_sorted_and_deduped(self, tmp_path):
         write_kernel_file(tmp_path, "x = 1\n", name="b.py")
         write_kernel_file(tmp_path, "x = 1\n", name="a.py")
@@ -106,69 +117,6 @@ class TestRunLint:
         files = collect_files([str(tmp_path), str(tmp_path)])
         names = [f.rsplit("/", 1)[-1] for f in files]
         assert names == ["a.py", "b.py"]
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        target = write_kernel_file(tmp_path, VIOLATION)
-        first = run_lint([str(target)])
-        assert len(first.findings) == 1
-
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).save(str(baseline_path))
-        loaded = Baseline.load(str(baseline_path))
-
-        second = run_lint([str(target)], baseline=loaded)
-        assert second.findings == []
-        assert len(second.baselined) == 1
-        assert second.stale_baseline == []
-        assert second.exit_code(strict=True) == 0
-
-    def test_fixed_finding_leaves_stale_entry(self, tmp_path):
-        target = write_kernel_file(tmp_path, VIOLATION)
-        baseline = Baseline.from_findings(run_lint([str(target)]).findings)
-
-        target.write_text("x = 1\n")  # violation fixed, entry now stale
-        result = run_lint([str(target)], baseline=baseline)
-        assert result.findings == []
-        assert len(result.stale_baseline) == 1
-        assert result.exit_code(strict=False) == 0
-        assert result.exit_code(strict=True) == 1
-
-    def test_schema_enforced_on_load(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "other/9", "entries": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(str(bad))
-
-    def test_saved_schema_marker(self, tmp_path):
-        path = tmp_path / "b.json"
-        Baseline().save(str(path))
-        assert json.loads(path.read_text())["schema"] == SCHEMA
-
-    def test_fingerprint_survives_line_shift(self):
-        src = "import time\nt = time.time()\n"
-        shifted = "import time\n\n\n\nt = time.time()\n"
-        first = lint_source(src, module=KERNEL)
-        second = lint_source(shifted, module=KERNEL)
-        assign_occurrences(first)
-        assign_occurrences(second)
-        assert first[0].fingerprint == second[0].fingerprint
-        assert first[0].line != second[0].line
-
-    def test_occurrences_distinguish_identical_lines(self):
-        finding = dict(
-            code="RPR102",
-            path="p.py",
-            module=KERNEL,
-            line=1,
-            col=0,
-            message="m",
-            snippet="t = time.time()",
-        )
-        twins = [Finding(**finding), Finding(**finding)]
-        assign_occurrences(twins)
-        assert twins[0].fingerprint != twins[1].fingerprint
 
 
 class TestReporters:
@@ -180,8 +128,9 @@ class TestReporters:
         assert report["summary"]["findings"] == 1
         assert report["summary"]["by_code"] == {"RPR102": 1}
         (entry,) = report["findings"]
-        for key in ("code", "path", "module", "line", "message", "fingerprint"):
+        for key in ("code", "path", "module", "line", "col", "message", "evidence"):
             assert key in entry
+        assert "fingerprint" not in entry
         assert entry["code"] == "RPR102"
 
     def test_text_report_names_code_and_location(self, tmp_path):

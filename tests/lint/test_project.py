@@ -1,34 +1,25 @@
-"""Whole-program lint: cross-module flow rules, CHA, cycle tolerance,
-the RPR4xx/RPR5xx families, and the incremental facts cache.
+"""Whole-program lint: cross-module flow legs, CHA, cycle tolerance and
+the RPR401 fork-safety rule.
 
 Every ``proj_*`` fixture under ``tests/lint/fixtures/`` is a small
 committed module tree.  Each flow-aware scenario asserts two things:
 
-* **the old pass provably missed it** — linting every file of the tree
+* **no single file shows it** — linting every file of the tree
   *individually* yields no findings;
-* **the whole-program pass catches it** — linting the tree together
-  yields the expected code, at the expected module, with an evidence
-  chain that crosses files.
+* **the whole-program view catches it** — linting the tree together
+  yields the expected code, at the expected module and line, with an
+  evidence chain that crosses files.
 """
 
 import json
 import os
 import shutil
-import subprocess
-import sys
-
-import pytest
 
 from repro.lint import lint_source
 from repro.lint.engine import collect_files, run_lint
-from repro.lint.project.cache import FactsCache
-from repro.lint.reporters import render_json, report_sarif
-from repro.store.store import ResultStore
+from repro.lint.reporters import render_json
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-REPO_ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-)
 
 
 def deploy(tmp_path, scenario):
@@ -37,6 +28,10 @@ def deploy(tmp_path, scenario):
         os.path.join(FIXTURES, scenario), tmp_path, dirs_exist_ok=True
     )
     return str(tmp_path)
+
+
+def sites(findings):
+    return [(f.code, f.module, f.line) for f in findings]
 
 
 def per_file_findings(tree):
@@ -54,10 +49,9 @@ class TestCrossModuleFlow:
         assert per_file_findings(tree) == []
 
         findings = run_lint([tree]).findings
-        assert [f.code for f in findings] == ["RPR101"]
+        assert sites(findings) == [("RPR101", "repro.kernel.stepper", 8)]
         (finding,) = findings
-        assert finding.module == "repro.kernel.stepper"
-        assert finding.rule_name == "global-random-flow"
+        assert finding.rule_name == "global-random"
         assert "random.choice" in finding.message
         assert finding.evidence
 
@@ -66,10 +60,9 @@ class TestCrossModuleFlow:
         assert per_file_findings(tree) == []
 
         findings = run_lint([tree]).findings
-        assert [f.code for f in findings] == ["RPR102"]
+        assert sites(findings) == [("RPR102", "repro.kernel.clocked", 7)]
         (finding,) = findings
-        assert finding.module == "repro.kernel.clocked"
-        assert finding.rule_name == "wall-clock-flow"
+        assert finding.rule_name == "wall-clock"
         # The chain bottoms out at the concrete read in the helper module.
         assert finding.evidence[-1]["module"] == "repro.harness.timeutil"
         assert "time.time" in finding.evidence[-1]["snippet"]
@@ -79,10 +72,9 @@ class TestCrossModuleFlow:
         assert per_file_findings(tree) == []
 
         findings = run_lint([tree]).findings
-        assert [f.code for f in findings] == ["RPR103"]
+        assert sites(findings) == [("RPR103", "repro.kernel.combine", 8)]
         (finding,) = findings
-        assert finding.module == "repro.kernel.combine"
-        assert finding.rule_name == "unordered-iteration-flow"
+        assert finding.rule_name == "unordered-iteration"
         assert finding.evidence[-1]["module"] == "repro.harness.agg"
 
     def test_cha_discovers_automaton_two_modules_deep(self, tmp_path):
@@ -90,10 +82,9 @@ class TestCrossModuleFlow:
         assert per_file_findings(tree) == []
 
         findings = run_lint([tree]).findings
-        assert [f.code for f in findings] == ["RPR201"]
+        assert sites(findings) == [("RPR201", "repro.harness.leaf", 15)]
         (finding,) = findings
-        assert finding.module == "repro.harness.leaf"
-        assert finding.rule_name == "automaton-purity-flow"
+        assert finding.rule_name == "automaton-purity"
         assert "LoggingLeaf" in finding.message
 
     def test_import_cycle_tolerated_and_still_traced(self, tmp_path):
@@ -101,21 +92,21 @@ class TestCrossModuleFlow:
         assert per_file_findings(tree) == []
 
         findings = run_lint([tree]).findings
-        assert [f.code for f in findings] == ["RPR102"]
+        assert sites(findings) == [("RPR102", "repro.kernel.user", 8)]
         (finding,) = findings
-        assert finding.module == "repro.kernel.user"
         assert finding.evidence[-1]["module"] == "repro.harness.alpha"
         assert "getpid" in finding.evidence[-1]["snippet"]
 
-    def test_evidence_survives_into_sarif_related_locations(self, tmp_path):
+    def test_evidence_survives_into_json_report(self, tmp_path):
         tree = deploy(tmp_path, "proj_clock")
-        sarif = report_sarif(run_lint([tree]))
-        (result,) = sarif["runs"][0]["results"]
-        related = result["relatedLocations"]
-        assert any(
-            "timeutil" in loc["physicalLocation"]["artifactLocation"]["uri"]
-            for loc in related
-        )
+        report = json.loads(render_json(run_lint([tree])))
+        (entry,) = report["findings"]
+        hops = [(hop["module"], hop["line"]) for hop in entry["evidence"]]
+        assert hops == [
+            ("repro.kernel.clocked", 7),
+            ("repro.harness.timeutil", 11),
+        ]
+        assert entry["evidence"][-1]["path"].endswith("timeutil.py")
 
 
 class TestParallelSafetyRules:
@@ -144,135 +135,3 @@ class TestParallelSafetyRules:
         src = self.WORKER.replace("fn=worker", "fn=other")
         codes = [f.code for f in lint_source(src, module="repro.harness.work")]
         assert "RPR401" not in codes
-
-    def test_rpr402_lambda_registered_as_task_fn(self):
-        src = (
-            "from repro.harness.parallel import SweepTask\n"
-            "TASK = SweepTask(name='t', fn=lambda seed: seed)\n"
-        )
-        findings = lint_source(src, module="repro.harness.work")
-        assert [f.code for f in findings] == ["RPR402"]
-
-    def test_rpr402_local_closure_passed_to_run_sweep(self):
-        src = (
-            "from repro.harness.parallel import run_sweep\n"
-            "\n"
-            "\n"
-            "def launch(tasks):\n"
-            "    def fold(row):\n"
-            "        return row\n"
-            "    return run_sweep(tasks, fold)\n"
-        )
-        findings = lint_source(src, module="repro.harness.work")
-        assert [f.code for f in findings] == ["RPR402"]
-        assert "fold" in findings[0].message
-
-    def test_rpr403_out_of_band_registry_reset(self):
-        src = (
-            "from repro import obs\n"
-            "\n"
-            "\n"
-            "def clear():\n"
-            "    obs.metrics().reset()\n"
-        )
-        codes = [f.code for f in lint_source(src, module="repro.harness.work")]
-        assert "RPR403" in codes
-
-    def test_rpr403_allowed_inside_protocol_modules(self):
-        src = (
-            "from repro import obs\n"
-            "\n"
-            "\n"
-            "def clear():\n"
-            "    obs.metrics().reset()\n"
-        )
-        codes = [
-            f.code for f in lint_source(src, module="repro.harness.parallel")
-        ]
-        assert "RPR403" not in codes
-
-
-class TestStoreSoundnessRules:
-    def test_rpr502_module_monkey_patch_in_kernel_scope(self):
-        src = (
-            "import random\n"
-            "\n"
-            "\n"
-            "def pin():\n"
-            "    random.seed = lambda s: None\n"
-        )
-        codes = [f.code for f in lint_source(src, module="repro.kernel.x")]
-        assert "RPR502" in codes
-
-    def test_rpr502_silent_outside_cone_and_kernel(self):
-        src = (
-            "import random\n"
-            "\n"
-            "\n"
-            "def pin():\n"
-            "    random.seed = lambda s: None\n"
-        )
-        codes = [f.code for f in lint_source(src, module="repro.analysis.x")]
-        assert "RPR502" not in codes
-
-
-class TestFactsCache:
-    def test_warm_run_is_byte_identical_and_all_hits(self, tmp_path):
-        tree = deploy(tmp_path / "tree", "proj_rng")
-        store_root = str(tmp_path / "store")
-
-        cold_cache = FactsCache(ResultStore(store_root))
-        cold = run_lint([tree], cache=cold_cache)
-        assert cold.cache_stats == {
-            "hits": 0,
-            "misses": cold.files_checked,
-        }
-
-        warm_cache = FactsCache(ResultStore(store_root))
-        warm = run_lint([tree], cache=warm_cache)
-        assert warm.cache_stats == {"hits": warm.files_checked, "misses": 0}
-        assert render_json(warm) == render_json(cold)
-
-    def test_edited_file_misses_unchanged_files_hit(self, tmp_path):
-        tree = deploy(tmp_path / "tree", "proj_rng")
-        store_root = str(tmp_path / "store")
-        run_lint([tree], cache=FactsCache(ResultStore(store_root)))
-
-        kernel_file = os.path.join(tree, "repro", "kernel", "stepper.py")
-        with open(kernel_file, "a") as fh:
-            fh.write("\n\nEXTRA = 1\n")
-        result = run_lint([tree], cache=FactsCache(ResultStore(store_root)))
-        assert result.cache_stats == {"hits": 1, "misses": 1}
-        assert [f.code for f in result.findings] == ["RPR101"]
-
-    def test_cli_changed_double_run_byte_identical(self, tmp_path):
-        tree = deploy(tmp_path / "tree", "proj_cycle")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        env["REPRO_STORE_DIR"] = str(tmp_path / "store")
-
-        def run():
-            return subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "lint",
-                    tree,
-                    "--changed",
-                    "--format",
-                    "json",
-                ],
-                capture_output=True,
-                text=True,
-                cwd=REPO_ROOT,
-                env=env,
-            )
-
-        first, second = run(), run()
-        assert first.returncode == second.returncode == 1
-        assert first.stdout == second.stdout
-        assert "miss" in first.stderr and "hit" in second.stderr
-        report = json.loads(second.stdout)
-        files = report["summary"]["files_checked"]
-        assert f"{files} hit(s), 0 miss(es)" in second.stderr
