@@ -3,7 +3,7 @@
 
 Usage: PYTHONPATH=src python benchmarks/check_determinism.py
            [--exp NAME | --chaos | --service] [--quick/--full] [--jobs N]
-           [--verbose] [--store]
+           [--verbose]
 
 The static pass (``python -m repro lint``) proves the *patterns* that break
 determinism are absent; this script is its dynamic counterpart.  It executes
@@ -17,11 +17,8 @@ With ``--jobs N`` (N > 1) the second run additionally exercises the
 parallel sweep driver, so the diff doubles as a serial-vs-parallel parity
 check.
 
-With ``--store`` both compared runs are routed through a throwaway
-content-addressed result store that a cold run prepopulates first: the
-check then also proves that warm (all-hits) sweeps render the same bytes
-and obs counters as each other regardless of job count, and that no row
-was silently re-executed.
+The quick parameterization of every experiment is the one
+``repro experiment --quick`` runs (``repro.harness.spec.QUICK_OVERRIDES``).
 
 CI runs the quick parameterization; it completes in well under a minute.
 """
@@ -32,15 +29,11 @@ import argparse
 import hashlib
 import sys
 
-QUICK_OVERRIDES = {
-    "exp1": dict(ns=(2, 3), seeds=(0,)),
-    "exp2": dict(ns=(2, 3), seeds=(0,)),
-    "exp3": dict(ns=(3,), seeds=(0,)),
-    "exp5": dict(seeds=(0,)),
-    "exp6": dict(seeds=range(3)),
-    "exp7": dict(ns=(2, 3), seeds=(0,)),
-    "exp9": dict(seeds=(0,)),
-}
+from repro.harness.spec import (
+    EXPERIMENT_SUFFIXES,
+    QUICK_OVERRIDES,
+    experiment_runner,
+)
 
 
 def _digest(text: str) -> str:
@@ -66,17 +59,14 @@ def _canonical_counters(snapshot: dict) -> str:
     return repr(triples)
 
 
-def run_once(exp: str, quick: bool, jobs: int, store=None) -> dict:
+def run_once(exp: str, quick: bool, jobs: int) -> dict:
     """One full experiment run; returns digests of everything observable."""
     from repro import obs
     from repro.detectors.base import clear_history_cache
-    from repro.harness import experiments
 
-    runner = getattr(experiments, f"{exp}_{_SUFFIXES[exp]}")
-    kwargs = dict(QUICK_OVERRIDES.get(exp, {})) if quick else {}
+    runner = experiment_runner(exp)
+    kwargs = dict(QUICK_OVERRIDES[exp]) if quick else {}
     kwargs["jobs"] = jobs
-    if store is not None:
-        kwargs["store"] = store
 
     # Fresh cross-run state: the point is to prove a rerun reproduces the
     # first run from nothing but (parameters, seeds).
@@ -199,19 +189,6 @@ def run_chaos_once(quick: bool, jobs: int) -> dict:
     }
 
 
-_SUFFIXES = {
-    "exp1": "nuc_sufficiency",
-    "exp2": "boosting",
-    "exp3": "extraction",
-    "exp4": "separation",
-    "exp5": "contamination",
-    "exp6": "merging",
-    "exp7": "scaling",
-    "exp8": "exhaustive",
-    "exp9": "registers",
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
@@ -227,7 +204,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--exp",
         default="exp3",
-        choices=sorted(_SUFFIXES),
+        choices=sorted(EXPERIMENT_SUFFIXES),
         help="experiment sweep to run twice (default: exp3, extraction)",
     )
     parser.add_argument(
@@ -261,19 +238,8 @@ def main(argv=None) -> int:
         "burst workload at batch sizes 1/4/16 on the logical clock, "
         "twice — also proves the applied digest is batch-size-invariant",
     )
-    parser.add_argument(
-        "--store",
-        action="store_true",
-        help="route both compared runs through a prepopulated throwaway "
-        "result store: a cold run fills it first, then the serial and "
-        "jobs=N runs must both be all-hits AND digest-identical",
-    )
     args = parser.parse_args(argv)
 
-    if args.store and (args.chaos or args.service):
-        print("error: --store applies to experiment sweeps only",
-              file=sys.stderr)
-        return 2
     if args.chaos and args.service:
         print("error: pick one of --chaos / --service", file=sys.stderr)
         return 2
@@ -285,27 +251,12 @@ def main(argv=None) -> int:
         label = "chaos matrix"
     else:
         label = args.exp
-    store = None
-    store_ctx = None
-    if args.store:
-        import tempfile
-
-        from repro.store import ResultStore
-
-        store_ctx = tempfile.TemporaryDirectory(prefix="repro-determ-store-")
-        store = ResultStore(store_ctx.name)
-        print(f"prepopulating result store (cold {args.exp} run) ...",
-              flush=True)
-        run_once(args.exp, quick, 1, store=store)
-        store.stats.reset()
     if args.service:
         once = lambda jobs: run_service_once(quick)  # noqa: E731
     elif args.chaos:
         once = lambda jobs: run_chaos_once(quick, jobs)  # noqa: E731
     else:
-        once = (  # noqa: E731
-            lambda jobs: run_once(args.exp, quick, jobs, store=store)
-        )
+        once = lambda jobs: run_once(args.exp, quick, jobs)  # noqa: E731
     print(
         f"run 1/2: {label} ({'quick' if quick else 'full'}, serial) ...",
         flush=True,
@@ -326,16 +277,6 @@ def main(argv=None) -> int:
             f"[{'ok' if match else 'MISMATCH'}]"
         )
         ok = ok and match
-
-    if store is not None:
-        cold_rows = store.stats.misses + store.stats.invalidated
-        warm_ok = cold_rows == 0 and store.stats.hits > 0
-        print(
-            f"store   : {store.stats.hits} hit(s), {cold_rows} re-executed "
-            f"across both warm runs [{'ok' if warm_ok else 'MISMATCH'}]"
-        )
-        ok = ok and warm_ok
-        store_ctx.cleanup()
 
     if not ok:
         print(

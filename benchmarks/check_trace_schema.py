@@ -1,10 +1,8 @@
 #!/usr/bin/env python
-"""Validate JSONL trace files (repro-trace/1 and repro-trace/2 schemas).
+"""Validate JSONL trace files against the repro-trace/2 schema.
 
 Usage: PYTHONPATH=src python benchmarks/check_trace_schema.py TRACE [TRACE ...]
 
-Both schema generations are accepted: /2 adds an optional precomputed
-span-path aggregate record, which is only legal under a /2 header.
 Exits nonzero if any file fails validation; CI runs this against the
 traces emitted by the smoke experiment.
 """

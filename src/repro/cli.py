@@ -7,10 +7,9 @@ Commands
                    system and print decisions, verdicts and optionally a
                    step transcript
 ``experiment``     run one of the EXP-1..EXP-9 sweeps and print its table
-``sweep``          run a declarative TOML/CSV sweep spec through the
-                   content-addressed result store (only moved rows execute)
-``store``          inspect/maintain the result store: ``ls``, ``gc``,
-                   ``diff SPEC`` (what a sweep would re-run right now)
+``sweep``          run a declarative TOML/CSV sweep spec and print its
+                   table(s); ``benchmarks/specs/expN.toml`` regenerates
+                   ``benchmarks/results/exp-N.txt``
 ``contamination``  play the Section 6.3 scenario against naive / A_nuc
 ``adversary``      run the Theorem 7.1 partition adversary for (n, t)
 ``extract``        run the necessity transformation T_{D -> Σν} and report
@@ -115,46 +114,32 @@ def cmd_consensus(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from repro.harness import experiments
+    from repro.harness.spec import QUICK_OVERRIDES, experiment_runner
 
-    runners = {
-        "exp1": experiments.exp1_nuc_sufficiency,
-        "exp2": experiments.exp2_boosting,
-        "exp3": experiments.exp3_extraction,
-        "exp4": experiments.exp4_separation,
-        "exp5": experiments.exp5_contamination,
-        "exp6": experiments.exp6_merging,
-        "exp7": experiments.exp7_scaling,
-        "exp8": experiments.exp8_exhaustive,
-        "exp9": experiments.exp9_registers,
-    }
-    quick_overrides = {
-        "exp1": dict(ns=(2, 3), seeds=(0,)),
-        "exp2": dict(ns=(2, 3), seeds=(0,)),
-        "exp3": dict(ns=(3,), seeds=(0,)),
-        "exp4": dict(cases=((2, 1), (4, 2), (3, 1)), seeds=(0,)),
-        "exp5": dict(seeds=(0,)),
-        "exp6": dict(seeds=range(3)),
-        "exp7": dict(ns=(2, 3), seeds=(0,)),
-        "exp8": dict(n=3, crash_times=(0,), seeds=(0,)),
-        "exp9": dict(seeds=(0,)),
-    }
-    runner = runners[args.name]
-    kwargs = dict(quick_overrides[args.name]) if args.quick else {}
-    kwargs["jobs"] = args.jobs
-    store = None
-    if args.store:
-        from repro.store import ResultStore
-
-        store = ResultStore(args.store_dir)
-        kwargs["store"] = store
+    kwargs = dict(QUICK_OVERRIDES[args.name]) if args.quick else {}
     with _maybe_traced(args, f"experiment:{args.name}"):
-        table = runner(**kwargs)
+        table = experiment_runner(args.name)(**kwargs, jobs=args.jobs)
     print(table.render())
-    if store is not None:
-        from repro.store.cli import _stats_line
+    return 0
 
-        print(_stats_line(store))
+
+def cmd_sweep(args) -> int:
+    """Run the spec file's sweep(s) and print the rendered tables."""
+    from repro.harness.spec import SpecError, load_specs
+
+    try:
+        specs = load_specs(args.spec)
+    except (OSError, SpecError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rendered = (
+        "\n\n".join(spec.run(jobs=args.jobs).render() for spec in specs) + "\n"
+    )
+    sys.stdout.write(rendered)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(rendered)
+        print(f"(table written to {args.output})")
     return 0
 
 
@@ -619,28 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         default=None,
         metavar="FILE",
-        help="write a repro-trace/1 JSONL trace of the sweep "
+        help="write a repro-trace/2 JSONL trace of the sweep "
         "(inspect with 'repro trace FILE')",
-    )
-    experiment.add_argument(
-        "--store",
-        action="store_true",
-        help="serve unchanged rows from the content-addressed result store "
-        "(benchmarks/results/store; see docs/sweeps.md)",
-    )
-    experiment.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="result store root (default: benchmarks/results/store)",
     )
     experiment.set_defaults(func=cmd_experiment)
 
-    from repro.store.cli import cmd_store, cmd_sweep
-
     sweep = sub.add_parser(
-        "sweep",
-        help="run a declarative TOML/CSV sweep spec through the result store",
+        "sweep", help="run a declarative TOML/CSV sweep spec; print its table"
     )
     sweep.add_argument("spec", help="sweep spec file (.toml or .csv)")
     sweep.add_argument(
@@ -652,83 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
         "every N)",
     )
     sweep.add_argument(
-        "--no-store",
-        action="store_true",
-        help="execute every row; do not read or write the result store",
-    )
-    sweep.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="result store root (default: benchmarks/results/store)",
-    )
-    sweep.add_argument(
         "--output",
         default=None,
         metavar="FILE",
-        help="also write the rendered table(s) to FILE (byte-comparable "
-        "across warm/cold runs)",
-    )
-    sweep.add_argument(
-        "--stats-json",
-        default=None,
-        metavar="FILE",
-        help="write hit/miss/invalidated counts and the table digest as JSON",
-    )
-    sweep.add_argument(
-        "--require-warm",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="exit 1 unless the store hit rate reached RATE (e.g. 0.95; "
-        "the CI warm-cache gate)",
+        help="also write the rendered table(s) to FILE (what "
+        "benchmarks/results/exp-N.txt holds)",
     )
     sweep.set_defaults(func=cmd_sweep)
-
-    store = sub.add_parser(
-        "store", help="inspect/maintain the content-addressed result store"
-    )
-    store.add_argument(
-        "action",
-        choices=["ls", "gc", "diff"],
-        help="ls: list records; gc: collect stale records; diff: what a "
-        "spec's sweep would re-run right now",
-    )
-    store.add_argument(
-        "spec",
-        nargs="?",
-        default=None,
-        help="sweep spec file (required for 'diff')",
-    )
-    store.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="result store root (default: benchmarks/results/store)",
-    )
-    store.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    store.add_argument(
-        "--all",
-        action="store_true",
-        help="gc: remove every object record, not just stale ones",
-    )
-    store.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="gc: report what would be removed without deleting",
-    )
-    store.add_argument(
-        "--verbose", action="store_true", help="gc: list removed records"
-    )
-    store.add_argument(
-        "--counters",
-        action="store_true",
-        help="diff: compare stored row telemetry (counter deltas between "
-        "the current and the displaced code signature)",
-    )
-    store.set_defaults(func=cmd_store)
 
     contamination = sub.add_parser(
         "contamination", help="the Section 6.3 scenario"
@@ -759,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         default=None,
         metavar="FILE",
-        help="write a repro-trace/1 JSONL trace of the extraction run",
+        help="write a repro-trace/2 JSONL trace of the extraction run",
     )
     extract.set_defaults(func=cmd_extract)
 
@@ -788,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "target",
-        help="a repro-trace/1 or /2 JSONL file, or the subaction "
+        help="a repro-trace/2 JSONL file, or the subaction "
         "'diff' / 'flame'",
     )
     trace.add_argument(

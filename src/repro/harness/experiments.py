@@ -47,17 +47,12 @@ from repro.separation.contamination import run_contamination_scenario
 from repro import obs as _obs
 
 
-def _sweep(
-    name: str,
-    tasks: List[SweepTask],
-    jobs: int,
-    store: Any = None,
-) -> List[Any]:
+def _sweep(name: str, tasks: List[SweepTask], jobs: int) -> List[Any]:
     """Dispatch an experiment's tasks under an ``exp.<name>`` span."""
     if not _obs._ENABLED:
-        return run_sweep(tasks, jobs=jobs, store=store)
+        return run_sweep(tasks, jobs=jobs)
     with _obs.tracer().span(f"exp.{name}", tasks=len(tasks), jobs=jobs):
-        return run_sweep(tasks, jobs=jobs, store=store)
+        return run_sweep(tasks, jobs=jobs)
 
 
 def exp1_nuc_sufficiency(
@@ -66,7 +61,6 @@ def exp1_nuc_sufficiency(
     max_steps: int = 30000,
     include_stack: bool = True,
     jobs: int = 1,
-    store: Any = None,
 ) -> Table:
     """EXP-1 (Thms 6.27/6.28): A_nuc and the full stack solve nonuniform
     consensus in any environment, including minority-correct ones."""
@@ -121,7 +115,7 @@ def exp1_nuc_sufficiency(
                     )
                 )
             groups.append(("stack", n, len(seeds)))
-    results = _sweep("exp1", tasks, jobs, store=store)
+    results = _sweep("exp1", tasks, jobs)
     cursor = 0
     for algo, n, count in groups:
         outcomes = results[cursor : cursor + count]
@@ -152,7 +146,6 @@ def exp2_boosting(
     seeds: Sequence[int] = tuple(range(5)),
     faulty_styles: Sequence[str] = ("selfish", "junk", "obedient"),
     jobs: int = 1,
-    store: Any = None,
 ) -> Table:
     """EXP-2 (Thm 6.7): the booster's output satisfies all four Sigma^nu+
     properties in any environment."""
@@ -179,7 +172,7 @@ def exp2_boosting(
                     )
                 )
             groups.append((n, style))
-    results = _sweep("exp2", tasks, jobs, store=store)
+    results = _sweep("exp2", tasks, jobs)
     cursor = 0
     for n, style in groups:
         outcomes = results[cursor : cursor + len(seeds)]
@@ -230,7 +223,6 @@ def exp3_extraction(
     ns: Sequence[int] = (3, 4),
     seeds: Sequence[int] = tuple(range(3)),
     jobs: int = 1,
-    store: Any = None,
 ) -> Table:
     """EXP-3 (Thms 5.4/5.8): T_{D -> Sigma^nu} over several (D, A) pairs.
 
@@ -265,7 +257,7 @@ def exp3_extraction(
                     )
                 )
             groups.append((label, n))
-    results = _sweep("exp3", tasks, jobs, store=store)
+    results = _sweep("exp3", tasks, jobs)
     cursor = 0
     for label, n in groups:
         outcomes = results[cursor : cursor + len(seeds)]
@@ -300,7 +292,6 @@ def exp4_separation(
     cases: Sequence[Tuple[int, int]] = ((2, 1), (4, 2), (5, 3), (6, 3), (3, 1), (5, 2)),
     seeds: Sequence[int] = (0, 1),
     jobs: int = 1,
-    store: Any = None,
 ) -> Table:
     """EXP-4 (Thm 7.1): (Omega, Sigma^nu) vs (Omega, Sigma) by environment.
 
@@ -342,7 +333,7 @@ def exp4_separation(
                     SweepTask(_exp4_adversary_task, dict(n=n, t=t, seed=seed))
                 )
         groups.append((n, t, majority))
-    results = _sweep("exp4", tasks, jobs, store=store)
+    results = _sweep("exp4", tasks, jobs)
     cursor = 0
     for n, t, majority in groups:
         outcomes = results[cursor : cursor + len(seeds)]
@@ -367,7 +358,7 @@ def exp4_separation(
 
 
 def exp5_contamination(
-    seeds: Sequence[int] = (0, 1, 2), jobs: int = 1, store: Any = None
+    seeds: Sequence[int] = (0, 1, 2), jobs: int = 1
 ) -> Table:
     """EXP-5 (Section 6.3): the naive Sigma^nu quorum algorithm is
     contaminable; A_nuc is not, under the same scenario family."""
@@ -387,7 +378,7 @@ def exp5_contamination(
         for algorithm in ("naive", "anuc")
         for seed in seeds
     ]
-    results = _sweep("exp5", tasks, jobs, store=store)
+    results = _sweep("exp5", tasks, jobs)
     for task, report in zip(tasks, results):
         correct_decisions = {
             p: v for p, v in report.decisions.items() if p in (0, 1)
@@ -411,7 +402,6 @@ def exp6_merging(
     seeds: Sequence[int] = tuple(range(10)),
     n: int = 5,
     jobs: int = 1,
-    store: Any = None,
 ) -> Table:
     """EXP-6 (Lemma 2.2): merged mergeable runs are runs, and participants'
     final states are preserved."""
@@ -425,7 +415,7 @@ def exp6_merging(
         SweepTask(random_mergeable_pair_report, dict(n=n, seed=seed))
         for seed in seeds
     ]
-    results = _sweep("exp6", tasks, jobs, store=store)
+    results = _sweep("exp6", tasks, jobs)
     for seed, report in zip(seeds, results):
         table.add_row(
             seed,
@@ -471,7 +461,6 @@ def exp7_scaling(
     ns: Sequence[int] = (2, 3, 4, 5, 6, 7),
     seeds: Sequence[int] = (0, 1, 2),
     jobs: int = 1,
-    store: Any = None,
 ) -> Table:
     """EXP-7 (cost profile): steps and messages to decision for A_nuc vs the
     MR baselines, and booster output cadence, as n grows."""
@@ -506,7 +495,7 @@ def exp7_scaling(
                     )
                 )
             groups.append((algo, n))
-    results = _sweep("exp7", tasks, jobs, store=store)
+    results = _sweep("exp7", tasks, jobs)
     cursor = 0
     for label, n in groups:
         outcomes = results[cursor : cursor + len(seeds)]
@@ -532,7 +521,6 @@ def exp8_exhaustive(
     seeds: Sequence[int] = (0, 1),
     max_steps: int = 40000,
     jobs: int = 1,
-    store: Any = None,
 ) -> Table:
     """EXP-8: exhaustive environment coverage at small n.
 
@@ -581,7 +569,7 @@ def exp8_exhaustive(
                 )
                 count += 1
         groups.append((members, len(patterns), count))
-    results = _sweep("exp8", tasks, jobs, store=store)
+    results = _sweep("exp8", tasks, jobs)
     cursor = 0
     for members, pattern_count, count in groups:
         outcomes = results[cursor : cursor + count]
@@ -631,7 +619,6 @@ def _decision_rounds(outcome) -> List[int]:
 def exp9_registers(
     seeds: Sequence[int] = (0, 1, 2),
     jobs: int = 1,
-    store: Any = None,
 ) -> Table:
     """EXP-9 (paper intro / [3]'s technique): registers need Sigma.
 
@@ -641,9 +628,9 @@ def exp9_registers(
     the executable reason the uniform proof route cannot carry the
     nonuniform result.
 
-    The scenario arms are three tiny interactive runs; ``jobs`` and
-    ``store`` are accepted for CLI/spec uniformity but the sweep always
-    executes inline and is never served from the store.
+    The scenario arms are three tiny interactive runs; ``jobs`` is
+    accepted for CLI/spec uniformity but the sweep always executes inline.
+    ``benchmarks/specs/exp9.toml`` regenerates the committed table.
     """
     import random as _random
 

@@ -4,9 +4,9 @@ A spec decouples *what to sweep* from *how it executes*.  Each spec names
 one EXP-1..EXP-9 family and overrides its parameters; expansion into
 :class:`~repro.harness.parallel.SweepTask` lists is the experiment
 function's own deterministic loop, so a spec-driven sweep is byte-identical
-to calling the function directly — and flows through the same
-``run_sweep(jobs=N, store=...)`` machinery, including the
-content-addressed result store.
+to calling the function directly and flows through the same
+``run_sweep(jobs=N)`` machinery.  ``benchmarks/specs/expN.toml``
+regenerates the committed ``benchmarks/results/exp-N.txt`` table.
 
 TOML (one spec per file)::
 
@@ -31,8 +31,8 @@ default.  In TOML, a table value ``{ range = N }`` (or ``{ start = A,
 stop = B }``) likewise expands to ``[0, .., N-1]`` — TOML has no compact
 range syntax and thousand-element seed lists are unreadable.
 
-Execution parameters (``jobs``, ``store``) are *not* spec
-parameters: the spec describes the workload, the caller describes the
+The execution parameter ``jobs`` is *not* a spec
+parameter: the spec describes the workload, the caller describes the
 machine.  ``validate`` rejects unknown parameter names against the
 experiment function's signature, so a typo fails before any run starts.
 """
@@ -64,6 +64,27 @@ EXPERIMENT_SUFFIXES = {
     "exp9": "registers",
 }
 
+#: Experiment name -> parameter overrides of its ``--quick`` run (used by
+#: ``repro experiment --quick`` and ``check_determinism.py``).
+QUICK_OVERRIDES: Dict[str, Dict[str, Any]] = {
+    "exp1": dict(ns=(2, 3), seeds=(0,)),
+    "exp2": dict(ns=(2, 3), seeds=(0,)),
+    "exp3": dict(ns=(3,), seeds=(0,)),
+    "exp4": dict(cases=((2, 1), (4, 2), (3, 1)), seeds=(0,)),
+    "exp5": dict(seeds=(0,)),
+    "exp6": dict(seeds=range(3)),
+    "exp7": dict(ns=(2, 3), seeds=(0,)),
+    "exp8": dict(n=3, crash_times=(0,), seeds=(0,)),
+    "exp9": dict(seeds=(0,)),
+}
+
+
+def experiment_runner(name: str) -> Callable[..., Table]:
+    """The ``repro.harness.experiments`` function behind ``exp1``..``exp9``."""
+    from repro.harness import experiments
+
+    return getattr(experiments, f"{name}_{EXPERIMENT_SUFFIXES[name]}")
+
 
 class SpecError(ValueError):
     """A malformed or invalid sweep spec."""
@@ -88,16 +109,12 @@ class SweepSpec:
             self.name = self.experiment
 
     def runner(self) -> Callable[..., Table]:
-        from repro.harness import experiments
-
-        return getattr(
-            experiments, f"{self.experiment}_{EXPERIMENT_SUFFIXES[self.experiment]}"
-        )
+        return experiment_runner(self.experiment)
 
     def validate(self) -> None:
         """Reject parameter names the experiment function does not accept."""
         accepted = set(signature(self.runner()).parameters)
-        reserved = {"jobs", "store"}
+        reserved = {"jobs"}
         bad = sorted(set(self.params) - (accepted - reserved))
         if bad:
             raise SpecError(
@@ -106,23 +123,17 @@ class SweepSpec:
                 f"(accepted: {', '.join(sorted(accepted - reserved))})"
             )
 
-    def run(
-        self,
-        jobs: int = 1,
-        store: Any = None,
-    ) -> Table:
+    def run(self, jobs: int = 1) -> Table:
         """Execute the sweep; returns its rendered-ready table."""
         self.validate()
         runner = self.runner()
         kwargs: Dict[str, Any] = dict(self.params)
         kwargs["jobs"] = jobs
-        if store is not None:
-            kwargs["store"] = store
         if _obs._ENABLED:
             # The spec span roots the sweep's path tree: everything below
-            # (exp.<name> -> store.lookup/store.execute -> runner.* ->
-            # kernel.run) canonicalizes under sweep.spec/<...>, so two
-            # sweeps of the same spec diff path-for-path.
+            # (exp.<name> -> runner.* -> kernel.run) canonicalizes under
+            # sweep.spec/<...>, so two sweeps of the same spec diff
+            # path-for-path.
             with _obs.tracer().span(
                 "sweep.spec", spec=self.name, experiment=self.experiment
             ):

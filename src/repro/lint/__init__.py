@@ -2,12 +2,11 @@
 
 Every load-bearing feature of this reproduction — prefix replay in the
 simulation trie, byte-identical ``--jobs N`` sweeps, the traced-vs-untraced
-oracle tests, the LRU history cache, the content-addressed result store —
-is sound only because the codebase follows the determinism discipline of
-the paper's step/schedule/run formalism: seeded RNGs only, no wall clock in
-the kernel, ordered iteration over unordered containers, pure automata,
-guarded instrumentation, fork-safe workers, statically visible code.  This
-package makes those rules *checkable*.
+oracle tests, the LRU history cache — is sound only because the codebase
+follows the determinism discipline of the paper's step/schedule/run
+formalism: seeded RNGs only, no wall clock in the kernel, ordered iteration
+over unordered containers, pure automata, guarded instrumentation,
+fork-safe workers.  This package makes those rules *checkable*.
 
 One AST pass per file (:mod:`repro.lint.project.facts`) records every site
 any rule needs; each rule is one class over the whole-program
@@ -28,8 +27,6 @@ Rule codes
     module flag (301).
 ``RPR4xx``
     Fork safety: module-global writes in sweep-worker code (401).
-``RPR5xx``
-    Store soundness: dynamic code loading in store-keyed code (501).
 
 Usage
 -----

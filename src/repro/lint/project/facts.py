@@ -15,7 +15,6 @@ where each hazard is *recognised*; rules only decide where a site counts:
   ``global`` statements (RPR201, RPR401);
 * ``obs`` — ``obs.metrics()``/``obs.tracer()`` calls outside an
   ``_ENABLED`` guard (RPR301);
-* ``dynamic`` — dynamic code loading (RPR501);
 * ``calls`` — call sites with argument shapes: the call graph's edges.
 
 Alongside them: the symbols the project graph resolves names through
@@ -135,7 +134,6 @@ _SITE_KINDS = (
     "gwrites",
     "globals",
     "obs",
-    "dynamic",
 )
 
 
@@ -409,7 +407,6 @@ class _FunctionScanner:
             )
 
         self._scan_obs(node, func)
-        self._scan_dynamic(node, name)
 
     def _scan_obs(self, node: ast.Call, func: ast.AST) -> None:
         aliases = self.ex.obs_aliases
@@ -428,41 +425,6 @@ class _FunctionScanner:
             return
         if not guarded_by_enabled(self.ctx, node):
             self._add("obs", node, f"{alias}.{func.attr}()", alias=alias)
-
-    def _scan_dynamic(self, node: ast.Call, name: Optional[str]) -> None:
-        func = node.func
-        if name == "__import__":
-            self._add("dynamic", node, "__import__(...)")
-        elif name in ("exec", "eval"):
-            self._add("dynamic", node, f"{name}(...)")
-        elif name in self.ex.importlib_from:
-            self._add(
-                "dynamic", node, f"importlib.{self.ex.importlib_from[name]}(...)"
-            )
-        elif isinstance(func, ast.Attribute):
-            base = dotted_text(func.value)
-            if (
-                base is not None
-                and (
-                    self.ex.module_imports.get(base.split(".")[0]) == "importlib"
-                    or base == "importlib"
-                    or base.startswith("importlib.")
-                )
-                and func.attr in ("import_module", "reload", "exec_module")
-            ):
-                self._add("dynamic", node, f"{base}.{func.attr}(...)")
-        if name == "getattr" and len(node.args) >= 2:
-            target_text = dotted_text(node.args[0])
-            if (
-                not isinstance(node.args[1], ast.Constant)
-                and target_text is not None
-                and self.ex.names_module(target_text)
-            ):
-                self._add(
-                    "dynamic",
-                    node,
-                    f"getattr({target_text}, <dynamic>) module dispatch",
-                )
 
     def _scan_attribute(self, node: ast.Attribute) -> None:
         ex = self.ex
@@ -565,7 +527,6 @@ class _Extractor:
             for local, original in ctx.imported_names("os").items()
             if original in OS_AMBIENT
         }
-        self.importlib_from = ctx.imported_names("importlib")
         self.obs_aliases = ctx.module_aliases("repro.obs")
         self.top_globals = top_level_names(tree)
         self.module_imports: Dict[str, str] = {}
@@ -596,14 +557,6 @@ class _Extractor:
             bound = self.bound_of_scope[id(scope)] = set_bindings(scope, nodes)
             for node in nodes:
                 self.bound_at[id(node)] = bound
-
-    def names_module(self, dotted: str) -> bool:
-        head = dotted.split(".")[0]
-        if head in self.module_imports:
-            return True
-        # ``from repro.harness import experiments`` style: heuristically a
-        # module when the imported name is lowercase.
-        return head in self.from_imports and head == head.lower()
 
     def extract(self) -> FileFacts:
         ctx = self.ctx

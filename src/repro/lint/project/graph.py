@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from repro.lint.project.facts import MODULE_SCOPE, FileFacts
 from repro.lint.registry import in_packages
 
-#: Where the harness's store-keyed / forked entry points live.
+#: Where the harness's forked sweep entry points live.
 SWEEP_TASK_CLASS = "repro.harness.parallel:SweepTask"
 
 

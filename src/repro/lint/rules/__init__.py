@@ -5,5 +5,4 @@ from repro.lint.rules import (  # noqa: F401
     fidelity,
     observability,
     parallel_safety,
-    store_soundness,
 )

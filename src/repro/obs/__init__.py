@@ -8,7 +8,7 @@ One subsystem serves every observability need of the reproduction:
 * :class:`~repro.obs.registry.MetricsRegistry` — named counters / gauges /
   timers, with cross-process merge for parallel sweeps;
 * :mod:`repro.obs.export` — versioned JSONL trace files
-  (``repro-trace/1``, see ``docs/observability.md``);
+  (``repro-trace/2``, see ``docs/observability.md``);
 * :mod:`repro.obs.inspect` — the ``repro trace`` renderer (ASCII timeline
   + per-span aggregates).
 

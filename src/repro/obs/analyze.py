@@ -5,7 +5,7 @@ questions* about one or two of them.  The unit of analysis is the
 **span path** — a span's name prefixed by every ancestor's name,
 joined with ``/``::
 
-    exp.exp3/store.execute/runner.extraction/kernel.run
+    exp.exp3/runner.extraction/kernel.run
 
 Two traces of the same seeded run have identical paths with identical
 tick totals (ticks are logical and deterministic); comparing a pair of
@@ -26,10 +26,9 @@ Entry points
   lives in.
 
 Everything operates on parsed record lists
-(:func:`repro.obs.export.read_trace`) and accepts both the
-``repro-trace/1`` and ``repro-trace/2`` schemas — paths are recomputed
-from the span records, so a ``/1`` file without a precomputed ``paths``
-record analyzes identically.
+(:func:`repro.obs.export.read_trace`); paths are recomputed from the
+span records, so a trace without a precomputed ``paths`` record analyzes
+identically.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Versioned JSONL trace export: schemas ``repro-trace/1`` and ``/2``.
+"""Versioned JSONL trace export: schema ``repro-trace/2``.
 
 One record per line.  A file is:
 
@@ -8,18 +8,11 @@ One record per line.  A file is:
 2. any number of ``span`` / ``event`` lines (see
    :mod:`repro.obs.tracer` for field meaning) in record order — spans
    appear at *close* time, so a parent span follows its children;
-3. (``/2`` only) optionally one ``paths`` line holding the precomputed
-   span-path aggregates (:func:`repro.obs.analyze.aggregate_paths`), so
-   path-level consumers — the result store's row telemetry, ``repro
-   trace diff`` on stored summaries — need not re-walk the span tree;
+3. optionally one ``paths`` line holding the precomputed span-path
+   aggregates (:func:`repro.obs.analyze.aggregate_paths`), so path-level
+   consumers need not re-walk the span tree;
 4. optionally one trailing ``metrics`` line holding a
    :meth:`~repro.obs.registry.MetricsRegistry.snapshot`.
-
-``/2`` is a strict superset of ``/1``: the only addition is the optional
-``paths`` record, so every ``/1`` reader concern applies unchanged and
-:func:`read_trace` / :func:`validate_trace` accept both versions (a
-``paths`` record inside a file claiming ``/1`` is a schema error).
-The writer emits ``/2``.
 
 Everything except ``generated_at``, ``wall_ms`` and timer totals is a
 deterministic function of the traced run.  The full schema is documented
@@ -30,17 +23,16 @@ standalone validator CI runs against emitted traces.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import time
 from typing import Any, Dict, List, Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 
-SCHEMA = "repro-trace/1"
-SCHEMA_V2 = "repro-trace/2"
-
-#: Schemas validate_trace accepts, oldest first.
-SCHEMAS = (SCHEMA, SCHEMA_V2)
+SCHEMA = "repro-trace/2"
 
 _RECORD_TYPES = ("meta", "span", "event", "paths", "metrics")
 
@@ -56,28 +48,22 @@ def trace_records(
     tracer: Tracer,
     registry: Optional[MetricsRegistry] = None,
     meta: Optional[Dict[str, Any]] = None,
-    schema: str = SCHEMA_V2,
     include_paths: bool = True,
 ) -> List[Dict[str, Any]]:
     """The full record list of a trace file (header + body + metrics).
 
-    ``schema`` picks the emitted version (``SCHEMA_V2`` by default;
-    passing ``SCHEMA`` writes a ``/1`` file for compatibility tests).
-    ``include_paths`` controls the ``/2`` span-path aggregate record;
-    it is never written into a ``/1`` file.
+    ``include_paths`` controls the span-path aggregate record.
     """
-    if schema not in SCHEMAS:
-        raise ValueError(f"unknown trace schema {schema!r}")
     header: Dict[str, Any] = {
         "type": "meta",
-        "schema": schema,
+        "schema": SCHEMA,
         "label": tracer.label,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "meta": {**tracer.meta, **(meta or {})},
     }
     records: List[Dict[str, Any]] = [header]
     records.extend(tracer.records)
-    if schema == SCHEMA_V2 and include_paths:
+    if include_paths:
         from repro.obs.analyze import aggregate_paths
 
         paths = aggregate_paths(tracer.records)
@@ -93,10 +79,9 @@ def write_trace(
     tracer: Tracer,
     registry: Optional[MetricsRegistry] = None,
     meta: Optional[Dict[str, Any]] = None,
-    schema: str = SCHEMA_V2,
 ) -> int:
     """Write the trace as JSONL; returns the number of records written."""
-    records = trace_records(tracer, registry=registry, meta=meta, schema=schema)
+    records = trace_records(tracer, registry=registry, meta=meta)
     with open(path, "w") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True, default=_jsonable))
@@ -118,23 +103,20 @@ def read_trace(path: str) -> List[Dict[str, Any]]:
 def validate_trace(records: List[Dict[str, Any]]) -> List[str]:
     """Schema-check parsed records; returns human-readable errors ([] = ok).
 
-    Accepts both ``repro-trace/1`` and ``/2`` and validates the shared
-    invariants: header first, known record types, required fields with the
-    right types, unique sids, parent/span references that resolve, and
-    ``tick_out >= tick_in``.  The ``paths`` record is ``/2``-only (at most
-    one; its presence in a ``/1`` file is an error).
+    Checks the header comes first and names :data:`SCHEMA`, known record
+    types, required fields with the right types, unique sids, parent/span
+    references that resolve, ``tick_out >= tick_in``, and at most one
+    ``metrics`` and one ``paths`` record.
     """
     errors: List[str] = []
     if not records:
         return ["empty trace: missing meta header"]
     head = records[0]
-    schema = head.get("schema")
     if head.get("type") != "meta":
         errors.append(f"first record must be meta, got {head.get('type')!r}")
-    elif schema not in SCHEMAS:
+    elif head.get("schema") != SCHEMA:
         errors.append(
-            f"unsupported schema {schema!r} "
-            f"(expected one of {', '.join(repr(s) for s in SCHEMAS)})"
+            f"unsupported schema {head.get('schema')!r} (expected {SCHEMA!r})"
         )
     span_sids = {
         r.get("sid") for r in records if r.get("type") == "span"
@@ -157,11 +139,6 @@ def validate_trace(records: List[Dict[str, Any]]) -> List[str]:
                     errors.append(f"{where}: metrics.{section} must be a dict")
         elif kind == "paths":
             paths_lines += 1
-            if schema == SCHEMA:
-                errors.append(
-                    f"{where}: paths records need schema {SCHEMA_V2!r} "
-                    f"(file claims {SCHEMA!r})"
-                )
             if not isinstance(record.get("paths"), dict):
                 errors.append(f"{where}: paths.paths must be a dict")
             else:
@@ -235,14 +212,27 @@ def _check_event(record, where, span_sids, seen_sids) -> List[str]:
 
 
 def environment_stamp(repo_root: Optional[str] = None) -> Dict[str, Any]:
-    """Attribution metadata for benchmark/trace files.
-
-    Moved to :func:`repro.harness.envinfo.environment_stamp` (the store,
-    the benchmarks and this module share one format); this wrapper stays
-    for existing import sites.  Imported lazily to keep ``repro.obs``
-    import-light — pulling the harness package in eagerly would drag the
-    whole experiment layer into every traced run.
-    """
-    from repro.harness.envinfo import environment_stamp as _stamp
-
-    return _stamp(repo_root)
+    """Attribution metadata for trace files: git SHA (``None`` outside a
+    work tree), python version, platform and CPU counts."""
+    try:
+        sha: Optional[str] = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=repo_root or os.getcwd(),
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except Exception:
+        sha = None
+    try:
+        affinity: Optional[int] = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        affinity = None
+    return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": affinity,
+    }

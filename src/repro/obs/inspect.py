@@ -2,7 +2,7 @@
 
 Backs the ``repro trace`` CLI subcommand.  Everything here is
 presentation-only; the input is the parsed record list of a
-``repro-trace/1`` JSONL file (:func:`repro.obs.export.read_trace`).
+``repro-trace/2`` JSONL file (:func:`repro.obs.export.read_trace`).
 """
 
 from __future__ import annotations

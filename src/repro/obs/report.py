@@ -3,8 +3,8 @@
 The report combines, in a single offline file with zero runtime
 dependencies beyond the standard library:
 
-* **Traces** — for each supplied JSONL trace (``repro-trace/1`` or
-  ``/2``): the ASCII flamegraph and timeline from
+* **Traces** — for each supplied ``repro-trace/2`` JSONL trace: the
+  ASCII flamegraph and timeline from
   :mod:`repro.obs.analyze` / :mod:`repro.obs.inspect`, the top span-path
   aggregates as an HTML table, and the trace's counter totals;
 * **Perf trajectory** — the ledger files given (``repro-ledger/1``, as

@@ -171,10 +171,9 @@ def test_unknown_param_rejected_before_running():
 
 
 def test_reserved_execution_params_rejected():
-    for reserved in ("jobs", "store"):
-        spec = SweepSpec(experiment="exp6", params={reserved: 1})
-        with pytest.raises(SpecError):
-            spec.validate()
+    spec = SweepSpec(experiment="exp6", params={"jobs": 1})
+    with pytest.raises(SpecError):
+        spec.validate()
 
 
 def test_every_experiment_has_a_runner():
@@ -192,6 +191,19 @@ def test_spec_run_matches_direct_call():
 
     spec = SweepSpec(experiment="exp6", params={"seeds": [0, 1]})
     assert spec.run().render() == exp6_merging(seeds=[0, 1]).render()
+
+
+def test_traced_spec_table_matches_untraced():
+    from repro import obs
+
+    spec = SweepSpec(experiment="exp6", params={"seeds": [0, 1]})
+    plain = spec.run().render()
+    for jobs in (1, 2):
+        obs.enable(label="oracle", fresh_metrics=True)
+        try:
+            assert spec.run(jobs=jobs).render() == plain
+        finally:
+            obs.disable()
 
 
 def test_curated_specs_parse_and_validate():

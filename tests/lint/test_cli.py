@@ -49,14 +49,13 @@ class TestSeededFixture:
     #: (code, line) of every finding the fixture must produce, in report
     #: order (path, line, col, code) — one seeded violation per code.
     EXPECTED = [
-        ("RPR101", 21),
-        ("RPR102", 25),
-        ("RPR103", 30),
-        ("RPR104", 36),
-        ("RPR201", 41),
-        ("RPR301", 46),
-        ("RPR401", 53),
-        ("RPR501", 58),
+        ("RPR101", 20),
+        ("RPR102", 24),
+        ("RPR103", 29),
+        ("RPR104", 35),
+        ("RPR201", 40),
+        ("RPR301", 45),
+        ("RPR401", 52),
     ]
 
     @pytest.fixture()

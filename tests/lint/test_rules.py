@@ -329,27 +329,6 @@ class TestGuardedInstrumentation:
         """
         assert codes(src, module=TESTS) == []
 
-    def test_store_module_unguarded_flagged(self):
-        # The result store grew store.hit/miss/digest counters; RPR301
-        # must police that module like any other repro.* package.
-        src = """
-        from repro import obs as _obs
-
-        def key_for(fn, kwargs):
-            _obs.metrics().inc("store.digest")
-        """
-        assert codes(src, module="repro.store.store") == ["RPR301"]
-
-    def test_store_module_guarded_clean(self):
-        src = """
-        from repro import obs as _obs
-
-        def key_for(fn, kwargs):
-            if _obs._ENABLED:
-                _obs.metrics().inc("store.digest")
-        """
-        assert codes(src, module="repro.store.store") == []
-
     def test_spec_module_unguarded_flagged(self):
         # Sweep specs root the trace path tree with a sweep.spec span.
         src = """
@@ -374,8 +353,7 @@ class TestGuardedInstrumentation:
         assert codes(src, module="repro.harness.spec") == []
 
     def test_conditional_expression_guard_clean(self):
-        # The `x if _obs._ENABLED else None` idiom used by the sweep
-        # driver's store path counts as a guard.
+        # The `x if _obs._ENABLED else None` idiom counts as a guard.
         src = """
         from repro import obs as _obs
 
@@ -387,7 +365,7 @@ class TestGuardedInstrumentation:
 
 
 class TestRegistry:
-    EIGHT = [
+    SEVEN = [
         "RPR101",
         "RPR102",
         "RPR103",
@@ -395,20 +373,19 @@ class TestRegistry:
         "RPR201",
         "RPR301",
         "RPR401",
-        "RPR501",
     ]
 
-    def test_all_eight_codes_registered(self):
+    def test_all_seven_codes_registered(self):
         from repro.lint.registry import all_rules
 
-        assert [rule.code for rule in all_rules()] == self.EIGHT
+        assert [rule.code for rule in all_rules()] == self.SEVEN
 
     def test_known_codes_include_whole_program_families(self):
         from repro.lint.registry import known_codes
 
         codes = known_codes()
-        assert codes == self.EIGHT
-        assert {"RPR401", "RPR501"} <= set(codes)
+        assert codes == self.SEVEN
+        assert "RPR401" in codes
 
     def test_flow_companions_share_single_file_codes(self):
         # The cross-module legs of RPR101/102/103/201 live in the same class
@@ -417,7 +394,7 @@ class TestRegistry:
         from repro.lint.registry import Rule, all_rules, register
 
         rules = all_rules()
-        assert len({type(rule) for rule in rules}) == len(rules) == 8
+        assert len({type(rule) for rule in rules}) == len(rules) == 7
         assert not [rule.name for rule in rules if rule.name.endswith("-flow")]
 
         class Again(Rule):

@@ -1,11 +1,9 @@
-"""JSONL export: round-trip, schema validation/migration, environment stamp."""
+"""JSONL export: round-trip, schema validation, environment stamp."""
 
 import json
-import os
 
 from repro.obs.export import (
     SCHEMA,
-    SCHEMA_V2,
     environment_stamp,
     read_trace,
     trace_records,
@@ -14,8 +12,6 @@ from repro.obs.export import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
-
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def _sample_tracer():
@@ -35,10 +31,10 @@ class TestRoundTrip:
         reg.inc("work", 7)
         count = write_trace(path, tracer, registry=reg)
         records = read_trace(path)
-        # meta + event + 2 spans + paths + metrics under the /2 default
+        # meta + event + 2 spans + paths + metrics
         assert len(records) == count == 6
         assert validate_trace(records) == []
-        assert records[0]["schema"] == SCHEMA_V2
+        assert records[0]["schema"] == SCHEMA
         assert records[0]["label"] == "unit"
         assert records[0]["meta"] == {"case": 1}
         assert records[-1]["counters"] == {"work": 7}
@@ -77,8 +73,9 @@ class TestValidation:
 
     def test_wrong_schema(self):
         records = trace_records(_sample_tracer())
-        records[0]["schema"] = "repro-trace/999"
-        assert any("schema" in e for e in validate_trace(records))
+        for schema in ("repro-trace/1", "repro-trace/999"):
+            records[0]["schema"] = schema
+            assert any("schema" in e for e in validate_trace(records))
 
     def test_duplicate_sid(self):
         records = trace_records(_sample_tracer())
@@ -114,51 +111,9 @@ class TestValidation:
         assert any("tick" in e for e in validate_trace(records))
 
 
-class TestSchemaMigration:
-    """``/1`` files stay readable forever; ``/2`` adds only ``paths``."""
-
-    def test_committed_v1_fixture_still_validates(self):
-        # The fixture was written by the /1-era exporter (wall times
-        # zeroed for determinism) and pins backward compatibility: a
-        # reader or validator change that rejects it is a regression.
-        records = read_trace(os.path.join(FIXTURES, "trace_v1.jsonl"))
-        assert records[0]["schema"] == SCHEMA
-        assert validate_trace(records) == []
-        assert [r["type"] for r in records] == [
-            "meta", "event", "span", "span", "metrics",
-        ]
-        assert records[-1]["counters"] == {"work": 7}
-
-    def test_v1_writer_round_trips_without_paths(self, tmp_path):
-        path = str(tmp_path / "v1.jsonl")
-        write_trace(path, _sample_tracer(), schema=SCHEMA)
-        records = read_trace(path)
-        assert records[0]["schema"] == SCHEMA
-        assert all(r["type"] != "paths" for r in records)
-        assert validate_trace(records) == []
-
-    def test_unknown_schema_rejected_at_write(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="unknown trace schema"):
-            trace_records(_sample_tracer(), schema="repro-trace/999")
-
-    def test_paths_record_under_v1_header_is_error(self):
-        records = trace_records(_sample_tracer(), schema=SCHEMA)
-        records.append(
-            {
-                "type": "paths",
-                "paths": {
-                    "outer": {
-                        "count": 1,
-                        "total_ticks": 20,
-                        "self_ticks": 17,
-                        "wall_ms": 0.0,
-                    }
-                },
-            }
-        )
-        assert any("paths records need schema" in e for e in validate_trace(records))
+class TestPathsRecord:
+    """The optional precomputed span-path aggregates: at most one, and
+    every aggregate carries the four fields ``aggregate_paths`` writes."""
 
     def test_two_paths_records_is_error(self):
         records = trace_records(_sample_tracer())
@@ -171,19 +126,6 @@ class TestSchemaMigration:
         paths = next(r for r in records if r["type"] == "paths")
         paths["paths"]["outer"] = {"count": 1}
         assert any("aggregate must carry" in e for e in validate_trace(records))
-
-    def test_analysis_identical_across_schemas(self, tmp_path):
-        # aggregate_paths recomputes from span records, so a /1 file
-        # analyzes exactly like the same trace written as /2.
-        from repro.obs.analyze import aggregate_paths
-
-        tracer = _sample_tracer()
-        v1, v2 = str(tmp_path / "v1.jsonl"), str(tmp_path / "v2.jsonl")
-        write_trace(v1, tracer, schema=SCHEMA)
-        write_trace(v2, tracer, schema=SCHEMA_V2)
-        assert aggregate_paths(read_trace(v1)) == aggregate_paths(read_trace(v2))
-        stored = next(r for r in read_trace(v2) if r["type"] == "paths")
-        assert stored["paths"] == aggregate_paths(read_trace(v1))
 
 
 class TestEnvironmentStamp:

@@ -5,9 +5,12 @@ exit nonzero on the failure it is designed to catch, so a CI misconfiguration
 surfaces as a loud failure instead of a silently green step.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARKS = os.path.join(REPO_ROOT, "benchmarks")
@@ -25,12 +28,21 @@ def run_script(name, *argv):
     )
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name[: -len(".py")], os.path.join(BENCHMARKS, name)
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCheckTraceSchema:
     def test_help(self):
         proc = run_script("check_trace_schema.py", "--help")
         assert proc.returncode == 0
         assert "usage" in proc.stdout
-        assert "repro-trace/1" in proc.stdout
+        assert "repro-trace/2" in proc.stdout
 
     def test_missing_argument_is_usage_error(self):
         proc = run_script("check_trace_schema.py")
@@ -65,8 +77,17 @@ class TestCheckDeterminism:
         assert proc.returncode == 0
         assert "--service" in proc.stdout
 
-    def test_service_excludes_chaos_and_store(self):
+    def test_service_excludes_chaos(self):
         proc = run_script("check_determinism.py", "--service", "--chaos")
         assert proc.returncode == 2
-        proc = run_script("check_determinism.py", "--service", "--store")
-        assert proc.returncode == 2
+
+    @pytest.mark.parametrize("exp", ["exp4", "exp8"])
+    def test_quick_runs_the_experiment_quick_parameterization(self, exp, capsys):
+        # The quick run is the one ``repro experiment EXP --quick`` prints.
+        from repro.cli import main
+
+        assert main(["experiment", exp, "--quick"]) == 0
+        printed = capsys.readouterr().out
+        script = load_script("check_determinism.py")
+        rendered = script.run_once(exp, quick=True, jobs=1)["rendered"]
+        assert rendered + "\n" == printed

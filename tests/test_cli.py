@@ -224,148 +224,27 @@ seeds = [0, 1]
         spec.write_text(self.SPEC)
         return str(spec)
 
-    def test_cold_then_warm(self, capsys, tmp_path):
-        spec = self.write_spec(tmp_path)
-        store_dir = str(tmp_path / "store")
-        assert main(["sweep", spec, "--store-dir", store_dir]) == 0
-        cold = capsys.readouterr().out
-        assert "2 miss(es)" in cold and "2 written" in cold
-
-        code = main(
-            ["sweep", spec, "--store-dir", store_dir, "--require-warm", "0.99"]
-        )
-        warm = capsys.readouterr().out
-        assert code == 0
-        assert "2 hit(s)" in warm
-        # The rendered table (everything above the stats line) is identical.
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith("store:")
-        ]
-        assert strip(warm) == strip(cold)
-
-    def test_require_warm_fails_cold(self, capsys, tmp_path):
-        spec = self.write_spec(tmp_path)
-        code = main(
-            [
-                "sweep",
-                spec,
-                "--store-dir",
-                str(tmp_path / "store"),
-                "--require-warm",
-                "0.99",
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "warm-cache requirement failed" in err
-
-    def test_no_store_runs_without_touching_disk(self, capsys, tmp_path):
-        spec = self.write_spec(tmp_path)
-        store_dir = tmp_path / "store"
-        code = main(
-            ["sweep", spec, "--no-store", "--store-dir", str(store_dir)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "store:" not in out
-        assert not store_dir.exists()
-
-    def test_output_and_stats_json(self, capsys, tmp_path):
-        import json
-
+    def test_output_writes_rendered_table(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path)
         table_file = tmp_path / "table.txt"
-        stats_file = tmp_path / "stats.json"
-        code = main(
-            [
-                "sweep",
-                spec,
-                "--store-dir",
-                str(tmp_path / "store"),
-                "--output",
-                str(table_file),
-                "--stats-json",
-                str(stats_file),
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
-        stats = json.loads(stats_file.read_text())
-        assert stats["sweeps"] == ["exp6-cli"]
-        assert stats["misses"] == 2
-        import hashlib
-
+        assert main(["sweep", spec, "--output", str(table_file)]) == 0
+        out = capsys.readouterr().out
         rendered = table_file.read_text()
-        assert stats["table_sha256"] == hashlib.sha256(
-            rendered.encode("utf-8")
-        ).hexdigest()
+        assert rendered.startswith("EXP-6: Lemma 2.2")
+        assert out.startswith(rendered)
+
+    def test_parallel_table_matches_serial(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path)
+        assert main(["sweep", spec]) == 0
+        serial = capsys.readouterr().out
+        assert main(["sweep", spec, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_bad_spec_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.toml"
         bad.write_text("[sweep]\nexperiment = 'exp42'\n")
         assert main(["sweep", str(bad)]) == 2
         assert "exp42" in capsys.readouterr().err
-
-
-class TestStoreCommand:
-    def populate(self, tmp_path, capsys):
-        spec = tmp_path / "sweep.toml"
-        spec.write_text(TestSweepCommand.SPEC)
-        store_dir = str(tmp_path / "store")
-        assert main(["sweep", str(spec), "--store-dir", store_dir]) == 0
-        capsys.readouterr()
-        return str(spec), store_dir
-
-    def test_ls(self, capsys, tmp_path):
-        _, store_dir = self.populate(tmp_path, capsys)
-        assert main(["store", "ls", "--store-dir", store_dir]) == 0
-        out = capsys.readouterr().out
-        assert "objects: 2 record(s)" in out
-
-    def test_ls_json(self, capsys, tmp_path):
-        import json
-
-        _, store_dir = self.populate(tmp_path, capsys)
-        assert main(["store", "ls", "--json", "--store-dir", store_dir]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert len(document["objects"]) == 2
-
-    def test_diff_reports_cached_rows(self, capsys, tmp_path):
-        spec, store_dir = self.populate(tmp_path, capsys)
-        assert main(["store", "diff", spec, "--store-dir", store_dir]) == 0
-        out = capsys.readouterr().out
-        assert "2 cached, 0 new" in out
-        assert "would execute 0 task(s)" in out
-
-    def test_diff_requires_spec(self, capsys, tmp_path):
-        assert main(["store", "diff", "--store-dir", str(tmp_path)]) == 2
-        assert "needs a spec" in capsys.readouterr().err
-
-    def test_gc_all(self, capsys, tmp_path):
-        spec, store_dir = self.populate(tmp_path, capsys)
-        assert main(["store", "gc", "--all", "--store-dir", store_dir]) == 0
-        assert "removed 2 record(s)" in capsys.readouterr().out
-        assert main(["store", "diff", spec, "--store-dir", store_dir]) == 0
-        assert "2 new" in capsys.readouterr().out
-
-
-class TestExperimentStoreFlag:
-    def test_experiment_store_roundtrip(self, capsys, tmp_path):
-        store_dir = str(tmp_path / "store")
-        args = [
-            "experiment",
-            "exp6",
-            "--quick",
-            "--store",
-            "--store-dir",
-            store_dir,
-        ]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert "miss(es)" in cold
-        assert main(args) == 0
-        warm = capsys.readouterr().out
-        assert "0 miss(es)" in warm and "hit rate 100.0%" in warm
 
 
 class TestTraceAnalyticsCommands:
@@ -481,58 +360,3 @@ class TestObsReportCommand:
         )
         html = out_html.read_text()
         assert "skipped" in html
-
-
-class TestStoreDiffCounters:
-    def test_untraced_rows_report_no_telemetry(self, capsys, tmp_path):
-        spec = tmp_path / "sweep.toml"
-        spec.write_text(TestSweepCommand.SPEC)
-        store_dir = str(tmp_path / "store")
-        assert main(["sweep", str(spec), "--store-dir", store_dir]) == 0
-        capsys.readouterr()
-        assert (
-            main(
-                ["store", "diff", str(spec), "--store-dir", store_dir,
-                 "--counters"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "no rows carry telemetry under both signatures" in out
-
-    def test_counter_delta_summation(self, capsys):
-        from repro.store.cli import _print_counter_deltas
-
-        entry = {
-            "tasks": [
-                {
-                    "telemetry": {"counters": {"x": 5, "y": 3}},
-                    "previous_telemetry": {"counters": {"x": 2, "y": 3}},
-                },
-                {
-                    "telemetry": {"counters": {"x": 1}},
-                    "previous_telemetry": {"counters": {"x": 0}},
-                },
-                {"telemetry": None, "previous_telemetry": None},
-            ]
-        }
-        _print_counter_deltas(entry)
-        out = capsys.readouterr().out
-        assert "counter deltas over 2 telemetry row(s)" in out
-        assert "2 -> 6 (+4)" in out  # x summed across rows
-        # unchanged counters are elided
-        assert not any(line.strip().startswith("y") for line in out.splitlines())
-
-    def test_identical_telemetry_reports_identical(self, capsys):
-        from repro.store.cli import _print_counter_deltas
-
-        entry = {
-            "tasks": [
-                {
-                    "telemetry": {"counters": {"x": 5}},
-                    "previous_telemetry": {"counters": {"x": 5}},
-                }
-            ]
-        }
-        _print_counter_deltas(entry)
-        assert "identical across 1" in capsys.readouterr().out
