@@ -179,7 +179,7 @@ class AnucAutomaton(Automaton):
     def _check_rep(self, state, sends, quorum: Quorum) -> None:
         state.history[state.pid].add(quorum)  # get_quorum, line 49
         reports = state.received(REP, state.k)
-        if not quorum or not quorum <= set(reports):
+        if not quorum or not reports.keys() >= quorum:
             return
         values = {reports[q][2] for q in quorum}
         if len(values) == 1:
@@ -196,7 +196,7 @@ class AnucAutomaton(Automaton):
     def _check_prop(self, state, sends, quorum: Quorum) -> None:
         state.history[state.pid].add(quorum)  # get_quorum, line 49
         proposals = state.received(PROP, state.k)
-        if not quorum or not quorum <= set(proposals):
+        if not quorum or not proposals.keys() >= quorum:
             return
         for q in sorted(quorum):  # line 27
             self._import_history(state, proposals[q][3])

@@ -18,13 +18,7 @@ from typing import Any, Generator, Optional, Tuple
 
 from repro.core.boosting import SigmaNuPlusBooster
 from repro.core.nuc import AnucProcess
-from repro.kernel.automaton import (
-    CoroutineRuntime,
-    DeliveredMessage,
-    Observation,
-    Process,
-    ProcessContext,
-)
+from repro.kernel.automaton import DeliveredMessage, Process, ProcessContext
 
 _BOOST = "B"
 _NUC = "C"
@@ -47,8 +41,8 @@ class StackedNucProcess(Process):
     def program(self, ctx: ProcessContext) -> Generator:
         boost_ctx = ProcessContext(ctx.pid, ctx.n)
         nuc_ctx = ProcessContext(ctx.pid, ctx.n)
-        boost_rt = CoroutineRuntime(self.booster, boost_ctx)
-        nuc_rt = CoroutineRuntime(self.nuc, nuc_ctx)
+        boost_rt = self.booster.runtime(boost_ctx)
+        nuc_rt = self.nuc.runtime(nuc_ctx)
         current_quorum = self.booster.initial_output()
         outputs_seen = 0
 
@@ -68,24 +62,14 @@ class StackedNucProcess(Process):
 
             # The booster sub-step runs first so A_nuc reads the freshest
             # emulated quorum within the same step.
-            boost_sends = boost_rt.step(
-                Observation(
-                    message=boost_msg,
-                    detector_value=sigma_nu_value,
-                    time=obs.time,
-                )
-            )
+            boost_sends = boost_rt.step(boost_msg, sigma_nu_value, obs.time)
             if len(boost_ctx.outputs) > outputs_seen:
                 outputs_seen = len(boost_ctx.outputs)
                 current_quorum = boost_ctx.outputs[-1][1]
                 ctx.output(current_quorum)
 
             nuc_sends = nuc_rt.step(
-                Observation(
-                    message=nuc_msg,
-                    detector_value=(omega_value, current_quorum),
-                    time=obs.time,
-                )
+                nuc_msg, (omega_value, current_quorum), obs.time
             )
             if nuc_ctx.decision is not None and ctx.decision is None:
                 ctx.decide(nuc_ctx.decision)

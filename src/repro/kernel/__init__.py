@@ -11,6 +11,7 @@ mergeability machinery of Lemma 2.2.
 from repro.kernel.automaton import (
     Automaton,
     AutomatonProcess,
+    AutomatonRuntime,
     CoroutineRuntime,
     DeliveredMessage,
     Observation,
@@ -53,6 +54,7 @@ from repro.kernel.system import RunResult, StepRecord, System
 __all__ = [
     "Automaton",
     "AutomatonProcess",
+    "AutomatonRuntime",
     "BlockingPolicy",
     "CoroutineRuntime",
     "DeliveredMessage",

@@ -18,9 +18,15 @@ Two renditions are provided:
   One ``yield`` corresponds to one model step, so the paper's pseudocode
   (loops with blocking waits) transcribes almost line by line.
 
-Adapters bridge the two: :class:`AutomatonProcess` runs a pure automaton as a
-live process, and :class:`ReplayAutomaton` turns a deterministic coroutine
-process into a pure automaton by replaying its observation history.
+The kernel makes one ``runtime.step(message, d, t)`` call per model step on
+the object ``process.runtime(ctx)`` returned.  :class:`CoroutineRuntime`
+(the default) resumes the coroutine ``program``; :class:`AutomatonRuntime`
+calls an automaton's ``transition`` directly, with no generator in between.
+A process with explicit state may be its own runtime (the replicated log's
+replica is).  Adapters bridge the two forms: :class:`AutomatonProcess` runs
+a pure automaton live, on :class:`AutomatonRuntime`, and
+:class:`ReplayAutomaton` turns a deterministic coroutine process into a pure
+automaton by replaying its observation history.
 """
 
 from __future__ import annotations
@@ -261,6 +267,20 @@ class Process:
         """Initial value of the emulated detector output, if any."""
         return None
 
+    def runtime(self, ctx: ProcessContext) -> Any:
+        """What the kernel steps: ``step(message, d, t)`` receives
+        ``message`` (``sender`` + ``payload``, or ``None`` for lambda) and
+        detector value ``d`` at time ``t`` and returns the step's sends."""
+        return CoroutineRuntime(self, ctx)
+
+
+def step_failure(name: str, ctx: ProcessContext, t: int, exc: Exception):
+    """The error a runtime raises when a process's step raises ``exc``."""
+    return RuntimeError(
+        f"process {ctx.pid} ({name}) crashed at step {ctx.step_count} "
+        f"(t={t}): {exc}"
+    )
+
 
 class CoroutineRuntime:
     """Drives one coroutine process through the step protocol."""
@@ -273,13 +293,16 @@ class CoroutineRuntime:
         self._pending_init_sends: List[Send] = []
         self.halted = False
 
-    def step(self, observation: Observation) -> List[Send]:
-        """Run one step: feed ``observation``, return the step's sends."""
+    def step(self, message: Any, d: Any, t: int) -> List[Send]:
+        """Run one step: feed the observation, return the step's sends."""
         if self.halted:
             # A halted (returned) program keeps taking no-op steps so the
             # admissibility properties remain satisfiable; delivered
             # messages are consumed without effect.
             return []
+        if message is not None:
+            message = DeliveredMessage(message.sender, message.payload)
+        observation = Observation(message, d, t)
         try:
             if not self._primed:
                 # Run initialization up to the first take_step yield.  Sends
@@ -291,16 +314,43 @@ class CoroutineRuntime:
             self.halted = True
             sends = []
         except Exception as exc:
-            raise RuntimeError(
-                f"process {self.ctx.pid} "
-                f"({type(self.process).__name__}) crashed at step "
-                f"{self.ctx.step_count} (t={observation.time}): {exc}"
-            ) from exc
+            name = type(self.process).__name__
+            raise step_failure(name, self.ctx, t, exc) from exc
         init = self._pending_init_sends
         if not init:
             return sends  # the program's own list: take_step hands it over
         self._pending_init_sends = []
         return list(init) + list(sends)
+
+
+class AutomatonRuntime:
+    """Drives a pure automaton: one step is one ``transition`` call, and
+    the automaton's decision is recorded on ``ctx`` when it appears."""
+
+    __slots__ = ("automaton", "ctx", "state")
+
+    def __init__(self, automaton: Automaton, proposal: Any, ctx: ProcessContext):
+        self.automaton = automaton
+        self.ctx = ctx
+        self.state = automaton.initial_state(ctx.pid, ctx.n, proposal)
+
+    def step(self, message: Any, d: Any, t: int) -> List[Send]:
+        ctx = self.ctx
+        ctx.step_count += 1
+        if message is not None:
+            message = DeliveredMessage(message.sender, message.payload)
+        try:
+            outcome = self.automaton.transition(self.state, ctx.pid, message, d)
+            self.state = state = outcome.state
+            if ctx.decision is None:
+                decision = self.automaton.decision(state)
+                if decision is not None:
+                    ctx.time = t
+                    ctx.decide(decision)
+        except Exception as exc:
+            name = type(self.automaton).__name__
+            raise step_failure(name, ctx, t, exc) from exc
+        return outcome.sends
 
 
 # ----------------------------------------------------------------------
@@ -309,28 +359,21 @@ class CoroutineRuntime:
 
 
 class AutomatonProcess(Process):
-    """Run a pure automaton as a live coroutine process."""
+    """Run a pure automaton as a live process (on :class:`AutomatonRuntime`)."""
 
     def __init__(self, automaton: Automaton, proposal: Any):
         self.automaton = automaton
         self.proposal = proposal
-        self.state: Any = None  # current state, exposed for drivers/tests
+        self._runtime: Optional[AutomatonRuntime] = None
 
-    def program(self, ctx: ProcessContext):
-        state = self.automaton.initial_state(ctx.pid, ctx.n, self.proposal)
-        self.state = state  # exposed for scenario drivers and tests
-        while True:
-            obs = yield from ctx.take_step()
-            outcome = self.automaton.transition(
-                state, ctx.pid, obs.message, obs.detector_value
-            )
-            state = outcome.state
-            self.state = state
-            for dest, payload in outcome.sends:
-                ctx.send(dest, payload)
-            decision = self.automaton.decision(state)
-            if decision is not None and ctx.decision is None:
-                ctx.decide(decision)
+    def runtime(self, ctx: ProcessContext) -> AutomatonRuntime:
+        self._runtime = AutomatonRuntime(self.automaton, self.proposal, ctx)
+        return self._runtime
+
+    @property
+    def state(self) -> Any:
+        """The current state (``None`` before a runtime is bound)."""
+        return None if self._runtime is None else self._runtime.state
 
 
 class ReplayAutomaton(Automaton):
@@ -370,10 +413,10 @@ class ReplayAutomaton(Automaton):
         history: Sequence[Tuple[Optional[DeliveredMessage], Any]],
     ) -> Tuple[List[Send], Optional[Any]]:
         ctx = ProcessContext(pid, self._n)
-        runtime = CoroutineRuntime(self._factory(proposal), ctx)
+        runtime = self._factory(proposal).runtime(ctx)
         sends: List[Send] = []
         for i, (msg, d) in enumerate(history):
-            sends = runtime.step(Observation(message=msg, detector_value=d, time=i))
+            sends = runtime.step(msg, d, i)
         return sends, ctx.decision
 
 

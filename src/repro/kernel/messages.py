@@ -96,7 +96,7 @@ class MessageBuffer:
         """Place a new unique message in the buffer and return it."""
         seq = self._seq.get(sender, 0)
         self._seq[sender] = seq + 1
-        message = Message(sender, dest, payload, uid=(sender, seq), sent_at=now)
+        message = Message(sender, dest, payload, (sender, seq), now)
         self._pending.setdefault(dest, []).append(
             _PendingEntry(message, self._dest_steps)
         )
@@ -136,10 +136,13 @@ class MessageBuffer:
                 return
         raise LookupError(f"{message!r} is not pending")
 
-    def note_dest_step(self, dest: int) -> None:
-        """Age every message pending for ``dest`` by one destination step."""
+    def note_dest_step(self, dest: int) -> int:
+        """Age every message pending for ``dest`` by one destination step;
+        returns the step's index among ``dest``'s steps (0 for its first)."""
         steps = self._dest_steps
-        steps[dest] = steps.get(dest, 0) + 1
+        index = steps.get(dest, 0)
+        steps[dest] = index + 1
+        return index
 
     def oldest_for(self, dest: int) -> Optional[Message]:
         entries = self._pending.get(dest, [])
@@ -246,7 +249,14 @@ class FairRandomDelivery(DeliveryPolicy):
             return oldest.message
         if rng.random() < self.lambda_prob:
             return None
-        return rng.choice(entries).message
+        # rng.choice(entries), draw for draw: the stdlib's
+        # _randbelow_with_getrandbits, inlined.
+        count = len(entries)
+        bits = count.bit_length()
+        index = rng.getrandbits(bits)
+        while index >= count:
+            index = rng.getrandbits(bits)
+        return entries[index].message
 
     def ensures_eventual_delivery(self) -> bool:
         return True

@@ -87,7 +87,14 @@ class RandomFairScheduler(SchedulingPolicy):
             self._next_overdue_check = (
                 min(last.get(p, 0) for p in alive) + self.max_gap + 1
             )
-        choice = rng.choice(alive)
+        # rng.choice(alive), draw for draw: the stdlib's
+        # _randbelow_with_getrandbits, inlined.
+        count = len(alive)
+        bits = count.bit_length()
+        index = rng.getrandbits(bits)
+        while index >= count:
+            index = rng.getrandbits(bits)
+        choice = alive[index]
         self._last_scheduled[choice] = d
         return choice
 

@@ -25,13 +25,7 @@ from typing import (
     Tuple,
 )
 
-from repro.kernel.automaton import (
-    CoroutineRuntime,
-    DeliveredMessage,
-    Observation,
-    Process,
-    ProcessContext,
-)
+from repro.kernel.automaton import Process, ProcessContext
 from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import (
     DeliveryPolicy,
@@ -117,7 +111,7 @@ STEP_TAKEN = StepRecord(
 
 
 class System:
-    """Executes one run of coroutine processes under a failure pattern.
+    """Executes one run of processes under a failure pattern.
 
     ``trace`` selects how much of the run is recorded:
 
@@ -159,12 +153,11 @@ class System:
         self.time = 0
         self.steps: List[StepRecord] = []
         self.contexts: Dict[int, ProcessContext] = {}
-        self.runtimes: Dict[int, CoroutineRuntime] = {}
+        self.runtimes: Dict[int, Any] = {}  # pid -> process.runtime(ctx)
         self._record_trace = trace == "full"
         self.queried: Dict[int, List[Tuple[int, Any]]] = (
             {p: [] for p in range(self.n)} if self._record_trace else {}
         )
-        self._dest_steps: Dict[int, int] = {p: 0 for p in range(self.n)}
         self._sched_rng = random.Random(f"{seed}/sched")
         self._dest_rngs = {
             p: random.Random(f"{seed}/delivery/{p}") for p in range(self.n)
@@ -176,7 +169,7 @@ class System:
             if initial is not None:
                 ctx.outputs.append((0, initial))
             self.contexts[pid] = ctx
-            self.runtimes[pid] = CoroutineRuntime(process, ctx)
+            self.runtimes[pid] = process.runtime(ctx)
         self._initial_outputs = {
             p: processes[p].initial_output() for p in range(self.n)
         }
@@ -232,7 +225,6 @@ class System:
         deliver = self._deliver
         send = self._send
         choose = self._choose
-        dest_steps = self._dest_steps
         dest_rngs = self._dest_rngs
         history_value = self._history_fn
         runtimes = self.runtimes
@@ -268,17 +260,11 @@ class System:
             if pid is None:
                 break
 
-            note_dest_step(pid)
-            message = choose(buffer, pid, dest_steps[pid], dest_rngs[pid])
-            dest_steps[pid] += 1
+            message = choose(buffer, pid, note_dest_step(pid), dest_rngs[pid])
             if message is not None:
                 deliver(message)
-                delivered = DeliveredMessage(message.sender, message.payload)
-            else:
-                delivered = None
-
             d = history_value(pid, t)
-            sends = runtimes[pid].step(Observation(delivered, d, t))
+            sends = runtimes[pid].step(message, d, t)
             self.time = t + 1
             if record_trace:
                 sent_messages = tuple(

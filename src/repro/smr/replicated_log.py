@@ -5,16 +5,23 @@ starts once slot ``i-1`` is decided locally.  An instance is a state of
 :class:`~repro.core.nuc_automaton.AnucAutomaton` — the paper's own form of
 an algorithm, one ``transition`` per step, and the same A_nuc as the
 readable coroutine in :mod:`repro.core.nuc`: the two are pinned
-step-for-step equal by ``tests/core/test_nuc_equivalence.py``, and this
-replica equal to one driving the coroutine by
-``tests/smr/test_replica_equivalence.py``.  Messages are tagged with
-their slot; messages for future slots are stashed and replayed when the
-slot opens.  Because a replica that finishes a slot stops serving that
-instance, deciders broadcast a ``DECIDED`` notice that lets laggards
-short-circuit the slot — safe for *nonuniform* consensus: adopting a value
-decided by (in particular) the eventual correct leader preserves agreement
-among correct replicas, and the notice carries a proposed value, so
-validity is preserved too.
+step-for-step equal by ``tests/core/test_nuc_equivalence.py``.  The
+replica has no generator either: it is its own kernel runtime, and
+:meth:`ReplicatedLogProcess.step` is one explicit transition over its
+state (open slot, stash, notices); ``tests/smr/test_replica_equivalence.py``
+pins it equal to the generator replicas it replaced.  Messages are tagged
+with their slot; messages for future slots are stashed and replayed, within
+the step that closes the slot before them, when the slot opens.
+
+Because a replica that finishes a slot stops serving that instance,
+deciders broadcast a ``DECIDED`` notice that lets laggards short-circuit
+the slot.  Adopting a notice is sound only when the decider is correct: a
+faulty replica may decide a value no correct replica decides (nonuniform
+agreement allows that) and still broadcast it before crashing, and
+nothing tells a laggard which notices came from correct deciders.  The
+replica adopts the first notice it gets regardless; ROADMAP open item 1
+records the reproducer and the fix.  Clients are protected by the
+service's majority-certified log, not by this short-circuit.
 
 Proposals: each replica proposes its oldest own command not yet in its log
 (or ``("noop", -1)`` when exhausted).  Commands are tagged with their
@@ -47,12 +54,10 @@ since the last one, not the log.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import (
     Any,
     Dict,
-    Generator,
     Iterator,
     List,
     Optional,
@@ -61,7 +66,13 @@ from typing import (
 )
 
 from repro.core.nuc_automaton import AnucAutomaton
-from repro.kernel.automaton import DeliveredMessage, Process, ProcessContext
+from repro.kernel.automaton import (
+    DeliveredMessage,
+    Process,
+    ProcessContext,
+    Send,
+    step_failure,
+)
 
 SLOT = "S"  # (S, slot, inner_payload): one consensus instance's traffic
 DECIDED = "DEC"  # (DEC, slot, value): decider's short-circuit notice
@@ -126,7 +137,7 @@ class ReplicatedLogProcess(Process):
     def _sync(self) -> None:
         """Fold the entries appended to ``log`` since the last call.
 
-        Lazy, because the log is also appended to from outside ``program``
+        Lazy, because the log is also appended to from outside ``step``
         (tests and the chaos suite hand replicas a log directly)."""
         log = self.log
         if self._synced > len(log):
@@ -171,83 +182,94 @@ class ReplicatedLogProcess(Process):
         """Whether :meth:`pending_commands` would be non-empty."""
         return next(self._pending(), None) is not None
 
-    # ------------------------------------------------------------------
+    # -- the step (the replica is its own runtime) ------------------------
 
-    def program(self, ctx: ProcessContext) -> Generator:
-        stashed: Dict[int, List[DeliveredMessage]] = {}
-        decided_notices: Dict[int, Any] = {}
+    def runtime(self, ctx: ProcessContext) -> "ReplicatedLogProcess":
+        """Bind the replica to ``ctx``; the kernel then calls :meth:`step`."""
+        self._ctx = ctx
+        self._stashed: Dict[int, List[DeliveredMessage]] = {}
+        self._notices: Dict[int, Any] = {}  # slot -> decided value
+        self._slot = -1  # the open slot; -1 until the first step opens 0
+        self._instance: Any = None  # the open slot's AnucAutomaton state
+        self._replay: List[DeliveredMessage] = []  # its stashed traffic
+        self._serving = False  # every bounded slot is decided
+        return self
 
-        def outer_handler(message: DeliveredMessage) -> bool:
-            payload = message.payload
-            if payload[0] == DECIDED:
-                _, slot, value = payload
-                decided_notices.setdefault(slot, value)
-                return True
-            if payload[0] == FWD:
-                self._accept_foreign(payload[1])
-                return True
-            return False
+    def step(self, message: Any, d: Any, t: int) -> List[Send]:
+        """One model step: intake, then the open slot's transition.
 
-        ctx.add_handler(outer_handler)
-
-        slot_range = (
-            itertools.count() if self.slots is None else range(self.slots)
-        )
-        for slot in slot_range:
-            # Nothing reads the outer context's message record (each slot's
-            # instance keeps its own); left alone it would hold every
-            # message ever delivered to this replica.
-            ctx.log.clear()
-            ctx.inbox.clear()
-            state = _ANUC.initial_state(ctx.pid, ctx.n, self._next_proposal())
-            replay = list(stashed.pop(slot, ()))
-
-            while True:
-                if slot in decided_notices:
-                    value = decided_notices[slot]
-                    break
-                if replay:
-                    message: Optional[DeliveredMessage] = replay.pop(0)
-                    d = ctx.detector_value
-                    if d is None:
-                        # No real step taken yet: take one to get a value.
-                        obs = yield from ctx.take_step()
-                        d = obs.detector_value
-                        if obs.message is not None:
-                            self._route(obs.message, slot, replay, stashed)
-                else:
-                    obs = yield from ctx.take_step()
-                    d = obs.detector_value
-                    message = None
-                    if obs.message is not None:
-                        message = self._route(obs.message, slot, replay, stashed)
-                if slot in decided_notices:
-                    value = decided_notices[slot]
-                    break
-                self._maybe_forward(ctx, d)
-                sends = _ANUC.transition(state, ctx.pid, message, d).sends
-                for dest, payload in sends:
-                    ctx.send(dest, (SLOT, slot, payload))
-                if state.decided is not None:
-                    value = state.decided
-                    ctx.send_to_all((DECIDED, slot, value))
-                    break
-
-            decided_notices.setdefault(slot, value)
-            self.log.append(value)
-            self._purge_chosen(value)
-            if value is not None and value[0] != "noop":
-                self.applied.append(value)
-
-        while True:  # all slots decided; stay alive, serving DECIDED notices
-            obs = yield from ctx.take_step()
-            self._maybe_forward(ctx, obs.detector_value)
-            if obs.message is not None and obs.message.payload[0] == SLOT:
-                _, slot, _inner = obs.message.payload
-                if slot in decided_notices:
-                    ctx.send(
-                        obs.message.sender, (DECIDED, slot, decided_notices[slot])
+        A slot that closes opens the next, which runs on its stashed
+        traffic within this same step, until a slot is left waiting.
+        """
+        ctx = self._ctx
+        ctx.step_count += 1
+        pid = ctx.pid
+        notices = self._notices
+        sends: List[Send] = []
+        try:
+            if self._slot < 0:
+                self._open(0)  # slot 0's proposal is drawn at the first step
+            tag = None if message is None else message.payload[0]
+            if tag == DECIDED:
+                _, slot, value = message.payload
+                notices.setdefault(slot, value)
+            elif tag == FWD:
+                self._accept_foreign(message.payload[1])
+            if self._serving:  # all slots decided; answer laggards
+                self._maybe_forward(pid, d, sends)
+                if tag == SLOT and message.payload[1] in notices:
+                    slot = message.payload[1]
+                    sends.append(
+                        (message.sender, (DECIDED, slot, notices[slot]))
                     )
+                return sends
+            inner = None
+            if tag == SLOT:
+                inner = self._route(message, self._slot, self._stashed)
+            while True:
+                slot = self._slot
+                if slot in notices:
+                    value = notices[slot]
+                else:
+                    self._maybe_forward(pid, d, sends)
+                    state = self._instance
+                    outcome = _ANUC.transition(state, pid, inner, d)
+                    for dest, payload in outcome.sends:
+                        sends.append((dest, (SLOT, slot, payload)))
+                    value = state.decided
+                    if value is None:
+                        if not self._replay:
+                            return sends
+                        inner = self._replay.pop(0)
+                        continue
+                    notice = (DECIDED, slot, value)
+                    for dest in range(ctx.n):
+                        sends.append((dest, notice))
+                notices.setdefault(slot, value)
+                self.log.append(value)
+                self._purge_chosen(value)
+                if value is not None and value[0] != "noop":
+                    self.applied.append(value)
+                self._open(slot + 1)
+                if self._serving:
+                    return sends
+                if self._slot not in notices:
+                    if not self._replay:
+                        return sends
+                    inner = self._replay.pop(0)
+        except Exception as exc:
+            raise step_failure(type(self).__name__, ctx, t, exc) from exc
+
+    def _open(self, slot: int) -> None:
+        """Open ``slot``'s instance with a fresh proposal (or start serving)."""
+        self._slot = slot
+        if self.slots is not None and slot >= self.slots:
+            self._serving = True
+            return
+        self._instance = _ANUC.initial_state(
+            self._ctx.pid, self._ctx.n, self._next_proposal()
+        )
+        self._replay = self._stashed.pop(slot, [])
 
     # ------------------------------------------------------------------
 
@@ -284,13 +306,14 @@ class ReplicatedLogProcess(Process):
             return d[0]
         return None
 
-    def _maybe_forward(self, ctx: ProcessContext, d: Any) -> None:
-        """Send pending own commands to the current leader hint (once per
-        ``(command, leader)`` pair; a leader change re-forwards)."""
+    def _maybe_forward(self, pid: int, d: Any, sends: List[Send]) -> None:
+        """Append a send of each pending own command to the current leader
+        hint (once per ``(command, leader)`` pair; a leader change
+        re-forwards)."""
         if not self.forward or not self.commands:
             return
         leader = self._leader_hint(d)
-        if leader is None or leader == ctx.pid:
+        if leader is None or leader == pid:
             return
         self._sync()
         for command in self.commands:
@@ -301,7 +324,7 @@ class ReplicatedLogProcess(Process):
                 sent_to = self._forwarded[command] = set()
             elif leader in sent_to:
                 continue
-            ctx.send(leader, (FWD, command))
+            sends.append((leader, (FWD, command)))
             sent_to.add(leader)
 
     def _accept_foreign(self, command: Command) -> None:
@@ -327,9 +350,8 @@ class ReplicatedLogProcess(Process):
 
     def _route(
         self,
-        message: DeliveredMessage,
+        message: Any,
         current_slot: int,
-        replay: List[DeliveredMessage],
         stashed: Dict[int, List[DeliveredMessage]],
     ) -> Optional[DeliveredMessage]:
         """Unwrap a SLOT message for the current instance or stash it."""
@@ -342,8 +364,8 @@ class ReplicatedLogProcess(Process):
             return unwrapped
         if slot > current_slot:
             stashed.setdefault(slot, []).append(unwrapped)
-        # Past-slot traffic: answered by the post-loop server (or dropped
-        # here — the DECIDED notice is the catch-all for laggards).
+        # Past-slot traffic is dropped: the DECIDED notice is the
+        # catch-all for laggards (a serving replica answers it instead).
         return None
 
 

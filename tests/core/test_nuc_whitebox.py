@@ -31,7 +31,7 @@ class Driver:
 
     def step(self, message=None, d=LEADER0_Q01):
         obs = Observation(message=message, detector_value=d, time=self.time)
-        sends = self.runtime.step(obs)
+        sends = self.runtime.step(*obs)
         self.time += 1
         self.sent.extend(sends)
         return sends

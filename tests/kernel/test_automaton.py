@@ -5,6 +5,7 @@ import pytest
 from repro.kernel.automaton import (
     Automaton,
     AutomatonProcess,
+    AutomatonRuntime,
     CoroutineRuntime,
     DeliveredMessage,
     Observation,
@@ -59,7 +60,7 @@ class TestProcessContext:
     def test_send_queues_until_step_boundary(self):
         ctx = ProcessContext(0, 3)
         runtime = CoroutineRuntime(EchoProcess(), ctx)
-        sends = runtime.step(obs(DeliveredMessage(2, "hi")))
+        sends = runtime.step(*obs(DeliveredMessage(2, "hi")))
         assert sends == [(2, "echo:hi")]
 
     def test_send_to_all_includes_self_by_default(self):
@@ -75,9 +76,9 @@ class TestProcessContext:
     def test_log_and_inbox_track_messages(self):
         ctx = ProcessContext(0, 2)
         runtime = CoroutineRuntime(EchoProcess(), ctx)
-        runtime.step(obs(DeliveredMessage(1, "a")))
-        runtime.step(obs(None))
-        runtime.step(obs(DeliveredMessage(1, "b")))
+        runtime.step(*obs(DeliveredMessage(1, "a")))
+        runtime.step(*obs(None))
+        runtime.step(*obs(DeliveredMessage(1, "b")))
         assert [m.payload for m in ctx.log] == ["a", "b"]
         assert [m.payload for m in ctx.inbox] == ["a", "b"]
 
@@ -86,7 +87,7 @@ class TestProcessContext:
         seen = []
         ctx.add_handler(lambda m: (seen.append(m.payload), True)[1])
         runtime = CoroutineRuntime(EchoProcess(), ctx)
-        runtime.step(obs(DeliveredMessage(1, "consumed")))
+        runtime.step(*obs(DeliveredMessage(1, "consumed")))
         assert seen == ["consumed"]
         assert ctx.inbox == []  # consumed, not queued
         assert [m.payload for m in ctx.log] == ["consumed"]  # still logged
@@ -101,23 +102,23 @@ class TestProcessContext:
     def test_decision_time_recorded(self):
         ctx = ProcessContext(0, 2)
         runtime = CoroutineRuntime(CountingProcess(threshold=1), ctx)
-        runtime.step(obs(DeliveredMessage(1, "x"), time=17))
+        runtime.step(*obs(DeliveredMessage(1, "x"), time=17))
         assert ctx.decision == 1
         assert ctx.decision_time == 17
 
     def test_output_appends_history(self):
         ctx = ProcessContext(0, 2)
         runtime = CoroutineRuntime(CountingProcess(), ctx)
-        runtime.step(obs(None, time=3))
-        runtime.step(obs(None, time=9))
+        runtime.step(*obs(None, time=3))
+        runtime.step(*obs(None, time=9))
         assert ctx.outputs == [(3, 1), (9, 2)]
 
     def test_received_queries_log(self):
         ctx = ProcessContext(0, 3)
         runtime = CoroutineRuntime(EchoProcess(), ctx)
-        runtime.step(obs(DeliveredMessage(1, ("T", 1))))
-        runtime.step(obs(DeliveredMessage(2, ("U", 1))))
-        runtime.step(obs(DeliveredMessage(1, ("T", 2))))
+        runtime.step(*obs(DeliveredMessage(1, ("T", 1))))
+        runtime.step(*obs(DeliveredMessage(2, ("U", 1))))
+        runtime.step(*obs(DeliveredMessage(1, ("T", 2))))
         ts = ctx.received(lambda m: m.payload[0] == "T")
         assert [m.payload for m in ts] == [("T", 1), ("T", 2)]
         per_sender = ctx.received_from([1, 2], lambda m: True)
@@ -129,9 +130,9 @@ class TestCoroutineRuntime:
     def test_init_sends_attach_to_first_step(self):
         ctx = ProcessContext(0, 2)
         runtime = CoroutineRuntime(InitSenderProcess(), ctx)
-        sends = runtime.step(obs(None))
+        sends = runtime.step(*obs(None))
         assert sends == [(0, "hello"), (1, "hello")]
-        assert runtime.step(obs(None)) == []
+        assert runtime.step(*obs(None)) == []
 
     def test_halted_program_keeps_taking_noop_steps(self):
         class OneShot(Process):
@@ -141,15 +142,15 @@ class TestCoroutineRuntime:
 
         ctx = ProcessContext(0, 1)
         runtime = CoroutineRuntime(OneShot(), ctx)
-        runtime.step(obs(None))
-        runtime.step(obs(None))
+        runtime.step(*obs(None))
+        runtime.step(*obs(None))
         assert runtime.halted
-        assert runtime.step(obs(DeliveredMessage(0, "late"))) == []
+        assert runtime.step(*obs(DeliveredMessage(0, "late"))) == []
 
     def test_observation_fields_exposed_on_ctx(self):
         ctx = ProcessContext(0, 2)
         runtime = CoroutineRuntime(EchoProcess(), ctx)
-        runtime.step(obs(None, d="leader-3", time=42))
+        runtime.step(*obs(None, d="leader-3", time=42))
         assert ctx.detector_value == "leader-3"
         assert ctx.time == 42
         assert ctx.step_count == 1
@@ -174,25 +175,32 @@ class TestAutomatonProcess:
     def test_runs_automaton_and_decides(self):
         ctx = ProcessContext(0, 1)
         proc = AutomatonProcess(Adder(), proposal=5)
-        runtime = CoroutineRuntime(proc, ctx)
-        runtime.step(obs(None, d=2))
+        runtime = proc.runtime(ctx)
+        runtime.step(*obs(None, d=2))
         assert ctx.decision is None
-        runtime.step(obs(None, d=4))
+        runtime.step(*obs(None, d=4))
         assert ctx.decision == 6
 
     def test_exposes_current_state(self):
         ctx = ProcessContext(0, 1)
         proc = AutomatonProcess(Adder(), proposal=100)
-        runtime = CoroutineRuntime(proc, ctx)
-        runtime.step(obs(None, d=3))
+        runtime = proc.runtime(ctx)
+        runtime.step(*obs(None, d=3))
         assert proc.state["sum"] == 3
 
     def test_forwards_sends(self):
         ctx = ProcessContext(0, 1)
         proc = AutomatonProcess(Adder(), proposal=100)
-        runtime = CoroutineRuntime(proc, ctx)
-        sends = runtime.step(obs(None, d=0))
+        runtime = proc.runtime(ctx)
+        sends = runtime.step(*obs(None, d=0))
         assert sends == [(0, "tick")]
+
+    def test_steps_without_a_generator(self):
+        proc = AutomatonProcess(Adder(), proposal=100)
+        assert proc.state is None  # no runtime bound yet
+        runtime = proc.runtime(ProcessContext(0, 1))
+        assert isinstance(runtime, AutomatonRuntime)
+        assert proc.state == {"sum": 0, "threshold": 100}
 
 
 class TestReplayAutomaton:
@@ -205,7 +213,7 @@ class TestReplayAutomaton:
         # direct run
         ctx = ProcessContext(0, 2)
         runtime = CoroutineRuntime(EchoProcess(), ctx)
-        direct = [runtime.step(obs(m, d)) for m, d in history]
+        direct = [runtime.step(*obs(m, d)) for m, d in history]
 
         # replayed as a pure automaton
         replay = ReplayAutomaton(lambda proposal: EchoProcess(), n=2)
@@ -242,6 +250,27 @@ class TestRuntimeErrorContext:
 
         ctx = ProcessContext(3, 4)
         runtime = CoroutineRuntime(Exploder(), ctx)
-        runtime.step(obs(None))  # completes the first take_step cleanly
+        runtime.step(*obs(None))  # completes the first take_step cleanly
         with pytest.raises(RuntimeError, match=r"process 3 \(Exploder\).*boom"):
-            runtime.step(obs(None))
+            runtime.step(*obs(None))
+
+    def test_automaton_exceptions_carry_pid_and_step(self):
+        class Exploder(Automaton):
+            def initial_state(self, pid, n, proposal):
+                return 0
+
+            def transition(self, state, pid, msg, d):
+                if state == 1:
+                    raise ValueError("boom")
+                return TransitionOutcome(state=state + 1, sends=[])
+
+        ctx = ProcessContext(3, 4)
+        proc = AutomatonProcess(Exploder(), proposal=None)
+        runtime = proc.runtime(ctx)
+        runtime.step(*obs(None))  # the first transition completes cleanly
+        with pytest.raises(
+            RuntimeError,
+            match=r"process 3 \(Exploder\) crashed at step 2 "
+            r"\(t=5\): boom",
+        ):
+            runtime.step(*obs(None, time=5))

@@ -79,22 +79,15 @@ class TestForwarding:
         command forwarded exactly once."""
         proc = ReplicatedLogProcess([("append", 1, 0)], slots=4)
 
-        class FakeCtx:
-            pid = 1
-            sent = []
-
-            def send(self, dest, payload):
-                self.sent.append((dest, payload))
-
-        ctx = FakeCtx()
-        proc._maybe_forward(ctx, (0, frozenset({0, 1})))
-        proc._maybe_forward(ctx, (0, frozenset({0, 1})))
-        assert len(ctx.sent) == 1
-        assert ctx.sent[0] == (0, ("FWD", ("append", 1, 0)))
+        sent = []
+        proc._maybe_forward(1, (0, frozenset({0, 1})), sent)
+        proc._maybe_forward(1, (0, frozenset({0, 1})), sent)
+        assert len(sent) == 1
+        assert sent[0] == (0, ("FWD", ("append", 1, 0)))
         # A leader change re-forwards once to the new leader.
-        proc._maybe_forward(ctx, (2, frozenset({1, 2})))
-        assert len(ctx.sent) == 2
-        assert ctx.sent[1][0] == 2
+        proc._maybe_forward(1, (2, frozenset({1, 2})), sent)
+        assert len(sent) == 2
+        assert sent[1][0] == 2
 
 
 class TestFeedAndBatches:

@@ -195,16 +195,6 @@ class RescanningReplica:
         return sends
 
 
-class RecordingCtx:
-    pid = 0
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, dest, payload):
-        self.sent.append((dest, payload))
-
-
 # Few distinct commands, so drawn sequences hit the same one repeatedly.
 COMMANDS = (
     [("append", 0, 0), ("append", 1, 0)]
@@ -252,10 +242,10 @@ def test_replica_indexes_match_rescanning_reference(initial, ops):
         elif op == "fwd":
             real._accept_foreign(arg)
             ref.accept_foreign(arg)
-        elif op == "append":  # a log handed over from outside program()
+        elif op == "append":  # a log handed over from outside step()
             real.log.append(arg)
             ref.log.append(arg)
-        elif op == "decide":  # what program() does at a slot boundary
+        elif op == "decide":  # what step() does at a slot boundary
             real.log.append(arg)
             real._purge_chosen(arg)
             ref.log.append(arg)
@@ -264,9 +254,9 @@ def test_replica_indexes_match_rescanning_reference(initial, ops):
             real._purge_chosen(arg)
             ref.purge(arg)
         elif op == "forward":
-            ctx = RecordingCtx()
-            real._maybe_forward(ctx, (arg, frozenset({0, arg})))
-            assert ctx.sent == ref.forward(arg)
+            sent = []
+            real._maybe_forward(0, (arg, frozenset({0, arg})), sent)
+            assert sent == ref.forward(arg)
         else:  # the indexes sync lazily: compare at drawn points only
             assert_same_answers(real, ref)
     assert_same_answers(real, ref)
@@ -277,14 +267,14 @@ def test_replica_indexes_match_rescanning_reference(initial, ops):
 
 def test_side_tables_stay_bounded_by_what_is_pending():
     proc = ReplicatedLogProcess([], slots=None)
-    ctx = RecordingCtx()
+    sent = []
     for seq in range(50):
         batch = ("batch", "svc", seq, ((0, seq, "x"),))
         assert proc.feed(batch)
-        proc._maybe_forward(ctx, (1, frozenset({0, 1})))
+        proc._maybe_forward(0, (1, frozenset({0, 1})), sent)
         proc.log.append(batch)
         proc._purge_chosen(batch)
-    assert len(ctx.sent) == 50
+    assert len(sent) == 50
     assert not proc._forwarded and not proc._known and not proc.commands
 
 

@@ -1,16 +1,26 @@
-"""The replica on the automaton == the replica on the coroutine.
+"""The replica's direct step == the replica's generator programs.
 
-A replica runs each slot's consensus instance as an ``AnucAutomaton``
-state.  It used to build an ``AnucProcess`` with its own context and
-runtime per slot and feed it observations; that slot loop is kept here,
-test-local, as the reference.  Both replicas must produce the same run —
-every step's process, delivered message, detector value and sends — and
-the same logs and applied sequences, on the chaos ``smr`` rows and on a
-schedule where a laggard falls slots behind and catches up by replaying
-stashed traffic.
+The kernel steps a replica through one ``ReplicatedLogProcess.step`` call:
+an explicit transition over the replica's own state, no generator.  Two
+generator renditions are kept here, test-local, as references, each run
+on a ``CoroutineRuntime``:
+
+* ``GeneratorReplica`` — the replica as it was written before the step
+  became explicit: one ``AnucAutomaton`` state per slot, driven from a
+  generator ``program``;
+* ``CoroutineSlotReplica`` — one coroutine ``AnucProcess`` per slot, with
+  its own context and runtime, fed observations.
+
+All three must produce the same run — every step's process, delivered
+message, detector value and sends — and the same logs and applied
+sequences: on the chaos ``smr`` rows, on a schedule where a laggard falls
+slots behind and catches up by replaying stashed traffic, and on a
+service-shaped run (unbounded slots, batches fed between bursts, a leader
+crash that Omega notices late).
 """
 
 import itertools
+import random
 from typing import Dict, List, Optional
 
 import pytest
@@ -18,11 +28,16 @@ import pytest
 from repro.chaos.matrix import CONFIGS
 from repro.chaos.space import draw_case
 from repro.core.nuc import AnucProcess
-from repro.detectors import PairedHistory, ScheduleHistory, sample_history_cached
+from repro.core.nuc_automaton import AnucAutomaton
+from repro.detectors import (
+    PairedHistory,
+    ScheduleHistory,
+    SigmaNuPlus,
+    sample_history_cached,
+)
 from repro.kernel.automaton import (
     CoroutineRuntime,
     DeliveredMessage,
-    Observation,
     ProcessContext,
 )
 from repro.kernel.failures import FailurePattern
@@ -35,9 +50,30 @@ from repro.kernel.scheduler import WeightedScheduler, build_scheduler
 from repro.kernel.system import System
 from repro.smr.replicated_log import DECIDED, FWD, SLOT, ReplicatedLogProcess
 
+_ANUC = AnucAutomaton()
 
-class CoroutineSlotReplica(ReplicatedLogProcess):
-    """The reference: one coroutine ``AnucProcess`` per slot."""
+
+class GeneratorReplica(ReplicatedLogProcess):
+    """The reference: the replica's slot loop as a generator program."""
+
+    def runtime(self, ctx: ProcessContext) -> CoroutineRuntime:
+        return CoroutineRuntime(self, ctx)
+
+    def forward_in_step(self, ctx: ProcessContext, d) -> None:
+        sends = []
+        self._maybe_forward(ctx.pid, d, sends)
+        for dest, payload in sends:
+            ctx.send(dest, payload)
+
+    def open_instance(self, ctx: ProcessContext, proposal):
+        """Return ``step(message, d, t) -> (sends, decision)`` for a slot."""
+        state = _ANUC.initial_state(ctx.pid, ctx.n, proposal)
+
+        def step(message, d, t):
+            sends = _ANUC.transition(state, ctx.pid, message, d).sends
+            return sends, state.decided
+
+        return step
 
     def program(self, ctx: ProcessContext):
         stashed: Dict[int, List[DeliveredMessage]] = {}
@@ -62,9 +98,7 @@ class CoroutineSlotReplica(ReplicatedLogProcess):
         for slot in slot_range:
             ctx.log.clear()
             ctx.inbox.clear()
-            proposal = self._next_proposal()
-            inner_ctx = ProcessContext(ctx.pid, ctx.n)
-            runtime = CoroutineRuntime(AnucProcess(proposal), inner_ctx)
+            instance = self.open_instance(ctx, self._next_proposal())
             replay = list(stashed.pop(slot, ()))
 
             while True:
@@ -80,25 +114,23 @@ class CoroutineSlotReplica(ReplicatedLogProcess):
                         d = obs.detector_value
                         obs_time = obs.time
                         if obs.message is not None:
-                            self._route(obs.message, slot, replay, stashed)
+                            self._route(obs.message, slot, stashed)
                 else:
                     obs = yield from ctx.take_step()
                     d = obs.detector_value
                     obs_time = obs.time
                     message = None
                     if obs.message is not None:
-                        message = self._route(obs.message, slot, replay, stashed)
+                        message = self._route(obs.message, slot, stashed)
                 if slot in decided_notices:
                     value = decided_notices[slot]
                     break
-                self._maybe_forward(ctx, d)
-                sends = runtime.step(
-                    Observation(message=message, detector_value=d, time=obs_time)
-                )
+                self.forward_in_step(ctx, d)
+                sends, decision = instance(message, d, obs_time)
                 for dest, payload in sends:
                     ctx.send(dest, (SLOT, slot, payload))
-                if inner_ctx.decision is not None:
-                    value = inner_ctx.decision
+                if decision is not None:
+                    value = decision
                     ctx.send_to_all((DECIDED, slot, value))
                     break
 
@@ -110,7 +142,7 @@ class CoroutineSlotReplica(ReplicatedLogProcess):
 
         while True:
             obs = yield from ctx.take_step()
-            self._maybe_forward(ctx, obs.detector_value)
+            self.forward_in_step(ctx, obs.detector_value)
             if obs.message is not None and obs.message.payload[0] == SLOT:
                 _, slot, _inner = obs.message.payload
                 if slot in decided_notices:
@@ -119,23 +151,60 @@ class CoroutineSlotReplica(ReplicatedLogProcess):
                     )
 
 
-def run_both(make_system, max_steps, stop_when=None):
-    """Run the same configuration on each replica class; compare it all."""
+class CoroutineSlotReplica(GeneratorReplica):
+    """The reference with one coroutine ``AnucProcess`` per slot."""
+
+    def open_instance(self, ctx: ProcessContext, proposal):
+        inner_ctx = ProcessContext(ctx.pid, ctx.n)
+        runtime = CoroutineRuntime(AnucProcess(proposal), inner_ctx)
+
+        def step(message, d, t):
+            return runtime.step(message, d, t), inner_ctx.decision
+
+        return step
+
+
+REFERENCES = (GeneratorReplica, CoroutineSlotReplica)
+
+
+def test_references_run_on_the_coroutine_runtime():
+    # A reference stepped through ReplicatedLogProcess.step would check the
+    # direct step against itself.
+    for reference in REFERENCES:
+        runtime = reference((), slots=None).runtime(ProcessContext(0, 3))
+        assert isinstance(runtime, CoroutineRuntime)
+    replica = ReplicatedLogProcess((), slots=None)
+    assert not isinstance(
+        replica.runtime(ProcessContext(0, 3)), CoroutineRuntime
+    )
+
+
+def run_both(make_system, max_steps=None, stop_when=None, drive=None):
+    """Run one configuration on the replica and on each reference replica;
+    compare it all.  ``drive(system, processes)`` replaces ``run``."""
     outcomes = []
-    for replica_cls in (ReplicatedLogProcess, CoroutineSlotReplica):
+    for replica_cls in (ReplicatedLogProcess,) + REFERENCES:
         system, processes = make_system(replica_cls)
-        stop = None if stop_when is None else (lambda s: stop_when(processes))
-        result = system.run(max_steps=max_steps, stop_when=stop)
+        if drive is not None:
+            drive(system, processes)
+            result = system.result()
+        else:
+            stop = None if stop_when is None else (lambda s: stop_when(processes))
+            result = system.run(max_steps=max_steps, stop_when=stop)
         outcomes.append((result, processes))
-    (new, new_procs), (ref, ref_procs) = outcomes
-    assert new.total_steps == ref.total_steps
-    for mine, theirs in zip(new.steps, ref.steps):
-        assert mine == theirs  # pid, delivery, detector value and sends
-    assert new.stop_reason == ref.stop_reason
-    for p in new_procs:
-        assert new_procs[p].log == ref_procs[p].log, p
-        assert new_procs[p].applied == ref_procs[p].applied, p
-        assert new_procs[p].pending_commands() == ref_procs[p].pending_commands()
+    new, new_procs = outcomes[0]
+    for ref, ref_procs in outcomes[1:]:
+        assert new.total_steps == ref.total_steps
+        for mine, theirs in zip(new.steps, ref.steps):
+            assert mine == theirs  # pid, delivery, detector value and sends
+        assert new.stop_reason == ref.stop_reason
+        for p in new_procs:
+            assert new_procs[p].log == ref_procs[p].log, p
+            assert new_procs[p].applied == ref_procs[p].applied, p
+            assert (
+                new_procs[p].pending_commands()
+                == ref_procs[p].pending_commands()
+            )
     return new, new_procs
 
 
@@ -214,7 +283,7 @@ def test_laggard_replays_stashed_slots():
 
     result, processes = run_both(make_system, 40_000, watch_lag)
     assert result.stop_reason == "stop_condition"
-    assert worst_lag[0] == worst_lag[1] >= 2
+    assert worst_lag[0] == worst_lag[1] == worst_lag[2] >= 2
     # The laggard ran its own instance of every slot, on replayed traffic
     # for all but the first, long after the others had left them.
     laggard_slots = {
@@ -225,3 +294,42 @@ def test_laggard_replays_stashed_slots():
         if m.payload[0] == SLOT
     }
     assert laggard_slots == set(range(slots))
+
+
+def test_service_shaped_failover():
+    # The failover_n5 shape at a small size: unbounded logs, one batch fed
+    # at the believed leader between 256-step bursts (undecided ones
+    # re-fed when the belief moves), p0 crashing while Omega keeps
+    # naming it for another 1 000 steps.
+    n, crash_at, switch_at, batches = 5, 2_000, 3_000, 24
+    pattern = FailurePattern(n, {0: crash_at})
+    history = PairedHistory(
+        [
+            ScheduleHistory({p: [(0, 0), (switch_at, 1)] for p in range(n)}),
+            SigmaNuPlus().sample_history(pattern, random.Random(819)),
+        ]
+    )
+    fed = [("batch", "svc", seq, ((seq % 4, seq, f"set k{seq}"),))
+           for seq in range(batches)]
+
+    def make_system(replica_cls):
+        processes = {p: replica_cls((), slots=None) for p in range(n)}
+        return System(processes, pattern, history, seed=11), processes
+
+    def drive(system, processes):
+        for burst in range(60):
+            t = system.time
+            alive = sorted(pattern.alive_at(t))
+            leader = history.value(alive[0], t)[0]
+            target = leader if pattern.is_alive(leader, t) else alive[0]
+            applied = set(processes[target].log)
+            for batch in fed[: burst + 1]:
+                if batch not in applied:
+                    processes[target].feed(batch)
+            system.advance(256)
+
+    result, processes = run_both(make_system, drive=drive)
+    # Every batch was decided, in seq order, by each correct replica.
+    for p in pattern.correct:
+        assert [e for e in processes[p].log if e[0] == "batch"] == fed
+    assert result.total_steps == 60 * 256
