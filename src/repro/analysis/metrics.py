@@ -58,11 +58,10 @@ def collect_metrics(result: RunResult) -> RunMetrics:
 def collect_search_counters(processes: Iterable[object]) -> Optional[Dict[str, int]]:
     """Sum the search-work counters of every process exposing them.
 
-    The extraction trie (:mod:`repro.core.simtrie`) and the boosting
-    closed-path memo both publish per-process counters through a
-    ``search_counters()`` method; this merges them across a run's processes
-    into one dict for reports and benchmark JSON.  ``None`` when no process
-    exposes counters (e.g. the from-scratch search path).
+    The extraction trie (:mod:`repro.core.simtrie`) publishes per-process
+    counters through the extractor's ``search_counters()`` method; this
+    merges them across a run's processes into one dict for reports and
+    benchmark JSON.  ``None`` when no process exposes counters.
     """
     dicts = []
     for proc in processes:

@@ -20,10 +20,9 @@ and validity (violations are finitely witnessed), not for termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.core.simtrie import DigestCache
 from repro.kernel.automaton import Automaton, DeliveredMessage
 from repro.kernel.failures import FailurePattern
 from repro import obs as _obs
@@ -49,7 +48,6 @@ class ExplorationReport:
     max_depth: int
     truncated: bool
     violation: Optional[Violation] = None
-    digest_hits: int = 0  # state snapshots served by the digest cache
 
     @property
     def ok(self) -> bool:
@@ -83,7 +81,6 @@ def explore(
     invariant: Callable[[Dict[int, Any], "_MessageView"], Optional[str]],
     max_depth: int = 8,
     max_configs: int = 200_000,
-    digest_cache: Optional[DigestCache] = None,
 ) -> ExplorationReport:
     """Explore every schedule prefix up to ``max_depth`` steps.
 
@@ -94,23 +91,19 @@ def explore(
     Exploration is depth-first with global deduplication on a configuration
     digest, so equivalent interleavings are visited once.  Successor
     configurations copy only the stepping process's state (transitions may
-    mutate in place; the others are shared by reference), and a
-    ``digest_cache`` memoizes per-state snapshot digests by identity —
-    shared states cost their ``repr`` once instead of once per
-    configuration.  ``None`` uses a private cache; pass one to share it
-    across related explorations of the same automaton.
+    mutate in place; the others are shared by reference).
     """
     if not _obs._ENABLED:
         return _explore_impl(
             automaton, pattern, proposals, history, invariant,
-            max_depth, max_configs, digest_cache,
+            max_depth, max_configs,
         )
     with _obs.tracer().span(
         "modelcheck.explore", n=pattern.n, max_depth=max_depth
     ) as span:
         report = _explore_impl(
             automaton, pattern, proposals, history, invariant,
-            max_depth, max_configs, digest_cache,
+            max_depth, max_configs,
         )
         span.set(
             configurations=report.configurations,
@@ -122,7 +115,6 @@ def explore(
         reg.inc("modelcheck.explorations")
         reg.inc("modelcheck.configurations", report.configurations)
         reg.inc("modelcheck.transitions", report.transitions)
-        reg.inc("modelcheck.digest_hits", report.digest_hits)
         return report
 
 
@@ -134,10 +126,7 @@ def _explore_impl(
     invariant: Callable[[Dict[int, Any], "_MessageView"], Optional[str]],
     max_depth: int = 8,
     max_configs: int = 200_000,
-    digest_cache: Optional[DigestCache] = None,
 ) -> ExplorationReport:
-    if digest_cache is None:
-        digest_cache = DigestCache()
     n = pattern.n
 
     def initial() -> _LiveState:
@@ -150,10 +139,8 @@ def _explore_impl(
         # repr-normalize snapshots: automaton states may embed unhashable
         # structures (dict-valued message payloads); equal reprs collapse
         # equal configurations, unequal ones merely cost extra exploration.
-        # The cache is identity-keyed — sound because stored states are
-        # never mutated (apply copies the stepping state before stepping).
         snaps = tuple(
-            digest_cache.lookup(state.states[p], automaton) for p in range(n)
+            repr(automaton.snapshot(state.states[p])) for p in range(n)
         )
         msgs = tuple(
             sorted((m[0], m[1], repr(m[2])) for m in state.pending)
@@ -217,7 +204,6 @@ def _explore_impl(
                 max_depth=max_depth,
                 truncated=truncated,
                 violation=Violation(depth=depth, trace=trace, detail=problem),
-                digest_hits=digest_cache.hits,
             )
         if depth >= max_depth:
             continue
@@ -240,7 +226,6 @@ def _explore_impl(
         transitions=transitions,
         max_depth=max_depth,
         truncated=truncated,
-        digest_hits=digest_cache.hits,
     )
 
 

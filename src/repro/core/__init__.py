@@ -3,14 +3,13 @@ necessity transformation ``T_{D -> Sigma^nu}``, the booster
 ``T_{Sigma^nu -> Sigma^nu+}``, and the consensus algorithm ``A_nuc``.
 """
 
-from repro.core.boosting import ClosedPathMemo, SigmaNuPlusBooster
+from repro.core.boosting import SigmaNuPlusBooster
 from repro.core.dag import BalancedChainBuilder, DagCore, Sample, SampleDAG
 from repro.core.extraction import ExtractionSearch, SigmaNuExtractor
 from repro.core.nuc import AnucProcess
 from repro.core.nuc_automaton import AnucAutomaton
 from repro.core.sampling import DagBuilder
 from repro.core.simtrie import (
-    DigestCache,
     IncrementalExtractionEngine,
     SimulationTrie,
     TrieCounters,
@@ -27,10 +26,8 @@ __all__ = [
     "AnucAutomaton",
     "AnucProcess",
     "BalancedChainBuilder",
-    "ClosedPathMemo",
     "DagBuilder",
     "DagCore",
-    "DigestCache",
     "ExtractionSearch",
     "IncrementalExtractionEngine",
     "PathSimulation",

@@ -26,10 +26,9 @@ process, whose quorums have stabilized inside ``correct(F)``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Generator, List, Optional, Sequence, Tuple
+from typing import Any, FrozenSet, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.dag import DagCore, Sample, SampleDAG
-from repro.core.simtrie import PathTrie
 from repro.kernel.automaton import Process, ProcessContext
 # Aliased: ``obs`` is the observation local inside program() below.
 from repro import obs as obslib
@@ -41,47 +40,6 @@ def trusted(path: Sequence[Sample]) -> FrozenSet[int]:
     for sample in path:
         result |= set(sample.d)
     return frozenset(result)
-
-
-class ClosedPathMemo:
-    """Memoized ``trusted(g)`` along interned cascade chains.
-
-    Reuses the simulation trie's bare prefix tree
-    (:class:`~repro.core.simtrie.PathTrie`): chains are interned **top
-    first** — cascades for successive candidate sets all end at the same
-    newest sample and often share their upper segment — and each trie node
-    caches the union of quorums along its prefix in ``node.acc``.  Sample
-    keys ``(pid, k)`` determine the sample (hence its quorum) within one
-    process's execution, so the cached union depends only on the key
-    prefix and the memo never changes what ``trusted`` returns.
-    """
-
-    __slots__ = ("trie", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.trie = PathTrie()
-        self.hits = 0
-        self.misses = 0
-
-    def trusted(self, path: Sequence[Sample]) -> FrozenSet[int]:
-        node = self.trie.root
-        acc: FrozenSet[int] = frozenset()
-        for sample in reversed(path):
-            node, _ = self.trie.child(node, sample.key)
-            if node.acc is None:
-                node.acc = acc | frozenset(sample.d)
-                self.misses += 1
-            else:
-                self.hits += 1
-            acc = node.acc
-        return acc
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "trusted_hits": self.hits,
-            "trusted_misses": self.misses,
-            "nodes_created": self.trie.node_count,
-        }
 
 
 def path_participants(path: Sequence[Sample]) -> FrozenSet[int]:
@@ -134,22 +92,19 @@ def find_closed_path(
     dag: SampleDAG,
     pid: int,
     barrier: Sample,
-    memo: Optional[ClosedPathMemo] = None,
 ) -> Optional[List[Sample]]:
     """A fresh path ``g`` with ``trusted(g) ⊆ participants(g) ∋ pid``.
 
     Closure search: starting from ``S = {pid}``, build the cascade chain for
     ``S`` and widen ``S`` by the quorums it trusts until the chain is closed
-    or the candidate set stops growing (wait for more samples then).  A
-    ``memo`` serves the trusted-union of already-interned chain prefixes
-    from cache; results are identical with or without it.
+    or the candidate set stops growing (wait for more samples then).
     """
     if not obslib._ENABLED:
-        return _find_closed_path(dag, pid, barrier, memo)
+        return _find_closed_path(dag, pid, barrier)
     reg = obslib.metrics()
     reg.inc("boost.path_searches")
     with obslib.tracer().span("boost.path_search", pid=pid) as span:
-        chain = _find_closed_path(dag, pid, barrier, memo, reg=reg)
+        chain = _find_closed_path(dag, pid, barrier, reg=reg)
         span.set(found=chain is not None)
         return chain
 
@@ -158,7 +113,6 @@ def _find_closed_path(
     dag: SampleDAG,
     pid: int,
     barrier: Sample,
-    memo: Optional[ClosedPathMemo] = None,
     reg: Optional[Any] = None,
 ) -> Optional[List[Sample]]:
     top = dag.latest_sample(pid)
@@ -171,7 +125,7 @@ def _find_closed_path(
         chain = frontier_cascade(dag, top, candidate, barrier)
         if chain is None:
             return None
-        needs = memo.trusted(chain) if memo is not None else trusted(chain)
+        needs = trusted(chain)
         parts = path_participants(chain)
         if needs <= parts:
             return chain
@@ -205,14 +159,9 @@ class SigmaNuPlusBooster(Process):
         self.check_growth = check_growth
         self.evidence: List[_BoostEvidence] = []
         self.core: Optional[DagCore] = None
-        self.memo = ClosedPathMemo()
 
     def initial_output(self) -> Any:
         return frozenset(range(self.n))
-
-    def search_counters(self) -> Dict[str, int]:
-        """The closed-path memo's work counters."""
-        return self.memo.counters()
 
     def program(self, ctx: ProcessContext) -> Generator:
         core = DagCore(ctx.pid, ctx.n)
@@ -235,9 +184,7 @@ class SigmaNuPlusBooster(Process):
                 continue
             last_size = len(core.dag)
 
-            path = find_closed_path(
-                core.dag, ctx.pid, barrier, memo=self.memo
-            )  # lines 14-15
+            path = find_closed_path(core.dag, ctx.pid, barrier)  # lines 14-15
             if path is None:
                 continue
             quorum = path_participants(path)  # line 16

@@ -312,8 +312,6 @@ class BalancedChainBuilder:
         "_chain",
         "_last",
         "_ckpt",
-        "clock",
-        "_rewinds",
     )
 
     def __init__(self) -> None:
@@ -328,13 +326,6 @@ class BalancedChainBuilder:
         self._ckpt: Optional[
             Tuple[Dict[int, int], Dict[int, int], int, Optional[Sample]]
         ] = None
-        #: Monotone clock, ticked whenever the chain is rewound (truncated
-        #: and regrown).  Consumers that cache per-position work (the
-        #: extraction engine's search cursors) record the clock when they
-        #: read the chain and later ask :meth:`stable_since` how deep the
-        #: chain is still unchanged.
-        self.clock: int = 0
-        self._rewinds: List[Tuple[int, int]] = []  # (clock, truncation depth)
 
     def extend(self, nodes: Iterable[Sample]) -> None:
         """Feed samples; ones already fed (by ``(pid, k)``) are ignored.
@@ -400,8 +391,6 @@ class BalancedChainBuilder:
             self._chain = []
             self._last = None
             self._ckpt = None
-            self.clock += 1
-            self._rewinds.append((self.clock, 0))
         if fed:
             self._rewind_and_run()
 
@@ -413,22 +402,6 @@ class BalancedChainBuilder:
         """Number of entries of ``pid`` in the current chain."""
         return self._counts.get(pid, 0)
 
-    def stable_since(self, clock: int) -> int:
-        """How deep the chain is unchanged since ``clock`` was read.
-
-        Returns the minimum truncation depth over every rewind that happened
-        after ``clock``; chain positions below it are identical to what a
-        reader at ``clock`` saw.  With no rewind since, the whole current
-        chain is stable (only possibly extended).
-        """
-        stable = len(self._chain)
-        for at, depth in reversed(self._rewinds):
-            if at <= clock:
-                break
-            if depth < stable:
-                stable = depth
-        return stable
-
     def _rewind_and_run(self) -> None:
         if self._ckpt is not None:
             pointers, counts, chain_len, last = self._ckpt
@@ -437,8 +410,6 @@ class BalancedChainBuilder:
             del self._chain[chain_len:]
             self._last = last
             self._ckpt = None
-            self.clock += 1
-            self._rewinds.append((self.clock, chain_len))
         elif self._chain or self._last is not None:
             raise AssertionError("completed run left no checkpoint")
         lists = self._lists

@@ -45,20 +45,18 @@ class ExtractionSearch:
     configuration's schedule is cached until the barrier moves.
 
     The search runs through the incremental simulation trie
-    (:mod:`repro.core.simtrie`): chains share simulated prefixes between
-    attempts and between the I_0 and I_1 configurations, and subsets whose
-    fresh samples are unchanged since a failed attempt are skipped.  The
-    results are identical to the from-scratch reference
+    (:mod:`repro.core.simtrie`): each candidate subset's chain is grown
+    incrementally, and chains share simulated prefixes between attempts and
+    between the I_0 and I_1 configurations.  The results are identical to
+    the from-scratch reference
     :func:`repro.core.simulation.find_deciding_schedule` (oracle-tested in
-    ``tests/core/test_simtrie.py``); ``snapshot_stride`` tunes how densely
-    simulator snapshots are cached.
+    ``tests/core/test_simtrie.py``).
     """
 
     search_growth: int = 12
     max_path_len: int = 2000
     minimize_participants: bool = True
     max_subset_size: Optional[int] = None  # cap candidate quorum size
-    snapshot_stride: int = 8
 
 
 @dataclass
@@ -98,9 +96,7 @@ class SigmaNuExtractor(Process):
         self.search = search if search is not None else ExtractionSearch()
         self.evidence: List[_QuorumEvidence] = []
         self.core: Optional[DagCore] = None
-        self.engine = IncrementalExtractionEngine(
-            subject, n, snapshot_stride=self.search.snapshot_stride
-        )
+        self.engine = IncrementalExtractionEngine(subject, n)
 
     def initial_output(self) -> Any:
         # Line 2: Sigma^nu-output_p <- Pi.

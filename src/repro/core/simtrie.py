@@ -1,8 +1,8 @@
 """Incremental simulation trie: memoized ``Sch(G, I)`` prefixes.
 
-The extraction search (Fig. 2 lines 14-17) and its cousins re-simulate the
-subject algorithm ``A`` along DAG chains over and over: every search tick
-rebuilds each candidate subset's balanced chain and replays it from a fresh
+The extraction search (Fig. 2 lines 14-17) re-simulates the subject
+algorithm ``A`` along DAG chains over and over: every search tick rebuilds
+each candidate subset's balanced chain and replays it from a fresh
 :class:`~repro.kernel.runs.PureSystemSimulator`, for both the all-0 and the
 all-1 initial configuration.  But the object being recomputed is a *tree of
 runs sharing prefixes* — the simulation forest of the CHT-style derivations —
@@ -17,41 +17,31 @@ initial configuration each node caches
 * the :class:`~repro.kernel.steps.Step` taken to reach it (message receipt
   is deterministic under the oldest-message rule of Lemma 4.10),
 * the decision, if any, that the stepping process reached at it, and
-* every ``snapshot_stride`` levels, a forked simulator snapshot.
+* every :data:`SNAPSHOT_STRIDE` levels, a forked simulator snapshot.
 
 :meth:`SimulationTrie.simulate` then reproduces
 :func:`~repro.core.simulation.canonical_schedule` *exactly* — same schedule,
 same path truncation, same decisions — while replaying only the suffix past
-the longest cached prefix.  Chains that were already simulated in full are
+the longest cached prefix.  So a (node, initial configuration) step is
+simulated at most once.  Chains that were already simulated in full are
 answered with zero simulator work, which is also how failed searches are
-pruned: by Sch-monotonicity (Lemmas 4.5/4.11) a chain that did not let the
+settled: by Sch-monotonicity (Lemmas 4.5/4.11) a chain that did not let the
 target decide still does not at any prefix, and the cached decision deltas
 witness this directly.
 
-:class:`IncrementalExtractionEngine` adds the subset-level pruning of
-``T_{D -> Sigma^nu}``: it tracks, per candidate subset, a signature of the
-fresh samples available to it at the last failed attempt and skips the
-subset while the signature is unchanged (same samples => same balanced
-chain => same failure).  The I_0 and I_1 searches share one trie — the node
+:class:`IncrementalExtractionEngine` is the search of ``T_{D ->
+Sigma^nu}`` on top: per candidate subset it keeps an incremental
+:class:`~repro.core.dag.BalancedChainBuilder` and simulates the subset's
+chain through the trie.  The I_0 and I_1 searches share one trie — the node
 structure is common; only the per-configuration caches differ.
 
-Two further reuses of the same machinery live here:
-
-* :class:`PathTrie` — the bare interned prefix tree — also serves the
-  closed-path search of ``T_{Sigma^nu -> Sigma^nu+}``
-  (:mod:`repro.core.boosting`), caching the ``trusted(g)`` unions along
-  cascade chains whose deep prefixes are stable across ticks.
-* :class:`DigestCache` — identity-keyed state digests — serves the bounded
-  explorer (:func:`repro.analysis.modelcheck.explore`), collapsing the
-  digest cost of configurations that share unchanged per-process states.
-
-Counters for all of it (prefix hit-rate, steps simulated vs. replayed for
-free, subsets pruned) surface through :mod:`repro.analysis.metrics`.
+Counters (prefix hit-rate, steps simulated vs. replayed for free) surface
+through :mod:`repro.analysis.metrics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -77,8 +67,8 @@ class TrieCounters:
     are cached steps re-applied from the nearest snapshot (no delivery
     search); ``steps_from_cache`` were served without touching a simulator
     at all.  ``known_failure_hits`` are whole queries answered negatively
-    from cached decision deltas; ``subsets_pruned`` candidate subsets were
-    skipped before even building a chain.
+    from cached decision deltas; ``subsets_tried`` counts the candidate
+    subsets whose chain the engine built.
     """
 
     queries: int = 0
@@ -88,7 +78,6 @@ class TrieCounters:
     steps_simulated: int = 0
     steps_replayed: int = 0
     steps_from_cache: int = 0
-    subsets_pruned: int = 0
     subsets_tried: int = 0
     snapshots_stored: int = 0
     snapshot_restores: int = 0
@@ -115,76 +104,24 @@ class TrieCounters:
         return (self.steps_replayed + self.steps_from_cache) / total
 
 
+#: Store a forked simulator every this many levels of a fresh chain.
+SNAPSHOT_STRIDE = 8
+#: Cap on stored snapshots per trie — the trie's memory bound.  Past it,
+#: queries replay cached steps from the deepest existing snapshot.
+SNAPSHOT_BUDGET = 4096
+
+
 class _Node:
     """One interned prefix.  Per-configuration caches are keyed by the
     small integers handed out by :meth:`SimulationTrie.config_index`."""
 
-    __slots__ = ("children", "steps", "dstep", "snaps", "acc")
+    __slots__ = ("children", "steps", "dstep", "snaps")
 
     def __init__(self) -> None:
         self.children: Dict[SampleKey, "_Node"] = {}
         self.steps: Dict[int, Step] = {}
         self.dstep: Dict[int, Tuple[int, Any]] = {}
         self.snaps: Dict[int, PureSystemSimulator] = {}
-        self.acc: Any = None  # generic accumulator (boosting: trusted union)
-
-
-class PathTrie:
-    """An interned prefix tree over sample keys.
-
-    The bare structure shared by the simulation trie and the boosting
-    closed-path memo: both walk chains of :class:`~repro.core.dag.Sample`
-    and cache per-node facts that depend only on the prefix.
-    """
-
-    __slots__ = ("root", "node_count")
-
-    def __init__(self) -> None:
-        self.root = _Node()
-        self.node_count = 0
-
-    def child(self, node: _Node, key: SampleKey) -> Tuple[_Node, bool]:
-        """The child of ``node`` under ``key``, created if absent."""
-        got = node.children.get(key)
-        if got is not None:
-            return got, False
-        made = _Node()
-        node.children[key] = made
-        self.node_count += 1
-        return made, True
-
-
-class DigestCache:
-    """Identity-keyed memo of state digests (``repr`` of snapshots).
-
-    Sound because the kernel never mutates a state object once it has been
-    stored in a configuration: transitions receive a fresh copy
-    (:meth:`~repro.kernel.automaton.Automaton.copy_state`).  Cached objects
-    are pinned so ids cannot be recycled underneath the memo.
-    """
-
-    __slots__ = ("_byid", "_pin", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._byid: Dict[int, str] = {}
-        self._pin: List[Any] = []
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, state: Any, automaton: Automaton) -> str:
-        key = id(state)  # repro: noqa RPR104 -- identity memo over pinned states; ids never ordered or persisted
-        got = self._byid.get(key)
-        if got is not None:
-            self.hits += 1
-            return got
-        value = repr(automaton.snapshot(state))
-        self._byid[key] = value
-        self._pin.append(state)
-        self.misses += 1
-        return value
-
-    def __len__(self) -> int:
-        return len(self._byid)
 
 
 class SimulationTrie:
@@ -193,35 +130,15 @@ class SimulationTrie:
     One trie serves every initial configuration of the automaton — register
     each with :meth:`config_index`; the structure (nodes, children) is
     shared, the step/decision/snapshot caches are per configuration.
-
-    ``snapshot_stride`` controls how often a forked simulator is stored
-    along freshly simulated chains (plus one at every chain's end, the
-    likeliest future extension point).  ``snapshot_budget`` caps the total
-    number of stored snapshots; past it, caching degrades gracefully to
-    steps-only (queries replay from the deepest existing snapshot).
     """
 
-    def __init__(
-        self,
-        automaton: Automaton,
-        n: int,
-        snapshot_stride: int = 8,
-        snapshot_budget: int = 4096,
-    ):
+    def __init__(self, automaton: Automaton, n: int):
         self.automaton = automaton
         self.n = n
-        self.snapshot_stride = max(1, snapshot_stride)
-        self.snapshot_budget = snapshot_budget
-        self.trie = PathTrie()
+        self.root = _Node()
         self.counters = TrieCounters()
-        self.digests = DigestCache()  # shared with modelcheck.explore
         self._configs: Dict[Tuple[Any, ...], int] = {}
-        self._proposals: List[Dict[int, Any]] = []
         self._root_decided: List[Dict[int, Any]] = []
-
-    # ------------------------------------------------------------------
-    # Configurations
-    # ------------------------------------------------------------------
 
     def config_index(self, proposals: Mapping[int, Any]) -> int:
         """Intern an initial configuration; returns its small index."""
@@ -229,29 +146,24 @@ class SimulationTrie:
         got = self._configs.get(key)
         if got is not None:
             return got
-        index = len(self._proposals)
+        index = len(self._root_decided)
         self._configs[key] = index
-        self._proposals.append(dict(proposals))
         sim = PureSystemSimulator(self.automaton, self.n, proposals)
         self._root_decided.append(sim.decided_pids())
         return index
-
-    # ------------------------------------------------------------------
-    # The trie-backed canonical schedule
-    # ------------------------------------------------------------------
 
     def simulate(
         self,
         proposals: Mapping[int, Any],
         path: Sequence[Sample],
         target: Optional[int] = None,
-        stop_on_target_decision: bool = True,
     ):
         """Trie-backed :func:`~repro.core.simulation.canonical_schedule`.
 
         Returns a :class:`~repro.core.simulation.PathSimulation` equal to
-        the from-scratch one for the same arguments (the oracle tests
-        compare them field by field); only the work differs.
+        the from-scratch one for the same arguments, stopping where
+        ``target`` decides (the oracle tests compare them field by field);
+        only the work differs.
         """
         from repro.core.simulation import PathSimulation
 
@@ -262,7 +174,7 @@ class SimulationTrie:
         decided = dict(self._root_decided[cfg])
         decided_at: Optional[int] = None
         steps: List[Step] = []
-        node = self.trie.root
+        node = self.root
         snap_sim: Optional[PureSystemSimulator] = None
         snap_depth = 0
         i = 0
@@ -281,31 +193,22 @@ class SimulationTrie:
             snap = child.snaps.get(cfg)
             if snap is not None:
                 snap_sim, snap_depth = snap, i
-            if target is not None and decided_at is None and target in decided:
+            if target is not None and target in decided:
                 decided_at = i
-                if stop_on_target_decision:
-                    c.cached_results += 1
-                    c.steps_from_cache += i
-                    return PathSimulation(
-                        schedule=Schedule(steps),
-                        path=tuple(path[:i]),
-                        participants=frozenset(s.pid for s in path[:i]),
-                        decisions=decided,
-                        target_decided_at=i,
-                    )
+                break
 
-        if i == len(path):
-            # The whole chain was already simulated — served for free.  With
-            # a target this is the known-failure fast path (Sch-monotone:
-            # no prefix of a non-deciding chain decides either).
+        if decided_at is not None or i == len(path):
+            # Served for free.  A whole chain without a target decision is
+            # the known-failure fast path (Sch-monotone: no prefix of a
+            # non-deciding chain decides either).
             c.cached_results += 1
             c.steps_from_cache += i
             if target is not None and decided_at is None:
                 c.known_failure_hits += 1
             return PathSimulation(
                 schedule=Schedule(steps),
-                path=tuple(path),
-                participants=frozenset(s.pid for s in path),
+                path=tuple(path[:i]),
+                participants=frozenset(s.pid for s in path[:i]),
                 decisions=decided,
                 target_decided_at=decided_at,
             )
@@ -324,16 +227,15 @@ class SimulationTrie:
             c.prefix_hits += 1
 
         # Phase 3: simulate the new suffix, growing the trie as we go.
-        used: List[Sample] = list(path[:i])
         while i < len(path):
             sample = path[i]
             uid = sim.oldest_pending_uid(sample.pid)
             step = Step(pid=sample.pid, msg_uid=uid, detector_value=sample.d)
             sim.apply_step(step, time=i)
             steps.append(step)
-            used.append(sample)
-            child, created = self.trie.child(node, sample.key)
-            if created:
+            child = node.children.get(sample.key)
+            if child is None:
+                child = node.children[sample.key] = _Node()
                 c.nodes_created += 1
             child.steps[cfg] = step
             if sample.pid not in decided:
@@ -344,14 +246,13 @@ class SimulationTrie:
             node = child
             i += 1
             c.steps_simulated += 1
-            if target is not None and decided_at is None and target in decided:
+            if target is not None and target in decided:
                 decided_at = i
-                if stop_on_target_decision:
-                    break
+                break
             if (
-                i % self.snapshot_stride == 0
+                i % SNAPSHOT_STRIDE == 0
                 and cfg not in child.snaps
-                and c.snapshots_stored < self.snapshot_budget
+                and c.snapshots_stored < SNAPSHOT_BUDGET
             ):
                 child.snaps[cfg] = sim.fork()
                 c.snapshots_stored += 1
@@ -363,270 +264,41 @@ class SimulationTrie:
         if (
             decided_at is None
             and cfg not in node.snaps
-            and c.snapshots_stored < self.snapshot_budget
+            and c.snapshots_stored < SNAPSHOT_BUDGET
         ):
             node.snaps[cfg] = sim
             c.snapshots_stored += 1
 
         return PathSimulation(
             schedule=Schedule(steps),
-            path=tuple(used),
-            participants=frozenset(s.pid for s in used),
+            path=tuple(path[:i]),
+            participants=frozenset(s.pid for s in path[:i]),
             decisions=decided,
             target_decided_at=decided_at,
         )
-
-    def search(
-        self,
-        proposals: Mapping[int, Any],
-        path: Sequence[Sample],
-        target: int,
-        cursor: Optional["SearchCursor"] = None,
-    ):
-        """:meth:`simulate` specialised for the deciding-schedule search.
-
-        Returns the exact :class:`~repro.core.simulation.PathSimulation` when
-        ``target`` decides along ``path`` and ``None`` when it does not.
-        Failures — the overwhelmingly common case while the search waits for
-        the DAG to grow — skip materialising the schedule, path tuple and
-        participant set entirely; successes defer to :meth:`simulate` (by
-        then fully cached, so the exact result costs one cached descent).
-
-        A ``cursor`` (owned by the caller, one per repeatedly-searched
-        chain) makes retries O(new suffix): on failure the search stores its
-        position — depth, trie node, decisions so far, nearest snapshot —
-        and the next call resumes there instead of descending from the root.
-        The caller must discard the cursor if the chain changed at or below
-        ``cursor.depth`` since the cursor was last written (see
-        ``BalancedChainBuilder.stable_since``).
-        """
-        cfg = self.config_index(proposals)
-        c = self.counters
-        c.queries += 1
-        if cursor is not None and cursor.node is not None:
-            i = cursor.depth
-            node = cursor.node
-            decided = cursor.decided
-            snap_sim = cursor.snap_sim
-            snap_depth = cursor.snap_depth
-            tail = cursor.tail
-            if i:
-                c.prefix_hits += 1
-                c.steps_from_cache += i  # resumed without re-descending
-        else:
-            i = 0
-            node = self.trie.root
-            decided = dict(self._root_decided[cfg])
-            snap_sim = None
-            snap_depth = 0
-            tail = []  # cached steps past the deepest snapshot
-        if target in decided:
-            c.queries -= 1  # the exact rerun re-counts this query
-            return self.simulate(proposals, path, target)
-
-        # Phase 1: cached descent, tracking decisions but not steps.
-        descended = i
-        while i < len(path):
-            child = node.children.get(path[i].key)
-            if child is None:
-                break
-            step = child.steps.get(cfg)
-            if step is None:
-                break
-            delta = child.dstep.get(cfg)
-            node = child
-            i += 1
-            if delta is not None:
-                decided[delta[0]] = delta[1]
-                if delta[0] == target:
-                    c.queries -= 1
-                    return self.simulate(proposals, path, target)
-            snap = child.snaps.get(cfg)
-            if snap is not None:
-                snap_sim, snap_depth = snap, i
-                tail = []
-            else:
-                tail.append(step)
-        if i > descended:
-            if descended == 0:
-                c.prefix_hits += 1
-            c.steps_from_cache += i - descended
-
-        if i == len(path):
-            # Fully cached and the target never decided: known failure
-            # (Sch-monotone — no prefix of a non-deciding chain decides).
-            c.cached_results += 1
-            c.known_failure_hits += 1
-            self._save_cursor(cursor, i, node, decided, snap_sim, snap_depth, tail)
-            return None
-
-        # Phase 2: restore the nearest snapshot, replay the tail.
-        if snap_sim is not None:
-            sim = snap_sim.fork()
-            c.snapshot_restores += 1
-        else:
-            sim = PureSystemSimulator(self.automaton, self.n, proposals)
-        for j, step in enumerate(tail):
-            sim.apply_step(step, time=snap_depth + j)
-        c.steps_replayed += len(tail)
-
-        # Phase 3: simulate the new suffix, growing the trie.
-        while i < len(path):
-            sample = path[i]
-            uid = sim.oldest_pending_uid(sample.pid)
-            step = Step(pid=sample.pid, msg_uid=uid, detector_value=sample.d)
-            sim.apply_step(step, time=i)
-            child, created = self.trie.child(node, sample.key)
-            if created:
-                c.nodes_created += 1
-            child.steps[cfg] = step
-            if sample.pid not in decided:
-                value = sim.decision(sample.pid)
-                if value is not None:
-                    decided[sample.pid] = value
-                    child.dstep[cfg] = (sample.pid, value)
-            node = child
-            i += 1
-            c.steps_simulated += 1
-            if target in decided:
-                # Success: everything up to here is now cached; the exact
-                # simulation is a pure descent.
-                c.queries -= 1
-                return self.simulate(proposals, path, target)
-            snap = child.snaps.get(cfg)
-            if (
-                snap is None
-                and i % self.snapshot_stride == 0
-                and c.snapshots_stored < self.snapshot_budget
-            ):
-                snap = child.snaps[cfg] = sim.fork()
-                c.snapshots_stored += 1
-            if snap is not None:
-                snap_sim, snap_depth = snap, i
-                tail = []
-            else:
-                tail.append(step)
-
-        # Failed, undecided chain: keep the tip state (chains extend as the
-        # DAG grows, so it is the likeliest future restore point).  The
-        # simulator is not used further, so it is stored without forking.
-        if cfg not in node.snaps and c.snapshots_stored < self.snapshot_budget:
-            node.snaps[cfg] = sim
-            c.snapshots_stored += 1
-            snap_sim, snap_depth = sim, i
-            tail = []
-        self._save_cursor(cursor, i, node, decided, snap_sim, snap_depth, tail)
-        return None
-
-    @staticmethod
-    def _save_cursor(
-        cursor: Optional["SearchCursor"],
-        depth: int,
-        node: _Node,
-        decided: Dict[int, Any],
-        snap_sim: Optional[PureSystemSimulator],
-        snap_depth: int,
-        tail: List[Step],
-    ) -> None:
-        if cursor is None:
-            return
-        cursor.depth = depth
-        cursor.node = node
-        cursor.decided = decided
-        cursor.snap_sim = snap_sim
-        cursor.snap_depth = snap_depth
-        cursor.tail = tail
-
-
-class SearchCursor:
-    """Resumable position of a (so far) failed search along one chain.
-
-    Owned by the caller of :meth:`SimulationTrie.search`, one per chain
-    being retried as the DAG grows; all fields are written by the search
-    itself.  ``decided`` accumulates the decision map along the prefix
-    (sound to carry forward because a failed search's prefix never made the
-    target decide, and other processes' decisions are irrevocable).
-    """
-
-    __slots__ = (
-        "depth",
-        "node",
-        "decided",
-        "snap_sim",
-        "snap_depth",
-        "tail",
-        "clock",
-    )
-
-    def __init__(self) -> None:
-        self.depth = 0
-        self.node: Optional[_Node] = None
-        self.decided: Optional[Dict[int, Any]] = None
-        self.snap_sim: Optional[PureSystemSimulator] = None
-        self.snap_depth = 0
-        self.tail: List[Step] = []
-        #: ``BalancedChainBuilder.clock`` at the last save; validity of the
-        #: cursor requires ``stable_since(clock) >= depth`` — no rewind has
-        #: touched the chain at or below the cursor since it was written.
-        self.clock = 0
 
 
 class IncrementalExtractionEngine:
     """Incremental deciding-schedule search for ``T_{D -> Sigma^nu}``.
 
     Wraps one :class:`SimulationTrie` (shared between the I_0 and I_1
-    searches) and adds subset-level pruning: per (configuration, target,
-    subset) it remembers a *signature* of the fresh samples the subset had
-    at its last failed attempt — the per-member sample counts.  Fresh
-    subgraphs only grow under a fixed barrier, so an unchanged signature
-    means the identical filtered sample set, hence the identical balanced
-    chain, hence the identical failure; the subset is skipped before any
-    chain is built.  Moving the freshness barrier (Fig. 2 lines 17-19)
-    resets every signature, so no schedule is ever justified by pre-barrier
-    samples — the trie itself is barrier-agnostic (keyed by full chains),
-    so it needs no invalidation.
+    searches) and one :class:`~repro.core.dag.BalancedChainBuilder` per
+    candidate subset.  Chains are independent of the initial configuration,
+    so I_0 and I_1 share the builders too.  A subset's fresh samples only
+    grow under a fixed barrier (the builder's precondition), so moving the
+    barrier (Fig. 2 lines 17-19) drops every builder and no schedule is
+    ever justified by pre-barrier samples.  The trie itself is
+    barrier-agnostic (keyed by full chains), so it needs no invalidation.
     """
 
-    def __init__(
-        self,
-        automaton: Automaton,
-        n: int,
-        snapshot_stride: int = 8,
-        snapshot_budget: int = 4096,
-    ):
-        self.trie = SimulationTrie(
-            automaton, n, snapshot_stride=snapshot_stride,
-            snapshot_budget=snapshot_budget,
-        )
+    def __init__(self, automaton: Automaton, n: int):
+        self.trie = SimulationTrie(automaton, n)
         self._barrier_key: Optional[SampleKey] = None
-        # (config, target, subset) -> total fresh samples at last failure.
-        self._failed: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
-        # Per-subset incremental chain builders.  Chains are independent of
-        # the initial configuration, so I_0 and I_1 share them; a subset's
-        # fresh samples only grow under a fixed barrier (the builder's
-        # precondition), so the cache is cleared whenever the barrier moves.
         self._chains: Dict[FrozenSet[int], BalancedChainBuilder] = {}
-        # Per-(config, target, subset) search cursors; invalidated when the
-        # subset's chain changes below the cursor and on barrier moves.
-        self._cursors: Dict[
-            Tuple[int, int, FrozenSet[int]], SearchCursor
-        ] = {}
 
     @property
     def counters(self) -> TrieCounters:
         return self.trie.counters
-
-    def _chain_for(
-        self,
-        subset: FrozenSet[int],
-        by_pid: Mapping[int, List[Sample]],
-    ) -> Sequence[Sample]:
-        """The subset's balanced chain, maintained incrementally."""
-        builder = self._chains.get(subset)
-        if builder is None:
-            builder = self._chains[subset] = BalancedChainBuilder()
-        builder.extend_grouped({pid: by_pid[pid] for pid in sorted(subset)})
-        return builder.chain()
 
     def find_deciding_schedule(
         self,
@@ -642,47 +314,31 @@ class IncrementalExtractionEngine:
 
         Equivalent to the from-scratch search (same subset order, same
         result, including the returned simulation object's fields); the
-        signature and trie caches only skip work that is provably repeated.
+        chain builders and the trie only skip work that is repeated.
         """
         from repro.core.simulation import _capped_subset, _subsets_containing
 
         barrier_key = barrier.key if barrier is not None else None
         if barrier_key != self._barrier_key:
             self._barrier_key = barrier_key
-            self._failed.clear()
             self._chains.clear()
-            self._cursors.clear()
 
         by_pid: Dict[int, List[Sample]] = {}
         for s in fresh_nodes:
             by_pid.setdefault(s.pid, []).append(s)
+        if target not in by_pid:
+            return None
         for bucket in by_pid.values():
             bucket.sort(key=lambda s: s.k)
-        counts = {pid: len(bucket) for pid, bucket in by_pid.items()}
-        present = sorted(counts)
-        if target not in present:
-            return None
-        cfg = self.trie.config_index(proposals)
-        c = self.counters
+        present = sorted(by_pid)
+        if minimize_participants:
+            subsets = _subsets_containing(present, target, max_subset_size)
+        else:
+            counts = {pid: len(bucket) for pid, bucket in by_pid.items()}
+            subsets = [_capped_subset(present, target, counts, max_subset_size)]
 
-        if not minimize_participants:
-            subset = _capped_subset(present, target, counts, max_subset_size)
-            chain = self._chain_for(subset, by_pid)
-            if len(chain) > max_path_len:
-                chain = chain[:max_path_len]
-            return self.trie.search(proposals, chain, target)
-
-        for subset in _subsets_containing(present, target, max_subset_size):
-            sig_key = (cfg, target, subset)
-            # Per-member fresh counts are nondecreasing under a fixed
-            # barrier, so their sum is unchanged iff every one is — iff the
-            # subset's filtered sample set (hence its balanced chain, hence
-            # the attempt's outcome) is identical to the failed attempt's.
-            signature = sum(counts[p] for p in subset)
-            if self._failed.get(sig_key) == signature:
-                c.subsets_pruned += 1
-                continue
-            c.subsets_tried += 1
+        for subset in subsets:
+            self.counters.subsets_tried += 1
             builder = self._chains.get(subset)
             if builder is None:
                 builder = self._chains[subset] = BalancedChainBuilder()
@@ -696,21 +352,10 @@ class IncrementalExtractionEngine:
             else:
                 has_target = builder.pid_count(target) > 0
             if not has_target:
-                self._failed[sig_key] = signature
                 continue
-            cursor = self._cursors.get(sig_key)
-            if (
-                cursor is not None
-                and builder.stable_since(cursor.clock) < cursor.depth
-            ):
-                cursor = None  # the chain changed at or below the cursor
-            if cursor is None:
-                cursor = self._cursors[sig_key] = SearchCursor()
-            result = self.trie.search(proposals, chain, target, cursor=cursor)
-            if result is not None:
+            result = self.trie.simulate(proposals, chain, target)
+            if result.target_decided:
                 return result
-            cursor.clock = builder.clock
-            self._failed[sig_key] = signature
         return None
 
 

@@ -34,13 +34,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.dag import (
-    Sample,
-    SampleDAG,
-    balanced_chain,
-    chain_over_processes,
-    greedy_chain,
-)
+from repro.core.dag import Sample, balanced_chain
 from repro.kernel.automaton import Automaton
 from repro.kernel.runs import PureSystemSimulator
 from repro.kernel.steps import Schedule, Step
@@ -156,7 +150,6 @@ def find_deciding_schedule(
     max_path_len: int = 2000,
     minimize_participants: bool = True,
     max_subset_size: Optional[int] = None,
-    trie: Optional["SimulationTrie"] = None,
 ) -> Optional[PathSimulation]:
     """Find a schedule in ``Sch(G|u, I)`` in which ``target`` decides.
 
@@ -167,11 +160,10 @@ def find_deciding_schedule(
     the extracted quorum) is small; otherwise a single attempt over the
     (``max_subset_size``-capped) processes present is made.
 
-    When a :class:`~repro.core.simtrie.SimulationTrie` is supplied, chains
-    are simulated through it — identical results, with prefixes past the
-    longest cached one replayed for free.  For the fully incremental search
-    (delta-based subset pruning across attempts) use
-    :class:`~repro.core.simtrie.IncrementalExtractionEngine` instead.
+    This is the from-scratch reference: every chain is simulated with
+    :func:`canonical_schedule`.  The extraction runs the incremental
+    :class:`~repro.core.simtrie.IncrementalExtractionEngine`, which the
+    oracle tests check against this function.
 
     Returns ``None`` when no deciding schedule exists over these samples —
     the caller waits for the DAG to grow (Lemma 5.1 guarantees eventual
@@ -184,17 +176,12 @@ def find_deciding_schedule(
     if target not in present:
         return None
 
-    def simulate(chain: Sequence[Sample]) -> PathSimulation:
-        if trie is not None:
-            return trie.simulate(proposals, chain, target)
-        return canonical_schedule(automaton, n, proposals, chain, target)
-
     if not minimize_participants:
         subset = _capped_subset(present, target, counts, max_subset_size)
         chain = balanced_chain(
             [s for s in fresh_nodes if s.pid in subset]
         )[:max_path_len]
-        result = simulate(chain)
+        result = canonical_schedule(automaton, n, proposals, chain, target)
         return result if result.target_decided else None
 
     for subset in _subsets_containing(present, target, max_subset_size):
@@ -206,7 +193,7 @@ def find_deciding_schedule(
         chain = balanced_chain(filtered)[:max_path_len]
         if not any(s.pid == target for s in chain):
             continue
-        result = simulate(chain)
+        result = canonical_schedule(automaton, n, proposals, chain, target)
         if result.target_decided:
             return result
     return None

@@ -185,10 +185,3 @@ def _dedup(
     # ties at keep_last_at because stabilized entries are appended after
     # noise entries and Python's sort is stable.
     return sorted(dedup.items())
-
-
-def constant_sigma(pattern: FailurePattern, quorum: Quorum) -> ScheduleHistory:
-    """A Sigma history outputting the same quorum everywhere (quorum must
-    intersect itself, i.e. be nonempty, and eventually be all-correct to be
-    valid; callers are responsible for validity)."""
-    return ScheduleHistory({p: [(0, frozenset(quorum))] for p in pattern.processes})

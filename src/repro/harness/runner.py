@@ -231,8 +231,6 @@ class BoostRunOutcome:
     recorded: RecordedHistory
     check: CheckResult
     metrics: RunMetrics
-    #: Merged closed-path memo counters of the booster processes.
-    search_counters: Optional[Dict[str, int]] = None
 
     @property
     def ok(self) -> bool:
@@ -274,7 +272,6 @@ def run_boosting(
             recorded=recorded,
             check=check,
             metrics=collect_metrics(result),
-            search_counters=collect_search_counters(processes.values()),
         )
 
     return _observed("boosting", pattern.n, seed, go)

@@ -201,13 +201,6 @@ class ProcessContext:
                 self.inbox.append(obs.message)
         return obs
 
-    def wait_until(
-        self, predicate: Callable[[], bool]
-    ) -> Generator[List[Send], Observation, None]:
-        """Take steps until ``predicate()`` holds (checked before stepping)."""
-        while not predicate():
-            yield from self.take_step()
-
     # -- message queries ---------------------------------------------------
 
     def received(

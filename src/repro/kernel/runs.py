@@ -145,9 +145,6 @@ class PureSystemSimulator:
                 best, best_index = message, index
         return best.uid if best is not None else None
 
-    def pending_count_for(self, pid: int) -> int:
-        return sum(1 for m in self.pending.values() if m.dest == pid)
-
     def decision(self, pid: int) -> Optional[Any]:
         return self.automaton.decision(self.states[pid])
 

@@ -96,13 +96,6 @@ class RunResult:
         )
 
 
-class HistorySource:
-    """Anything that yields detector values; minimal structural interface."""
-
-    def value(self, p: int, t: int) -> Any:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 #: Sentinel returned by :meth:`System.step` under ``trace="metrics"``: truthy
 #: (so run loops can test for progress) but carries no per-step data.
 STEP_TAKEN = StepRecord(

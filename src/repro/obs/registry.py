@@ -4,8 +4,8 @@ One :class:`MetricsRegistry` collects all telemetry of a process:
 
 * **counters** — monotonically increasing integers (``inc``); merged by
   summation.  All deterministic search-work accounting (the simulation
-  trie's :class:`~repro.core.simtrie.TrieCounters`, the boosting memo, the
-  model checker) flows in here via :meth:`absorb`.
+  trie's :class:`~repro.core.simtrie.TrieCounters`, the model checker)
+  flows in here.
 * **gauges** — high-water marks (``gauge`` keeps the max ever seen); merged
   by max.  High-water semantics, not last-write, so that per-worker
   snapshots merge to the same value regardless of how a sweep's tasks were

@@ -99,16 +99,3 @@ class TickClock:
 def logical_event_loop() -> LogicalTimeLoop:
     """A fresh deterministic loop (callers own closing it)."""
     return LogicalTimeLoop()
-
-
-def run_on_logical_loop(main_factory):
-    """Run ``main_factory(loop)``'s coroutine to completion on a fresh
-    logical loop; returns its result.  The sync entry point the harness
-    and CLI use under ``--logical`` time."""
-    loop = logical_event_loop()
-    try:
-        asyncio.set_event_loop(loop)
-        return loop.run_until_complete(main_factory(loop))
-    finally:
-        asyncio.set_event_loop(None)
-        loop.close()

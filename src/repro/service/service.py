@@ -374,13 +374,6 @@ class ConsensusService:
     def inflight(self) -> int:
         return len(self._inflight)
 
-    def decided_digest_input(self) -> Tuple:
-        """Canonical run summary for byte-identity comparisons."""
-        return (
-            tuple(self.core.certified_log()),
-            tuple(self.applied_commands),
-        )
-
 
 class _NullCM:
     def __enter__(self):

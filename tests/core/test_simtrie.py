@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.consensus.quorum_mr import QuorumMR
-from repro.core.boosting import ClosedPathMemo, trusted
 from repro.core.dag import BalancedChainBuilder, Sample, SampleDAG, balanced_chain
 from repro.core.extraction import SigmaNuExtractor
 from repro.core.simtrie import IncrementalExtractionEngine, SimulationTrie
@@ -50,6 +49,12 @@ def random_dag_samples(rng, n, total, quorum=None):
             )
         )
     return out
+
+
+def assert_each_step_simulated_once(counters):
+    """The trie's guarantee: a (node, initial configuration) step is
+    simulated at most once, and the engine searches two configurations."""
+    assert counters.steps_simulated <= 2 * counters.nodes_created, counters
 
 
 def sims_equal(a, b):
@@ -93,26 +98,6 @@ class TestBalancedChainBuilder:
                     i,
                 )
 
-    def test_stable_since_bounds_chain_churn(self):
-        """Positions below ``stable_since(clock)`` are identical to what a
-        reader at ``clock`` saw — the contract search cursors rely on."""
-        for trial in range(60):
-            rng = random.Random(trial * 31 + 7)
-            n = rng.randint(2, 5)
-            samples = random_dag_samples(rng, n, 50)
-            builder = BalancedChainBuilder()
-            history = []
-            i = 0
-            while i < len(samples):
-                batch = samples[i : i + rng.randint(1, 7)]
-                i += len(batch)
-                builder.extend(batch)
-                history.append((builder.clock, list(builder.chain())))
-            final = list(builder.chain())
-            for clock, snapshot in history:
-                stable = builder.stable_since(clock)
-                assert final[:stable] == snapshot[:stable], (trial, clock)
-
     def test_pid_count_tracks_chain(self):
         rng = random.Random(3)
         samples = random_dag_samples(rng, 4, 40)
@@ -135,7 +120,7 @@ class TestSimulationTrieOracle:
             quorum = sorted(rng.sample(range(n), rng.randint(2, n)))
             samples = random_dag_samples(rng, n, 60, quorum)
             chain = balanced_chain(samples)
-            trie = SimulationTrie(QuorumMR(), n, snapshot_stride=4)
+            trie = SimulationTrie(QuorumMR(), n)
             proposals = {p: trial % 2 for p in range(n)}
             target = rng.randrange(n)
             for length in (
@@ -163,7 +148,7 @@ class TestSimulationTrieOracle:
             got = trie.simulate(proposals, chain, 0)
             assert sims_equal(want, got)
         # The second configuration walked the same interned nodes.
-        assert trie.trie.node_count <= len(chain)
+        assert trie.counters.nodes_created <= len(chain)
 
 
 class TestIncrementalEngineOracle:
@@ -174,7 +159,7 @@ class TestIncrementalEngineOracle:
         quorum = sorted(rng.sample(range(n), rng.randint(2, n)))
         samples = random_dag_samples(rng, n, 100, quorum)
         target = rng.randrange(n)
-        engine = IncrementalExtractionEngine(QuorumMR(), n, snapshot_stride=4)
+        engine = IncrementalExtractionEngine(QuorumMR(), n)
         barrier = samples[0]
         fresh = []
         i = 0
@@ -212,6 +197,7 @@ class TestIncrementalEngineOracle:
                     max_subset_size=cap,
                 )
                 assert sims_equal(got, want), (tick, minimize, cap)
+        assert_each_step_simulated_once(engine.counters)
 
 
 class ScratchExtractor(SigmaNuExtractor):
@@ -284,6 +270,8 @@ class TestEndToEndEquivalence:
         result_b, procs_b = run_extractors(pattern, seed)
         assert result_a.outputs == result_b.outputs
         assert evidence_key(procs_a) == evidence_key(procs_b)
+        for proc in procs_b.values():
+            assert_each_step_simulated_once(proc.engine.counters)
 
     def test_counters_report_cache_work(self):
         pattern = FailurePattern(4, {})
@@ -295,7 +283,6 @@ class TestEndToEndEquivalence:
         assert (
             counters["steps_from_cache"]
             + counters["steps_replayed"]
-            + counters["subsets_pruned"]
             + counters["known_failure_hits"]
         ) > 0
 
@@ -337,29 +324,3 @@ class TestBarrierRefreshInvalidation:
         # At least one process must have output twice for the check to bite
         # (the run asks for 2 outputs per correct process).
         assert refreshed > 0
-
-
-class TestClosedPathMemo:
-    def test_trusted_union_matches_plain_trusted(self):
-        for trial in range(40):
-            rng = random.Random(trial)
-            n = rng.randint(2, 5)
-            samples = random_dag_samples(
-                rng, n, 30, quorum=sorted(rng.sample(range(n), 2))
-            )
-            memo = ClosedPathMemo()
-            # Re-query prefixes and extensions, mimicking cascade reuse.
-            for _ in range(6):
-                lo = rng.randrange(len(samples))
-                chain = samples[lo:]
-                assert memo.trusted(chain) == trusted(chain), trial
-            assert memo.hits + memo.misses > 0
-
-    def test_counters_shape(self):
-        memo = ClosedPathMemo()
-        counters = memo.counters()
-        assert set(counters) == {
-            "trusted_hits",
-            "trusted_misses",
-            "nodes_created",
-        }
