@@ -17,8 +17,9 @@ With ``--jobs N`` (N > 1) the second run additionally exercises the
 parallel sweep driver, so the diff doubles as a serial-vs-parallel parity
 check.
 
-The quick parameterization of every experiment is the one
-``repro experiment --quick`` runs (``repro.harness.spec.QUICK_OVERRIDES``).
+The quick and full parameterizations of every experiment are the ones
+``repro experiment [--quick]`` runs
+(``repro.harness.experiments.EXPERIMENTS``).
 
 CI runs the quick parameterization; it completes in well under a minute.
 """
@@ -29,11 +30,7 @@ import argparse
 import hashlib
 import sys
 
-from repro.harness.spec import (
-    EXPERIMENT_SUFFIXES,
-    QUICK_OVERRIDES,
-    experiment_runner,
-)
+from repro.harness.experiments import EXPERIMENTS
 
 
 def _digest(text: str) -> str:
@@ -64,16 +61,12 @@ def run_once(exp: str, quick: bool, jobs: int) -> dict:
     from repro import obs
     from repro.detectors.base import clear_history_cache
 
-    runner = experiment_runner(exp)
-    kwargs = dict(QUICK_OVERRIDES[exp]) if quick else {}
-    kwargs["jobs"] = jobs
-
     # Fresh cross-run state: the point is to prove a rerun reproduces the
     # first run from nothing but (parameters, seeds).
     clear_history_cache()
     obs.enable(label=f"determinism:{exp}", fresh_metrics=True)
     try:
-        table = runner(**kwargs)
+        table = EXPERIMENTS[exp].run(quick=quick, jobs=jobs)
     finally:
         obs.disable()
     rendered = table.render()
@@ -204,7 +197,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--exp",
         default="exp3",
-        choices=sorted(EXPERIMENT_SUFFIXES),
+        choices=sorted(EXPERIMENTS),
         help="experiment sweep to run twice (default: exp3, extraction)",
     )
     parser.add_argument(

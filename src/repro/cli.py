@@ -7,14 +7,15 @@ Commands
                    system and print decisions, verdicts and optionally a
                    step transcript
 ``experiment``     run one of the EXP-1..EXP-9 sweeps and print its table
-``sweep``          run a declarative TOML/CSV sweep spec and print its
-                   table(s); ``benchmarks/specs/expN.toml`` regenerates
-                   ``benchmarks/results/exp-N.txt``
+                   (the committed ``benchmarks/results/exp-N.txt``)
+``sweep``          run a CSV sweep spec (rows override an experiment's
+                   parameters) and print its table(s)
 ``contamination``  play the Section 6.3 scenario against naive / A_nuc
 ``adversary``      run the Theorem 7.1 partition adversary for (n, t)
 ``extract``        run the necessity transformation T_{D -> Σν} and report
                    the emitted quorums and checker verdicts
 ``reproduce``      run all nine experiments and print one combined report
+                   of the committed tables
 ``trace``          inspect a JSONL trace written by ``--trace-out``
                    (timeline, per-span aggregates, counter totals);
                    ``trace diff A B`` attributes tick/wall deltas per
@@ -114,11 +115,10 @@ def cmd_consensus(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from repro.harness.spec import QUICK_OVERRIDES, experiment_runner
+    from repro.harness.experiments import EXPERIMENTS
 
-    kwargs = dict(QUICK_OVERRIDES[args.name]) if args.quick else {}
     with _maybe_traced(args, f"experiment:{args.name}"):
-        table = experiment_runner(args.name)(**kwargs, jobs=args.jobs)
+        table = EXPERIMENTS[args.name].run(quick=args.quick, jobs=args.jobs)
     print(table.render())
     return 0
 
@@ -204,33 +204,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from repro.harness import experiments
+    from repro.harness.experiments import EXPERIMENTS
 
-    plan = [
-        ("EXP-1 (Thms 6.27/6.28)", experiments.exp1_nuc_sufficiency,
-         dict(ns=(2, 3, 4), seeds=(0, 1)) if args.quick else {}),
-        ("EXP-2 (Thm 6.7)", experiments.exp2_boosting,
-         dict(ns=(2, 3, 4), seeds=(0, 1)) if args.quick else {}),
-        ("EXP-3 (Thms 5.4/5.8)", experiments.exp3_extraction,
-         dict(ns=(3,), seeds=(0, 1)) if args.quick else {}),
-        ("EXP-4 (Thm 7.1)", experiments.exp4_separation,
-         dict(seeds=(0,)) if args.quick else {}),
-        ("EXP-5 (Section 6.3)", experiments.exp5_contamination,
-         dict(seeds=(0, 1)) if args.quick else {}),
-        ("EXP-6 (Lemma 2.2)", experiments.exp6_merging,
-         dict(seeds=range(5)) if args.quick else {}),
-        ("EXP-7 (cost profile)", experiments.exp7_scaling,
-         dict(ns=(2, 3, 4), seeds=(0,)) if args.quick else {}),
-        ("EXP-8 (exhaustive small n)", experiments.exp8_exhaustive,
-         dict(n=3, crash_times=(0, 25), seeds=(0,)) if args.quick else {}),
-        ("EXP-9 (register gap)", experiments.exp9_registers,
-         dict(seeds=(0, 1)) if args.quick else {}),
-    ]
     sections = []
-    for label, runner, kwargs in plan:
-        print(f"running {label} ...", flush=True)
-        table = runner(**kwargs, jobs=args.jobs)
-        sections.append(table.render())
+    for experiment in EXPERIMENTS.values():
+        print(f"running {experiment.label} ...", flush=True)
+        sections.append(experiment.run(quick=args.quick, jobs=args.jobs).render())
     report = (
         "REPRODUCTION REPORT\n"
         "The weakest failure detector to solve nonuniform consensus\n"
@@ -449,20 +428,27 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_serve(args) -> int:
-    """Run the service on wall clocks behind the TCP front."""
-    import asyncio
+def _service_config(args):
+    """The ``ServiceConfig`` that ``serve`` and ``load`` share."""
+    from repro.service import ServiceConfig
 
-    from repro.service import ConsensusService, ServiceConfig, TickClock
-    from repro.service.net import serve_tcp
-
-    config = ServiceConfig(
+    return ServiceConfig(
         n=args.n,
         seed=args.seed,
         batch_size=args.batch_size,
         queue_depth=args.queue_depth,
         crash_times=_parse_crashes(args.crash),
     )
+
+
+def cmd_serve(args) -> int:
+    """Run the service on wall clocks behind the TCP front."""
+    import asyncio
+
+    from repro.service import ConsensusService, TickClock
+    from repro.service.net import serve_tcp
+
+    config = _service_config(args)
 
     async def main() -> None:
         loop = asyncio.get_running_loop()
@@ -491,15 +477,8 @@ def cmd_serve(args) -> int:
 def cmd_load(args) -> int:
     """Seeded load against an in-process service on the logical clock."""
     from repro.harness.load import LoadSpec, run_service_load
-    from repro.service import ServiceConfig
 
-    config = ServiceConfig(
-        n=args.n,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        queue_depth=args.queue_depth,
-        crash_times=_parse_crashes(args.crash),
-    )
+    config = _service_config(args)
     spec = LoadSpec(
         mode=args.mode,
         clients=args.clients,
@@ -548,6 +527,46 @@ def cmd_load(args) -> int:
     return 0 if invariants.ok and report.timed_out == 0 else 1
 
 
+#: Options several commands share, declared once (see :func:`_add_shared`).
+_SHARED_OPTIONS = {
+    "--n": dict(type=int),
+    "--seed": dict(type=int, default=0),
+    "--crash": dict(
+        action="append",
+        default=[],
+        metavar="PID:TIME",
+        help="crash a process at a time (repeatable)",
+    ),
+    "--jobs": dict(
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes (default 1 = serial; results are identical "
+        "for every N)",
+    ),
+    "--trace-out": dict(
+        default=None,
+        metavar="FILE",
+        help="write a repro-trace/2 JSONL trace of the run "
+        "(inspect with 'repro trace FILE')",
+    ),
+    "--quick": dict(action="store_true", help="small parameterization"),
+    "--batch-size": dict(type=int, default=4),
+    "--queue-depth": dict(type=int, default=64),
+}
+
+
+#: The flags of :func:`_service_config`, which ``serve`` and ``load`` share.
+_SERVICE_FLAGS = ("--n", "--seed", "--batch-size", "--queue-depth", "--crash")
+
+
+def _add_shared(parser, *flags: str, n: int = 3) -> None:
+    """Add the shared options ``flags``; ``n`` is the default of ``--n``."""
+    for flag in flags:
+        extra = {"default": n} if flag == "--n" else {}
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag], **extra)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -561,15 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     consensus = sub.add_parser(
         "consensus", help="run A_nuc or the full (Omega, Sigma^nu) stack"
     )
-    consensus.add_argument("--n", type=int, default=4)
-    consensus.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="PID:TIME",
-        help="crash a process at a time (repeatable)",
-    )
-    consensus.add_argument("--seed", type=int, default=0)
+    _add_shared(consensus, "--n", "--crash", "--seed", n=4)
     consensus.add_argument(
         "--algorithm", choices=["anuc", "stack"], default="anuc"
     )
@@ -589,44 +600,22 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "name", choices=[f"exp{i}" for i in range(1, 10)]
     )
-    experiment.add_argument(
-        "--quick", action="store_true", help="small parameterization"
-    )
-    experiment.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the sweep (default 1 = serial; "
-        "results are identical for every N)",
-    )
-    experiment.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write a repro-trace/2 JSONL trace of the sweep "
-        "(inspect with 'repro trace FILE')",
-    )
+    _add_shared(experiment, "--quick", "--jobs", "--trace-out")
     experiment.set_defaults(func=cmd_experiment)
 
     sweep = sub.add_parser(
-        "sweep", help="run a declarative TOML/CSV sweep spec; print its table"
+        "sweep", help="run a CSV sweep spec; print its table(s)"
     )
-    sweep.add_argument("spec", help="sweep spec file (.toml or .csv)")
     sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial; tables identical for "
-        "every N)",
+        "spec", help="sweep spec file (.csv; rows override an experiment's "
+        "full parameters)"
     )
+    _add_shared(sweep, "--jobs")
     sweep.add_argument(
         "--output",
         default=None,
         metavar="FILE",
-        help="also write the rendered table(s) to FILE (what "
-        "benchmarks/results/exp-N.txt holds)",
+        help="also write the rendered table(s) to FILE",
     )
     sweep.set_defaults(func=cmd_sweep)
 
@@ -636,48 +625,28 @@ def build_parser() -> argparse.ArgumentParser:
     contamination.add_argument(
         "algorithm", choices=["naive", "anuc"], nargs="?", default="naive"
     )
-    contamination.add_argument("--seed", type=int, default=0)
+    _add_shared(contamination, "--seed")
     contamination.set_defaults(func=cmd_contamination)
 
     adversary = sub.add_parser(
         "adversary", help="the Theorem 7.1 partition adversary"
     )
-    adversary.add_argument("--n", type=int, default=4)
+    _add_shared(adversary, "--n", "--seed", n=4)
     adversary.add_argument("--t", type=int, default=2)
-    adversary.add_argument("--seed", type=int, default=0)
     adversary.set_defaults(func=cmd_adversary)
 
     extract = sub.add_parser(
         "extract", help="run T_{D -> Sigma^nu} over (Omega, Sigma)/quorum-MR"
     )
-    extract.add_argument("--n", type=int, default=3)
-    extract.add_argument(
-        "--crash", action="append", default=[], metavar="PID:TIME"
-    )
-    extract.add_argument("--seed", type=int, default=0)
-    extract.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write a repro-trace/2 JSONL trace of the extraction run",
-    )
+    _add_shared(extract, "--n", "--crash", "--seed", "--trace-out")
     extract.set_defaults(func=cmd_extract)
 
     reproduce = sub.add_parser(
         "reproduce", help="run all nine experiments; print one report"
     )
-    reproduce.add_argument(
-        "--quick", action="store_true", help="small parameterization"
-    )
+    _add_shared(reproduce, "--quick", "--jobs")
     reproduce.add_argument(
         "--output", default=None, metavar="FILE", help="also write the report"
-    )
-    reproduce.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per sweep (default 1 = serial)",
     )
     reproduce.set_defaults(func=cmd_reproduce)
 
@@ -776,17 +745,12 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault-injection matrix / schedule fuzzing / replay",
     )
-    chaos.add_argument("--seed", type=int, default=0)
+    _add_shared(chaos, "--seed", "--jobs", "--trace-out")
     chaos.add_argument(
         "--budget",
         type=int,
         default=None,
         help="per-config step budget override",
-    )
-    chaos.add_argument(
-        "--matrix",
-        action="store_true",
-        help="run the full injection matrix (the default action)",
     )
     chaos.add_argument(
         "--config",
@@ -799,9 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ARTIFACT",
         help="replay a repro-counterexample/1 JSON artifact",
-    )
-    chaos.add_argument(
-        "--jobs", type=int, default=1, help="parallel matrix workers"
     )
     chaos.add_argument(
         "--shrink",
@@ -817,7 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--list", action="store_true", help="list matrix configs and exit"
     )
-    chaos.add_argument("--trace-out", default=None)
     chaos.set_defaults(func=cmd_chaos)
 
     serve = sub.add_parser(
@@ -826,26 +786,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7707)
-    serve.add_argument("--n", type=int, default=3)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--batch-size", type=int, default=4)
-    serve.add_argument("--queue-depth", type=int, default=64)
-    serve.add_argument(
-        "--crash", action="append", default=[], metavar="PID:TIME"
-    )
+    _add_shared(serve, *_SERVICE_FLAGS)
     serve.set_defaults(func=cmd_serve)
 
     load = sub.add_parser(
         "load",
         help="seeded load against an in-process service (logical clock)",
     )
-    load.add_argument("--n", type=int, default=3)
-    load.add_argument("--seed", type=int, default=0)
-    load.add_argument("--batch-size", type=int, default=4)
-    load.add_argument("--queue-depth", type=int, default=64)
-    load.add_argument(
-        "--crash", action="append", default=[], metavar="PID:TIME"
-    )
+    _add_shared(load, *_SERVICE_FLAGS, "--trace-out")
     load.add_argument(
         "--mode",
         choices=["open", "closed"],
@@ -873,13 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument(
         "--json-out", default=None, metavar="FILE",
         help="also write the report row as JSON",
-    )
-    load.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write a repro-trace JSONL of the run "
-        "(inspect with 'repro trace flame FILE')",
     )
     load.set_defaults(func=cmd_load)
 

@@ -1,25 +1,29 @@
-"""The experiment sweeps EXP-1 .. EXP-7 (see DESIGN.md section 4).
+"""The experiment sweeps EXP-1 .. EXP-9 (see DESIGN.md section 4).
 
 Each function runs one experiment family and returns an
-:class:`~repro.analysis.tables.Table` ready to print; EXPERIMENTS.md records
-their reference output.  Sizes are parameterized so the same code serves the
-quick benchmark configuration and fuller offline sweeps.
+:class:`~repro.analysis.tables.Table` ready to print.  Its parameters are
+required keyword arguments; :data:`EXPERIMENTS` at the bottom of this module
+is their only source: per experiment, the ``full`` parameters that print the
+committed ``benchmarks/results/exp-N.txt`` table and the ``quick`` overrides
+of ``--quick`` runs.  ``repro experiment``, ``repro reproduce`` and
+``repro sweep`` all run the experiments through that table.
 
 Every sweep accepts ``jobs``: its independent, seeded runs are dispatched
 through :func:`repro.harness.parallel.run_sweep`, so ``jobs=1`` (the
-default) executes inline exactly as before while ``jobs>1`` fans the runs
-out over worker processes.  Results come back in task order and each run is
-a pure function of its arguments, so the rendered tables are identical for
-every ``jobs`` value.  Sweeps whose tables only need decisions and counts
-run their systems under ``trace="metrics"``; EXP-7 keeps full traces (its
-round estimate reads the step log).
+default) executes inline while ``jobs>1`` fans the runs out over worker
+processes.  Results come back in task order and each run is a pure function
+of its arguments, so the rendered tables are identical for every ``jobs``
+value.  Sweeps whose tables only need decisions and counts run their
+systems under ``trace="metrics"``; EXP-7 keeps full traces (its round
+estimate reads the step log).
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from typing import Any, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.stats import rate, summarize
 from repro.analysis.tables import Table
@@ -47,79 +51,56 @@ from repro.separation.contamination import run_contamination_scenario
 from repro import obs as _obs
 
 
-def _sweep(name: str, tasks: List[SweepTask], jobs: int) -> List[Any]:
-    """Dispatch an experiment's tasks under an ``exp.<name>`` span."""
-    if not _obs._ENABLED:
-        return run_sweep(tasks, jobs=jobs)
-    with _obs.tracer().span(f"exp.{name}", tasks=len(tasks), jobs=jobs):
-        return run_sweep(tasks, jobs=jobs)
+#: One experiment's tasks in groups: (row key, the tasks behind that row).
+Groups = List[Tuple[Any, List[SweepTask]]]
+
+
+def _sweep(name: str, groups: Groups, jobs: int) -> List[Tuple[Any, List[Any]]]:
+    """Run every group's tasks under an ``exp.<name>`` span; return each
+    row key with its group's results, in task order."""
+    tasks = [task for _, group in groups for task in group]
+    with (
+        _obs.tracer().span(f"exp.{name}", tasks=len(tasks), jobs=jobs)
+        if _obs._ENABLED
+        else nullcontext()
+    ):
+        results = iter(run_sweep(tasks, jobs=jobs))
+    return [(key, [next(results) for _ in group]) for key, group in groups]
 
 
 def exp1_nuc_sufficiency(
-    ns: Sequence[int] = (2, 3, 4, 5, 6),
-    seeds: Sequence[int] = tuple(range(5)),
-    max_steps: int = 30000,
-    include_stack: bool = True,
-    jobs: int = 1,
+    *, ns: Sequence[int], seeds: Sequence[int], jobs: int = 1
 ) -> Table:
     """EXP-1 (Thms 6.27/6.28): A_nuc and the full stack solve nonuniform
     consensus in any environment, including minority-correct ones."""
     table = Table(
         "EXP-1: nonuniform consensus sufficiency — A_nuc with (Omega, Sigma^nu+)"
-        + (" and the (Omega, Sigma^nu) stack" if include_stack else ""),
-        [
-            "algo",
-            "n",
-            "runs",
-            "decided",
-            "agreement_ok",
-            "mean_steps",
-            "mean_msgs",
-        ],
+        " and the (Omega, Sigma^nu) stack",
+        ["algo", "n", "runs", "decided", "agreement_ok", "mean_steps", "mean_msgs"],
     )
-    tasks: List[SweepTask] = []
-    groups: List[Tuple[str, int, int]] = []  # (algo, n, task count)
+    # (algo, runner, rng salt, step budget): the stack's two layers get
+    # twice A_nuc's budget.
+    arms = (("A_nuc", run_nuc, 7919, 30000), ("stack", run_stack, 104729, 60000))
+    groups: Groups = []
     for n in ns:
-        for seed in seeds:
-            rng = random.Random((seed + 1) * 7919 + n)
-            pattern = random_pattern(n, rng)
-            proposals = random_binary_proposals(n, rng)
-            tasks.append(
-                SweepTask(
-                    run_nuc,
-                    dict(
-                        pattern=pattern,
-                        proposals=proposals,
-                        seed=seed,
-                        max_steps=max_steps,
-                        trace="metrics",
-                    ),
-                )
-            )
-        groups.append(("A_nuc", n, len(seeds)))
-        if include_stack:
+        for algo, runner, salt, max_steps in arms:
+            tasks: List[SweepTask] = []
             for seed in seeds:
-                rng = random.Random((seed + 1) * 104729 + n)
-                pattern = random_pattern(n, rng)
-                proposals = random_binary_proposals(n, rng)
+                rng = random.Random((seed + 1) * salt + n)
                 tasks.append(
                     SweepTask(
-                        run_stack,
+                        runner,
                         dict(
-                            pattern=pattern,
-                            proposals=proposals,
+                            pattern=random_pattern(n, rng),
+                            proposals=random_binary_proposals(n, rng),
                             seed=seed,
-                            max_steps=2 * max_steps,
+                            max_steps=max_steps,
                             trace="metrics",
                         ),
                     )
                 )
-            groups.append(("stack", n, len(seeds)))
-    results = _sweep("exp1", tasks, jobs)
-    cursor = 0
-    for algo, n, count in groups:
-        outcomes = results[cursor : cursor + count]
-        cursor += count
+            groups.append(((algo, n), tasks))
+    for (algo, n), outcomes in _sweep("exp1", groups, jobs):
         agreement = (
             all(o.nonuniform.ok for o in outcomes)
             if algo == "A_nuc"
@@ -142,41 +123,33 @@ def exp1_nuc_sufficiency(
 
 
 def exp2_boosting(
-    ns: Sequence[int] = (2, 3, 4, 5, 6),
-    seeds: Sequence[int] = tuple(range(5)),
-    faulty_styles: Sequence[str] = ("selfish", "junk", "obedient"),
-    jobs: int = 1,
+    *, ns: Sequence[int], seeds: Sequence[int], jobs: int = 1
 ) -> Table:
     """EXP-2 (Thm 6.7): the booster's output satisfies all four Sigma^nu+
-    properties in any environment."""
+    properties in any environment, whatever the faulty processes'
+    Sigma^nu style."""
     table = Table(
         "EXP-2: T_{Sigma^nu -> Sigma^nu+} output validity",
         ["n", "faulty_style", "runs", "all_valid", "mean_outputs", "mean_steps"],
     )
-    tasks: List[SweepTask] = []
-    groups: List[Tuple[int, str]] = []
+    groups: Groups = []
     for n in ns:
-        for style in faulty_styles:
+        for style in ("selfish", "junk", "obedient"):
+            tasks: List[SweepTask] = []
             for seed in seeds:
                 rng = random.Random((seed + 1) * 31 + n)
                 pattern = random_pattern(n, rng, max_crash_time=50)
+                detector = SigmaNu(style)
                 tasks.append(
                     SweepTask(
                         run_boosting,
                         dict(
-                            pattern=pattern,
-                            seed=seed,
-                            detector=SigmaNu(style),
-                            trace="metrics",
+                            pattern=pattern, seed=seed, detector=detector, trace="metrics"
                         ),
                     )
                 )
-            groups.append((n, style))
-    results = _sweep("exp2", tasks, jobs)
-    cursor = 0
-    for n, style in groups:
-        outcomes = results[cursor : cursor + len(seeds)]
-        cursor += len(seeds)
+            groups.append(((n, style), tasks))
+    for (n, style), outcomes in _sweep("exp2", groups, jobs):
         table.add_row(
             n,
             style,
@@ -188,41 +161,28 @@ def exp2_boosting(
     return table
 
 
-def _exp3_subject(label: str):
-    """Construct the (subject automaton, detector) pair for an EXP-3 row.
-
-    Built inside the worker process so nothing but the label needs to cross
-    the process boundary.
-    """
+def _exp3_task(label: str, pattern: FailurePattern, seed: int):
+    """One EXP-3 extraction.  The (subject automaton, detector) pair is
+    built here, in the worker, so only the label crosses the process
+    boundary."""
     from repro.consensus.chandra_toueg import ChandraTouegS
     from repro.detectors.perfect import EventuallyPerfect
 
     if label == "(Omega,Sigma) / quorum-MR":
-        return QuorumMR(), PairedDetector(Omega(), Sigma("pivot"))
-    if label == "P / floodset":
-        return FloodSetPerfect(), Perfect(lag=4)
-    if label == "Omega / MR (majority env)":
-        return MostefaouiRaynal(), Omega()
-    if label == "<>P / Chandra-Toueg (majority env)":
-        return ChandraTouegS(), EventuallyPerfect()
-    raise ValueError(f"unknown EXP-3 subject {label!r}")
-
-
-def _exp3_task(label: str, pattern: FailurePattern, seed: int):
-    subject, detector = _exp3_subject(label)
-    return run_extraction(
-        subject,
-        detector,
-        pattern,
-        seed=seed,
-        trace="metrics",
-    )
+        subject, detector = QuorumMR(), PairedDetector(Omega(), Sigma("pivot"))
+    elif label == "P / floodset":
+        subject, detector = FloodSetPerfect(), Perfect(lag=4)
+    elif label == "Omega / MR (majority env)":
+        subject, detector = MostefaouiRaynal(), Omega()
+    elif label == "<>P / Chandra-Toueg (majority env)":
+        subject, detector = ChandraTouegS(), EventuallyPerfect()
+    else:
+        raise ValueError(f"unknown EXP-3 subject {label!r}")
+    return run_extraction(subject, detector, pattern, seed=seed, trace="metrics")
 
 
 def exp3_extraction(
-    ns: Sequence[int] = (3, 4),
-    seeds: Sequence[int] = tuple(range(3)),
-    jobs: int = 1,
+    *, ns: Sequence[int], seeds: Sequence[int], jobs: int = 1
 ) -> Table:
     """EXP-3 (Thms 5.4/5.8): T_{D -> Sigma^nu} over several (D, A) pairs.
 
@@ -240,13 +200,13 @@ def exp3_extraction(
         "EXP-3: necessity extraction T_{D -> Sigma^nu}",
         ["subject", "n", "runs", "sigma_nu_ok", "sigma_ok", "mean_quorum_size"],
     )
-    tasks: List[SweepTask] = []
-    groups: List[Tuple[str, int]] = []
+    groups: Groups = []
     for label, env in subjects:
         for n in ns:
+            max_faulty = (n - 1) // 2 if env == "majority" else n - 1
+            tasks: List[SweepTask] = []
             for seed in seeds:
                 rng = random.Random((seed + 1) * 53 + n)
-                max_faulty = (n - 1) // 2 if env == "majority" else n - 1
                 pattern = random_pattern(
                     n, rng, max_faulty=max_faulty, max_crash_time=40
                 )
@@ -256,12 +216,8 @@ def exp3_extraction(
                         dict(label=label, pattern=pattern, seed=seed),
                     )
                 )
-            groups.append((label, n))
-    results = _sweep("exp3", tasks, jobs)
-    cursor = 0
-    for label, n in groups:
-        outcomes = results[cursor : cursor + len(seeds)]
-        cursor += len(seeds)
+            groups.append(((label, n), tasks))
+    for (label, n), outcomes in _sweep("exp3", groups, jobs):
         sizes: List[int] = []
         for o in outcomes:
             for p, events in o.result.outputs.items():
@@ -289,9 +245,7 @@ def _exp4_adversary_task(n: int, t: int, seed: int):
 
 
 def exp4_separation(
-    cases: Sequence[Tuple[int, int]] = ((2, 1), (4, 2), (5, 3), (6, 3), (3, 1), (5, 2)),
-    seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
+    *, cases: Sequence[Tuple[int, int]], seeds: Sequence[int], jobs: int = 1
 ) -> Table:
     """EXP-4 (Thm 7.1): (Omega, Sigma^nu) vs (Omega, Sigma) by environment.
 
@@ -304,12 +258,12 @@ def exp4_separation(
         "EXP-4: Theorem 7.1 separation — E_t environments",
         ["n", "t", "t<n/2", "from-scratch Sigma valid", "adversary verdict"],
     )
-    tasks: List[SweepTask] = []
-    groups: List[Tuple[int, int, bool]] = []
+    groups: Groups = []
     for n, t in cases:
         majority = t < n / 2
-        if majority:
-            for seed in seeds:
+        tasks: List[SweepTask] = []
+        for seed in seeds:
+            if majority:
                 rng = random.Random(seed * 17 + n)
                 crashed = rng.sample(range(n), t)
                 pattern = FailurePattern(
@@ -327,17 +281,12 @@ def exp4_separation(
                         ),
                     )
                 )
-        else:
-            for seed in seeds:
+            else:
                 tasks.append(
                     SweepTask(_exp4_adversary_task, dict(n=n, t=t, seed=seed))
                 )
-        groups.append((n, t, majority))
-    results = _sweep("exp4", tasks, jobs)
-    cursor = 0
-    for n, t, majority in groups:
-        outcomes = results[cursor : cursor + len(seeds)]
-        cursor += len(seeds)
+        groups.append(((n, t, majority), tasks))
+    for (n, t, majority), outcomes in _sweep("exp4", groups, jobs):
         if majority:
             ok = all(o.check.ok for o in outcomes)
             table.add_row(n, t, True, ok, "adversary inapplicable (no partition)")
@@ -357,9 +306,7 @@ def exp4_separation(
     return table
 
 
-def exp5_contamination(
-    seeds: Sequence[int] = (0, 1, 2), jobs: int = 1
-) -> Table:
+def exp5_contamination(*, seeds: Sequence[int], jobs: int = 1) -> Table:
     """EXP-5 (Section 6.3): the naive Sigma^nu quorum algorithm is
     contaminable; A_nuc is not, under the same scenario family."""
     table = Table(
@@ -373,19 +320,26 @@ def exp5_contamination(
             "distrust events",
         ],
     )
-    tasks = [
-        SweepTask(run_contamination_scenario, dict(algorithm=algorithm, seed=seed))
+    groups: Groups = [
+        (
+            (algorithm, seed),
+            [
+                SweepTask(
+                    run_contamination_scenario,
+                    dict(algorithm=algorithm, seed=seed),
+                )
+            ],
+        )
         for algorithm in ("naive", "anuc")
         for seed in seeds
     ]
-    results = _sweep("exp5", tasks, jobs)
-    for task, report in zip(tasks, results):
+    for (algorithm, seed), (report,) in _sweep("exp5", groups, jobs):
         correct_decisions = {
             p: v for p, v in report.decisions.items() if p in (0, 1)
         }
         table.add_row(
-            task.kwargs["algorithm"],
-            task.kwargs["seed"],
+            algorithm,
+            seed,
             str(correct_decisions),
             report.contaminated,
             report.omega_check.ok and report.sigma_check.ok,
@@ -398,11 +352,7 @@ def exp5_contamination(
     return table
 
 
-def exp6_merging(
-    seeds: Sequence[int] = tuple(range(10)),
-    n: int = 5,
-    jobs: int = 1,
-) -> Table:
+def exp6_merging(*, seeds: Sequence[int], n: int, jobs: int = 1) -> Table:
     """EXP-6 (Lemma 2.2): merged mergeable runs are runs, and participants'
     final states are preserved."""
     from repro.harness.merging import random_mergeable_pair_report
@@ -411,12 +361,11 @@ def exp6_merging(
         "EXP-6: Lemma 2.2 merging of mergeable runs",
         ["seed", "|S0|", "|S1|", "merged is run", "states preserved"],
     )
-    tasks = [
-        SweepTask(random_mergeable_pair_report, dict(n=n, seed=seed))
+    groups: Groups = [
+        (seed, [SweepTask(random_mergeable_pair_report, dict(n=n, seed=seed))])
         for seed in seeds
     ]
-    results = _sweep("exp6", tasks, jobs)
-    for seed, report in zip(seeds, results):
+    for seed, (report,) in _sweep("exp6", groups, jobs):
         table.add_row(
             seed,
             report.len0,
@@ -458,9 +407,7 @@ _EXP7_ALGOS = (
 
 
 def exp7_scaling(
-    ns: Sequence[int] = (2, 3, 4, 5, 6, 7),
-    seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
+    *, ns: Sequence[int], seeds: Sequence[int], jobs: int = 1
 ) -> Table:
     """EXP-7 (cost profile): steps and messages to decision for A_nuc vs the
     MR baselines, and booster output cadence, as n grows."""
@@ -468,8 +415,7 @@ def exp7_scaling(
         "EXP-7: scaling — mean steps / messages / rounds to decision",
         ["algo", "n", "mean_steps", "mean_msgs", "mean_rounds", "decided_rate"],
     )
-    tasks: List[SweepTask] = []
-    groups: List[Tuple[str, int]] = []
+    groups: Groups = []
     for n in ns:
         per_seed: List[Tuple[FailurePattern, FailurePattern, Dict[int, Any]]] = []
         for seed in seeds:
@@ -479,6 +425,7 @@ def exp7_scaling(
             proposals = random_binary_proposals(n, rng)
             per_seed.append((maj_pattern, any_pattern, proposals))
         for algo in _EXP7_ALGOS:
+            tasks: List[SweepTask] = []
             for seed, (maj_pattern, any_pattern, proposals) in zip(seeds, per_seed):
                 pattern = (
                     maj_pattern if algo == "MR (Omega, majority env)" else any_pattern
@@ -494,12 +441,8 @@ def exp7_scaling(
                         ),
                     )
                 )
-            groups.append((algo, n))
-    results = _sweep("exp7", tasks, jobs)
-    cursor = 0
-    for label, n in groups:
-        outcomes = results[cursor : cursor + len(seeds)]
-        cursor += len(seeds)
+            groups.append(((algo, n), tasks))
+    for (label, n), outcomes in _sweep("exp7", groups, jobs):
         rounds = [r for o in outcomes for r in _decision_rounds(o)]
         table.add_row(
             label,
@@ -516,11 +459,7 @@ def exp7_scaling(
 
 
 def exp8_exhaustive(
-    n: int = 3,
-    crash_times: Sequence[int] = (0, 25),
-    seeds: Sequence[int] = (0, 1),
-    max_steps: int = 40000,
-    jobs: int = 1,
+    *, n: int, crash_times: Sequence[int], seeds: Sequence[int], jobs: int = 1
 ) -> Table:
     """EXP-8: exhaustive environment coverage at small n.
 
@@ -540,8 +479,7 @@ def exp8_exhaustive(
         f"times={list(crash_times)})",
         ["crash_set", "patterns", "runs", "decided", "agreement_ok"],
     )
-    tasks: List[SweepTask] = []
-    groups: List[Tuple[List[int], int, int]] = []
+    groups: Groups = []
     for crash_set in env.enumerate_crash_sets():
         patterns: List[FailurePattern] = []
         members = sorted(crash_set)
@@ -550,7 +488,7 @@ def exp8_exhaustive(
         else:
             for times in _it.product(crash_times, repeat=len(members)):
                 patterns.append(FailurePattern(n, dict(zip(members, times))))
-        count = 0
+        tasks: List[SweepTask] = []
         for pattern in patterns:
             for seed in seeds:
                 rng = random.Random(f"exp8/{sorted(crash_set)}/{seed}")
@@ -562,18 +500,13 @@ def exp8_exhaustive(
                             pattern=pattern,
                             proposals=proposals,
                             seed=seed,
-                            max_steps=max_steps,
+                            max_steps=40000,
                             trace="metrics",
                         ),
                     )
                 )
-                count += 1
-        groups.append((members, len(patterns), count))
-    results = _sweep("exp8", tasks, jobs)
-    cursor = 0
-    for members, pattern_count, count in groups:
-        outcomes = results[cursor : cursor + count]
-        cursor += count
+        groups.append(((members, len(patterns)), tasks))
+    for (members, pattern_count), outcomes in _sweep("exp8", groups, jobs):
         table.add_row(
             "{" + ",".join(str(p) for p in members) + "}" if members else "{}",
             pattern_count,
@@ -585,13 +518,10 @@ def exp8_exhaustive(
 
 
 def _decision_rounds(outcome) -> List[int]:
-    """Rounds in which correct processes decided, when the run recorded them.
+    """Per correct decider, the highest LEAD round it opened by its decision.
 
-    A_nuc runs expose per-process traces; the MR-family automata expose the
-    decision round through the schedule-visible LEAD tags — we estimate it
-    from each decider's message log is unnecessary: the automaton state is
-    not retained by the runner, so we fall back to counting LEAD rounds the
-    decider opened, reconstructed from its sent messages.
+    The runner keeps no automaton state, so the round is read from the
+    LEAD tags of the decider's sent messages in the step log.
     """
     rounds: List[int] = []
     result = outcome.result
@@ -616,10 +546,7 @@ def _decision_rounds(outcome) -> List[int]:
     return rounds
 
 
-def exp9_registers(
-    seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
-) -> Table:
+def exp9_registers(*, seeds: Sequence[int], jobs: int = 1) -> Table:
     """EXP-9 (paper intro / [3]'s technique): registers need Sigma.
 
     Under Sigma the ABD quorum-register emulation stays atomic across
@@ -629,12 +556,8 @@ def exp9_registers(
     nonuniform result.
 
     The scenario arms are three tiny interactive runs; ``jobs`` is
-    accepted for CLI/spec uniformity but the sweep always executes inline.
-    ``benchmarks/specs/exp9.toml`` regenerates the committed table.
+    accepted like every experiment's, but the sweep always executes inline.
     """
-    import random as _random
-
-    from repro.detectors import Sigma as _Sigma
     from repro.registers import RegisterHarness, check_register_safety
     from repro.registers.counterexample import (
         run_lost_write_scenario,
@@ -653,7 +576,7 @@ def exp9_registers(
         else nullcontext()
     ):
         for seed in seeds:
-            rng = _random.Random(f"exp9/{seed}")
+            rng = random.Random(f"exp9/{seed}")
             n = 4
             pattern = FailurePattern(n, {3: rng.randint(20, 50)})
             scripts = {
@@ -662,7 +585,7 @@ def exp9_registers(
                 2: [("read",), ("read",)],
                 3: [("write", f"c{seed}")],
             }
-            history = _Sigma("pivot").sample_history(pattern, rng)
+            history = Sigma("pivot").sample_history(pattern, rng)
             harness = RegisterHarness(
                 pattern=pattern, history=history, scripts=scripts, seed=seed
             )
@@ -694,3 +617,83 @@ def exp9_registers(
             else "UNEXPECTED: write completed",
         )
     return table
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its report label, its runner, and its parameters.
+
+    ``full`` prints the committed ``benchmarks/results/exp-N.txt`` table;
+    ``quick`` overrides part of it for ``--quick`` runs.
+    """
+
+    label: str
+    runner: Callable[..., Table]
+    full: Dict[str, Any]
+    quick: Dict[str, Any]
+
+    def run(self, quick: bool = False, jobs: int = 1, **overrides: Any) -> Table:
+        """Run the full (or quick) parameters, with ``overrides`` on top."""
+        params = {**self.full, **(self.quick if quick else {}), **overrides}
+        return self.runner(**params, jobs=jobs)
+
+
+#: The only parameter source of the nine experiments.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "exp1": Experiment(
+        "EXP-1 (Thms 6.27/6.28)",
+        exp1_nuc_sufficiency,
+        full=dict(ns=(2, 3, 4, 5), seeds=(0, 1, 2)),
+        quick=dict(ns=(2, 3), seeds=(0,)),
+    ),
+    "exp2": Experiment(
+        "EXP-2 (Thm 6.7)",
+        exp2_boosting,
+        full=dict(ns=(2, 3, 4, 5), seeds=(0, 1, 2)),
+        quick=dict(ns=(2, 3), seeds=(0,)),
+    ),
+    "exp3": Experiment(
+        "EXP-3 (Thms 5.4/5.8)",
+        exp3_extraction,
+        full=dict(ns=(3, 4), seeds=(0, 1)),
+        quick=dict(ns=(3,), seeds=(0,)),
+    ),
+    "exp4": Experiment(
+        "EXP-4 (Thm 7.1)",
+        exp4_separation,
+        full=dict(
+            cases=((2, 1), (4, 2), (5, 3), (6, 3), (3, 1), (5, 2)), seeds=(0, 1)
+        ),
+        quick=dict(cases=((2, 1), (4, 2), (3, 1)), seeds=(0,)),
+    ),
+    "exp5": Experiment(
+        "EXP-5 (Section 6.3)",
+        exp5_contamination,
+        full=dict(seeds=(0, 1, 2)),
+        quick=dict(seeds=(0,)),
+    ),
+    "exp6": Experiment(
+        "EXP-6 (Lemma 2.2)",
+        exp6_merging,
+        full=dict(seeds=range(8), n=5),
+        quick=dict(seeds=range(3)),
+    ),
+    "exp7": Experiment(
+        "EXP-7 (cost profile)",
+        exp7_scaling,
+        full=dict(ns=(2, 3, 4, 5), seeds=(0, 1)),
+        quick=dict(ns=(2, 3), seeds=(0,)),
+    ),
+    "exp8": Experiment(
+        "EXP-8 (exhaustive small n)",
+        exp8_exhaustive,
+        full=dict(n=3, crash_times=(0, 25), seeds=(0,)),
+        quick=dict(crash_times=(0,)),
+    ),
+    "exp9": Experiment(
+        "EXP-9 (register gap)",
+        exp9_registers,
+        full=dict(seeds=(0, 1, 2)),
+        quick=dict(seeds=(0,)),
+    ),
+}

@@ -1,35 +1,23 @@
-"""Declarative sweep specs: TOML / CSV files that name an experiment.
+"""Ad-hoc sweeps: CSV files whose rows override an experiment's parameters.
 
-A spec decouples *what to sweep* from *how it executes*.  Each spec names
-one EXP-1..EXP-9 family and overrides its parameters; expansion into
-:class:`~repro.harness.parallel.SweepTask` lists is the experiment
-function's own deterministic loop, so a spec-driven sweep is byte-identical
-to calling the function directly and flows through the same
-``run_sweep(jobs=N)`` machinery.  ``benchmarks/specs/expN.toml``
-regenerates the committed ``benchmarks/results/exp-N.txt`` table.
+A spec decouples *what to sweep* from *how it executes*.  Each row names
+one EXP-1..EXP-9 family and overrides some of its ``full`` parameters in
+:data:`~repro.harness.experiments.EXPERIMENTS` (the committed table's);
+expansion into :class:`~repro.harness.parallel.SweepTask` lists is the
+experiment function's own deterministic loop, so a spec-driven sweep is
+byte-identical to calling the function directly and flows through the same
+``run_sweep(jobs=N)`` machinery.
 
-TOML (one spec per file)::
+One spec per row; columns map to parameter overrides::
 
-    [sweep]
-    name = "exp3-quick"            # optional; defaults to the experiment
-    experiment = "exp3"
-
-    [params]
-    ns = [3]
-    seeds = [0, 1, 2]
-
-CSV (one spec per row; columns map to parameter overrides)::
-
-    experiment,ns,seeds
-    exp1,"(2, 3)","range(4)"
-    exp6,,range(10)
+    experiment,name,ns,seeds
+    exp1,exp1-small,"(2, 3)","range(4)"
+    exp6,,,range(10)
 
 Cell values are Python literals (``ast.literal_eval``), with two
 conveniences: ``range(N)`` / ``range(A, B)`` expand to explicit integer
 lists, and a bare word stays a string.  Empty cells keep the experiment's
-default.  In TOML, a table value ``{ range = N }`` (or ``{ start = A,
-stop = B }``) likewise expands to ``[0, .., N-1]`` — TOML has no compact
-range syntax and thousand-element seed lists are unreadable.
+full parameter.
 
 The execution parameter ``jobs`` is *not* a spec
 parameter: the spec describes the workload, the caller describes the
@@ -41,49 +29,14 @@ from __future__ import annotations
 
 import ast
 import csv
-import os
 import re
-import tomllib
 from dataclasses import dataclass, field
 from inspect import signature
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import obs as _obs
 from repro.analysis.tables import Table
-
-#: Experiment name -> runner-function suffix in repro.harness.experiments.
-EXPERIMENT_SUFFIXES = {
-    "exp1": "nuc_sufficiency",
-    "exp2": "boosting",
-    "exp3": "extraction",
-    "exp4": "separation",
-    "exp5": "contamination",
-    "exp6": "merging",
-    "exp7": "scaling",
-    "exp8": "exhaustive",
-    "exp9": "registers",
-}
-
-#: Experiment name -> parameter overrides of its ``--quick`` run (used by
-#: ``repro experiment --quick`` and ``check_determinism.py``).
-QUICK_OVERRIDES: Dict[str, Dict[str, Any]] = {
-    "exp1": dict(ns=(2, 3), seeds=(0,)),
-    "exp2": dict(ns=(2, 3), seeds=(0,)),
-    "exp3": dict(ns=(3,), seeds=(0,)),
-    "exp4": dict(cases=((2, 1), (4, 2), (3, 1)), seeds=(0,)),
-    "exp5": dict(seeds=(0,)),
-    "exp6": dict(seeds=range(3)),
-    "exp7": dict(ns=(2, 3), seeds=(0,)),
-    "exp8": dict(n=3, crash_times=(0,), seeds=(0,)),
-    "exp9": dict(seeds=(0,)),
-}
-
-
-def experiment_runner(name: str) -> Callable[..., Table]:
-    """The ``repro.harness.experiments`` function behind ``exp1``..``exp9``."""
-    from repro.harness import experiments
-
-    return getattr(experiments, f"{name}_{EXPERIMENT_SUFFIXES[name]}")
+from repro.harness.experiments import EXPERIMENTS
 
 
 class SpecError(ValueError):
@@ -97,38 +50,32 @@ class SweepSpec:
     experiment: str
     params: Dict[str, Any] = field(default_factory=dict)
     name: Optional[str] = None
-    source: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENT_SUFFIXES:
+        if self.experiment not in EXPERIMENTS:
             raise SpecError(
                 f"unknown experiment {self.experiment!r} "
-                f"(expected one of {', '.join(sorted(EXPERIMENT_SUFFIXES))})"
+                f"(expected one of {', '.join(sorted(EXPERIMENTS))})"
             )
         if self.name is None:
             self.name = self.experiment
 
-    def runner(self) -> Callable[..., Table]:
-        return experiment_runner(self.experiment)
-
     def validate(self) -> None:
         """Reject parameter names the experiment function does not accept."""
-        accepted = set(signature(self.runner()).parameters)
-        reserved = {"jobs"}
-        bad = sorted(set(self.params) - (accepted - reserved))
+        accepted = set(signature(EXPERIMENTS[self.experiment].runner).parameters)
+        accepted.discard("jobs")
+        bad = sorted(set(self.params) - accepted)
         if bad:
             raise SpecError(
                 f"spec {self.name!r}: {self.experiment} does not accept "
                 f"parameter(s) {', '.join(bad)} "
-                f"(accepted: {', '.join(sorted(accepted - reserved))})"
+                f"(accepted: {', '.join(sorted(accepted))})"
             )
 
     def run(self, jobs: int = 1) -> Table:
         """Execute the sweep; returns its rendered-ready table."""
         self.validate()
-        runner = self.runner()
-        kwargs: Dict[str, Any] = dict(self.params)
-        kwargs["jobs"] = jobs
+        experiment = EXPERIMENTS[self.experiment]
         if _obs._ENABLED:
             # The spec span roots the sweep's path tree: everything below
             # (exp.<name> -> runner.* -> kernel.run) canonicalizes under
@@ -137,13 +84,9 @@ class SweepSpec:
             with _obs.tracer().span(
                 "sweep.spec", spec=self.name, experiment=self.experiment
             ):
-                return runner(**kwargs)
-        return runner(**kwargs)
+                return experiment.run(jobs=jobs, **self.params)
+        return experiment.run(jobs=jobs, **self.params)
 
-
-# ----------------------------------------------------------------------
-# Value parsing
-# ----------------------------------------------------------------------
 
 _RANGE_RE = re.compile(r"^range\(\s*(-?\d+)\s*(?:,\s*(-?\d+)\s*)?\)$")
 
@@ -163,60 +106,8 @@ def _parse_cell(text: str) -> Any:
         return text
 
 
-def _expand_toml_value(key: str, value: Any) -> Any:
-    """Expand the ``{ range = N }`` / ``{ start, stop }`` TOML shorthand."""
-    if isinstance(value, dict):
-        if set(value) == {"range"}:
-            return list(range(int(value["range"])))
-        if set(value) <= {"start", "stop"} and "stop" in value:
-            return list(range(int(value.get("start", 0)), int(value["stop"])))
-        raise SpecError(
-            f"parameter {key!r}: unknown table value {value!r} "
-            f"(use an array, {{ range = N }}, or {{ start = A, stop = B }})"
-        )
-    if isinstance(value, list):
-        return [_expand_toml_value(key, item) for item in value]
-    return value
-
-
-# ----------------------------------------------------------------------
-# Loading
-# ----------------------------------------------------------------------
-
-
 def load_specs(path: str) -> List[SweepSpec]:
-    """Parse a ``.toml`` (one spec) or ``.csv`` (one per row) spec file."""
-    ext = os.path.splitext(path)[1].lower()
-    if ext == ".toml":
-        return [_load_toml(path)]
-    if ext == ".csv":
-        return _load_csv(path)
-    raise SpecError(f"unknown spec format {ext!r} for {path} (use .toml or .csv)")
-
-
-def _load_toml(path: str) -> SweepSpec:
-    with open(path, "rb") as fh:
-        try:
-            document = tomllib.load(fh)
-        except tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"{path}: {exc}") from exc
-    sweep = document.get("sweep")
-    if not isinstance(sweep, dict) or "experiment" not in sweep:
-        raise SpecError(f"{path}: missing [sweep] table with an 'experiment' key")
-    params = document.get("params", {})
-    if not isinstance(params, dict):
-        raise SpecError(f"{path}: [params] must be a table")
-    spec = SweepSpec(
-        experiment=str(sweep["experiment"]),
-        params={k: _expand_toml_value(k, v) for k, v in params.items()},
-        name=sweep.get("name"),
-        source=path,
-    )
-    spec.validate()
-    return spec
-
-
-def _load_csv(path: str) -> List[SweepSpec]:
+    """Parse a CSV spec file: one sweep per non-blank row."""
     specs: List[SweepSpec] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -243,7 +134,6 @@ def _load_csv(path: str) -> List[SweepSpec]:
                 experiment=experiment,
                 params=params,
                 name=(row.get("name") or "").strip() or f"{experiment}@{lineno}",
-                source=f"{path}:{lineno}",
             )
             spec.validate()
             specs.append(spec)

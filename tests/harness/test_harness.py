@@ -94,7 +94,7 @@ class TestExperimentTables:
     def test_exp6_table_smoke(self):
         from repro.harness.experiments import exp6_merging
 
-        table = exp6_merging(seeds=range(2))
+        table = exp6_merging(seeds=range(2), n=5)
         assert "merged is run" in table.render()
 
     def test_exp4_table_smoke(self):

@@ -104,7 +104,7 @@ class TestExperimentParity:
                 experiments.exp1_nuc_sufficiency,
                 dict(ns=(2, 3), seeds=(0,)),
             ),
-            "exp6": (experiments.exp6_merging, dict(seeds=range(3))),
+            "exp6": (experiments.exp6_merging, dict(seeds=range(3), n=5)),
         }[name]
         serial = runner(**kwargs, jobs=1).render()
         parallel = runner(**kwargs, jobs=2).render()

@@ -1,8 +1,8 @@
-"""The committed EXP tables are what their specs print today.
+"""The committed EXP tables are what the experiments' full parameters print.
 
-``python -m repro sweep benchmarks/specs/expN.toml --output
-benchmarks/results/exp-N.txt`` regenerates each reference table; this test
-runs every spec in-process and requires the rendered table to match the
+``python -m repro experiment expN > benchmarks/results/exp-N.txt``
+regenerates each reference table from its row of ``EXPERIMENTS``; this test
+runs every row in-process and requires the rendered table to match the
 committed file byte for byte.  Each table must also carry the verdict the
 paper predicts, so a regenerated file cannot quietly commit a failure.
 """
@@ -11,12 +11,11 @@ import os
 
 import pytest
 
-from repro.harness.spec import load_specs
+from repro.harness.experiments import EXPERIMENTS
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
-SPECS = os.path.join(REPO_ROOT, "benchmarks", "specs")
 RESULTS = os.path.join(REPO_ROOT, "benchmarks", "results")
 
 
@@ -78,7 +77,7 @@ VERDICTS = {
     "exp9": _exp9,
 }
 
-#: Specs that take more than a couple of seconds run under ``-m slow``.
+#: Experiments that take more than a couple of seconds run under ``-m slow``.
 SLOW = {"exp3"}
 
 
@@ -86,12 +85,11 @@ SLOW = {"exp3"}
     "experiment",
     [
         pytest.param(name, marks=pytest.mark.slow) if name in SLOW else name
-        for name in sorted(VERDICTS)
+        for name in EXPERIMENTS
     ],
 )
 def test_spec_regenerates_committed_table(experiment):
-    (spec,) = load_specs(os.path.join(SPECS, f"{experiment}.toml"))
-    table = spec.run()
+    table = EXPERIMENTS[experiment].run()
     for row in table.rows:
         VERDICTS[experiment](row)
     committed = os.path.join(RESULTS, f"exp-{experiment[len('exp'):]}.txt")

@@ -1,101 +1,14 @@
-"""Declarative sweep specs: parsing, validation, execution parity."""
+"""CSV sweep specs: parsing, validation, execution parity."""
 
 import pytest
 
-from repro.harness.spec import (
-    EXPERIMENT_SUFFIXES,
-    SpecError,
-    SweepSpec,
-    _parse_cell,
-    load_specs,
-)
+from repro.harness.experiments import EXPERIMENTS
+from repro.harness.spec import SpecError, SweepSpec, _parse_cell, load_specs
 
 
 def write(path, text):
     path.write_text(text)
     return str(path)
-
-
-# ----------------------------------------------------------------------
-# TOML
-# ----------------------------------------------------------------------
-
-
-def test_toml_basic(tmp_path):
-    spec_path = write(
-        tmp_path / "s.toml",
-        """
-        [sweep]
-        name = "exp6-unit"
-        experiment = "exp6"
-
-        [params]
-        seeds = [0, 1]
-        n = 4
-        """,
-    )
-    (spec,) = load_specs(spec_path)
-    assert spec.name == "exp6-unit"
-    assert spec.experiment == "exp6"
-    assert spec.params == {"seeds": [0, 1], "n": 4}
-
-
-def test_toml_range_shorthand(tmp_path):
-    spec_path = write(
-        tmp_path / "s.toml",
-        """
-        [sweep]
-        experiment = "exp6"
-
-        [params]
-        seeds = { range = 4 }
-        """,
-    )
-    (spec,) = load_specs(spec_path)
-    assert spec.params["seeds"] == [0, 1, 2, 3]
-    assert spec.name == "exp6"  # defaults to the experiment
-
-
-def test_toml_start_stop_shorthand(tmp_path):
-    spec_path = write(
-        tmp_path / "s.toml",
-        """
-        [sweep]
-        experiment = "exp6"
-
-        [params]
-        seeds = { start = 2, stop = 5 }
-        """,
-    )
-    (spec,) = load_specs(spec_path)
-    assert spec.params["seeds"] == [2, 3, 4]
-
-
-def test_toml_unknown_table_value_rejected(tmp_path):
-    spec_path = write(
-        tmp_path / "s.toml",
-        """
-        [sweep]
-        experiment = "exp6"
-
-        [params]
-        seeds = { frobnicate = 3 }
-        """,
-    )
-    with pytest.raises(SpecError, match="frobnicate"):
-        load_specs(spec_path)
-
-
-def test_toml_missing_sweep_table(tmp_path):
-    spec_path = write(tmp_path / "s.toml", "[params]\nseeds = [0]\n")
-    with pytest.raises(SpecError, match="sweep"):
-        load_specs(spec_path)
-
-
-def test_toml_syntax_error_reported_with_path(tmp_path):
-    spec_path = write(tmp_path / "bad.toml", "[sweep\n")
-    with pytest.raises(SpecError, match="bad.toml"):
-        load_specs(spec_path)
 
 
 # ----------------------------------------------------------------------
@@ -148,12 +61,6 @@ def test_parse_cell_forms():
     assert _parse_cell(" 7 ") == 7
 
 
-def test_unknown_extension(tmp_path):
-    spec_path = write(tmp_path / "s.yaml", "experiment: exp1\n")
-    with pytest.raises(SpecError, match="yaml"):
-        load_specs(spec_path)
-
-
 # ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
@@ -177,8 +84,9 @@ def test_reserved_execution_params_rejected():
 
 
 def test_every_experiment_has_a_runner():
-    for experiment in EXPERIMENT_SUFFIXES:
-        assert callable(SweepSpec(experiment=experiment).runner())
+    for name, experiment in EXPERIMENTS.items():
+        assert callable(experiment.runner)
+        SweepSpec(experiment=name, params=experiment.quick).validate()
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +98,7 @@ def test_spec_run_matches_direct_call():
     from repro.harness.experiments import exp6_merging
 
     spec = SweepSpec(experiment="exp6", params={"seeds": [0, 1]})
-    assert spec.run().render() == exp6_merging(seeds=[0, 1]).render()
+    assert spec.run().render() == exp6_merging(seeds=[0, 1], n=5).render()
 
 
 def test_traced_spec_table_matches_untraced():
@@ -214,9 +122,10 @@ def test_curated_specs_parse_and_validate():
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
     spec_files = sorted(
-        glob.glob(os.path.join(repo_root, "benchmarks", "specs", "*.toml"))
-    ) + sorted(glob.glob(os.path.join(repo_root, "benchmarks", "specs", "*.csv")))
-    assert len(spec_files) >= 10  # exp1..exp9 + exp1-large + quick.csv
+        glob.glob(os.path.join(repo_root, "benchmarks", "specs", "*"))
+    )
+    assert spec_files  # exp1-large.csv at least
     for path in spec_files:
+        assert path.endswith(".csv"), path  # the one spec format
         for spec in load_specs(path):
             spec.validate()

@@ -152,6 +152,18 @@ class TestReproduceCommand:
             assert f"EXP-{i}" in report
         assert "REPRODUCTION REPORT" in report
 
+    def test_quick_report_is_the_experiment_quick_tables(self, capsys, tmp_path):
+        out_file = tmp_path / "report.txt"
+        assert main(["reproduce", "--quick", "--output", str(out_file)]) == 0
+        tables = []
+        for i in range(1, 10):
+            capsys.readouterr()
+            assert main(["experiment", f"exp{i}", "--quick"]) == 0
+            tables.append(capsys.readouterr().out)
+        header, body = out_file.read_text().split("=" * 70 + "\n\n", 1)
+        assert header.startswith("REPRODUCTION REPORT\n")
+        assert body == "\n".join(tables)
+
 
 class TestChaosCommand:
     FIXTURE = "tests/chaos/fixtures/split-quorums-nonuniform-agreement-seed0.json"
@@ -210,17 +222,10 @@ class TestChaosCommand:
 
 
 class TestSweepCommand:
-    SPEC = """
-[sweep]
-name = "exp6-cli"
-experiment = "exp6"
-
-[params]
-seeds = [0, 1]
-"""
+    SPEC = 'experiment,name,seeds\nexp6,exp6-cli,"[0, 1]"\n'
 
     def write_spec(self, tmp_path):
-        spec = tmp_path / "sweep.toml"
+        spec = tmp_path / "sweep.csv"
         spec.write_text(self.SPEC)
         return str(spec)
 
@@ -241,8 +246,8 @@ seeds = [0, 1]
         assert capsys.readouterr().out == serial
 
     def test_bad_spec_is_usage_error(self, capsys, tmp_path):
-        bad = tmp_path / "bad.toml"
-        bad.write_text("[sweep]\nexperiment = 'exp42'\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("experiment,seeds\nexp42,range(2)\n")
         assert main(["sweep", str(bad)]) == 2
         assert "exp42" in capsys.readouterr().err
 

@@ -42,3 +42,21 @@ def test_entry_packages_import_neither_numpy_nor_the_fused_lane():
         env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_experiments_run_without_the_311_toml_parser():
+    """The experiment path runs on Pythons (3.9, 3.10) whose standard
+    library has no TOML parser; block that module to prove it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    script = (
+        "import sys\n"
+        "sys.modules['tomllib'] = None\n"
+        "from repro.cli import main\n"
+        "sys.exit(main(['experiment', 'exp6', '--quick']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "EXP-6" in proc.stdout
