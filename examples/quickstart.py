@@ -11,7 +11,8 @@ Run:  python examples/quickstart.py
 import random
 
 from repro import (
-    AnucProcess,
+    AnucAutomaton,
+    AutomatonProcess,
     FailurePattern,
     Omega,
     PairedDetector,
@@ -30,7 +31,9 @@ def main() -> None:
     detector = PairedDetector(Omega(), SigmaNuPlus())
     history = detector.sample_history(pattern, random.Random(42))
 
-    processes = {p: AnucProcess(proposals[p]) for p in range(n)}
+    processes = {
+        p: AutomatonProcess(AnucAutomaton(), proposals[p]) for p in range(n)
+    }
     system = System(processes, pattern, history, seed=42)
     result = system.run(
         max_steps=20000, stop_when=lambda s: s.all_correct_decided()

@@ -13,14 +13,16 @@ Quickstart::
 
     import random
     from repro import (
-        AnucProcess, FailurePattern, Omega, PairedDetector, SigmaNuPlus,
-        System,
+        AnucAutomaton, AutomatonProcess, FailurePattern, Omega,
+        PairedDetector, SigmaNuPlus, System,
     )
 
     pattern = FailurePattern(4, {3: 20})          # process 3 crashes at t=20
     detector = PairedDetector(Omega(), SigmaNuPlus())
     history = detector.sample_history(pattern, random.Random(1))
-    processes = {p: AnucProcess(f"value-{p}") for p in range(4)}
+    processes = {
+        p: AutomatonProcess(AnucAutomaton(), f"value-{p}") for p in range(4)
+    }
     system = System(processes, pattern, history, seed=1)
     result = system.run(max_steps=20000,
                         stop_when=lambda s: s.all_correct_decided())
@@ -39,7 +41,6 @@ from repro.consensus import (
 )
 from repro.core import (
     AnucAutomaton,
-    AnucProcess,
     DagBuilder,
     DagCore,
     Sample,
@@ -97,7 +98,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AdaptiveHistory",
     "AnucAutomaton",
-    "AnucProcess",
     "Automaton",
     "AutomatonProcess",
     "CoalescingDelivery",

@@ -162,10 +162,10 @@ class FuzzReport:
 def _consensus_processes(config: ChaosConfig, case: FuzzCase):
     proposals = case.proposal_map()
     if config.algorithm == "anuc":
-        from repro.core.nuc import AnucProcess
+        from repro.core.nuc import AnucAutomaton
 
-        return {p: AnucProcess(proposals[p]) for p in range(case.n)}
-    if config.algorithm == "ct":
+        automaton = AnucAutomaton()
+    elif config.algorithm == "ct":
         from repro.consensus.chandra_toueg import ChandraTouegS
 
         automaton = ChandraTouegS()

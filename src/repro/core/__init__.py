@@ -6,8 +6,7 @@ necessity transformation ``T_{D -> Sigma^nu}``, the booster
 from repro.core.boosting import SigmaNuPlusBooster
 from repro.core.dag import BalancedChainBuilder, DagCore, Sample, SampleDAG
 from repro.core.extraction import ExtractionSearch, SigmaNuExtractor
-from repro.core.nuc import AnucProcess
-from repro.core.nuc_automaton import AnucAutomaton
+from repro.core.nuc import AnucAutomaton
 from repro.core.sampling import DagBuilder
 from repro.core.simtrie import (
     IncrementalExtractionEngine,
@@ -24,7 +23,6 @@ from repro.core.stack import StackedNucProcess
 
 __all__ = [
     "AnucAutomaton",
-    "AnucProcess",
     "BalancedChainBuilder",
     "DagBuilder",
     "DagCore",

@@ -24,24 +24,28 @@ Sigma^nu+ quorums in place of majorities, hardened against *contamination*
 
 Detector value per step: the pair ``(leader, quorum)`` of
 ``(Omega, Sigma^nu+)``.
+
+:class:`AnucAutomaton` is the algorithm as a deterministic automaton, the
+model's own form (Section 2.4): one ``transition`` per step, replayable
+from any configuration, which the necessity construction, run merging and
+bounded model checking need.  Live runs wrap it in
+:class:`~repro.kernel.automaton.AutomatonProcess`; the replicated log runs
+one state per slot.  The pseudocode's blocking waits become a ``phase``
+field: each step runs the upon-receipt handlers, then exactly one
+wait-condition check with that step's detector value, and everything the
+pseudocode does after a successful check — imports, adoption, decision,
+SAW sends, the next round's LEAD broadcast — happens within that step.
+``tests/core/reference_nuc.py`` transcribes Figs. 4-5 as a coroutine, line
+by line, and ``tests/core/test_nuc_equivalence.py`` pins this automaton
+to it step for step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Generator,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.kernel.automaton import DeliveredMessage, Process, ProcessContext
+from repro.kernel.automaton import Automaton, TransitionOutcome
 
 UNKNOWN = "?"
 
@@ -92,28 +96,44 @@ def distrusts(history: QuorumHistory, pid: int, q: int, n: int) -> bool:
     return bool(distrusted_members(history, pid, (q,), n))
 
 
-def considers_faulty(history: QuorumHistory, pid: int) -> FrozenSet[int]:
-    """The set ``F_p`` (line 52), exposed for analysis and tests."""
-    mine = history.get(pid, set())
-    return frozenset(
-        q2
-        for q2 in history
-        if any(not (quorum & own) for quorum in history.get(q2, ()) for own in mine)
-    )
+_PHASE_LEAD = "lead"
+_PHASE_REP = "rep"
+_PHASE_PROP = "prop"
 
 
 @dataclass
-class AnucTrace:
-    """Diagnostics exposed by a process for tests and experiments."""
+class _NucState:
+    """One process's variables.  ``k`` is the current round, and
+    ``distrust_events`` lists ``(round, process)`` for every leader refused
+    at line 18 and every quorum member that forced a phase-3 retry."""
 
-    rounds_started: int = 0
-    quorums_used: List[Tuple[int, Quorum]] = field(default_factory=list)
-    distrust_events: List[Tuple[int, int]] = field(default_factory=list)
+    pid: int
+    n: int
+    x: Any
+    k: int = 0
+    phase: str = _PHASE_LEAD
+    decided: Optional[Any] = None
     decided_round: Optional[int] = None
+    started: bool = False
+    history: Dict[int, Set[Quorum]] = field(default_factory=dict)
+    sent_saw: Set[Quorum] = field(default_factory=set)
+    acks: Dict[Quorum, Set[int]] = field(default_factory=dict)
+    round_no: Dict[Quorum, int] = field(default_factory=dict)
+    seen: Dict[Quorum, int] = field(default_factory=dict)
+    distrust_events: List[Tuple[int, int]] = field(default_factory=list)
+    # (tag, round) -> {sender: payload}
+    log: Dict[Tuple[str, int], Dict[int, Tuple]] = field(default_factory=dict)
+
+    def record(self, sender: int, payload: Tuple) -> None:
+        tag, rnd = payload[0], payload[1]
+        self.log.setdefault((tag, rnd), {}).setdefault(sender, payload)
+
+    def received(self, tag: str, rnd: int) -> Dict[int, Tuple]:
+        return self.log.get((tag, rnd), {})
 
 
-class AnucProcess(Process):
-    """One process of A_nuc.  ``proposal`` is this process's input value.
+class AnucAutomaton(Automaton):
+    """A_nuc, one process per state.  Detector value: ``(leader, quorum)``.
 
     Ablation switches (for the EXP-5 ablation study; both default on):
 
@@ -127,160 +147,172 @@ class AnucProcess(Process):
       property Lemma 6.24 needs.
     """
 
+    name = "anuc-automaton"
+
     def __init__(
         self,
-        proposal: Any,
         enable_distrust: bool = True,
         enable_quorum_awareness: bool = True,
     ):
-        self.proposal = proposal
         self.enable_distrust = enable_distrust
         self.enable_quorum_awareness = enable_quorum_awareness
-        self.trace = AnucTrace()
-        self.history: QuorumHistory = {}
 
-    def program(self, ctx: ProcessContext) -> Generator:
-        n = ctx.n
-        pid = ctx.pid
-        trace = self.trace
+    # -- Automaton interface --------------------------------------------
 
-        # --- initialize (Fig. 4 lines 1-11) ----------------------------
-        state = _Vars(x=self.proposal, k=0)
-        history: QuorumHistory = {q: set() for q in range(n)}
-        self.history = history
-        sent: Dict[Quorum, bool] = {}
-        acks: Dict[Quorum, Set[int]] = {}
-        round_no: Dict[Quorum, int] = {}
-        seen: Dict[Quorum, int] = {}  # absent key = infinity
-        received: Dict[Tuple[str, int], Dict[int, DeliveredMessage]] = {}
+    def initial_state(self, pid: int, n: int, proposal: Any) -> _NucState:
+        state = _NucState(pid=pid, n=n, x=proposal)
+        state.history = {q: set() for q in range(n)}
+        return state
 
-        # --- upon-receipt handlers (lines 35-42, run within any step) --
-        def handler(message: DeliveredMessage) -> bool:
-            tag = message.payload[0]
+    def decision(self, state: _NucState) -> Optional[Any]:
+        return state.decided
+
+    def snapshot(self, state: _NucState) -> Any:
+        history = tuple(
+            (p, tuple(sorted(tuple(sorted(q)) for q in quorums)))
+            for p, quorums in sorted(state.history.items())
+        )
+        log = tuple(
+            (key, tuple(sorted(v.items())))
+            for key, v in sorted(state.log.items())
+        )
+        return (
+            state.pid,
+            state.k,
+            state.phase,
+            state.x,
+            state.decided,
+            history,
+            tuple(sorted(tuple(sorted(q)) for q in state.sent_saw)),
+            tuple(sorted(state.seen.items(), key=repr)),
+            log,
+        )
+
+    # -- one model step ----------------------------------------------------
+
+    def transition(self, state, pid, msg, d):
+        sends: List[Tuple[int, Any]] = []
+
+        # Round 1 opens on the very first step (Fig. 4 initializes, then
+        # broadcasts the round-1 LEAD before its first wait).
+        if not state.started:
+            state.started = True
+            state.k = 1
+            self._broadcast(state, sends, self._lead_payload(state))
+
+        # Upon-receipt handlers (lines 35-42) run before the wait check.
+        if msg is not None:
+            payload = msg.payload
+            tag = payload[0]
             if tag == SAW:
-                _, q, quorum = message.payload
-                history[q].add(quorum)  # line 36
-                ctx.send(message.sender, (ACK, pid, quorum, state.k))  # line 37
-                return True
-            if tag == ACK:
-                _, q, quorum, k = message.payload
-                acks.setdefault(quorum, set()).add(q)  # line 40
-                round_no[quorum] = max(round_no.get(quorum, 0), k)  # line 41
-                if acks[quorum] == set(quorum):  # line 42
-                    seen[quorum] = round_no[quorum]
-                return True
-            # Round traffic: filed under (tag, round), first message per
-            # sender, so a wait condition looks its round up directly.
-            by_sender = received.setdefault((tag, message.payload[1]), {})
-            by_sender.setdefault(message.sender, message)
-            return False
-
-        ctx.add_handler(handler)
-
-        # --- helpers ----------------------------------------------------
-        def import_history(incoming: Dict[int, FrozenSet[Quorum]]) -> None:
-            for r, quorums in incoming.items():  # lines 44-46
-                history[r] |= quorums
-
-        def get_quorum() -> Quorum:
-            _leader, quorum = ctx.detector_value  # line 48
-            quorum = frozenset(quorum)
-            history[pid].add(quorum)  # line 49
-            return quorum
-
-        def messages(tag: str, rnd: int) -> Dict[int, DeliveredMessage]:
-            return received.get((tag, rnd), _NO_MESSAGES)
-
-        # --- main loop (lines 13-33) -------------------------------------
-        while True:
-            state.k += 1  # line 14
-            trace.rounds_started = state.k
-            ctx.send_to_all((LEAD, state.k, state.x, snapshot_history(history)))
-
-            # Phase 1 (lines 16-18): wait for the current leader's message.
-            while True:
-                yield from ctx.take_step()
-                leader, _ = ctx.detector_value
-                lead_msg = messages(LEAD, state.k).get(leader)
-                if lead_msg is not None:
-                    break
-            import_history(lead_msg.payload[3])  # line 17
-            if not self.enable_distrust or not distrusts(
-                history, pid, leader, n
-            ):  # line 18
-                state.x = lead_msg.payload[2]
+                _, q, quorum = payload
+                state.history[q].add(quorum)
+                sends.append((msg.sender, (ACK, state.pid, quorum, state.k)))
+            elif tag == ACK:
+                _, q, quorum, k = payload
+                state.acks.setdefault(quorum, set()).add(q)
+                state.round_no[quorum] = max(state.round_no.get(quorum, 0), k)
+                if state.acks[quorum] == set(quorum):
+                    state.seen[quorum] = state.round_no[quorum]
             else:
-                trace.distrust_events.append((state.k, leader))
+                state.record(msg.sender, payload)
 
-            # Phase 2 (lines 19-24): collect reports from a quorum.
-            ctx.send_to_all((REP, state.k, state.x))
-            while True:
-                yield from ctx.take_step()
-                quorum = get_quorum()
-                reports = messages(REP, state.k)
-                if quorum and quorum <= set(reports):
-                    break
-            values = {reports[q].payload[2] for q in quorum}
-            if len(values) == 1:
-                (proposal,) = values
-            else:
-                proposal = UNKNOWN
-            ctx.send_to_all((PROP, state.k, proposal, snapshot_history(history)))
+        # Exactly one wait-condition check per step, with this step's d.
+        leader, quorum_value = d
+        if state.phase == _PHASE_LEAD:
+            self._check_lead(state, sends, leader)
+        elif state.phase == _PHASE_REP:
+            self._check_rep(state, sends, frozenset(quorum_value))
+        else:
+            self._check_prop(state, sends, frozenset(quorum_value))
+        return TransitionOutcome(state=state, sends=sends)
 
-            # Phase 3 (lines 25-28): collect proposals from a quorum none of
-            # whose members is distrusted.
-            while True:
-                while True:
-                    yield from ctx.take_step()
-                    quorum = get_quorum()
-                    proposals = messages(PROP, state.k)
-                    if quorum and quorum <= set(proposals):
-                        break
-                for q in quorum:  # line 27
-                    import_history(proposals[q].payload[3])
-                if not self.enable_distrust:
-                    break
-                bad = distrusted_members(history, pid, quorum, n)
-                if not bad:
-                    break
-                for q in bad:
-                    trace.distrust_events.append((state.k, q))
-            trace.quorums_used.append((state.k, quorum))
+    # -- phase checks -------------------------------------------------------
 
-            # Lines 29-30: adopt, then maybe decide.
-            quorum_values = {q: proposals[q].payload[2] for q in quorum}
-            non_unknown = sorted(
-                (q, v) for q, v in quorum_values.items() if v != UNKNOWN
-            )
-            if non_unknown:
-                state.x = non_unknown[0][1]
-            unanimous = (
-                len({v for v in quorum_values.values()}) == 1
-                and next(iter(quorum_values.values())) != UNKNOWN
-            )
-            aware = (
-                not self.enable_quorum_awareness
-                or seen.get(quorum, _INF) < state.k
-            )
-            if unanimous and aware and ctx.decision is None:
-                # Decisions are irrevocable; once decided, the process keeps
-                # participating but never re-enters a deciding state.
-                trace.decided_round = state.k
-                ctx.decide(state.x)
+    def _lead_payload(self, state: _NucState) -> Tuple:
+        return (LEAD, state.k, state.x, snapshot_history(state.history))
 
-            # Lines 31-33: announce first use of this quorum.
-            if not sent.get(quorum):
-                ctx.send_each(sorted(quorum), (SAW, pid, quorum))
-                sent[quorum] = True
+    def _broadcast(self, state, sends, payload) -> None:
+        for dest in range(state.n):
+            sends.append((dest, payload))
+
+    def _check_lead(self, state, sends, leader: int) -> None:
+        lead = state.received(LEAD, state.k).get(leader)
+        if lead is None:
+            return
+        self._import_history(state, lead[3])
+        if not self.enable_distrust or not distrusts(
+            state.history, state.pid, leader, state.n
+        ):  # line 18
+            state.x = lead[2]
+        else:
+            state.distrust_events.append((state.k, leader))
+        state.phase = _PHASE_REP
+        self._broadcast(state, sends, (REP, state.k, state.x))
+
+    def _check_rep(self, state, sends, quorum: Quorum) -> None:
+        state.history[state.pid].add(quorum)  # get_quorum, line 49
+        reports = state.received(REP, state.k)
+        if not quorum or not reports.keys() >= quorum:
+            return
+        values = {reports[q][2] for q in quorum}
+        if len(values) == 1:
+            (proposal,) = values
+        else:
+            proposal = UNKNOWN
+        state.phase = _PHASE_PROP
+        self._broadcast(
+            state,
+            sends,
+            (PROP, state.k, proposal, snapshot_history(state.history)),
+        )
+
+    def _check_prop(self, state, sends, quorum: Quorum) -> None:
+        state.history[state.pid].add(quorum)  # get_quorum, line 49
+        proposals = state.received(PROP, state.k)
+        if not quorum or not proposals.keys() >= quorum:
+            return
+        for q in sorted(quorum):  # line 27
+            self._import_history(state, proposals[q][3])
+        if self.enable_distrust:
+            bad = distrusted_members(state.history, state.pid, quorum, state.n)
+            if bad:  # lines 25-28: retry with the next step's quorum
+                state.distrust_events.extend((state.k, q) for q in bad)
+                return
+
+        quorum_values = {q: proposals[q][2] for q in sorted(quorum)}
+        non_unknown = sorted(
+            (q, v) for q, v in quorum_values.items() if v != UNKNOWN
+        )
+        if non_unknown:
+            state.x = non_unknown[0][1]
+        unanimous = (
+            len(set(quorum_values.values())) == 1
+            and next(iter(quorum_values.values())) != UNKNOWN
+        )
+        aware = (
+            not self.enable_quorum_awareness
+            or state.seen.get(quorum, _INF) < state.k
+        )
+        if unanimous and aware and state.decided is None:
+            state.decided = state.x
+            state.decided_round = state.k
+
+        if quorum not in state.sent_saw:  # lines 31-33
+            for dest in sorted(quorum):
+                sends.append((dest, (SAW, state.pid, quorum)))
+            state.sent_saw.add(quorum)
+
+        state.k += 1  # next round opens within the same step
+        state.phase = _PHASE_LEAD
+        self._broadcast(state, sends, self._lead_payload(state))
+
+    # -- helpers -------------------------------------------------------------
+
+    @staticmethod
+    def _import_history(state: _NucState, incoming) -> None:
+        for r, quorums in incoming.items():
+            state.history[r] |= quorums
 
 
 _INF = float("inf")
-_NO_MESSAGES: Dict[int, DeliveredMessage] = {}
-
-
-@dataclass
-class _Vars:
-    """Mutable cell for variables shared with the upon-receipt handlers."""
-
-    x: Any
-    k: int

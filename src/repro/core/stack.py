@@ -10,15 +10,23 @@ sub-programs inside one model process: each step's observation is split —
 the booster sees the Sigma^nu component of the ambient ``(Omega, Sigma^nu)``
 detector, A_nuc sees ``(Omega, booster's current output)`` — and each
 sub-program's messages are tagged so they reach the right peer sub-program.
+The booster steps on its coroutine runtime, A_nuc on an
+:class:`~repro.kernel.automaton.AutomatonRuntime` over
+:class:`~repro.core.nuc.AnucAutomaton`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Generator, Optional
 
 from repro.core.boosting import SigmaNuPlusBooster
-from repro.core.nuc import AnucProcess
-from repro.kernel.automaton import DeliveredMessage, Process, ProcessContext
+from repro.core.nuc import AnucAutomaton
+from repro.kernel.automaton import (
+    AutomatonProcess,
+    DeliveredMessage,
+    Process,
+    ProcessContext,
+)
 
 _BOOST = "B"
 _NUC = "C"
@@ -31,7 +39,7 @@ class StackedNucProcess(Process):
         self.proposal = proposal
         self.n = n
         self.booster = SigmaNuPlusBooster(n, check_growth=check_growth)
-        self.nuc = AnucProcess(proposal)
+        self.nuc = AutomatonProcess(AnucAutomaton(), proposal)
 
     def initial_output(self) -> Any:
         # Expose the booster's emulated Sigma^nu+ output as this process's

@@ -26,7 +26,7 @@ from repro.consensus.properties import (
 )
 from repro.core.boosting import SigmaNuPlusBooster
 from repro.core.extraction import ExtractionSearch, SigmaNuExtractor
-from repro.core.nuc import AnucProcess
+from repro.core.nuc import AnucAutomaton
 from repro.core.stack import StackedNucProcess
 from repro.detectors.base import (
     FailureDetector,
@@ -165,7 +165,10 @@ def run_nuc(
     def go() -> ConsensusRunOutcome:
         d = PairedDetector(Omega(), SigmaNuPlus()) if detector is None else detector
         history = sample_history_cached(d, pattern, seed)
-        processes = {p: AnucProcess(proposals[p]) for p in range(pattern.n)}
+        processes = {
+            p: AutomatonProcess(AnucAutomaton(), proposals[p])
+            for p in range(pattern.n)
+        }
         system = System(processes, pattern, history, seed=seed, trace=trace)
         return _finish_consensus(system, proposals, max_steps)
 

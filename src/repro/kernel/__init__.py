@@ -17,7 +17,6 @@ from repro.kernel.automaton import (
     Observation,
     Process,
     ProcessContext,
-    ReplayAutomaton,
 )
 from repro.kernel.environment import Environment
 from repro.kernel.failures import FailurePattern
@@ -72,7 +71,6 @@ __all__ = [
     "PureRun",
     "PureSystemSimulator",
     "RandomFairScheduler",
-    "ReplayAutomaton",
     "RoundRobinScheduler",
     "RunResult",
     "Schedule",

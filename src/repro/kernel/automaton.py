@@ -11,22 +11,22 @@ Two renditions are provided:
   function.  This form is replayable from any initial configuration along any
   schedule, which the simulated-schedules machinery of Section 4.2 (and the
   run merging of Lemma 2.2) requires.  Consensus algorithms that act as the
-  subject ``A`` of the necessity construction are written in this form.
+  subject ``A`` of the necessity construction, ``A_nuc`` among them, are
+  written in this form.
 
 * :class:`Process` — a generator-coroutine process for the live
-  infrastructure algorithms (``A_DAG``, the two transformations, ``A_nuc``).
-  One ``yield`` corresponds to one model step, so the paper's pseudocode
-  (loops with blocking waits) transcribes almost line by line.
+  infrastructure algorithms (``A_DAG``, the two transformations, the
+  Theorem 6.28 stack).  One ``yield`` corresponds to one model step, so the
+  paper's pseudocode (loops with blocking waits) transcribes almost line by
+  line.
 
 The kernel makes one ``runtime.step(message, d, t)`` call per model step on
 the object ``process.runtime(ctx)`` returned.  :class:`CoroutineRuntime`
 (the default) resumes the coroutine ``program``; :class:`AutomatonRuntime`
 calls an automaton's ``transition`` directly, with no generator in between.
 A process with explicit state may be its own runtime (the replicated log's
-replica is).  Adapters bridge the two forms: :class:`AutomatonProcess` runs
-a pure automaton live, on :class:`AutomatonRuntime`, and
-:class:`ReplayAutomaton` turns a deterministic coroutine process into a pure
-automaton by replaying its observation history.
+replica is).  :class:`AutomatonProcess` runs a pure automaton live, on
+:class:`AutomatonRuntime`.
 """
 
 from __future__ import annotations
@@ -35,13 +35,10 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Dict,
     Generator,
-    Iterable,
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -131,8 +128,8 @@ class ProcessContext:
     """Per-process runtime services available to a coroutine process.
 
     The context mediates the one-yield-per-step protocol, collects outgoing
-    messages, maintains the receive log and inbox, dispatches *upon receipt*
-    handlers (the ``cobegin`` clauses of Figs. 4-5), and records decisions and
+    messages, maintains the receive log, dispatches *upon receipt* handlers
+    (the ``cobegin`` clauses of the pseudocode), and records decisions and
     emulated failure-detector outputs.
     """
 
@@ -142,7 +139,6 @@ class ProcessContext:
         self.time: int = 0
         self.detector_value: Any = None
         self.step_count: int = 0
-        self.inbox: List[DeliveredMessage] = []
         self.log: List[DeliveredMessage] = []
         self.decision: Optional[Any] = None
         self.decision_time: Optional[int] = None
@@ -162,18 +158,15 @@ class ProcessContext:
             if include_self or dest != self.pid:
                 self._outbox.append((dest, payload))
 
-    def send_each(self, dests: Iterable[int], payload: Any) -> None:
-        for dest in dests:
-            self._outbox.append((dest, payload))
-
     # -- handlers (the `upon receipt of` clauses) -------------------------
 
     def add_handler(self, handler: Callable[[DeliveredMessage], bool]) -> None:
         """Register an upon-receipt handler.
 
-        Handlers run within the receiving step, before the main program sees
-        the message.  A handler returning ``True`` consumes the message (it
-        is logged but not placed in the inbox).
+        Handlers run in registration order within the receiving step, after
+        the message is logged and before the main program resumes.  A
+        handler returning ``True`` consumes the message: the handlers
+        registered after it do not see it.
         """
         self._handlers.append(handler)
 
@@ -192,33 +185,10 @@ class ProcessContext:
         self.step_count += 1
         if obs.message is not None:
             self.log.append(obs.message)
-            consumed = False
             for handler in self._handlers:
                 if handler(obs.message):
-                    consumed = True
                     break
-            if not consumed:
-                self.inbox.append(obs.message)
         return obs
-
-    # -- message queries ---------------------------------------------------
-
-    def received(
-        self, match: Callable[[DeliveredMessage], bool]
-    ) -> List[DeliveredMessage]:
-        """All messages received so far (the log) matching ``match``."""
-        return [m for m in self.log if match(m)]
-
-    def received_from(
-        self, senders: Iterable[int], match: Callable[[DeliveredMessage], bool]
-    ) -> Dict[int, DeliveredMessage]:
-        """First matching message from each of ``senders`` (those present)."""
-        wanted = set(senders)
-        found: Dict[int, DeliveredMessage] = {}
-        for m in self.log:
-            if m.sender in wanted and m.sender not in found and match(m):
-                found[m.sender] = m
-        return found
 
     # -- results ------------------------------------------------------------
 
@@ -244,7 +214,9 @@ class ProcessContext:
 
 
 class Process:
-    """A coroutine process.  Subclasses implement :meth:`program`.
+    """A process the kernel steps.  Coroutine processes implement
+    :meth:`program`; :class:`AutomatonProcess` and processes with explicit
+    state override :meth:`runtime` instead.
 
     ``program`` must be a generator that interacts with the runtime only via
     ``yield from ctx.take_step()`` (or helpers built on it).  Code between two
@@ -347,7 +319,7 @@ class AutomatonRuntime:
 
 
 # ----------------------------------------------------------------------
-# Adapters
+# Adapter
 # ----------------------------------------------------------------------
 
 
@@ -367,55 +339,3 @@ class AutomatonProcess(Process):
     def state(self) -> Any:
         """The current state (``None`` before a runtime is bound)."""
         return None if self._runtime is None else self._runtime.state
-
-
-class ReplayAutomaton(Automaton):
-    """Present a deterministic coroutine process as a pure automaton.
-
-    The automaton's state is the full observation history of the process;
-    ``transition`` replays a fresh coroutine over the extended history.  This
-    costs O(k) work per step for a k-step history but lets coroutine-style
-    algorithms (like ``A_nuc``) serve as the subject ``A`` of the necessity
-    construction, whose schedules are short.
-    """
-
-    def __init__(self, process_factory: Callable[[Any], Process], n: int):
-        self._factory = process_factory
-        self._n = n
-
-    def initial_state(self, pid: int, n: int, proposal: Any) -> Any:
-        return _ReplayState(pid=pid, proposal=proposal, history=())
-
-    def transition(self, state, pid, msg, d):
-        history = state.history + ((msg, d),)
-        sends, decision = self._replay(pid, state.proposal, history)
-        new_state = _ReplayState(pid=pid, proposal=state.proposal, history=history)
-        new_state.last_decision = decision
-        return TransitionOutcome(state=new_state, sends=sends)
-
-    def decision(self, state) -> Optional[Any]:
-        return getattr(state, "last_decision", None)
-
-    def snapshot(self, state) -> Any:
-        return (state.pid, state.proposal, state.history)
-
-    def _replay(
-        self,
-        pid: int,
-        proposal: Any,
-        history: Sequence[Tuple[Optional[DeliveredMessage], Any]],
-    ) -> Tuple[List[Send], Optional[Any]]:
-        ctx = ProcessContext(pid, self._n)
-        runtime = self._factory(proposal).runtime(ctx)
-        sends: List[Send] = []
-        for i, (msg, d) in enumerate(history):
-            sends = runtime.step(msg, d, i)
-        return sends, ctx.decision
-
-
-@dataclass
-class _ReplayState:
-    pid: int
-    proposal: Any
-    history: Tuple[Tuple[Optional[DeliveredMessage], Any], ...]
-    last_decision: Optional[Any] = None

@@ -32,7 +32,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 from repro.consensus.interface import ConsensusOutcome
 from repro.consensus.properties import PropertyReport, check_nonuniform_consensus
 from repro.consensus.quorum_mr import NaiveSigmaNuConsensus
-from repro.core.nuc import AnucProcess
+from repro.core.nuc import AnucAutomaton
 from repro.detectors.base import AdaptiveHistory
 from repro.detectors.checkers import (
     CheckResult,
@@ -83,19 +83,21 @@ class _ScenarioDriver:
     # -- probes --------------------------------------------------------
 
     def round_of(self, p: int) -> int:
+        state = self.processes[p].state
+        if state is None:
+            return 1
         if self.algorithm == "naive":
-            state = self.processes[p].state
-            return state.round if state is not None else 1
-        return max(1, self.processes[p].trace.rounds_started)
+            return state.round
+        return max(1, state.k)
 
     def passed_round2_lead(self, p: int) -> bool:
+        state = self.processes[p].state
+        if state is None:
+            return False
         if self.algorithm == "naive":
-            state = self.processes[p].state
-            if state is None:
-                return False
             return state.round > 2 or (state.round == 2 and state.phase != "LEAD")
         # A_nuc never adopts from 2; "engaged" means it distrusted 2.
-        return any(q == 2 for _, q in self.processes[p].trace.distrust_events)
+        return any(q == 2 for _, q in state.distrust_events)
 
     def should_crash_two(self) -> bool:
         return self.passed_round2_lead(0) and self.passed_round2_lead(1)
@@ -139,13 +141,8 @@ def run_contamination_scenario(
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
     pattern = DeferredCrashPattern(3, doomed=[2])
-    if algorithm == "naive":
-        processes = {
-            p: AutomatonProcess(NaiveSigmaNuConsensus(), PROPOSALS[p])
-            for p in range(3)
-        }
-    else:
-        processes = {p: AnucProcess(PROPOSALS[p]) for p in range(3)}
+    automaton = NaiveSigmaNuConsensus() if algorithm == "naive" else AnucAutomaton()
+    processes = {p: AutomatonProcess(automaton, PROPOSALS[p]) for p in range(3)}
 
     driver = _ScenarioDriver(algorithm, processes, pattern)
     history = AdaptiveHistory(3, driver.detector_value)
@@ -200,7 +197,7 @@ def run_contamination_scenario(
     distrust: List[Tuple[int, int]] = []
     if algorithm == "anuc":
         for p in range(3):
-            distrust.extend(processes[p].trace.distrust_events)
+            distrust.extend(processes[p].state.distrust_events)
 
     return ContaminationReport(
         algorithm=algorithm,

@@ -2,10 +2,9 @@
 
 Each process runs consensus instances sequentially; slot ``i``'s instance
 starts once slot ``i-1`` is decided locally.  An instance is a state of
-:class:`~repro.core.nuc_automaton.AnucAutomaton` — the paper's own form of
-an algorithm, one ``transition`` per step, and the same A_nuc as the
-readable coroutine in :mod:`repro.core.nuc`: the two are pinned
-step-for-step equal by ``tests/core/test_nuc_equivalence.py``.  The
+:class:`~repro.core.nuc.AnucAutomaton` — the paper's own form of an
+algorithm, one ``transition`` per step, and the A_nuc every other caller
+runs.  The
 replica has no generator either: it is its own kernel runtime, and
 :meth:`ReplicatedLogProcess.step` is one explicit transition over its
 state (open slot, stash, notices); ``tests/smr/test_replica_equivalence.py``
@@ -65,7 +64,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.nuc_automaton import AnucAutomaton
+from repro.core.nuc import AnucAutomaton
 from repro.kernel.automaton import (
     DeliveredMessage,
     Process,

@@ -198,7 +198,7 @@ class TestAnucBoundedExploration:
         """Every schedule prefix of native A_nuc under a split-quorum
         Sigma^nu+ history keeps nonuniform agreement and validity (n=2,
         process 1 faulty-by-declaration, bounded depth)."""
-        from repro.core.nuc_automaton import AnucAutomaton
+        from repro.core.nuc import AnucAutomaton
 
         pattern = FailurePattern(2, {1: 10**6})
 
@@ -225,7 +225,7 @@ class TestAnucBoundedExploration:
         """With the awareness gate off, the explorer can reach a uniform
         disagreement (faulty process deciding its own value) while
         nonuniform agreement still holds on every prefix."""
-        from repro.core.nuc_automaton import AnucAutomaton
+        from repro.core.nuc import AnucAutomaton
 
         pattern = FailurePattern(2, {1: 10**6})
 

@@ -15,11 +15,17 @@ import random
 import pytest
 
 from repro.consensus import check_nonuniform_consensus, consensus_outcome
-from repro.core.nuc import AnucProcess
+from repro.core.nuc import AnucAutomaton
 from repro.detectors import AdaptiveHistory, Omega, PairedDetector, SigmaNuPlus
+from repro.kernel.automaton import AutomatonProcess
 from repro.kernel.failures import DeferredCrashPattern, FailurePattern
 from repro.kernel.system import System
 from repro.separation.contamination import PROPOSALS, _ScenarioDriver
+
+
+def anuc_processes(proposals, **flags):
+    automaton = AnucAutomaton(**flags)
+    return {p: AutomatonProcess(automaton, v) for p, v in proposals.items()}
 
 
 def run_scenario_with(processes, seed=0, max_steps=30000):
@@ -54,10 +60,7 @@ class TestDistrustAblation:
         {0,1,2} quorum from unanimity.  Once the window opens, 1 adopts 'w'
         from 2 and decides 'w' — a nonuniform-agreement violation that real
         A_nuc's distrust provably prevents (previous test family)."""
-        processes = {
-            p: AnucProcess(PROPOSALS[p], enable_distrust=False)
-            for p in range(3)
-        }
+        processes = anuc_processes(PROPOSALS, enable_distrust=False)
         pattern = DeferredCrashPattern(3, doomed=[2])
         system_box = {}
 
@@ -95,7 +98,7 @@ class TestDistrustAblation:
         assert decisions == {0: "v", 1: "w"}, decisions
 
     def test_with_distrust_same_driver_is_safe(self):
-        processes = {p: AnucProcess(PROPOSALS[p]) for p in range(3)}
+        processes = anuc_processes(PROPOSALS)
         system, _ = run_scenario_with(processes)
         assert system.contexts[0].decision == "v"
         assert system.contexts[1].decision == "v"
@@ -111,17 +114,14 @@ class TestQuorumAwarenessAblation:
 
         def run(enable_gate):
             history = detector.sample_history(pattern, random.Random(123))
-            processes = {
-                p: AnucProcess(
-                    proposals[p], enable_quorum_awareness=enable_gate
-                )
-                for p in range(3)
-            }
+            processes = anuc_processes(
+                proposals, enable_quorum_awareness=enable_gate
+            )
             system = System(processes, pattern, history, seed=7)
             system.run(
                 max_steps=20000, stop_when=lambda s: s.all_correct_decided()
             )
-            return [processes[p].trace.decided_round for p in range(3)]
+            return [processes[p].state.decided_round for p in range(3)]
 
         gated = run(True)
         ungated = run(False)
@@ -133,10 +133,7 @@ class TestQuorumAwarenessAblation:
         proposals = {p: p % 2 for p in range(4)}
         detector = PairedDetector(Omega(), SigmaNuPlus())
         history = detector.sample_history(pattern, random.Random(5))
-        processes = {
-            p: AnucProcess(proposals[p], enable_quorum_awareness=False)
-            for p in range(4)
-        }
+        processes = anuc_processes(proposals, enable_quorum_awareness=False)
         system = System(processes, pattern, history, seed=5)
         result = system.run(
             max_steps=30000, stop_when=lambda s: s.all_correct_decided()

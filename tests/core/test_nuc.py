@@ -5,22 +5,24 @@ import random
 import pytest
 
 from repro.consensus import check_nonuniform_consensus, consensus_outcome
-from repro.core.nuc import (
-    AnucProcess,
-    considers_faulty,
-    distrusts,
-    snapshot_history,
-)
+from repro.core.nuc import AnucAutomaton, distrusts, snapshot_history
 from repro.detectors import Omega, PairedDetector, SigmaNuPlus
+from repro.kernel.automaton import AutomatonProcess
 from repro.kernel.failures import FailurePattern
 from repro.kernel.scheduler import WeightedScheduler
 from repro.kernel.system import System
+from tests.core.reference_nuc import considers_faulty
+
+
+def anuc_processes(proposals):
+    automaton = AnucAutomaton()
+    return {p: AutomatonProcess(automaton, v) for p, v in proposals.items()}
 
 
 def run_anuc(pattern, proposals, seed=0, max_steps=30000, **kwargs):
     detector = PairedDetector(Omega(), SigmaNuPlus())
     history = detector.sample_history(pattern, random.Random(seed + 999))
-    processes = {p: AnucProcess(proposals[p]) for p in range(pattern.n)}
+    processes = anuc_processes(proposals)
     system = System(processes, pattern, history, seed=seed, **kwargs)
     result = system.run(
         max_steps=max_steps, stop_when=lambda s: s.all_correct_decided()
@@ -113,8 +115,8 @@ class TestAnucMechanisms:
         proposals = {p: "v" for p in range(3)}
         result, processes = run_anuc(pattern, proposals, seed=2)
         for p in range(3):
-            if processes[p].trace.decided_round is not None:
-                assert processes[p].trace.decided_round >= 2
+            if processes[p].state.decided_round is not None:
+                assert processes[p].state.decided_round >= 2
 
     def test_unanimous_proposals_decide_same_value(self):
         pattern = FailurePattern(4, {1: 12})
@@ -128,9 +130,9 @@ class TestAnucMechanisms:
         proposals = {p: p for p in range(3)}
         result, processes = run_anuc(pattern, proposals, seed=4)
         for p in pattern.correct:
-            history = processes[p].history
+            history = processes[p].state.history
             for q in pattern.correct:
-                used = {quorum for _, quorum in processes[q].trace.quorums_used}
+                used = processes[q].state.sent_saw  # the quorums q used
                 assert used & history[q] or not used
 
     def test_minority_correct_decides(self):
@@ -163,10 +165,10 @@ class TestAnucMechanisms:
         proposals = {p: "v" for p in range(3)}
         _, processes = run_anuc(pattern, proposals, seed=8)
         for p in range(3):
-            trace = processes[p].trace
-            assert trace.rounds_started >= 1
-            assert trace.quorums_used, "phase 3 must complete at least once"
-            for k, quorum in trace.quorums_used:
+            state = processes[p].state
+            assert state.k >= 1
+            assert state.sent_saw, "phase 3 must complete at least once"
+            for quorum in state.sent_saw:
                 assert p in quorum  # self-inclusion of Sigma^nu+ quorums
 
 
@@ -181,7 +183,7 @@ class TestLateStabilizationStress:
             SigmaNuPlus(stabilization_slack=300),
         )
         history = detector.sample_history(pattern, random.Random(77))
-        processes = {p: AnucProcess(proposals[p]) for p in range(3)}
+        processes = anuc_processes(proposals)
         system = System(processes, pattern, history, seed=77)
         result = system.run(
             max_steps=80000, stop_when=lambda s: s.all_correct_decided()

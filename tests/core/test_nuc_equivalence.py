@@ -1,11 +1,12 @@
-"""Differential test: the A_nuc automaton port equals the coroutine.
+"""Differential test: the shipped A_nuc automaton equals the reference.
 
-Feed both renditions the *same* observation sequences — harvested from live
-coroutine runs across environments and seeds, under honest and lying
-detectors, with and without the ablation flags — and require identical send
-sequences and identical decisions at every step.  This pins the pure
-automaton (which the service's replicas, extraction and model checking
-run) to the readable coroutine.
+``tests/core/reference_nuc.py`` transcribes Figs. 4-5 as a coroutine, line
+by line.  Feed it and :class:`~repro.core.nuc.AnucAutomaton` the *same*
+observation sequences — harvested from live runs across environments and
+seeds, under honest and lying detectors, with and without the ablation
+flags — and require identical send sequences at every step, identical
+decisions and identical distrust events.  This pins the automaton (which
+every caller in ``src/`` runs) to the readable pseudocode.
 """
 
 import random
@@ -13,12 +14,16 @@ import random
 import pytest
 
 from repro.chaos.matrix import split_quorum_detector, trusted_union_liar_detector
-from repro.core.nuc import AnucProcess
-from repro.core.nuc_automaton import AnucAutomaton
+from repro.core.nuc import AnucAutomaton
 from repro.detectors import Omega, PairedDetector, SigmaNuPlus
-from repro.kernel.automaton import DeliveredMessage
+from repro.kernel.automaton import (
+    CoroutineRuntime,
+    DeliveredMessage,
+    ProcessContext,
+)
 from repro.kernel.failures import FailurePattern
 from repro.kernel.system import System
+from tests.core.reference_nuc import AnucProcess
 
 
 def live_run(pattern, proposals, seed):
@@ -47,19 +52,25 @@ def observations_of(result, pid):
     return obs, sends
 
 
-def assert_automaton_replays(result, n, proposals, automaton=None):
-    """Feed each process's observations to the automaton: same sends at
-    every step, same decision.  Returns how often a process sat in phase 3
-    with a full quorum of proposals and still had to retry (lines 25-28:
-    some member of the quorum is distrusted)."""
-    automaton = automaton or AnucAutomaton()
+def assert_renditions_agree(result, n, proposals, **flags):
+    """Feed each process's observations to the reference coroutine and to
+    the automaton: both emit the run's sends at every step, and they end
+    with the run's decision and the same distrust events.  Returns how often
+    a process sat in phase 3 with a full quorum of proposals and still had
+    to retry (lines 25-28: some member of the quorum is distrusted)."""
+    automaton = AnucAutomaton(**flags)
     phase3_retries = 0
     for pid in range(n):
         obs, expected_sends = observations_of(result, pid)
+        reference = AnucProcess(proposals[pid], **flags)
+        ctx = ProcessContext(pid, n)
+        runtime = CoroutineRuntime(reference, ctx)
         state = automaton.initial_state(pid, n, proposals[pid])
         for i, (msg, d) in enumerate(obs):
+            reference_sends = runtime.step(msg, d, i)
             outcome = automaton.transition(state, pid, msg, d)
             state = outcome.state
+            assert reference_sends == expected_sends[i], (pid, i)
             assert outcome.sends == expected_sends[i], (
                 pid,
                 i,
@@ -70,7 +81,9 @@ def assert_automaton_replays(result, n, proposals, automaton=None):
                 state.received("PROP", state.k)
             ):
                 phase3_retries += 1
+        assert ctx.decision == result.decisions.get(pid), pid
         assert automaton.decision(state) == result.decisions.get(pid), pid
+        assert state.distrust_events == reference.trace.distrust_events, pid
     return phase3_retries
 
 
@@ -89,7 +102,7 @@ def test_automaton_replays_coroutine_exactly(pattern, seed):
     proposals = {p: p % 2 for p in range(pattern.n)}
     result = live_run(pattern, proposals, seed)
     assert result.decisions, "the source run must decide"
-    assert_automaton_replays(result, pattern.n, proposals)
+    assert_renditions_agree(result, pattern.n, proposals)
 
 
 ABLATIONS = [
@@ -115,7 +128,7 @@ def test_ablation_flags_match_too():
                 max_steps=4000, stop_when=lambda s: s.all_correct_decided()
             )
             assert result.decisions, flags
-            assert_automaton_replays(result, 4, proposals, AnucAutomaton(**flags))
+            assert_renditions_agree(result, 4, proposals, **flags)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -130,7 +143,7 @@ def test_split_quorums_refuse_the_other_halfs_leader(seed):
         max_steps=3000, stop_when=lambda s: s.all_correct_decided()
     )
     assert any(processes[p].trace.distrust_events for p in range(5))
-    assert_automaton_replays(result, 5, proposals)
+    assert_renditions_agree(result, 5, proposals)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -148,12 +161,13 @@ def test_phase_three_retries_on_a_distrusted_member(seed):
     processes = {p: AnucProcess(proposals[p]) for p in range(4)}
     result = System(processes, pattern, history, seed=seed).run(max_steps=3000)
     assert result.decisions.keys() < set(pattern.correct)  # someone wedged
-    assert assert_automaton_replays(result, 4, proposals) > 50
+    assert assert_renditions_agree(result, 4, proposals) > 50
 
 
 def test_contamination_schedule(monkeypatch):
     """The Section 6.3 scenario: adaptive history, a crash placed by the
-    driver, the faulty leader's estimate refused by both correct processes."""
+    driver, the faulty leader's estimate refused by both correct processes.
+    The live run is the automaton's, so the reference replays it."""
     from repro.separation import contamination
 
     systems = []
@@ -167,14 +181,13 @@ def test_contamination_schedule(monkeypatch):
     report = contamination.run_contamination_scenario("anuc", seed=0)
     assert not report.contaminated and report.distrust_events
     (system,) = systems
-    assert_automaton_replays(system.result(), 3, contamination.PROPOSALS)
+    assert_renditions_agree(system.result(), 3, contamination.PROPOSALS)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_native_automaton_in_live_system(seed):
-    """The port also runs live (through AutomatonProcess) under schedules
-    and delivery orders the coroutine never saw, and still solves
-    nonuniform consensus."""
+    """The automaton live (through AutomatonProcess) solves nonuniform
+    consensus, and the reference replays its runs step for step."""
     from repro.consensus import check_nonuniform_consensus, consensus_outcome
     from repro.kernel.automaton import AutomatonProcess
 
@@ -194,3 +207,4 @@ def test_native_automaton_in_live_system(seed):
     )
     assert result.stop_reason == "stop_condition", pattern
     assert check_nonuniform_consensus(consensus_outcome(result, proposals)).ok
+    assert_renditions_agree(result, n, proposals)

@@ -1,15 +1,15 @@
 """White-box tests of A_nuc's phases, fed observation by observation.
 
-These drive a single AnucProcess through a crafted sequence of observations
-(no System, no scheduler) and inspect the exact messages it emits — the
-paper's pseudocode, line by line, at the message level.
+These drive a single A_nuc automaton through a crafted sequence of
+observations (no System, no scheduler) and inspect the exact messages it
+emits — the paper's pseudocode, line by line, at the message level.
 """
 
 import pytest
 
-from repro.core.nuc import ACK, LEAD, PROP, REP, SAW, AnucProcess
+from repro.core.nuc import ACK, LEAD, PROP, REP, SAW, AnucAutomaton
 from repro.kernel.automaton import (
-    CoroutineRuntime,
+    AutomatonRuntime,
     DeliveredMessage,
     Observation,
     ProcessContext,
@@ -22,10 +22,9 @@ LEADER0_Q01 = (0, frozenset({0, 1}))  # leader 0, quorum {0,1}
 class Driver:
     """Feeds observations to one A_nuc process and collects its sends."""
 
-    def __init__(self, pid=0, proposal="v", **kwargs):
+    def __init__(self, pid=0, proposal="v", **flags):
         self.ctx = ProcessContext(pid, N)
-        self.process = AnucProcess(proposal, **kwargs)
-        self.runtime = CoroutineRuntime(self.process, self.ctx)
+        self.runtime = AutomatonRuntime(AnucAutomaton(**flags), proposal, self.ctx)
         self.time = 0
         self.sent = []
 
@@ -35,6 +34,10 @@ class Driver:
         self.time += 1
         self.sent.extend(sends)
         return sends
+
+    @property
+    def state(self):
+        return self.runtime.state
 
     def deliver(self, sender, payload, d=LEADER0_Q01):
         return self.step(DeliveredMessage(sender, payload), d)
@@ -129,7 +132,7 @@ class TestPhaseProgression:
         driver.deliver(0, (PROP, 2, "v", {}))
         driver.deliver(1, (PROP, 2, "v", {}))
         assert driver.ctx.decision == "v"
-        assert driver.process.trace.decided_round == 2
+        assert driver.state.decided_round == 2
 
 
 class TestHandlers:
@@ -146,14 +149,14 @@ class TestHandlers:
         driver.step()
         quorum = frozenset({1})
         driver.deliver(1, (SAW, 1, quorum))
-        assert quorum in driver.process.history[1]
+        assert quorum in driver.state.history[1]
 
     def test_history_import_from_lead(self):
         driver = Driver()
         driver.step()
         incoming = {1: frozenset({frozenset({1})})}
         driver.deliver(0, (LEAD, 1, "v", incoming))
-        assert frozenset({1}) in driver.process.history[1]
+        assert frozenset({1}) in driver.state.history[1]
 
     def test_get_quorum_records_own_polls(self):
         driver = Driver()
@@ -161,7 +164,7 @@ class TestHandlers:
         driver.deliver(0, (LEAD, 1, "v", {}))
         # now in the REP wait: each step polls the quorum into H[0]
         driver.step(d=(0, frozenset({0})))
-        assert frozenset({0}) in driver.process.history[0]
+        assert frozenset({0}) in driver.state.history[0]
 
 
 class TestAblationsWhitebox:
@@ -174,7 +177,7 @@ class TestAblationsWhitebox:
         driver.deliver(0, (PROP, 1, "v", {}))
         driver.deliver(1, (PROP, 1, "v", {}))
         assert driver.ctx.decision == "v"
-        assert driver.process.trace.decided_round == 1
+        assert driver.state.decided_round == 1
 
     def test_distrust_off_adopts_from_anyone(self):
         # poison the history so that with distrust on, leader 1 is refused
@@ -197,4 +200,4 @@ class TestAblationsWhitebox:
         driver.deliver(1, (LEAD, 1, "w", incoming), d=(1, frozenset({0})))
         reps = [p for _, p in driver.sent if p[0] == REP]
         assert reps and reps[-1][2] == "v"  # kept its own estimate
-        assert (1, 1) in driver.process.trace.distrust_events
+        assert (1, 1) in driver.state.distrust_events

@@ -78,7 +78,8 @@ class TestStackWiring:
         )
         system.run(max_steps=40000, stop_when=lambda s: s.all_correct_decided())
         for p in range(3):
-            for _, quorum in processes[p].nuc.trace.quorums_used:
+            # sent_saw is exactly the set of quorums phase 3 went through
+            for quorum in processes[p].nuc.state.sent_saw:
                 assert p in quorum
 
     def test_initial_output_is_pi(self):

@@ -15,14 +15,13 @@ consensus lets faulty processes decide in isolation.
 import pytest
 
 from repro.core.extraction import ExtractionSearch, SigmaNuExtractor
-from repro.core.nuc import AnucProcess
+from repro.core.nuc import AnucAutomaton
 from repro.detectors import (
     check_sigma,
     check_sigma_nu,
     recorded_output_history,
 )
 from repro.detectors.base import FunctionalHistory
-from repro.kernel.automaton import ReplayAutomaton
 from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import CoalescingDelivery
 from repro.kernel.system import System
@@ -45,10 +44,9 @@ def tight_run():
         return (0, frozenset({0, 1}))
 
     history = FunctionalHistory(value)
-    subject = ReplayAutomaton(lambda proposal: AnucProcess(proposal), n=n)
     processes = {
         p: SigmaNuExtractor(
-            subject,
+            AnucAutomaton(),
             n,
             search=ExtractionSearch(search_growth=40, max_path_len=400),
         )

@@ -3,21 +3,16 @@
 Theorem 5.4's premise is *any* algorithm A that solves nonuniform consensus
 using D.  The paper's own A_nuc (using D = (Omega, Sigma^nu+)) qualifies —
 so running T_{D -> Sigma^nu} with A = A_nuc must emit valid Sigma^nu
-histories.  A_nuc is a coroutine process, so it enters the construction
-through the ReplayAutomaton adapter, which exercises that bridge end to end.
-
-Costly (every simulated step replays a coroutine prefix), so kept small.
+histories.  A_nuc is an automaton, so it enters the construction as the
+subject directly.
 """
-
-import random
 
 import pytest
 
 from repro.core.extraction import ExtractionSearch
-from repro.core.nuc import AnucProcess
+from repro.core.nuc import AnucAutomaton
 from repro.detectors import Omega, PairedDetector, SigmaNuPlus
 from repro.harness.runner import run_extraction
-from repro.kernel.automaton import ReplayAutomaton
 from repro.kernel.failures import FailurePattern
 
 
@@ -27,45 +22,20 @@ from repro.kernel.failures import FailurePattern
         FailurePattern(2, {}),
         FailurePattern(2, {1: 12}),
         FailurePattern(3, {2: 15}),
-    ],
-    ids=["n2-failfree", "n2-one-crash", "n3-one-crash"],
-)
-def test_extract_sigma_nu_from_anuc(pattern):
-    n = pattern.n
-    subject = ReplayAutomaton(lambda proposal: AnucProcess(proposal), n=n)
-    detector = PairedDetector(Omega(), SigmaNuPlus())
-    outcome = run_extraction(
-        subject,
-        detector,
-        pattern,
-        seed=1,
-        max_steps=2500,
-        min_outputs=2,
-        extra_steps=100,
-        search=ExtractionSearch(search_growth=40, max_path_len=400),
-    )
-    assert outcome.result.stop_reason == "stop_condition", (
-        pattern,
-        {p: len(v) for p, v in outcome.result.outputs.items()},
-    )
-    assert outcome.sigma_nu_check.ok, outcome.sigma_nu_check.violations[:3]
-
-
-@pytest.mark.parametrize(
-    "pattern",
-    [
         FailurePattern(3, {}),
         FailurePattern(3, {0: 10, 1: 20}),
         FailurePattern(4, {2: 15, 3: 25}),
     ],
-    ids=["n3-failfree", "n3-minority-correct", "n4-two-crashes"],
+    ids=[
+        "n2-failfree",
+        "n2-one-crash",
+        "n3-one-crash",
+        "n3-failfree",
+        "n3-minority-correct",
+        "n4-two-crashes",
+    ],
 )
-def test_extract_sigma_nu_from_native_anuc_automaton(pattern):
-    """Same full circle through the O(1)-per-step native port, which the
-    equivalence suite pins to the coroutine — larger n becomes affordable."""
-    from repro.core.nuc_automaton import AnucAutomaton
-
-    n = pattern.n
+def test_extract_sigma_nu_from_anuc(pattern):
     detector = PairedDetector(Omega(), SigmaNuPlus())
     outcome = run_extraction(
         AnucAutomaton(),

@@ -17,9 +17,10 @@ from repro.consensus import (
     check_uniform_consensus,
     consensus_outcome,
 )
-from repro.core.nuc import AnucProcess
+from repro.core.nuc import AnucAutomaton
 from repro.detectors import AdaptiveHistory, check_omega, check_sigma_nu_plus
 from repro.detectors.checkers import project_history
+from repro.kernel.automaton import AutomatonProcess
 from repro.kernel.failures import DeferredCrashPattern
 from repro.kernel.system import System
 
@@ -28,7 +29,9 @@ PROPOSALS = {0: "v", 1: "v", 2: "w"}
 
 def build_run(seed=0, max_steps=40000):
     pattern = DeferredCrashPattern(3, doomed=[2])
-    processes = {p: AnucProcess(PROPOSALS[p]) for p in range(3)}
+    processes = {
+        p: AutomatonProcess(AnucAutomaton(), PROPOSALS[p]) for p in range(3)
+    }
 
     def value(p, t):
         if p == 2:

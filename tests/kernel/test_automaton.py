@@ -1,4 +1,4 @@
-"""Process formalisms: contexts, coroutine runtime, adapters (Section 2.4)."""
+"""Process formalisms (Section 2.4): contexts, runtimes, the automaton adapter."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.kernel.automaton import (
     Observation,
     Process,
     ProcessContext,
-    ReplayAutomaton,
     TransitionOutcome,
 )
 
@@ -73,24 +72,25 @@ class TestProcessContext:
         ctx.send_to_all("x", include_self=False)
         assert ctx._outbox == [(0, "x"), (2, "x")]
 
-    def test_log_and_inbox_track_messages(self):
+    def test_log_tracks_messages(self):
         ctx = ProcessContext(0, 2)
         runtime = CoroutineRuntime(EchoProcess(), ctx)
         runtime.step(*obs(DeliveredMessage(1, "a")))
         runtime.step(*obs(None))
         runtime.step(*obs(DeliveredMessage(1, "b")))
         assert [m.payload for m in ctx.log] == ["a", "b"]
-        assert [m.payload for m in ctx.inbox] == ["a", "b"]
 
     def test_handler_consumes_messages(self):
         ctx = ProcessContext(0, 2)
-        seen = []
-        ctx.add_handler(lambda m: (seen.append(m.payload), True)[1])
+        seen, later = [], []
+        ctx.add_handler(lambda m: (seen.append(m.payload), m.payload == "x")[1])
+        ctx.add_handler(lambda m: later.append(m.payload))
         runtime = CoroutineRuntime(EchoProcess(), ctx)
-        runtime.step(*obs(DeliveredMessage(1, "consumed")))
-        assert seen == ["consumed"]
-        assert ctx.inbox == []  # consumed, not queued
-        assert [m.payload for m in ctx.log] == ["consumed"]  # still logged
+        runtime.step(*obs(DeliveredMessage(1, "x")))
+        runtime.step(*obs(DeliveredMessage(1, "y")))
+        assert seen == ["x", "y"]
+        assert later == ["y"]  # "x" was consumed by the first handler
+        assert [m.payload for m in ctx.log] == ["x", "y"]  # both logged
 
     def test_decide_is_irrevocable(self):
         ctx = ProcessContext(0, 2)
@@ -112,18 +112,6 @@ class TestProcessContext:
         runtime.step(*obs(None, time=3))
         runtime.step(*obs(None, time=9))
         assert ctx.outputs == [(3, 1), (9, 2)]
-
-    def test_received_queries_log(self):
-        ctx = ProcessContext(0, 3)
-        runtime = CoroutineRuntime(EchoProcess(), ctx)
-        runtime.step(*obs(DeliveredMessage(1, ("T", 1))))
-        runtime.step(*obs(DeliveredMessage(2, ("U", 1))))
-        runtime.step(*obs(DeliveredMessage(1, ("T", 2))))
-        ts = ctx.received(lambda m: m.payload[0] == "T")
-        assert [m.payload for m in ts] == [("T", 1), ("T", 2)]
-        per_sender = ctx.received_from([1, 2], lambda m: True)
-        assert per_sender[1].payload == ("T", 1)
-        assert per_sender[2].payload == ("U", 1)
 
 
 class TestCoroutineRuntime:
@@ -201,43 +189,6 @@ class TestAutomatonProcess:
         runtime = proc.runtime(ProcessContext(0, 1))
         assert isinstance(runtime, AutomatonRuntime)
         assert proc.state == {"sum": 0, "threshold": 100}
-
-
-class TestReplayAutomaton:
-    def test_replay_matches_direct_coroutine_run(self):
-        history = [
-            (DeliveredMessage(1, "a"), None),
-            (None, None),
-            (DeliveredMessage(1, "b"), None),
-        ]
-        # direct run
-        ctx = ProcessContext(0, 2)
-        runtime = CoroutineRuntime(EchoProcess(), ctx)
-        direct = [runtime.step(*obs(m, d)) for m, d in history]
-
-        # replayed as a pure automaton
-        replay = ReplayAutomaton(lambda proposal: EchoProcess(), n=2)
-        state = replay.initial_state(0, 2, proposal=None)
-        replayed = []
-        for m, d in history:
-            outcome = replay.transition(state, 0, m, d)
-            state = outcome.state
-            replayed.append(outcome.sends)
-        assert replayed == direct
-
-    def test_replay_reports_decisions(self):
-        replay = ReplayAutomaton(lambda proposal: CountingProcess(2), n=2)
-        state = replay.initial_state(0, 2, proposal=None)
-        state = replay.transition(state, 0, DeliveredMessage(1, "x"), None).state
-        assert replay.decision(state) is None
-        state = replay.transition(state, 0, DeliveredMessage(1, "y"), None).state
-        assert replay.decision(state) == 2
-
-    def test_snapshot_reflects_history(self):
-        replay = ReplayAutomaton(lambda proposal: EchoProcess(), n=2)
-        s0 = replay.initial_state(0, 2, proposal="p")
-        s1 = replay.transition(s0, 0, None, "d").state
-        assert replay.snapshot(s1) == (0, "p", ((None, "d"),))
 
 
 class TestRuntimeErrorContext:

@@ -8,8 +8,9 @@ on a ``CoroutineRuntime``:
 * ``GeneratorReplica`` — the replica as it was written before the step
   became explicit: one ``AnucAutomaton`` state per slot, driven from a
   generator ``program``;
-* ``CoroutineSlotReplica`` — one coroutine ``AnucProcess`` per slot, with
-  its own context and runtime, fed observations.
+* ``CoroutineSlotReplica`` — one reference coroutine ``AnucProcess``
+  (``tests/core/reference_nuc.py``) per slot, with its own context and
+  runtime, fed observations.
 
 All three must produce the same run — every step's process, delivered
 message, detector value and sends — and the same logs and applied
@@ -27,8 +28,7 @@ import pytest
 
 from repro.chaos.matrix import CONFIGS
 from repro.chaos.space import draw_case
-from repro.core.nuc import AnucProcess
-from repro.core.nuc_automaton import AnucAutomaton
+from repro.core.nuc import AnucAutomaton
 from repro.detectors import (
     PairedHistory,
     ScheduleHistory,
@@ -49,6 +49,7 @@ from repro.kernel.messages import (
 from repro.kernel.scheduler import WeightedScheduler, build_scheduler
 from repro.kernel.system import System
 from repro.smr.replicated_log import DECIDED, FWD, SLOT, ReplicatedLogProcess
+from tests.core.reference_nuc import AnucProcess
 
 _ANUC = AnucAutomaton()
 
@@ -97,7 +98,6 @@ class GeneratorReplica(ReplicatedLogProcess):
         )
         for slot in slot_range:
             ctx.log.clear()
-            ctx.inbox.clear()
             instance = self.open_instance(ctx, self._next_proposal())
             replay = list(stashed.pop(slot, ()))
 

@@ -4,8 +4,10 @@ The service path, the chaos harness, the sweep harness and the CLI must
 not pull in the fused lane (``repro.kernel.batch`` — only its callers pay
 for it) nor numpy (nothing in ``src/`` imports it; one stray import costs
 every process ~10 MB of peak RSS, which the perf ledger's ``peak_rss_mb``
-bound does not forgive).  Checked in a fresh interpreter, because this
-test process has long since imported everything.
+bound does not forgive).  Nor may ``repro`` import anything from
+``tests`` — the readable A_nuc coroutine lives there as a test reference
+only.  Checked in a fresh interpreter, because this test process has long
+since imported everything.
 """
 
 import os
@@ -40,6 +42,38 @@ def test_entry_packages_import_neither_numpy_nor_the_fused_lane():
         capture_output=True,
         text=True,
         env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+TESTS_SCRIPT = """
+import importlib, sys
+for package in {packages!r}:
+    importlib.import_module(package)
+leaked = sorted(
+    name for name in sys.modules if name == "tests" or name.startswith("tests.")
+)
+if leaked:
+    print(f"importing repro pulled in {{leaked}}")
+    sys.exit(1)
+"""
+
+
+def test_repro_imports_nothing_from_tests():
+    # The repo root is importable, so a stray ``import tests...`` in src/
+    # would succeed here and show up in sys.modules.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(REPO_ROOT, "src"), REPO_ROOT])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            TESTS_SCRIPT.format(packages=("repro",) + PACKAGES),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
