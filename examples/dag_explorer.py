@@ -7,7 +7,8 @@ Section 4:
 * the DAG's compact frontier representation and its order-theoretic facts
   (Observations 4.1-4.4);
 * a path through the DAG and the canonical simulated schedule it induces
-  (the Lemma 4.10 construction): quorum-MR, simulated step by step, decides;
+  (the Lemma 4.10 construction, through the simulation trie the extraction
+  uses): quorum-MR, simulated step by step, decides;
 * the formal payoff (Lemma 4.9): the simulated schedule paired with the
   samples' tau-times validates as a *run* of the algorithm using the
   detector — checked with the independent run validator.
@@ -28,7 +29,7 @@ from repro import (
     System,
 )
 from repro.core.dag import balanced_chain
-from repro.core.simulation import canonical_schedule, find_deciding_schedule
+from repro.core.simtrie import IncrementalExtractionEngine
 from repro.kernel.runs import PureRun, validate_run
 
 
@@ -55,8 +56,8 @@ def main() -> None:
 
     print("\n== a canonical simulated schedule (Lemma 4.10) ==")
     chain = balanced_chain(fresh)
-    sim = canonical_schedule(QuorumMR(), 3, {p: "v0" for p in range(3)},
-                             chain, target=0)
+    engine = IncrementalExtractionEngine(QuorumMR(), 3)
+    sim = engine.trie.simulate({p: "v0" for p in range(3)}, chain, target=0)
     print(f"chain length {len(chain)}; process 0 decides "
           f"{sim.decisions.get(0)!r} after {sim.target_decided_at} steps "
           f"with participants {sorted(sim.participants)}")
@@ -75,17 +76,15 @@ def main() -> None:
     print(f"run validator: {'VALID' if not violations else violations[:2]}")
 
     print("\n== the extraction condition (Fig. 2 lines 15-17) ==")
+    found = {}
     for value in (0, 1):
-        found = find_deciding_schedule(
-            QuorumMR(), 3, {p: value for p in range(3)}, fresh, target=0
+        found[value] = engine.find_deciding_schedule(
+            {p: value for p in range(3)}, fresh, target=0, barrier=sample
         )
         print(f"I_{value}: deciding schedule with participants "
-              f"{sorted(found.participants)} "
-              f"(len {len(found.schedule)})")
-    quorum = None
-    s0 = find_deciding_schedule(QuorumMR(), 3, {p: 0 for p in range(3)}, fresh, 0)
-    s1 = find_deciding_schedule(QuorumMR(), 3, {p: 1 for p in range(3)}, fresh, 0)
-    quorum = s0.participants | s1.participants
+              f"{sorted(found[value].participants)} "
+              f"(len {len(found[value].schedule)})")
+    quorum = found[0].participants | found[1].participants
     print(f"extracted Sigma^nu quorum: {sorted(quorum)}")
     if violations:
         raise SystemExit(1)

@@ -6,12 +6,16 @@ initial configuration, branch over every enabled step — each alive process
 times each pending message for it (plus lambda) — and check a safety
 invariant in every reachable configuration.
 
-Configurations are deduplicated by a canonical digest (process-state
-snapshots + multiset of pending messages), which collapses the many
-interleavings that lead to the same configuration and keeps small instances
-tractable.  Detector values are taken from a time-indexed history like
-everywhere else; the exploration clock advances one tick per step, exactly
-as in the live system.
+A configuration is a :class:`~repro.kernel.runs.PureSystemSimulator`, and
+a successor is its :meth:`~repro.kernel.runs.PureSystemSimulator.fork`
+plus one ``apply_step``; the fork's copy-on-write rule means a successor
+copies only the stepping process's state.  Configurations are
+deduplicated by a canonical digest (process-state snapshots + multiset of
+pending messages + clock), which collapses the many interleavings that
+lead to the same configuration and keeps small instances tractable.
+Detector values are taken from a time-indexed history like everywhere
+else; the exploration clock is the simulator's ``steps_applied``, one tick
+per step, exactly as in the live system.
 
 This is *bounded* checking: it proves safety of every run prefix up to
 ``max_depth`` steps, not of infinite runs — the right tool for agreement
@@ -23,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.kernel.automaton import Automaton, DeliveredMessage
+from repro.kernel.automaton import Automaton
 from repro.kernel.failures import FailurePattern
+from repro.kernel.runs import HistoryFn, PureSystemSimulator
+from repro.kernel.steps import Step
 from repro import obs as _obs
-
-HistoryFn = Callable[[int, int], Any]
 
 
 @dataclass
@@ -61,18 +65,6 @@ class ExplorationReport:
         )
 
 
-class _LiveState:
-    """A mutable exploration state: automaton states + pending messages."""
-
-    __slots__ = ("states", "pending", "seq", "time")
-
-    def __init__(self, states, pending, seq, time):
-        self.states = states  # dict pid -> state
-        self.pending = pending  # list of Message-like tuples
-        self.seq = seq  # dict pid -> next send seq
-        self.time = time
-
-
 def explore(
     automaton: Automaton,
     pattern: FailurePattern,
@@ -89,9 +81,10 @@ def explore(
     violation (the string is the explanation), ``None`` means fine.
 
     Exploration is depth-first with global deduplication on a configuration
-    digest, so equivalent interleavings are visited once.  Successor
-    configurations copy only the stepping process's state (transitions may
-    mutate in place; the others are shared by reference).
+    digest, so equivalent interleavings are visited once.  Each process
+    steps first with lambda, then once per message pending for it, in send
+    order; trace labels name the message by its index in the pending
+    buffer (``p1:m2``).
     """
     if not _obs._ENABLED:
         return _explore_impl(
@@ -129,74 +122,37 @@ def _explore_impl(
 ) -> ExplorationReport:
     n = pattern.n
 
-    def initial() -> _LiveState:
-        states = {
-            p: automaton.initial_state(p, n, proposals[p]) for p in range(n)
-        }
-        return _LiveState(states=states, pending=[], seq={}, time=0)
-
-    def digest(state: _LiveState) -> Tuple:
+    def digest(sim: PureSystemSimulator) -> Tuple:
         # repr-normalize snapshots: automaton states may embed unhashable
         # structures (dict-valued message payloads); equal reprs collapse
         # equal configurations, unequal ones merely cost extra exploration.
-        snaps = tuple(
-            repr(automaton.snapshot(state.states[p])) for p in range(n)
-        )
+        snaps = tuple(repr(sim.snapshot(p)) for p in range(n))
         msgs = tuple(
-            sorted((m[0], m[1], repr(m[2])) for m in state.pending)
+            sorted((m.sender, m.dest, repr(m.payload)) for m in sim.pending.values())
         )
-        return (snaps, msgs, state.time)
+        return (snaps, msgs, sim.steps_applied)
 
-    def successors(state: _LiveState):
-        alive = [p for p in range(n) if pattern.is_alive(p, state.time)]
-        for pid in alive:
-            choices: List[Optional[int]] = [None]
-            for i, (sender, dest, payload) in enumerate(state.pending):
-                if dest == pid:
-                    choices.append(i)
-            for choice in choices:
-                yield pid, choice
+    def successors(sim: PureSystemSimulator):
+        t = sim.steps_applied
+        for pid in range(n):
+            if not pattern.is_alive(pid, t):
+                continue
+            d = history(pid, t)
+            yield None, Step(pid, None, d)
+            for i, (uid, message) in enumerate(sim.pending.items()):
+                if message.dest == pid:
+                    yield i, Step(pid, uid, d)
 
-    def apply(state: _LiveState, pid: int, choice: Optional[int]) -> _LiveState:
-        # Only the stepping process's state can change; copy it (transition
-        # may mutate in place) and share the rest by reference.
-        states = dict(state.states)
-        states[pid] = automaton.copy_state(states[pid])
-        new = _LiveState(
-            states=states,
-            pending=list(state.pending),
-            seq=dict(state.seq),
-            time=state.time + 1,
-        )
-        delivered = None
-        if choice is not None:
-            sender, dest, payload = new.pending.pop(choice)
-            delivered = DeliveredMessage(sender, payload)
-        d = history(pid, state.time)
-        outcome = automaton.transition(new.states[pid], pid, delivered, d)
-        new.states[pid] = outcome.state
-        for dest, payload in outcome.sends:
-            new.pending.append((pid, dest, payload))
-        return new
-
-    def decisions_of(state: _LiveState) -> Dict[int, Any]:
-        found = {}
-        for p in range(n):
-            value = automaton.decision(state.states[p])
-            if value is not None:
-                found[p] = value
-        return found
-
-    root = initial()
+    root = PureSystemSimulator(automaton, n, proposals)
     seen: Set[Tuple] = {digest(root)}
     configurations = 1
     transitions = 0
     truncated = False
 
-    stack: List[Tuple[_LiveState, int, List[str]]] = [(root, 0, [])]
+    stack: List[Tuple[PureSystemSimulator, int, List[str]]] = [(root, 0, [])]
     while stack:
-        state, depth, trace = stack.pop()
-        problem = invariant(decisions_of(state), _MessageView(state.pending))
+        sim, depth, trace = stack.pop()
+        problem = invariant(sim.decided_pids(), _MessageView(sim.pending.values()))
         if problem is not None:
             return ExplorationReport(
                 configurations=configurations,
@@ -207,9 +163,10 @@ def _explore_impl(
             )
         if depth >= max_depth:
             continue
-        for pid, choice in successors(state):
+        for choice, step in successors(sim):
             transitions += 1
-            nxt = apply(state, pid, choice)
+            nxt = sim.fork()
+            nxt.apply_step(step, time=sim.steps_applied)
             key = digest(nxt)
             if key in seen:
                 continue
@@ -218,7 +175,7 @@ def _explore_impl(
                 continue
             seen.add(key)
             configurations += 1
-            label = f"p{pid}:" + ("λ" if choice is None else f"m{choice}")
+            label = f"p{step.pid}:" + ("λ" if choice is None else f"m{choice}")
             stack.append((nxt, depth + 1, trace + [label]))
 
     return ExplorationReport(
@@ -239,7 +196,7 @@ class _MessageView:
         return len(self._pending)
 
     def payloads(self) -> List[Any]:
-        return [payload for _, _, payload in self._pending]
+        return [message.payload for message in self._pending]
 
 
 # ----------------------------------------------------------------------

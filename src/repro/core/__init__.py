@@ -10,14 +10,10 @@ from repro.core.nuc import AnucAutomaton
 from repro.core.sampling import DagBuilder
 from repro.core.simtrie import (
     IncrementalExtractionEngine,
+    PathSimulation,
     SimulationTrie,
     TrieCounters,
     merge_counter_dicts,
-)
-from repro.core.simulation import (
-    PathSimulation,
-    canonical_schedule,
-    find_deciding_schedule,
 )
 from repro.core.stack import StackedNucProcess
 
@@ -36,7 +32,5 @@ __all__ = [
     "SimulationTrie",
     "StackedNucProcess",
     "TrieCounters",
-    "canonical_schedule",
-    "find_deciding_schedule",
     "merge_counter_dicts",
 ]

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Generator, List, Mapping, Optional, Tuple
 
 from repro.core.dag import DagCore, Sample, SampleDAG
-from repro.core.simtrie import IncrementalExtractionEngine
-from repro.core.simulation import PathSimulation
+from repro.core.simtrie import IncrementalExtractionEngine, PathSimulation
 from repro.kernel.automaton import Automaton, Process, ProcessContext
 # Aliased: ``obs`` is the observation local inside program() below.
 from repro import obs as obslib
@@ -48,9 +47,8 @@ class ExtractionSearch:
     (:mod:`repro.core.simtrie`): each candidate subset's chain is grown
     incrementally, and chains share simulated prefixes between attempts and
     between the I_0 and I_1 configurations.  The results are identical to
-    the from-scratch reference
-    :func:`repro.core.simulation.find_deciding_schedule` (oracle-tested in
-    ``tests/core/test_simtrie.py``).
+    a from-scratch search (oracle-tested in ``tests/core/test_simtrie.py``
+    against ``tests/core/reference_search.py``).
     """
 
     search_growth: int = 12

@@ -19,11 +19,11 @@ initial configuration each node caches
 * the decision, if any, that the stepping process reached at it, and
 * every :data:`SNAPSHOT_STRIDE` levels, a forked simulator snapshot.
 
-:meth:`SimulationTrie.simulate` then reproduces
-:func:`~repro.core.simulation.canonical_schedule` *exactly* — same schedule,
-same path truncation, same decisions — while replaying only the suffix past
-the longest cached prefix.  So a (node, initial configuration) step is
-simulated at most once.  Chains that were already simulated in full are
+:meth:`SimulationTrie.simulate` then returns exactly the
+:class:`PathSimulation` a from-scratch simulation of the chain gives — same
+schedule, same path truncation, same decisions — while replaying only the
+suffix past the longest cached prefix.  So a (node, initial configuration)
+step is simulated at most once.  Chains that were already simulated in full are
 answered with zero simulator work, which is also how failed searches are
 settled: by Sch-monotonicity (Lemmas 4.5/4.11) a chain that did not let the
 target decide still does not at any prefix, and the cached decision deltas
@@ -41,11 +41,13 @@ through :mod:`repro.analysis.metrics`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -57,6 +59,62 @@ from repro.core.dag import BalancedChainBuilder, Sample, SampleKey
 from repro.kernel.automaton import Automaton
 from repro.kernel.runs import PureSystemSimulator
 from repro.kernel.steps import Schedule, Step
+
+
+@dataclass
+class PathSimulation:
+    """Result of simulating A along one DAG path."""
+
+    schedule: Schedule
+    path: Tuple[Sample, ...]
+    participants: FrozenSet[int]
+    decisions: Dict[int, Any]
+    target_decided_at: Optional[int]  # schedule length when target decided
+
+    @property
+    def target_decided(self) -> bool:
+        return self.target_decided_at is not None
+
+
+def _subsets_containing(
+    pool: Sequence[int], anchor: int, max_size: Optional[int] = None
+) -> Iterable[FrozenSet[int]]:
+    """Subsets of ``pool`` containing ``anchor``, smallest first.
+
+    Every yielded subset has at most ``max_size`` members (the anchor
+    included); a cap below 1 cannot admit even the singleton ``{anchor}``
+    and is rejected rather than silently yielding nothing.
+    """
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    rest = [p for p in pool if p != anchor]
+    limit = len(rest) if max_size is None else min(len(rest), max_size - 1)
+    for size in range(0, limit + 1):
+        for combo in itertools.combinations(rest, size):
+            yield frozenset((anchor,) + combo)
+
+
+def _capped_subset(
+    present: Sequence[int],
+    target: int,
+    counts: Mapping[int, int],
+    max_subset_size: Optional[int],
+) -> FrozenSet[int]:
+    """The process set for a single (non-minimizing) attempt.
+
+    Respects ``max_subset_size`` by keeping ``target`` plus the
+    best-sampled other processes (deterministically: most fresh samples
+    first, then lowest pid).
+    """
+    if max_subset_size is not None and max_subset_size < 1:
+        raise ValueError(f"max_subset_size must be >= 1, got {max_subset_size}")
+    if max_subset_size is None or len(present) <= max_subset_size:
+        return frozenset(present)
+    rest = sorted(
+        (p for p in present if p != target),
+        key=lambda p: (-counts.get(p, 0), p),
+    )
+    return frozenset([target] + rest[: max_subset_size - 1])
 
 
 @dataclass
@@ -157,16 +215,13 @@ class SimulationTrie:
         proposals: Mapping[int, Any],
         path: Sequence[Sample],
         target: Optional[int] = None,
-    ):
-        """Trie-backed :func:`~repro.core.simulation.canonical_schedule`.
+    ) -> PathSimulation:
+        """Simulate ``A`` along ``path`` with oldest-message delivery.
 
-        Returns a :class:`~repro.core.simulation.PathSimulation` equal to
-        the from-scratch one for the same arguments, stopping where
-        ``target`` decides (the oracle tests compare them field by field);
-        only the work differs.
+        The schedule of Lemma 4.10, stopping where ``target`` decides.
+        Equal field by field to a from-scratch simulation (the oracle tests
+        compare them); only the work differs.
         """
-        from repro.core.simulation import PathSimulation
-
         cfg = self.config_index(proposals)
         c = self.counters
         c.queries += 1
@@ -309,15 +364,15 @@ class IncrementalExtractionEngine:
         max_path_len: int = 2000,
         minimize_participants: bool = True,
         max_subset_size: Optional[int] = None,
-    ):
-        """Incremental :func:`~repro.core.simulation.find_deciding_schedule`.
+    ) -> Optional[PathSimulation]:
+        """A schedule in ``Sch(G|barrier, I)`` in which ``target`` decides.
 
-        Equivalent to the from-scratch search (same subset order, same
-        result, including the returned simulation object's fields); the
-        chain builders and the trie only skip work that is repeated.
+        Candidate subsets containing ``target`` are tried smallest first
+        (one ``max_subset_size``-capped attempt without
+        ``minimize_participants``); ``None`` when none decides yet.  Equal
+        to re-simulating every chain from scratch (the oracle tests compare
+        them); the chain builders and the trie only skip repeated work.
         """
-        from repro.core.simulation import _capped_subset, _subsets_containing
-
         barrier_key = barrier.key if barrier is not None else None
         if barrier_key != self._barrier_key:
             self._barrier_key = barrier_key

@@ -79,10 +79,10 @@ class TransitionOutcome:
 class Automaton:
     """A deterministic per-process state machine.
 
-    ``transition`` may mutate and return the ``state`` it was given; callers
-    that need to branch must re-run schedules from an initial configuration
-    rather than share state objects (the schedule simulator does exactly
-    that).  ``transition`` must be deterministic in ``(state, msg, d)``.
+    ``transition`` may mutate and return the ``state`` it was given; a
+    configuration that branches must copy a state before stepping it
+    (:meth:`copy_state`).  ``transition`` must be deterministic in
+    ``(state, msg, d)``.
     """
 
     def initial_state(self, pid: int, n: int, proposal: Any) -> Any:
@@ -100,10 +100,14 @@ class Automaton:
     def copy_state(self, state: Any) -> Any:
         """An independent copy of ``state``, safe to transition separately.
 
-        Because ``transition`` may mutate in place, anything that branches a
-        configuration (the simulation trie's snapshots, the bounded
-        explorer) must copy states first.  The default deep-copies; automata
-        with simple state layouts should override with something cheaper.
+        Because ``transition`` may mutate in place, a branched configuration
+        must copy a state before stepping it.  The one caller is
+        :meth:`~repro.kernel.runs.PureSystemSimulator.fork`'s copy on write:
+        after a fork, whichever side first steps a process copies its state,
+        once per process and fork (the simulation trie's snapshots and the
+        bounded explorer's successors both branch that way).  The default
+        deep-copies; automata with simple state layouts should override
+        with something cheaper.
         """
         import copy
 

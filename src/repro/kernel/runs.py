@@ -34,9 +34,12 @@ HistoryFn = Callable[[int, int], Any]  # (p, t) -> detector value
 class PureSystemSimulator:
     """Applies schedules of a pure automaton to an initial configuration.
 
-    Owns the configuration: per-process states, the message buffer (as a
-    uid-keyed map), per-sender sequence counters, and the send-index map
-    needed for causal-precedence computations.
+    Owns the configuration of Section 2: per-process states, the message
+    buffer (a uid-keyed map in send order) and per-sender sequence
+    counters.  Every stepping of pure automata outside the live
+    :class:`~repro.kernel.system.System` goes through this class: runs and
+    their merging, the simulated schedules of the extraction trie, and the
+    bounded explorer's configurations (one :meth:`fork` per successor).
     """
 
     def __init__(self, automaton: Automaton, n: int, proposals: Mapping[int, Any]):
@@ -46,40 +49,39 @@ class PureSystemSimulator:
         missing = [p for p in range(n) if p not in self.proposals]
         if missing:
             raise ValueError(f"initial configuration lacks proposals for {missing}")
-        self.reset()
-
-    def reset(self) -> None:
         self.states: Dict[int, Any] = {
-            p: self.automaton.initial_state(p, self.n, self.proposals[p])
-            for p in range(self.n)
+            p: automaton.initial_state(p, n, self.proposals[p]) for p in range(n)
         }
+        # Pids whose state object no other simulator holds: only these may
+        # be transitioned in place (see fork()).
+        self._owned = set(range(n))
         self.pending: Dict[MessageUid, Message] = {}
         self._seq: Dict[int, int] = {}
-        self.send_indices: Dict[MessageUid, int] = {}
         self.steps_applied = 0
-        self.messages_sent = 0
 
     def fork(self) -> "PureSystemSimulator":
-        """An independent simulator at the current configuration.
+        """An independent simulator at the current configuration, copy on write.
 
-        Process states are copied through
+        The fork shares every process state with this simulator and clears
+        the owned-pid set on both sides, so whichever side next steps a
+        process first copies that state through
         :meth:`~repro.kernel.automaton.Automaton.copy_state` (transitions
-        may mutate in place); messages are immutable and shared.  Forks are
-        what the simulation trie stores as snapshots and restores from, so
-        the original keeps behaving as if never forked.
+        may mutate in place), once per process and fork.  States no side
+        steps again are never copied; messages are immutable and shared.
+        Neither side observes the other's later steps: the simulation trie
+        stores forks (and un-forked chain tips) as snapshots and restores
+        from them, and the bounded explorer forks one successor per step.
         """
         twin = PureSystemSimulator.__new__(PureSystemSimulator)
         twin.automaton = self.automaton
         twin.n = self.n
         twin.proposals = self.proposals
-        twin.states = {
-            p: self.automaton.copy_state(s) for p, s in self.states.items()
-        }
+        twin.states = dict(self.states)
+        self._owned.clear()
+        twin._owned = set()
         twin.pending = dict(self.pending)
         twin._seq = dict(self._seq)
-        twin.send_indices = dict(self.send_indices)
         twin.steps_applied = self.steps_applied
-        twin.messages_sent = self.messages_sent
         return twin
 
     # ------------------------------------------------------------------
@@ -102,8 +104,12 @@ class PureSystemSimulator:
                 raise ValueError(f"step {step!r} is not applicable")
             del self.pending[step.msg_uid]
             delivered = DeliveredMessage(message.sender, message.payload)
+        state = self.states[step.pid]
+        if step.pid not in self._owned:
+            state = self.automaton.copy_state(state)
+            self._owned.add(step.pid)
         outcome = self.automaton.transition(
-            self.states[step.pid], step.pid, delivered, step.detector_value
+            state, step.pid, delivered, step.detector_value
         )
         self.states[step.pid] = outcome.state
         sent: List[Message] = []
@@ -113,10 +119,8 @@ class PureSystemSimulator:
             uid = (step.pid, seq)
             message = Message(step.pid, dest, payload, uid=uid, sent_at=time)
             self.pending[uid] = message
-            self.send_indices[uid] = self.steps_applied
             sent.append(message)
         self.steps_applied += 1
-        self.messages_sent += len(sent)
         return sent
 
     def run_schedule(
@@ -133,17 +137,13 @@ class PureSystemSimulator:
         """The uid of the oldest message pending for ``pid``.
 
         'Oldest' is by send order, the rule used in the canonical schedule
-        construction of Lemma 4.10.
+        construction of Lemma 4.10; ``pending`` is kept in send order, so
+        it is the first message for ``pid`` found there.
         """
-        best: Optional[Message] = None
-        best_index = -1
         for uid, message in self.pending.items():
-            if message.dest != pid:
-                continue
-            index = self.send_indices[uid]
-            if best is None or index < best_index:
-                best, best_index = message, index
-        return best.uid if best is not None else None
+            if message.dest == pid:
+                return uid
+        return None
 
     def decision(self, pid: int) -> Optional[Any]:
         return self.automaton.decision(self.states[pid])
@@ -231,10 +231,9 @@ def validate_run(run: PureRun) -> List[str]:
             violations.append(f"property 1: step {i} ({step!r}) not applicable")
             applicable = False
             break
-        sim.apply_step(step, time=times[i])
+        for message in sim.apply_step(step, time=times[i]):
+            send_indices[message.uid] = i
     if applicable:
-        send_indices = sim.send_indices
-
         # Property (5): causal precedence implies strictly increasing times.
         last_step_of: Dict[int, int] = {}
         for j, step in enumerate(schedule):

@@ -23,6 +23,17 @@ def constant_history(leader, quorum):
     return lambda p, t: (leader, quorum)
 
 
+def counts(report):
+    """``(configurations, transitions)``: the explorer's exact work.
+
+    Every exploration below pins both, and the violation trace where there
+    is one, so any change to successor order, deduplication or the copy
+    rule shows up as a count change rather than passing silently.
+    """
+    assert not report.truncated
+    return report.configurations, report.transitions
+
+
 class TestExploreMachinery:
     def test_counts_configurations(self):
         pattern = FailurePattern(2, {})
@@ -35,8 +46,7 @@ class TestExploreMachinery:
             max_depth=4,
         )
         assert report.ok
-        assert report.configurations > 4
-        assert report.transitions >= report.configurations - 1
+        assert counts(report) == (65, 142)
 
     def test_depth_bound_respected(self):
         pattern = FailurePattern(2, {})
@@ -56,7 +66,8 @@ class TestExploreMachinery:
             invariant=lambda d, v: None,
             max_depth=5,
         )
-        assert deep.configurations > shallow.configurations
+        assert counts(shallow) == (28, 44)
+        assert counts(deep) == (126, 349)
 
     def test_crashed_processes_never_step(self):
         pattern = FailurePattern(2, {1: 0})
@@ -82,6 +93,7 @@ class TestExploreMachinery:
             max_depth=4,
         )
         assert report.ok
+        assert counts(report) == (5, 4)
 
     def test_violation_reported_with_trace(self):
         class DecideOwn(Automaton):
@@ -112,7 +124,9 @@ class TestExploreMachinery:
             max_depth=4,
         )
         assert not report.ok
-        # DFS order may find a deep witness first; the trace matches depth.
+        # DFS order finds a deep witness first; the trace matches depth.
+        assert counts(report) == (9, 8)
+        assert report.violation.trace == ["p1:λ", "p1:λ", "p1:λ", "p0:λ"]
         assert len(report.violation.trace) == report.violation.depth
         assert "disagree" in report.violation.detail
 
@@ -140,7 +154,7 @@ class TestQuorumMRSafetyExhaustive:
             max_configs=150_000,
         )
         assert report.ok, report.violation
-        assert report.configurations > 100
+        assert counts(report) == (682, 2737)
 
     def test_one_crash(self):
         pattern = FailurePattern(2, {1: 3})
@@ -157,6 +171,7 @@ class TestQuorumMRSafetyExhaustive:
             max_depth=9,
         )
         assert report.ok, report.violation
+        assert counts(report) == (511, 1099)
 
 
 class TestNaiveAlgorithmBoundedCounterexample:
@@ -181,6 +196,10 @@ class TestNaiveAlgorithmBoundedCounterexample:
         )
         assert not report.ok
         assert "disagree" in report.violation.detail
+        assert counts(report) == (307, 742)
+        assert report.violation.trace == [
+            "p1:λ", "p1:m1", "p1:m2", "p1:m3", "p0:m3", "p0:m4", "p0:m5", "p0:m6",
+        ]
         # nonuniform agreement over the *correct* set alone is untouched:
         report2 = explore(
             NaiveSigmaNuConsensus(),
@@ -191,6 +210,7 @@ class TestNaiveAlgorithmBoundedCounterexample:
             max_depth=8,
         )
         assert report2.ok
+        assert counts(report2) == (1331, 4850)
 
 
 class TestAnucBoundedExploration:
@@ -219,7 +239,7 @@ class TestAnucBoundedExploration:
             max_configs=120_000,
         )
         assert report.ok, report.violation
-        assert report.configurations > 50
+        assert counts(report) == (2302, 8054)
 
     def test_anuc_uniform_gap_visible_to_explorer(self):
         """With the awareness gate off, the explorer can reach a uniform
@@ -242,6 +262,10 @@ class TestAnucBoundedExploration:
             max_configs=120_000,
         )
         assert not uniform.ok
+        assert counts(uniform) == (519, 1236)
+        assert uniform.violation.trace == [
+            "p1:λ", "p1:m1", "p1:m2", "p1:m3", "p0:m4", "p0:m5", "p0:m6", "p0:m7",
+        ]
         nonuniform = explore(
             AnucAutomaton(enable_quorum_awareness=False),
             pattern,
@@ -252,3 +276,4 @@ class TestAnucBoundedExploration:
             max_configs=120_000,
         )
         assert nonuniform.ok
+        assert counts(nonuniform) == (2302, 8054)

@@ -3,8 +3,9 @@ change: every result must be bit-identical to the from-scratch search.
 
 The tests here are oracle tests — trie-backed simulation against
 :func:`canonical_schedule`, the incremental engine against
-:func:`find_deciding_schedule`, full extraction runs against a test-local
-extractor that searches from scratch — plus the soundness property behind
+:func:`find_deciding_schedule` (both from-scratch references live in
+``tests/core/reference_search.py``), full extraction runs against a
+test-local extractor that searches from scratch — plus the soundness property behind
 cache invalidation: after a barrier refresh (Fig. 2 lines 17-19), every
 output quorum is justified by post-barrier samples only (no stale cached
 schedule leaks).
@@ -18,12 +19,12 @@ from repro.consensus.quorum_mr import QuorumMR
 from repro.core.dag import BalancedChainBuilder, Sample, SampleDAG, balanced_chain
 from repro.core.extraction import SigmaNuExtractor
 from repro.core.simtrie import IncrementalExtractionEngine, SimulationTrie
-from repro.core.simulation import canonical_schedule, find_deciding_schedule
 from repro.detectors import Omega, PairedDetector, Sigma
 from repro.detectors.base import sample_history_cached
 from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import CoalescingDelivery
 from repro.kernel.system import System
+from tests.core.reference_search import canonical_schedule, find_deciding_schedule
 
 
 def random_dag_samples(rng, n, total, quorum=None):

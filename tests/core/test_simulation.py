@@ -2,7 +2,9 @@
 
 The key check: a schedule simulated from a DAG path, paired with the path's
 tau-times, is a *legal run* of the subject algorithm using the ambient
-detector — verified with the independent run validator.
+detector — verified with the independent run validator.  Schedules come
+from the shipped simulation: :meth:`SimulationTrie.simulate` and
+:meth:`IncrementalExtractionEngine.find_deciding_schedule`.
 """
 
 import random
@@ -11,7 +13,7 @@ import pytest
 
 from repro.consensus.quorum_mr import QuorumMR
 from repro.core.sampling import DagBuilder
-from repro.core.simulation import canonical_schedule, find_deciding_schedule
+from repro.core.simtrie import IncrementalExtractionEngine, SimulationTrie
 from repro.detectors import Omega, PairedDetector, Sigma
 from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import CoalescingDelivery
@@ -37,12 +39,24 @@ def proposals(n, v):
     return {p: v for p in range(n)}
 
 
+def simulate(path, v, target=None, n=3):
+    """The Lemma 4.10 schedule of quorum-MR along ``path`` from I_v."""
+    return SimulationTrie(QuorumMR(), n).simulate(proposals(n, v), path, target)
+
+
+def find_deciding_schedule(v, fresh, target, n=3, **options):
+    engine = IncrementalExtractionEngine(QuorumMR(), n)
+    return engine.find_deciding_schedule(
+        proposals(n, v), fresh, target, **options
+    )
+
+
 class TestCanonicalSchedule:
     def test_schedule_is_compatible_with_path(self, dag_run):
         pattern, history, procs, _ = dag_run
         dag = procs[0].core.dag
         path = dag.samples_of(0)[:30]
-        sim = canonical_schedule(QuorumMR(), 3, proposals(3, 0), path)
+        sim = simulate(path, 0)
         assert len(sim.schedule) == len(sim.path)
         for step, sample in zip(sim.schedule, sim.path):
             assert step.pid == sample.pid
@@ -55,7 +69,7 @@ class TestCanonicalSchedule:
         pattern, history, procs, _ = dag_run
         dag = procs[0].core.dag
         chain = greedy_chain(dag.nodes())[:120]
-        sim = canonical_schedule(QuorumMR(), 3, proposals(3, 1), chain)
+        sim = simulate(chain, 1)
         run = PureRun(
             automaton=QuorumMR(),
             n=3,
@@ -75,9 +89,7 @@ class TestCanonicalSchedule:
         pattern, history, procs, _ = dag_run
         dag = procs[0].core.dag
         chain = greedy_chain(dag.nodes())
-        sim = canonical_schedule(
-            QuorumMR(), 3, proposals(3, 0), chain, target=0
-        )
+        sim = simulate(chain, 0, target=0)
         assert sim.target_decided
         assert sim.decisions.get(0) == 0
 
@@ -86,13 +98,12 @@ class TestCanonicalSchedule:
 
         _, _, procs, _ = dag_run
         chain = greedy_chain(procs[0].core.dag.nodes())
-        sim = canonical_schedule(QuorumMR(), 3, proposals(3, 0), chain, target=0)
-        full = canonical_schedule(
-            QuorumMR(), 3, proposals(3, 0), chain, target=0,
-            stop_on_target_decision=False,
-        )
-        assert len(sim.schedule) <= len(full.schedule)
-        assert sim.target_decided_at == full.target_decided_at
+        sim = simulate(chain, 0, target=0)
+        full = simulate(chain, 0)
+        assert sim.target_decided
+        assert len(sim.schedule) == sim.target_decided_at < len(full.schedule)
+        assert full.schedule.steps[: len(sim.schedule)] == sim.schedule.steps
+        assert full.decisions[0] == sim.decisions[0]
 
     def test_validity_of_decided_value(self, dag_run):
         """In Sch(G, I_v) every decision is v (validity of the subject)."""
@@ -101,7 +112,7 @@ class TestCanonicalSchedule:
         _, _, procs, _ = dag_run
         chain = greedy_chain(procs[1].core.dag.nodes())
         for v in (0, 1):
-            sim = canonical_schedule(QuorumMR(), 3, proposals(3, v), chain, target=1)
+            sim = simulate(chain, v, target=1)
             for decided in sim.decisions.values():
                 assert decided == v
 
@@ -112,9 +123,7 @@ class TestFindDecidingSchedule:
         dag = procs[0].core.dag
         barrier = dag.get((0, 1))
         fresh = dag.descendants(barrier)
-        sim = find_deciding_schedule(
-            QuorumMR(), 3, proposals(3, 0), fresh, target=0
-        )
+        sim = find_deciding_schedule(0, fresh, target=0, barrier=barrier)
         assert sim is not None and sim.target_decided
         assert 0 in sim.participants
 
@@ -122,26 +131,19 @@ class TestFindDecidingSchedule:
         _, _, procs, _ = dag_run
         dag = procs[0].core.dag
         only_p1 = [s for s in dag.nodes() if s.pid == 1]
-        assert (
-            find_deciding_schedule(QuorumMR(), 3, proposals(3, 0), only_p1, target=0)
-            is None
-        )
+        assert find_deciding_schedule(0, only_p1, target=0) is None
 
     def test_none_on_too_few_samples(self, dag_run):
         _, _, procs, _ = dag_run
         dag = procs[0].core.dag
         tiny = dag.samples_of(0)[:2]
-        assert (
-            find_deciding_schedule(QuorumMR(), 3, proposals(3, 0), tiny, target=0)
-            is None
-        )
+        assert find_deciding_schedule(0, tiny, target=0) is None
 
     def test_non_minimizing_mode(self, dag_run):
         _, _, procs, _ = dag_run
         dag = procs[0].core.dag
         fresh = dag.descendants(dag.get((0, 1)))
         sim = find_deciding_schedule(
-            QuorumMR(), 3, proposals(3, 1), fresh, target=0,
-            minimize_participants=False,
+            1, fresh, target=0, minimize_participants=False
         )
         assert sim is not None and sim.target_decided

@@ -78,13 +78,112 @@ class TestPureSystemSimulator:
         self.sim.apply_step(lam(2))
         assert self.sim.oldest_pending_uid(1) == (0, 1)
 
-    def test_send_indices_recorded(self):
-        self.sim.apply_step(lam(0))
-        assert self.sim.send_indices[(0, 0)] == 0
-
     def test_inapplicable_apply_raises(self):
         with pytest.raises(ValueError):
             self.sim.apply_step(Step(pid=0, msg_uid=(9, 9), detector_value=None))
+
+
+class CountingChatter(Chatter):
+    """Chatter (which transitions in place) counting its state copies."""
+
+    def __init__(self):
+        self.copies = 0
+
+    def copy_state(self, state):
+        self.copies += 1
+        return {**state, "seen": list(state["seen"])}
+
+
+def configuration(sim):
+    """Everything a simulator exposes about its configuration."""
+    return (
+        [sim.snapshot(p) for p in range(sim.n)],
+        dict(sim.pending),
+        sim.steps_applied,
+    )
+
+
+def chatter_sim(n=3):
+    return PureSystemSimulator(CountingChatter(), n, {p: p for p in range(n)})
+
+
+class TestFork:
+    """fork() is copy on write: neither side sees the other's later steps."""
+
+    def test_stepping_either_side_leaves_the_other_unchanged(self):
+        sim = chatter_sim()
+        sim.apply_step(lam(0))
+        twin = sim.fork()
+        before = configuration(sim)
+        twin.apply_step(lam(0))
+        twin.apply_step(Step(pid=1, msg_uid=(0, 1), detector_value="D"))
+        assert configuration(sim) == before
+        twin_before = configuration(twin)
+        sim.apply_step(lam(1))
+        sim.apply_step(Step(pid=2, msg_uid=(0, 2), detector_value="E"))
+        assert configuration(twin) == twin_before
+        assert configuration(sim) != twin_before
+
+    def test_repeated_forks_stay_isolated(self):
+        sims = [chatter_sim()]
+        for _ in range(4):
+            sims[-1].apply_step(lam(0))
+            sims.append(sims[-1].fork())
+        frozen = [configuration(s) for s in sims]
+        for i, sim in enumerate(sims):
+            sim.apply_step(lam(0))
+            sim.apply_step(Step(pid=1, msg_uid=(0, 1), detector_value=i))
+            frozen[i] = configuration(sim)
+            for j, other in enumerate(sims):
+                assert configuration(other) == frozen[j], (i, j)
+
+    def test_copy_state_runs_at_most_once_per_process_and_fork(self):
+        sim = chatter_sim()
+        automaton = sim.automaton
+        for _ in range(3):
+            sim.apply_step(lam(0))
+        assert automaton.copies == 0  # a fresh simulator owns its states
+        twin = sim.fork()
+        for _ in range(3):
+            twin.apply_step(lam(0))
+        assert automaton.copies == 1
+        for _ in range(3):
+            sim.apply_step(lam(0))
+        assert automaton.copies == 2
+        twin.apply_step(lam(1))
+        assert automaton.copies == 3
+        sim.fork()  # forking again makes both sides copy once more
+        twin.apply_step(lam(0))
+        sim.apply_step(lam(0))
+        assert automaton.copies == 4  # twin was not forked again
+        twin.fork().apply_step(lam(0))
+        twin.apply_step(lam(0))
+        assert automaton.copies == 6
+
+    def test_trie_tip_snapshot_survives_restores(self):
+        """The trie stores an undecided chain's tip without forking it;
+        later queries fork from it, so the stored tip never changes."""
+        from repro.core.dag import Sample
+        from repro.core.simtrie import SimulationTrie
+
+        n = 3
+        path = [
+            Sample(pid=i % n, k=i // n + 1, d=i, frontier=(0,) * n, t=i)
+            for i in range(12)
+        ]
+        trie = SimulationTrie(CountingChatter(), n)
+        proposals = {p: p for p in range(n)}
+        cfg = trie.config_index(proposals)
+        tips = []
+        for end in (5, 7, 12):
+            trie.simulate(proposals, path[:end])
+            for tip, before in tips:
+                assert configuration(tip) == before
+            node = trie.root
+            for sample in path[:end]:
+                node = node.children[sample.key]
+            tips.append((node.snaps[cfg], configuration(node.snaps[cfg])))
+        assert trie.counters.snapshot_restores == 2
 
 
 def build_run(n=2, steps=None, times=None, pattern=None, history=null_history):
@@ -135,6 +234,14 @@ class TestValidateRun:
         steps = [lam(0), Step(pid=1, msg_uid=(0, 1), detector_value=None)]
         run = build_run(steps=steps, times=[4, 4])
         assert any("property 5" in v for v in validate_run(run))
+
+    def test_send_index_names_the_sending_step_property_5(self):
+        steps = [lam(0), lam(1), Step(pid=0, msg_uid=(1, 0), detector_value=None)]
+        run = build_run(steps=steps, times=[0, 4, 4])
+        assert validate_run(run) == [
+            "property 5: message (1, 0) received at step 2 (t=4) no later "
+            "than its send at step 1 (t=4)"
+        ]
 
     def test_concurrent_steps_of_distinct_processes_allowed(self):
         run = build_run(steps=[lam(0), lam(1)], times=[2, 2])
