@@ -137,14 +137,7 @@ def run_service_once(quick: bool) -> dict:
     finally:
         obs.disable()
     rendered = "\n".join(lines)
-    # Timers hold wall durations — logical identity lives in counters
-    # and gauges only.
-    snapshot = {
-        k: v
-        for k, v in obs.metrics().snapshot().items()
-        if k != "timers"
-    }
-    counters = _canonical_counters(snapshot)
+    counters = _canonical_counters(obs.metrics().snapshot())
     return {
         "table": _digest(rendered),
         "counters": _digest(counters),

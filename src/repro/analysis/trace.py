@@ -11,7 +11,7 @@ here is presentation-only.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.kernel.system import RunResult, StepRecord
 
@@ -90,20 +90,19 @@ def transcript(
         for t in [result.decision_times.get(p)]
         if t is not None
     }
-    crash_times = {
-        result.pattern.crash_time(p): p
-        for p in result.pattern.faulty
-        if result.pattern.crash_time(p) is not None
-    }
+    crashes: Dict[int, List[int]] = {}  # time -> pids crashing then
+    for p in sorted(result.pattern.faulty):
+        t = result.pattern.crash_time(p)
+        if t is not None:
+            crashes.setdefault(t, []).append(p)
     count = 0
     for record in result.steps:
         if record.time < start:
             continue
         if wanted is not None and record.pid not in wanted:
             continue
-        if record.time in crash_times and crash_times[record.time] is not None:
-            lines.append(f"--- process {crash_times[record.time]} crashes ---")
-            crash_times[record.time] = None  # only once
+        for p in crashes.pop(record.time, ()):  # pop: each marker once
+            lines.append(f"--- process {p} crashes ---")
         lines.append(format_step(record))
         if record.time in decisions:
             p, v = decisions[record.time]

@@ -17,12 +17,10 @@ Commands
 ``reproduce``      run all nine experiments and print one combined report
                    of the committed tables
 ``trace``          inspect a JSONL trace written by ``--trace-out``
-                   (timeline, per-span aggregates, counter totals);
+                   (timeline, per-path aggregates, counter totals);
                    ``trace diff A B`` attributes tick/wall deltas per
                    span path, ``trace flame FILE`` draws an ASCII
                    flamegraph
-``obs``            ``obs report`` writes a self-contained HTML run
-                   observatory (traces + perf trajectory sparklines)
 ``lint``           run the determinism & model-fidelity static analysis
                    (rule catalog in docs/linting.md)
 ``chaos``          run the fault-injection matrix, fuzz single configs, or
@@ -259,7 +257,7 @@ def cmd_trace(args) -> int:
             f"unexpected extra argument(s) {args.rest!r}; usage: "
             f"repro trace FILE | repro trace diff A B | repro trace flame FILE"
         )
-    from repro.obs.inspect import render_trace
+    from repro.obs.analyze import render_trace
 
     records = _read_validated_trace(args.target, args.force)
     if records is None:
@@ -319,19 +317,6 @@ def _trace_flame(args) -> int:
             max_rows=args.max_rows,
         )
     )
-    return 0
-
-
-def cmd_obs(args) -> int:
-    """``repro obs report`` — write the self-contained HTML observatory."""
-    from repro.obs.report import write_report
-
-    if args.action != "report":  # pragma: no cover - argparse choices
-        raise SystemExit(f"unknown obs action {args.action!r}")
-    path = write_report(
-        args.output, traces=args.trace, ledgers=args.ledger, title=args.title
-    )
-    print(f"(report written to {path})")
     return 0
 
 
@@ -708,38 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         "when the trace has no tick extent)",
     )
     trace.set_defaults(func=cmd_trace)
-
-    obs = sub.add_parser(
-        "obs",
-        help="observability tooling: 'report' writes a self-contained "
-        "HTML run observatory",
-    )
-    obs.add_argument("action", choices=["report"])
-    obs.add_argument(
-        "--trace",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="include this JSONL trace (repeatable)",
-    )
-    obs.add_argument(
-        "--ledger",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="chart this ledger file in the perf trajectory (repeatable; "
-        "written by benchmarks/ledger/run.py --json-out)",
-    )
-    obs.add_argument(
-        "--output",
-        default="obs-report.html",
-        metavar="FILE",
-        help="output HTML path (default obs-report.html)",
-    )
-    obs.add_argument(
-        "--title", default="repro run observatory", help="report title"
-    )
-    obs.set_defaults(func=cmd_obs)
 
     chaos = sub.add_parser(
         "chaos",

@@ -5,12 +5,14 @@ One subsystem serves every observability need of the reproduction:
 * :class:`~repro.obs.tracer.Tracer` — nested spans + typed events, clocked
   by logical ticks (simulation step count, search tick), wall-clock only as
   span metadata;
-* :class:`~repro.obs.registry.MetricsRegistry` — named counters / gauges /
-  timers, with cross-process merge for parallel sweeps;
+* :class:`~repro.obs.registry.MetricsRegistry` — named counters and
+  gauges (logical values only), with cross-process merge for parallel
+  sweeps;
 * :mod:`repro.obs.export` — versioned JSONL trace files
   (``repro-trace/2``, see ``docs/observability.md``);
-* :mod:`repro.obs.inspect` — the ``repro trace`` renderer (ASCII timeline
-  + per-span aggregates).
+* :mod:`repro.obs.analyze` — the one trace reader behind ``repro trace``:
+  timeline, per-path aggregates, diff and flamegraph, all computed from
+  span paths.
 
 Instrumentation contract (zero overhead when off)
 -------------------------------------------------

@@ -1,7 +1,6 @@
-"""Trace analytics: span paths, aggregation, diffing, flamegraphs.
+"""Trace analytics: the one reader of a ``repro-trace/2`` trace.
 
-:mod:`repro.obs.inspect` renders one trace; this module *answers
-questions* about one or two of them.  The unit of analysis is the
+Every view of a trace is computed here, from one unit of analysis: the
 **span path** — a span's name prefixed by every ancestor's name,
 joined with ``/``::
 
@@ -16,6 +15,9 @@ when they move beyond a noise tolerance.
 Entry points
 ------------
 
+* :func:`render_trace` — the ``repro trace FILE`` report: header, ASCII
+  timeline (:func:`render_timeline`), per-path aggregates, event counts,
+  counter and gauge totals;
 * :func:`aggregate_paths` — per-path count / tick / wall aggregates;
 * :func:`diff_traces` / :func:`render_diff` — noise-aware two-trace
   comparison (logical ticks exact, ``wall_ms`` tolerant), including
@@ -27,8 +29,8 @@ Entry points
 
 Everything operates on parsed record lists
 (:func:`repro.obs.export.read_trace`); paths are recomputed from the
-span records, so a trace without a precomputed ``paths`` record analyzes
-identically.
+span records, and any other record type (such as the ``paths`` line of
+older traces) is ignored.
 """
 
 from __future__ import annotations
@@ -84,11 +86,11 @@ def span_paths(records: Sequence[Mapping[str, Any]]) -> List[Tuple[str, Mapping[
 def aggregate_paths(records: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, Any]]:
     """Per-path aggregates: count, total/self ticks, wall time.
 
-    Self ticks subtract the direct children's totals (clamped at zero —
-    siblings may overlap on coarse logical clocks), exactly as
-    :func:`repro.obs.inspect.aggregate_spans` does per *name*; here the
-    key is the full ancestor path, so the same span name in two sweep
-    phases aggregates separately.
+    *Self* ticks are a span's total ticks minus the totals of its direct
+    children — the time the phase spent in its own work rather than in
+    instrumented sub-phases (clamped at zero: siblings may overlap on
+    coarse logical clocks).  The key is the full ancestor path, so the
+    same span name in two sweep phases aggregates separately.
     """
     pairs = span_paths(records)
     child_ticks: Dict[int, int] = {}
@@ -121,6 +123,123 @@ def trace_counters(records: Sequence[Mapping[str, Any]]) -> Dict[str, int]:
             counters = record.get("counters", {})
             return dict(counters) if isinstance(counters, dict) else {}
     return {}
+
+
+# ----------------------------------------------------------------------
+# One trace: timeline and report
+# ----------------------------------------------------------------------
+
+
+def render_timeline(
+    records: Sequence[Mapping[str, Any]],
+    width: int = 64,
+    max_rows: int = 40,
+) -> str:
+    """An ASCII timeline of spans over the logical tick axis.
+
+    One row per span in opening (sid) order, indented by its path depth,
+    with its interval drawn on a tick axis scaled to ``width`` columns.
+    Zero-length spans render as a single ``|`` marker.
+    """
+    pairs = sorted(span_paths(records), key=lambda pair: pair[1]["sid"])
+    if not pairs:
+        return "(no spans)"
+    lo = min(s["tick_in"] for _, s in pairs)
+    hi = max(s["tick_out"] for _, s in pairs)
+    extent = max(1, hi - lo)
+    rows = [("  " * path.count("/") + s["name"], s) for path, s in pairs]
+    name_width = min(36, max(len(label) for label, _ in rows))
+    lines = [f"ticks {lo}..{hi}  ({len(rows)} spans)"]
+    for label, span in rows[:max_rows]:
+        a = round((span["tick_in"] - lo) / extent * (width - 1))
+        b = round((span["tick_out"] - lo) / extent * (width - 1))
+        bar = [" "] * width
+        if b > a:
+            bar[a] = "["
+            for i in range(a + 1, b):
+                bar[i] = "="
+            bar[b] = "]"
+        else:
+            bar[a] = "|"
+        lines.append(
+            f"{label[:name_width].ljust(name_width)} {''.join(bar)} "
+            f"{span['tick_in']}..{span['tick_out']}"
+        )
+    if len(rows) > max_rows:
+        lines.append(f"... ({len(rows) - max_rows} more spans)")
+    return "\n".join(lines)
+
+
+def render_trace(
+    records: Sequence[Mapping[str, Any]],
+    top: int = 12,
+    width: int = 64,
+    max_rows: int = 40,
+    timeline: bool = True,
+) -> str:
+    """The ``repro trace FILE`` report for one parsed trace."""
+    head = records[0] if records and records[0].get("type") == "meta" else {}
+    spans = [r for r in records if r.get("type") == "span"]
+    events = [r for r in records if r.get("type") == "event"]
+    metrics: Optional[Mapping[str, Any]] = next(
+        (r for r in records if r.get("type") == "metrics"), None
+    )
+    sections: List[str] = [
+        f"trace     : {head.get('label', '?')}  "
+        f"(schema {head.get('schema', '?')})\n"
+        f"records   : {len(spans)} spans, {len(events)} events"
+        + (", metrics snapshot" if metrics is not None else "")
+    ]
+    if head.get("meta"):
+        meta = head["meta"]
+        pairs = ", ".join(f"{k}={meta[k]!r}" for k in sorted(meta))
+        sections.append(f"meta      : {pairs}")
+
+    if timeline:
+        sections.append(
+            "\n" + render_timeline(records, width=width, max_rows=max_rows)
+        )
+
+    aggregates = aggregate_paths(records)
+    if aggregates:
+        table = Table(
+            f"span aggregates per path "
+            f"(top {min(top, len(aggregates))} by self ticks)",
+            ["path", "count", "total_ticks", "self_ticks", "wall_ms"],
+        )
+        ranked = sorted(
+            aggregates.items(),
+            key=lambda kv: (-kv[1]["self_ticks"], -kv[1]["total_ticks"], kv[0]),
+        )
+        for path, agg in ranked[:top]:
+            table.add_row(
+                path, agg["count"], agg["total_ticks"], agg["self_ticks"],
+                agg["wall_ms"],
+            )
+        sections.append("\n" + table.render())
+
+    if events:
+        by_name: Dict[str, int] = {}
+        for event in events:
+            by_name[event["name"]] = by_name.get(event["name"], 0) + 1
+        table = Table("events", ["event", "count"])
+        for name in sorted(by_name, key=lambda k: (-by_name[k], k)):
+            table.add_row(name, by_name[name])
+        sections.append("\n" + table.render())
+
+    if metrics is not None:
+        for key, title, column in (
+            ("counters", "counter totals", "counter"),
+            ("gauges", "gauges (high-water)", "gauge"),
+        ):
+            values = metrics.get(key, {})
+            if values:
+                table = Table(title, [column, "value"])
+                for name in sorted(values):
+                    table.add_row(name, values[name])
+                sections.append("\n" + table.render())
+
+    return "\n".join(sections)
 
 
 # ----------------------------------------------------------------------

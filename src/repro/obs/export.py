@@ -8,14 +8,15 @@ One record per line.  A file is:
 2. any number of ``span`` / ``event`` lines (see
    :mod:`repro.obs.tracer` for field meaning) in record order — spans
    appear at *close* time, so a parent span follows its children;
-3. optionally one ``paths`` line holding the precomputed span-path
-   aggregates (:func:`repro.obs.analyze.aggregate_paths`), so path-level
-   consumers need not re-walk the span tree;
-4. optionally one trailing ``metrics`` line holding a
+3. optionally one trailing ``metrics`` line holding a
    :meth:`~repro.obs.registry.MetricsRegistry.snapshot`.
 
-Everything except ``generated_at``, ``wall_ms`` and timer totals is a
-deterministic function of the traced run.  The full schema is documented
+Older traces may also carry a ``paths`` line of precomputed span-path
+aggregates and a ``timers`` section in their metrics; both are accepted
+and ignored, since every reader recomputes paths from the spans.
+
+Everything except ``generated_at`` and ``wall_ms`` is a deterministic
+function of the traced run.  The full schema is documented
 in ``docs/observability.md``; ``benchmarks/check_trace_schema.py`` is the
 standalone validator CI runs against emitted traces.
 """
@@ -34,7 +35,7 @@ from repro.obs.tracer import Tracer
 
 SCHEMA = "repro-trace/2"
 
-_RECORD_TYPES = ("meta", "span", "event", "paths", "metrics")
+_RECORD_TYPES = ("meta", "span", "event", "metrics")
 
 
 def _jsonable(value: Any) -> Any:
@@ -48,12 +49,8 @@ def trace_records(
     tracer: Tracer,
     registry: Optional[MetricsRegistry] = None,
     meta: Optional[Dict[str, Any]] = None,
-    include_paths: bool = True,
 ) -> List[Dict[str, Any]]:
-    """The full record list of a trace file (header + body + metrics).
-
-    ``include_paths`` controls the span-path aggregate record.
-    """
+    """The full record list of a trace file (header + body + metrics)."""
     header: Dict[str, Any] = {
         "type": "meta",
         "schema": SCHEMA,
@@ -63,12 +60,6 @@ def trace_records(
     }
     records: List[Dict[str, Any]] = [header]
     records.extend(tracer.records)
-    if include_paths:
-        from repro.obs.analyze import aggregate_paths
-
-        paths = aggregate_paths(tracer.records)
-        if paths:
-            records.append({"type": "paths", "paths": paths})
     if registry is not None:
         records.append({"type": "metrics", **registry.snapshot()})
     return records
@@ -106,7 +97,7 @@ def validate_trace(records: List[Dict[str, Any]]) -> List[str]:
     Checks the header comes first and names :data:`SCHEMA`, known record
     types, required fields with the right types, unique sids, parent/span
     references that resolve, ``tick_out >= tick_in``, and at most one
-    ``metrics`` and one ``paths`` record.
+    ``metrics`` record.  Legacy ``paths`` records are skipped unread.
     """
     errors: List[str] = []
     if not records:
@@ -123,10 +114,11 @@ def validate_trace(records: List[Dict[str, Any]]) -> List[str]:
     }
     seen_sids: set = set()
     metrics_lines = 0
-    paths_lines = 0
     for i, record in enumerate(records[1:], start=2):
         kind = record.get("type")
         where = f"line {i}"
+        if kind == "paths":  # written by older exporters; never read
+            continue
         if kind not in _RECORD_TYPES:
             errors.append(f"{where}: unknown record type {kind!r}")
             continue
@@ -134,33 +126,15 @@ def validate_trace(records: List[Dict[str, Any]]) -> List[str]:
             errors.append(f"{where}: duplicate meta header")
         elif kind == "metrics":
             metrics_lines += 1
-            for section in ("counters", "gauges", "timers"):
+            for section in ("counters", "gauges"):
                 if not isinstance(record.get(section), dict):
                     errors.append(f"{where}: metrics.{section} must be a dict")
-        elif kind == "paths":
-            paths_lines += 1
-            if not isinstance(record.get("paths"), dict):
-                errors.append(f"{where}: paths.paths must be a dict")
-            else:
-                for path, agg in record["paths"].items():
-                    if not isinstance(agg, dict) or not {
-                        "count",
-                        "total_ticks",
-                        "self_ticks",
-                        "wall_ms",
-                    } <= set(agg):
-                        errors.append(
-                            f"{where}: path {path!r} aggregate must carry "
-                            f"count/total_ticks/self_ticks/wall_ms"
-                        )
         elif kind == "span":
             errors.extend(_check_span(record, where, span_sids, seen_sids))
         elif kind == "event":
             errors.extend(_check_event(record, where, span_sids, seen_sids))
     if metrics_lines > 1:
         errors.append(f"{metrics_lines} metrics records (at most 1 allowed)")
-    if paths_lines > 1:
-        errors.append(f"{paths_lines} paths records (at most 1 allowed)")
     return errors
 
 

@@ -1,4 +1,4 @@
-"""Named counters / gauges / timers with cross-process merge.
+"""Named counters and gauges with cross-process merge.
 
 One :class:`MetricsRegistry` collects all telemetry of a process:
 
@@ -10,9 +10,9 @@ One :class:`MetricsRegistry` collects all telemetry of a process:
   by max.  High-water semantics, not last-write, so that per-worker
   snapshots merge to the same value regardless of how a sweep's tasks were
   distributed over processes.
-* **timers** — wall-clock accumulators ``(count, total_s)``; merged by
-  elementwise sum.  Wall-clock is *metadata*: timers never feed back into
-  any semantics and are the only nondeterministic values here.
+
+Every value is logical: a registry holds no wall-clock readings, so two
+runs of the same seeded work produce equal snapshots.
 
 The merge contract (used by :mod:`repro.harness.parallel`): per-task deltas
 (:meth:`delta_since`) merged into a parent registry in task order produce
@@ -23,22 +23,19 @@ sweeps report identical deterministic metrics.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 Snapshot = Dict[str, Dict[str, Any]]
 
 
 class MetricsRegistry:
-    """A process-wide bag of named counters, gauges and timers."""
+    """A process-wide bag of named counters and gauges."""
 
-    __slots__ = ("_counters", "_gauges", "_timers")
+    __slots__ = ("_counters", "_gauges")
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._timers: Dict[str, List[float]] = {}  # name -> [count, total_s]
 
     # -- writing --------------------------------------------------------
 
@@ -51,19 +48,6 @@ class MetricsRegistry:
         current = self._gauges.get(name)
         if current is None or value > current:
             self._gauges[name] = value
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Time a block into timer ``name`` (wall-clock; metadata only)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            cell = self._timers.get(name)
-            if cell is None:
-                cell = self._timers[name] = [0, 0.0]
-            cell[0] += 1
-            cell[1] += time.perf_counter() - start
 
     def absorb(self, counters: Optional[Mapping[str, int]], prefix: str = "") -> None:
         """Sum a plain counter dict (e.g. ``search_counters()``) into us."""
@@ -82,32 +66,21 @@ class MetricsRegistry:
         return {
             "counters": dict(self._counters),
             "gauges": dict(self._gauges),
-            "timers": {k: list(v) for k, v in self._timers.items()},
         }
 
     def delta_since(self, before: Snapshot) -> Snapshot:
         """What was recorded since ``before`` (an earlier :meth:`snapshot`).
 
-        Counters and timer cells subtract; gauges pass through current
-        values (high-water marks merge by max, so no subtraction applies).
+        Counters subtract; gauges pass through current values (high-water
+        marks merge by max, so no subtraction applies).
         """
         counters_then = before.get("counters", {})
-        timers_then = before.get("timers", {})
         counters = {
             k: v - counters_then.get(k, 0)
             for k, v in self._counters.items()
             if v != counters_then.get(k, 0)
         }
-        timers = {}
-        for k, (count, total) in self._timers.items():
-            then = timers_then.get(k, (0, 0.0))
-            if count != then[0]:
-                timers[k] = [count - then[0], total - then[1]]
-        return {
-            "counters": counters,
-            "gauges": dict(self._gauges),
-            "timers": timers,
-        }
+        return {"counters": counters, "gauges": dict(self._gauges)}
 
     # -- merging --------------------------------------------------------
 
@@ -117,25 +90,18 @@ class MetricsRegistry:
             self.inc(k, v)
         for k, v in snapshot.get("gauges", {}).items():
             self.gauge(k, v)
-        for k, (count, total) in snapshot.get("timers", {}).items():
-            cell = self._timers.get(k)
-            if cell is None:
-                cell = self._timers[k] = [0, 0.0]
-            cell[0] += count
-            cell[1] += total
 
     def clear(self) -> None:
         self._counters.clear()
         self._gauges.clear()
-        self._timers.clear()
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._timers)
+        return len(self._counters) + len(self._gauges)
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, timers={len(self._timers)})"
+            f"gauges={len(self._gauges)})"
         )
 
 

@@ -30,6 +30,7 @@ a read serves the certified prefix regardless of who holds the lease.
 from __future__ import annotations
 
 import asyncio
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -318,14 +319,14 @@ class ConsensusService:
         if self.core.certified_length() <= self._applied_slots:
             return
         fresh = self.core.certified_since(self._applied_slots)
-        if obs._ENABLED:
-            span_cm = obs.tracer().span(
+        applied = 0
+        with (
+            obs.tracer().span(
                 "service.apply", tick=tick, from_slot=self._applied_slots
             )
-        else:
-            span_cm = None
-        applied = 0
-        with span_cm if span_cm is not None else _NULL_CM:
+            if obs._ENABLED
+            else nullcontext()
+        ):
             for entry in fresh:
                 slot = self._applied_slots
                 self._applied_slots += 1
@@ -373,14 +374,3 @@ class ConsensusService:
 
     def inflight(self) -> int:
         return len(self._inflight)
-
-
-class _NullCM:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CM = _NullCM()

@@ -103,22 +103,11 @@ class ReplicatedLogProcess(Process):
     ``slots=None`` runs an unbounded log (the long-running service mode);
     a finite ``slots`` reproduces the bounded layer, ending in a serve
     loop that answers laggards' slot traffic with ``DECIDED`` notices.
-
-    ``forward`` enables client-to-leader forwarding (default on).  With it
-    off the layer degrades to the historical behaviour: commands pending
-    at a non-leader replica are never chosen and the leader pads slots
-    with noops — kept only as the regression baseline.
     """
 
-    def __init__(
-        self,
-        commands: Sequence[Command],
-        slots: Optional[int],
-        forward: bool = True,
-    ):
+    def __init__(self, commands: Sequence[Command], slots: Optional[int]):
         self.commands = list(commands)
         self.slots = slots
-        self.forward = forward
         self.log: List[Optional[Command]] = []
         self.applied: List[Command] = []  # the state machine history
         self._foreign_batches: List[Command] = []
@@ -309,7 +298,7 @@ class ReplicatedLogProcess(Process):
         """Append a send of each pending own command to the current leader
         hint (once per ``(command, leader)`` pair; a leader change
         re-forwards)."""
-        if not self.forward or not self.commands:
+        if not self.commands:
             return
         leader = self._leader_hint(d)
         if leader is None or leader == pid:
@@ -375,7 +364,6 @@ def run_replicated_log(
     seed: int = 0,
     max_steps: int = 120000,
     detector=None,
-    forward: bool = True,
 ):
     """Run a full replicated-log system; returns (result, processes)."""
     import random as _random
@@ -387,9 +375,7 @@ def run_replicated_log(
         detector = PairedDetector(Omega(), SigmaNuPlus())
     history = detector.sample_history(pattern, _random.Random(seed + 777))
     processes = {
-        p: ReplicatedLogProcess(
-            commands_per_process.get(p, ()), slots, forward=forward
-        )
+        p: ReplicatedLogProcess(commands_per_process.get(p, ()), slots)
         for p in range(pattern.n)
     }
     system = System(processes, pattern, history, seed=seed)

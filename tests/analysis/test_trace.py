@@ -14,6 +14,7 @@ from repro.analysis.trace import (
 from repro.consensus import QuorumMR
 from repro.core.dag import DagCore
 from repro.detectors import Omega, PairedDetector, Sigma
+from repro.harness.runner import run_nuc
 from repro.kernel.automaton import AutomatonProcess
 from repro.kernel.failures import FailurePattern
 from repro.kernel.system import System
@@ -70,6 +71,18 @@ class TestTranscript:
     def test_crash_marker_present(self, sample_run):
         text = transcript(sample_run)
         assert "process 2 crashes" in text
+
+    def test_simultaneous_crashes_each_marked_once(self):
+        """Two processes crashing at the same time each get one marker."""
+        outcome = run_nuc(
+            FailurePattern(5, {1: 5, 2: 5}), {p: p % 2 for p in range(5)}, seed=3
+        )
+        lines = transcript(outcome.result, limit=12).splitlines()
+        markers = [line for line in lines if "crashes" in line]
+        assert markers == [
+            "--- process 1 crashes ---",
+            "--- process 2 crashes ---",
+        ]
 
     def test_limit_truncates(self, sample_run):
         text = transcript(sample_run, limit=5)

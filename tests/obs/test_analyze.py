@@ -1,4 +1,5 @@
-"""Trace analytics: span paths, aggregation, noise-aware diffs, flames."""
+"""Trace analytics: span paths, aggregation, noise-aware diffs, flames,
+and the ``repro trace`` report."""
 
 from repro.obs.analyze import (
     PathDelta,
@@ -7,11 +8,13 @@ from repro.obs.analyze import (
     flame_tree,
     render_diff,
     render_flame,
+    render_timeline,
+    render_trace,
     span_paths,
     top_regressions,
     trace_counters,
 )
-from repro.obs.export import trace_records
+from repro.obs.export import trace_records, validate_trace
 from repro.obs.tracer import Tracer
 
 
@@ -29,7 +32,7 @@ def _span(sid, name, tick_in, tick_out, parent=None, wall_ms=0.0):
 
 
 def _metrics(counters):
-    return {"type": "metrics", "counters": counters, "gauges": {}, "timers": {}}
+    return {"type": "metrics", "counters": counters, "gauges": {}}
 
 
 def _nested_records():
@@ -247,3 +250,80 @@ class TestPathDelta:
         # 10ms > 5ms absolute floor but within 25% relative tolerance
         assert not d.wall_significant()
         assert d.wall_significant(tol_ms=1.0, rel_tol=0.01)
+
+
+def _three_span_records():
+    """sweep(0..10) > run(2..8) > run(5..5): one name at two depths, and
+    a zero-length innermost span."""
+    return [
+        {"type": "meta", "schema": "repro-trace/2", "label": "three", "meta": {}},
+        _span(3, "run", 5, 5, parent=2),
+        _span(2, "run", 2, 8, parent=1, wall_ms=2.0),
+        _span(1, "sweep", 0, 10, wall_ms=3.0),
+        {"type": "event", "sid": 4, "span": 2, "name": "tick", "tick": 4, "attrs": {}},
+        {"type": "metrics", "counters": {"steps": 7}, "gauges": {"depth": 2}},
+    ]
+
+
+class TestRenderTimeline:
+    def test_rows_indented_by_path_depth_with_zero_length_marker(self):
+        assert render_timeline(_three_span_records(), width=11).splitlines() == [
+            "ticks 0..10  (3 spans)",
+            "sweep   [=========] 0..10",
+            "  run     [=====]   2..8",
+            "    run      |      5..5",
+        ]
+
+    def test_max_rows_truncates(self):
+        lines = render_timeline(_three_span_records(), width=11, max_rows=2)
+        assert lines.splitlines()[1:] == [
+            "sweep   [=========] 0..10",
+            "  run     [=====]   2..8",
+            "... (1 more spans)",
+        ]
+
+    def test_no_spans(self):
+        assert render_timeline(_three_span_records()[:1]) == "(no spans)"
+
+
+class TestRenderTrace:
+    def _rows(self, text, title):
+        """The data rows of the table titled ``title`` in ``text``."""
+        block = text.split("\n\n" + title, 1)[1].split("\n\n", 1)[0]
+        # title line, rule, column header, rule, then the data rows
+        return [line.split() for line in block.splitlines()[4:]]
+
+    def test_one_aggregate_row_per_path(self):
+        text = render_trace(_three_span_records(), timeline=False)
+        assert "span aggregates per path (top 3 by self ticks)" in text
+        rows = self._rows(text, "span aggregates per path")
+        assert rows == [
+            ["sweep/run", "1", "6", "6", "2.00"],
+            ["sweep", "1", "10", "4", "3.00"],
+            ["sweep/run/run", "1", "0", "0", "0.00"],
+        ]
+
+    def test_top_limits_aggregate_rows(self):
+        text = render_trace(_three_span_records(), top=1, timeline=False)
+        assert len(self._rows(text, "span aggregates per path")) == 1
+
+    def test_header_timeline_events_and_metrics(self):
+        text = render_trace(_three_span_records(), width=11)
+        assert "trace     : three  (schema repro-trace/2)" in text
+        assert "records   : 3 spans, 1 events, metrics snapshot" in text
+        assert "    run      |      5..5" in text
+        assert self._rows(text, "events") == [["tick", "1"]]
+        assert self._rows(text, "counter totals") == [["steps", "7"]]
+        assert self._rows(text, "gauges (high-water)") == [["depth", "2"]]
+
+    def test_parent_format_trace_validates_and_renders(self):
+        """A trace from the older writer — a precomputed ``paths`` record
+        and wall-clock ``timers`` in its metrics — reads as if neither
+        were there."""
+        current = _three_span_records()
+        legacy = [dict(r) for r in current]
+        legacy.insert(-1, {"type": "paths", "paths": aggregate_paths(current)})
+        legacy[-1]["timers"] = {"export": [1, 0.25]}
+        assert validate_trace(legacy) == []
+        assert render_trace(legacy) == render_trace(current)
+        assert "timer" not in render_trace(legacy)

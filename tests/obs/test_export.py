@@ -31,15 +31,17 @@ class TestRoundTrip:
         reg.inc("work", 7)
         count = write_trace(path, tracer, registry=reg)
         records = read_trace(path)
-        # meta + event + 2 spans + paths + metrics
-        assert len(records) == count == 6
+        # meta + event + 2 spans + metrics
+        assert len(records) == count == 5
+        assert [r["type"] for r in records] == [
+            "meta", "event", "span", "span", "metrics"
+        ]
         assert validate_trace(records) == []
         assert records[0]["schema"] == SCHEMA
         assert records[0]["label"] == "unit"
         assert records[0]["meta"] == {"case": 1}
+        assert set(records[-1]) == {"type", "counters", "gauges"}
         assert records[-1]["counters"] == {"work": 7}
-        paths = next(r for r in records if r["type"] == "paths")
-        assert set(paths["paths"]) == {"outer", "outer/inner"}
 
     def test_one_json_object_per_line(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -109,23 +111,6 @@ class TestValidation:
         records = trace_records(_sample_tracer())
         next(r for r in records if r["type"] == "event")["tick"] = "soon"
         assert any("tick" in e for e in validate_trace(records))
-
-
-class TestPathsRecord:
-    """The optional precomputed span-path aggregates: at most one, and
-    every aggregate carries the four fields ``aggregate_paths`` writes."""
-
-    def test_two_paths_records_is_error(self):
-        records = trace_records(_sample_tracer())
-        paths = next(r for r in records if r["type"] == "paths")
-        records.append(dict(paths))
-        assert any("paths records" in e for e in validate_trace(records))
-
-    def test_malformed_paths_aggregate_is_error(self):
-        records = trace_records(_sample_tracer())
-        paths = next(r for r in records if r["type"] == "paths")
-        paths["paths"]["outer"] = {"count": 1}
-        assert any("aggregate must carry" in e for e in validate_trace(records))
 
 
 class TestEnvironmentStamp:

@@ -1,7 +1,5 @@
 """The metrics registry: semantics of each kind and the merge contract."""
 
-import pytest
-
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 
 
@@ -34,26 +32,14 @@ class TestGauges:
         assert reg.snapshot()["gauges"] == {"depth": 9}
 
 
-class TestTimers:
-    def test_timer_counts_and_accumulates(self):
-        reg = MetricsRegistry()
-        with reg.timer("t"):
-            pass
-        with reg.timer("t"):
-            pass
-        [(count, total)] = reg.snapshot()["timers"].values()
-        assert count == 2
-        assert total >= 0.0
-
-    def test_timer_records_on_exception(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            with reg.timer("t"):
-                raise ValueError("x")
-        assert reg.snapshot()["timers"]["t"][0] == 1
-
-
 class TestSnapshotDelta:
+    def test_snapshot_holds_only_logical_sections(self):
+        reg = MetricsRegistry()
+        reg.inc("a")
+        reg.gauge("g", 1)
+        assert set(reg.snapshot()) == {"counters", "gauges"}
+        assert set(reg.delta_since(reg.snapshot())) == {"counters", "gauges"}
+
     def test_delta_since_subtracts_counters(self):
         reg = MetricsRegistry()
         reg.inc("a", 2)
@@ -68,7 +54,6 @@ class TestSnapshotDelta:
         reg.inc("quiet", 7)
         delta = reg.delta_since(reg.snapshot())
         assert delta["counters"] == {}
-        assert delta["timers"] == {}
 
     def test_snapshot_is_a_copy(self):
         reg = MetricsRegistry()
@@ -103,16 +88,6 @@ class TestMerge:
         assert merged["counters"] == inline.snapshot()["counters"]
         assert merged["gauges"] == inline.snapshot()["gauges"]
 
-    def test_merge_timers_elementwise(self):
-        a = MetricsRegistry()
-        with a.timer("t"):
-            pass
-        b = MetricsRegistry()
-        with b.timer("t"):
-            pass
-        a.merge(b.snapshot())
-        assert a.snapshot()["timers"]["t"][0] == 2
-
     def test_merge_order_irrelevant(self):
         snaps = []
         for value in (3, 1, 2):
@@ -130,9 +105,7 @@ class TestHousekeeping:
         reg = MetricsRegistry()
         reg.inc("a")
         reg.gauge("g", 1)
-        with reg.timer("t"):
-            pass
-        assert len(reg) == 3
+        assert len(reg) == 2
         reg.clear()
         assert len(reg) == 0
 

@@ -4,21 +4,49 @@ Before forwarding, a command submitted at a non-leader replica was never
 proposed by the leader, so the leader padded every slot with noops while
 the laggard's command starved — the liveness gap the layer's docstring
 documented.  These tests pin the fixed decided-log shape (commands from
-every origin get chosen) and keep the degraded ``forward=False`` behaviour
-as the regression baseline.
+every origin get chosen) against a test-local replica that never forwards,
+the degraded regression baseline.
 """
 
 import random
 
 import pytest
 
+from repro.detectors import Omega, PairedDetector, SigmaNuPlus
 from repro.kernel.failures import FailurePattern
+from repro.kernel.system import System
 from repro.smr import check_service_log, check_smr, run_replicated_log
 from repro.smr.replicated_log import NOOP, ReplicatedLogProcess
 
 
 def _non_noop(log):
     return [e for e in log if e is not None and e[0] != "noop"]
+
+
+class _NonForwardingReplica(ReplicatedLogProcess):
+    """The pre-forwarding replica: commands pending at a non-leader are
+    never sent to the leader, so the leader pads slots with noops."""
+
+    def _maybe_forward(self, pid, d, sends):
+        pass
+
+
+def _run_without_forwarding(pattern, commands, slots, seed, max_steps):
+    """``run_replicated_log`` with every replica a ``_NonForwardingReplica``."""
+    detector = PairedDetector(Omega(), SigmaNuPlus())
+    history = detector.sample_history(pattern, random.Random(seed + 777))
+    processes = {
+        p: _NonForwardingReplica(commands.get(p, ()), slots)
+        for p in range(pattern.n)
+    }
+    system = System(processes, pattern, history, seed=seed)
+    system.run(
+        max_steps=max_steps,
+        stop_when=lambda _: all(
+            len(processes[p].log) >= slots for p in pattern.correct
+        ),
+    )
+    return processes
 
 
 class TestForwarding:
@@ -46,9 +74,8 @@ class TestForwarding:
         _, fixed = run_replicated_log(
             pattern, commands, slots=8, seed=3, max_steps=200000
         )
-        _, degraded = run_replicated_log(
-            pattern, commands, slots=8, seed=3, max_steps=200000,
-            forward=False,
+        degraded = _run_without_forwarding(
+            pattern, commands, slots=8, seed=3, max_steps=200000
         )
         fixed_cmds = _non_noop(fixed[0].log)
         degraded_cmds = _non_noop(degraded[0].log)

@@ -313,55 +313,3 @@ class TestTraceAnalyticsCommands:
         assert main(["trace", "diff", a, str(bad)]) == 1
         assert "invalid" in capsys.readouterr().out
 
-
-class TestObsReportCommand:
-    def test_report_is_written_and_self_contained(self, capsys, tmp_path):
-        trace = tmp_path / "exp6.jsonl"
-        assert (
-            main(
-                ["experiment", "exp6", "--quick", "--trace-out", str(trace)]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        out_html = tmp_path / "obs.html"
-        assert (
-            main(
-                [
-                    "obs", "report",
-                    "--trace", str(trace),
-                    "--output", str(out_html),
-                    "--title", "unit report",
-                ]
-            )
-            == 0
-        )
-        assert "report written" in capsys.readouterr().out
-        html = out_html.read_text()
-        assert html.lstrip().lower().startswith("<!doctype html")
-        assert "unit report" in html
-        assert "exp.exp6" in html
-        assert "no ledger files given" in html
-        # Self-contained: no external scripts, stylesheets or images.
-        for marker in ("<script src=", "http://", "https://", "<img src="):
-            assert marker not in html
-
-    def test_report_notes_unreadable_inputs_instead_of_failing(
-        self, capsys, tmp_path
-    ):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"type": "span", "sid": 0}\n')
-        out_html = tmp_path / "obs.html"
-        assert (
-            main(
-                [
-                    "obs", "report",
-                    "--trace", str(bad),
-                    "--ledger", str(tmp_path / "absent.json"),
-                    "--output", str(out_html),
-                ]
-            )
-            == 0
-        )
-        html = out_html.read_text()
-        assert "skipped" in html
