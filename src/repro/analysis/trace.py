@@ -11,7 +11,7 @@ here is presentation-only.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional
 
 from repro.kernel.system import RunResult, StepRecord
 
@@ -84,29 +84,34 @@ def transcript(
     """The annotated transcript of (a window of) a run."""
     wanted = set(pids) if pids is not None else None
     lines: List[str] = []
-    decisions = {
-        t: (p, v)
+    # Every crash and decision in the window as (time, kind, pid, text),
+    # latest first.  A crash at t precedes the step at t (kind 0); a
+    # decision is taken by the step at t (kind 1).  Each marker prints once,
+    # at its place among the rendered steps, whichever pids those are.
+    markers = [
+        (t, 0, p, f"--- process {p} crashes ---")
+        for p in result.pattern.faulty
+        for t in [result.pattern.crash_time(p)]
+        if t is not None and t >= start
+    ]
+    markers += [
+        (t, 1, p, f"*** process {p} DECIDES {v!r} ***")
         for p, v in result.decisions.items()
         for t in [result.decision_times.get(p)]
-        if t is not None
-    }
-    crashes: Dict[int, List[int]] = {}  # time -> pids crashing then
-    for p in sorted(result.pattern.faulty):
-        t = result.pattern.crash_time(p)
-        if t is not None:
-            crashes.setdefault(t, []).append(p)
+        if t is not None and t >= start
+    ]
+    markers.sort(reverse=True)
     count = 0
     for record in result.steps:
         if record.time < start:
             continue
         if wanted is not None and record.pid not in wanted:
             continue
-        for p in crashes.pop(record.time, ()):  # pop: each marker once
-            lines.append(f"--- process {p} crashes ---")
+        while markers and markers[-1][:2] < (record.time, 1):
+            lines.append(markers.pop()[3])
         lines.append(format_step(record))
-        if record.time in decisions:
-            p, v = decisions[record.time]
-            lines.append(f"*** process {p} DECIDES {v!r} ***")
+        while markers and markers[-1][:2] <= (record.time, 1):
+            lines.append(markers.pop()[3])
         count += 1
         if limit is not None and count >= limit:
             lines.append(f"... ({len(result.steps)} steps total)")

@@ -30,6 +30,7 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     List,
     Mapping,
@@ -302,6 +303,11 @@ class BalancedChainBuilder:
     candidates drawn from unchanged list prefixes.  The builder checkpoints
     its state at that first-exhaustion moment and, on new samples, replays
     only from the checkpoint instead of from scratch.
+
+    So between two reads the chain changes only past the lowest checkpoint
+    it rewound to (or entirely, after a new process's first sample resets
+    the run).  :meth:`preserved` reports that surviving prefix per reader,
+    which lets a consumer of the chain resume its own work there.
     """
 
     __slots__ = (
@@ -312,6 +318,7 @@ class BalancedChainBuilder:
         "_chain",
         "_last",
         "_ckpt",
+        "_marks",
     )
 
     def __init__(self) -> None:
@@ -326,6 +333,8 @@ class BalancedChainBuilder:
         self._ckpt: Optional[
             Tuple[Dict[int, int], Dict[int, int], int, Optional[Sample]]
         ] = None
+        # reader -> length of the chain prefix unchanged since its last read.
+        self._marks: Dict[Hashable, int] = {}
 
     def extend(self, nodes: Iterable[Sample]) -> None:
         """Feed samples; ones already fed (by ``(pid, k)``) are ignored.
@@ -391,6 +400,7 @@ class BalancedChainBuilder:
             self._chain = []
             self._last = None
             self._ckpt = None
+            self._marks = dict.fromkeys(self._marks, 0)
         if fed:
             self._rewind_and_run()
 
@@ -402,6 +412,17 @@ class BalancedChainBuilder:
         """Number of entries of ``pid`` in the current chain."""
         return self._counts.get(pid, 0)
 
+    def preserved(self, reader: Hashable) -> int:
+        """Length of the chain prefix unchanged since ``reader``'s last call.
+
+        0 on a reader's first call.  The call marks the current chain as
+        read by ``reader``; each later rewind lowers the mark to the
+        checkpoint's length, and a new-process reset lowers it to 0.
+        """
+        kept = self._marks.get(reader, 0)
+        self._marks[reader] = len(self._chain)
+        return kept
+
     def _rewind_and_run(self) -> None:
         if self._ckpt is not None:
             pointers, counts, chain_len, last = self._ckpt
@@ -410,6 +431,10 @@ class BalancedChainBuilder:
             del self._chain[chain_len:]
             self._last = last
             self._ckpt = None
+            marks = self._marks
+            for reader, kept in marks.items():
+                if kept > chain_len:
+                    marks[reader] = chain_len
         elif self._chain or self._last is not None:
             raise AssertionError("completed run left no checkpoint")
         lists = self._lists

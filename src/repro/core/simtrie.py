@@ -33,7 +33,11 @@ witness this directly.
 Sigma^nu}`` on top: per candidate subset it keeps an incremental
 :class:`~repro.core.dag.BalancedChainBuilder` and simulates the subset's
 chain through the trie.  The I_0 and I_1 searches share one trie — the node
-structure is common; only the per-configuration caches differ.
+structure is common; only the per-configuration caches differ.  DAG growth
+only changes a subset's chain past the point its builder rewound to, so the
+engine keeps the trie nodes each query walked and starts the next descent
+of that chain there: ``simulate`` is the descent from depth 0, and an
+engine query walks only the part of its chain that changed since the last.
 
 Counters (prefix hit-rate, steps simulated vs. replayed for free) surface
 through :mod:`repro.analysis.metrics`.
@@ -182,6 +186,21 @@ class _Node:
         self.snaps: Dict[int, PureSystemSimulator] = {}
 
 
+class _Walk:
+    """Where one descent (one configuration, one target) stopped.
+
+    ``nodes[i]`` is the trie node at depth ``i`` (the root first), so the
+    walk reached depth ``len(nodes) - 1``; ``deltas`` lists the
+    ``(depth, pid, value)`` decisions met on the way, by depth.
+    """
+
+    __slots__ = ("nodes", "deltas")
+
+    def __init__(self, root: _Node) -> None:
+        self.nodes: List[_Node] = [root]
+        self.deltas: List[Tuple[int, int, Any]] = []
+
+
 class SimulationTrie:
     """Per-(automaton, n) prefix tree of cached simulations.
 
@@ -196,6 +215,7 @@ class SimulationTrie:
         self.root = _Node()
         self.counters = TrieCounters()
         self._configs: Dict[Tuple[Any, ...], int] = {}
+        self._proposals: List[Dict[int, Any]] = []
         self._root_decided: List[Dict[int, Any]] = []
 
     def config_index(self, proposals: Mapping[int, Any]) -> int:
@@ -206,6 +226,7 @@ class SimulationTrie:
             return got
         index = len(self._root_decided)
         self._configs[key] = index
+        self._proposals.append(dict(proposals))
         sim = PureSystemSimulator(self.automaton, self.n, proposals)
         self._root_decided.append(sim.decided_pids())
         return index
@@ -223,34 +244,80 @@ class SimulationTrie:
         compare them); only the work differs.
         """
         cfg = self.config_index(proposals)
+        walk = _Walk(self.root)
+        decided_at = self._descend(cfg, path, target, walk, 0)
+        return self._simulation(cfg, path, walk, decided_at)
+
+    def _decided(self, cfg: int, walk: _Walk) -> Dict[int, Any]:
+        decided = dict(self._root_decided[cfg])
+        for _depth, pid, value in walk.deltas:
+            decided[pid] = value
+        return decided
+
+    def _simulation(
+        self,
+        cfg: int,
+        path: Sequence[Sample],
+        walk: _Walk,
+        decided_at: Optional[int],
+    ) -> PathSimulation:
+        """The :class:`PathSimulation` of ``path`` as far as ``walk`` got."""
+        depth = len(walk.nodes) - 1
+        return PathSimulation(
+            schedule=Schedule([node.steps[cfg] for node in walk.nodes[1:]]),
+            path=tuple(path[:depth]),
+            participants=frozenset(s.pid for s in path[:depth]),
+            decisions=self._decided(cfg, walk),
+            target_decided_at=decided_at,
+        )
+
+    def _descend(
+        self,
+        cfg: int,
+        path: Sequence[Sample],
+        target: Optional[int],
+        walk: _Walk,
+        start: int,
+    ) -> Optional[int]:
+        """The one descent: walk ``path`` until it ends or ``target`` decides.
+
+        ``walk`` must hold this configuration's last walk toward ``target``
+        along a path whose first ``start`` samples equal ``path``'s (so it
+        stopped at or past depth ``start``, and at the target's decision at
+        the latest).  The descent keeps those nodes, resumes at depth
+        ``start`` and leaves ``walk`` where it stops.  Returns the depth at
+        which ``target`` decided, or ``None``.  The counters read as if the
+        descent had started at the root.
+        """
         c = self.counters
         c.queries += 1
-
-        decided = dict(self._root_decided[cfg])
+        nodes = walk.nodes
+        deltas = walk.deltas
+        del nodes[start + 1 :]
+        while deltas and deltas[-1][0] > start:
+            deltas.pop()
+        decided = self._decided(cfg, walk)
         decided_at: Optional[int] = None
-        steps: List[Step] = []
-        node = self.root
-        snap_sim: Optional[PureSystemSimulator] = None
-        snap_depth = 0
-        i = 0
+        node = nodes[start]
+        i = start
 
         # Phase 1: descend the cached prefix — no simulator needed.
-        while i < len(path):
+        while True:
+            if i > 0 and target is not None and target in decided:
+                decided_at = i
+                break
+            if i == len(path):
+                break
             child = node.children.get(path[i].key)
             if child is None or cfg not in child.steps:
                 break
-            steps.append(child.steps[cfg])
+            i += 1
+            nodes.append(child)
+            node = child
             delta = child.dstep.get(cfg)
             if delta is not None:
                 decided[delta[0]] = delta[1]
-            node = child
-            i += 1
-            snap = child.snaps.get(cfg)
-            if snap is not None:
-                snap_sim, snap_depth = snap, i
-            if target is not None and target in decided:
-                decided_at = i
-                break
+                deltas.append((i, delta[0], delta[1]))
 
         if decided_at is not None or i == len(path):
             # Served for free.  A whole chain without a target decision is
@@ -260,22 +327,20 @@ class SimulationTrie:
             c.steps_from_cache += i
             if target is not None and decided_at is None:
                 c.known_failure_hits += 1
-            return PathSimulation(
-                schedule=Schedule(steps),
-                path=tuple(path[:i]),
-                participants=frozenset(s.pid for s in path[:i]),
-                decisions=decided,
-                target_decided_at=decided_at,
-            )
+            return decided_at
 
-        # Phase 2: restore the nearest snapshot and replay cached steps.
-        if snap_sim is not None:
-            sim = snap_sim.fork()
+        # Phase 2: restore the nearest snapshot on the path and replay
+        # cached steps.
+        snap_depth = i
+        while snap_depth > 0 and cfg not in nodes[snap_depth].snaps:
+            snap_depth -= 1
+        if snap_depth > 0:
+            sim = nodes[snap_depth].snaps[cfg].fork()
             c.snapshot_restores += 1
         else:
-            sim = PureSystemSimulator(self.automaton, self.n, proposals)
+            sim = PureSystemSimulator(self.automaton, self.n, self._proposals[cfg])
         for j in range(snap_depth, i):
-            sim.apply_step(steps[j], time=j)
+            sim.apply_step(nodes[j + 1].steps[cfg], time=j)
         c.steps_replayed += i - snap_depth
         c.steps_from_cache += snap_depth
         if i > 0:
@@ -287,19 +352,20 @@ class SimulationTrie:
             uid = sim.oldest_pending_uid(sample.pid)
             step = Step(pid=sample.pid, msg_uid=uid, detector_value=sample.d)
             sim.apply_step(step, time=i)
-            steps.append(step)
             child = node.children.get(sample.key)
             if child is None:
                 child = node.children[sample.key] = _Node()
                 c.nodes_created += 1
             child.steps[cfg] = step
+            i += 1
             if sample.pid not in decided:
                 value = sim.decision(sample.pid)
                 if value is not None:
                     decided[sample.pid] = value
                     child.dstep[cfg] = (sample.pid, value)
+                    deltas.append((i, sample.pid, value))
+            nodes.append(child)
             node = child
-            i += 1
             c.steps_simulated += 1
             if target is not None and target in decided:
                 decided_at = i
@@ -323,14 +389,7 @@ class SimulationTrie:
         ):
             node.snaps[cfg] = sim
             c.snapshots_stored += 1
-
-        return PathSimulation(
-            schedule=Schedule(steps),
-            path=tuple(path[:i]),
-            participants=frozenset(s.pid for s in path[:i]),
-            decisions=decided,
-            target_decided_at=decided_at,
-        )
+        return decided_at
 
 
 class IncrementalExtractionEngine:
@@ -344,16 +403,49 @@ class IncrementalExtractionEngine:
     barrier (Fig. 2 lines 17-19) drops every builder and no schedule is
     ever justified by pre-barrier samples.  The trie itself is
     barrier-agnostic (keyed by full chains), so it needs no invalidation.
+
+    Per (subset, configuration, target) the engine also keeps the trie
+    nodes its last query walked.  Between two queries the chain changes
+    only past the prefix its builder reports as preserved, so the next
+    query resumes the descent there instead of at the root: a query walks
+    only the part of the chain that changed since the last one.
     """
 
     def __init__(self, automaton: Automaton, n: int):
         self.trie = SimulationTrie(automaton, n)
         self._barrier_key: Optional[SampleKey] = None
         self._chains: Dict[FrozenSet[int], BalancedChainBuilder] = {}
+        self._walks: Dict[Tuple[FrozenSet[int], Tuple[int, int]], _Walk] = {}
+        # The fresh samples fed so far under this barrier, per pid by k.
+        self._by_pid: Dict[int, List[Sample]] = {}
+        self._fed = 0
 
     @property
     def counters(self) -> TrieCounters:
         return self.trie.counters
+
+    def _ingest(
+        self, fresh_nodes: Sequence[Sample], barrier_key: Optional[SampleKey]
+    ) -> Dict[int, List[Sample]]:
+        if barrier_key != self._barrier_key:
+            self._barrier_key = barrier_key
+            self._chains.clear()
+            self._walks.clear()
+            self._by_pid = {}
+            self._fed = 0
+        if len(fresh_nodes) < self._fed:
+            raise ValueError("fresh samples shrank under a fixed barrier")
+        by_pid = self._by_pid
+        for s in fresh_nodes[self._fed :]:
+            bucket = by_pid.get(s.pid)
+            if bucket is None:
+                by_pid[s.pid] = [s]
+            elif s.k > bucket[-1].k:
+                bucket.append(s)
+            else:
+                raise ValueError(f"sample {s.key} arrived out of k order")
+        self._fed = len(fresh_nodes)
+        return by_pid
 
     def find_deciding_schedule(
         self,
@@ -372,19 +464,16 @@ class IncrementalExtractionEngine:
         ``minimize_participants``); ``None`` when none decides yet.  Equal
         to re-simulating every chain from scratch (the oracle tests compare
         them); the chain builders and the trie only skip repeated work.
-        """
-        barrier_key = barrier.key if barrier is not None else None
-        if barrier_key != self._barrier_key:
-            self._barrier_key = barrier_key
-            self._chains.clear()
 
-        by_pid: Dict[int, List[Sample]] = {}
-        for s in fresh_nodes:
-            by_pid.setdefault(s.pid, []).append(s)
+        Under a fixed ``barrier``, ``fresh_nodes`` must extend the list of
+        the previous call, each process's samples in ascending ``k`` (as
+        a growing DAG appends them).
+        """
+        by_pid = self._ingest(
+            fresh_nodes, barrier.key if barrier is not None else None
+        )
         if target not in by_pid:
             return None
-        for bucket in by_pid.values():
-            bucket.sort(key=lambda s: s.k)
         present = sorted(by_pid)
         if minimize_participants:
             subsets = _subsets_containing(present, target, max_subset_size)
@@ -392,6 +481,9 @@ class IncrementalExtractionEngine:
             counts = {pid: len(bucket) for pid, bucket in by_pid.items()}
             subsets = [_capped_subset(present, target, counts, max_subset_size)]
 
+        trie = self.trie
+        cfg = trie.config_index(proposals)
+        reader = (cfg, target)
         for subset in subsets:
             self.counters.subsets_tried += 1
             builder = self._chains.get(subset)
@@ -408,9 +500,13 @@ class IncrementalExtractionEngine:
                 has_target = builder.pid_count(target) > 0
             if not has_target:
                 continue
-            result = self.trie.simulate(proposals, chain, target)
-            if result.target_decided:
-                return result
+            walk = self._walks.get((subset, reader))
+            if walk is None:
+                walk = self._walks[(subset, reader)] = _Walk(trie.root)
+            start = min(builder.preserved(reader), len(walk.nodes) - 1, len(chain))
+            decided_at = trie._descend(cfg, chain, target, walk, start)
+            if decided_at is not None:
+                return trie._simulation(cfg, chain, walk, decided_at)
         return None
 
 

@@ -394,11 +394,14 @@ def top_regressions(diff: TraceDiff, top: int = 8) -> List[PathDelta]:
 
 def render_diff(diff: TraceDiff, top: int = 16, show_all: bool = False) -> str:
     """The ``repro trace diff`` report for one :class:`TraceDiff`."""
+    significant = diff.significant()
+    in_ticks = sum(1 for d in significant if d.tick_significant)
     sections: List[str] = [
         f"trace A   : {diff.label_a}",
         f"trace B   : {diff.label_b}",
         f"paths     : {len(diff.paths)} compared, "
-        f"{len(diff.significant())} differ "
+        f"{in_ticks} tick-differing, "
+        f"{len(significant) - in_ticks} wall-only "
         f"(wall noise floor: {diff.wall_tol_ms}ms / "
         f"{round(100 * diff.wall_rel_tol)}%)",
     ]

@@ -84,6 +84,38 @@ class TestTranscript:
             "--- process 2 crashes ---",
         ]
 
+    def test_pid_filter_keeps_crash_markers(self):
+        """A crash at a time no rendered step has still gets its marker,
+        before the first rendered step after it."""
+        outcome = run_nuc(
+            FailurePattern(5, {1: 5, 2: 5}), {p: p % 2 for p in range(5)}, seed=3
+        )
+        lines = transcript(outcome.result, pids=[0], limit=10).splitlines()
+        assert lines[:2] == [
+            "--- process 1 crashes ---",
+            "--- process 2 crashes ---",
+        ]
+        first_step = int(lines[2].split()[0][2:])
+        assert first_step >= 5
+
+    def test_pid_filter_keeps_decision_markers(self, sample_run):
+        """Other processes' decisions print once, after their time."""
+        lines = transcript(sample_run, pids=[0]).splitlines()
+        for p, v in sample_run.decisions.items():
+            marker = f"*** process {p} DECIDES {v!r} ***"
+            assert lines.count(marker) == 1
+            at = sample_run.decision_times[p]
+            before = [l for l in lines[: lines.index(marker)] if l.startswith("t=")]
+            after = [l for l in lines[lines.index(marker) :] if l.startswith("t=")]
+            assert all(int(l.split()[0][2:]) <= at for l in before)
+            assert all(int(l.split()[0][2:]) > at for l in after)
+
+    def test_crashes_before_window_start_unmarked(self):
+        outcome = run_nuc(
+            FailurePattern(5, {1: 5, 2: 5}), {p: p % 2 for p in range(5)}, seed=3
+        )
+        assert "crashes" not in transcript(outcome.result, start=6, limit=10)
+
     def test_limit_truncates(self, sample_run):
         text = transcript(sample_run, limit=5)
         assert text.count("t=") == 5

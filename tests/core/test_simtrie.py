@@ -18,9 +18,11 @@ import pytest
 from repro.consensus.quorum_mr import QuorumMR
 from repro.core.dag import BalancedChainBuilder, Sample, SampleDAG, balanced_chain
 from repro.core.extraction import SigmaNuExtractor
+from repro.core import simtrie
 from repro.core.simtrie import IncrementalExtractionEngine, SimulationTrie
 from repro.detectors import Omega, PairedDetector, Sigma
 from repro.detectors.base import sample_history_cached
+from repro.harness.runner import random_pattern, run_extraction
 from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import CoalescingDelivery
 from repro.kernel.system import System
@@ -98,6 +100,45 @@ class TestBalancedChainBuilder:
                     trial,
                     i,
                 )
+
+    def test_preserved_prefix_is_unchanged_since_each_read(self):
+        """``preserved(reader)`` never overstates: the prefix it reports is
+        the one that reader saw, through rewinds and new-pid resets."""
+        rewound_below_tip = resumed = 0
+        for trial in range(60):
+            rng = random.Random(trial)
+            n = rng.randint(2, 5)
+            samples = random_dag_samples(rng, n, rng.randint(10, 60))
+            builder = BalancedChainBuilder()
+            seen = {"a": [], "b": []}
+            i = 0
+            while i < len(samples):
+                batch = samples[i : i + rng.randint(1, 6)]
+                i += len(batch)
+                builder.extend(batch)
+                for reader in seen:
+                    if rng.random() < 0.3:
+                        continue  # this reader skips a read
+                    kept = builder.preserved(reader)
+                    chain = list(builder.chain())
+                    before = seen[reader]
+                    assert kept <= min(len(before), len(chain)), trial
+                    assert chain[:kept] == before[:kept], (trial, reader)
+                    resumed += kept > 0
+                    rewound_below_tip += 0 < kept < len(before)
+                    seen[reader] = chain
+        assert resumed and rewound_below_tip
+
+    def test_new_pid_resets_preserved_prefix(self):
+        rng = random.Random(5)
+        samples = [s for s in random_dag_samples(rng, 3, 30)]
+        builder = BalancedChainBuilder()
+        builder.extend([s for s in samples[:20] if s.pid != 2])
+        assert builder.preserved("r") == 0  # first read
+        assert builder.preserved("r") == len(builder.chain())  # nothing fed
+        builder.extend([s for s in samples if s.pid == 2])
+        assert builder.pid_count(2) > 0
+        assert builder.preserved("r") == 0
 
     def test_pid_count_tracks_chain(self):
         rng = random.Random(3)
@@ -200,6 +241,140 @@ class TestIncrementalEngineOracle:
                 assert sims_equal(got, want), (tick, minimize, cap)
         assert_each_step_simulated_once(engine.counters)
 
+
+class _CountingChildren(dict):
+    """A ``_Node.children`` map that counts the descent's lookups."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        _CountingChildren.gets += 1
+        return super().get(key, default)
+
+
+class _CountingNode(simtrie._Node):
+    def __init__(self):
+        super().__init__()
+        self.children = _CountingChildren()
+
+
+class TestDescentResumesAtPreservedPrefix:
+    """A query walks the trie only past the prefix of its chain that the
+    builder kept since the last query — not again from the root."""
+
+    def test_each_query_starts_at_the_rewind_point(self, monkeypatch):
+        monkeypatch.setattr(simtrie, "_Node", _CountingNode)
+        n, target = 3, 0
+        rng = random.Random(7)
+        samples = random_dag_samples(rng, n, 120, quorum=[0, 1, 2])
+        proposals = {p: 0 for p in range(n)}
+        engine = IncrementalExtractionEngine(QuorumMR(), n)
+        # The engine's one subset is every process present, so its chain is
+        # the balanced chain of all fresh samples; a second builder fed the
+        # same samples says where that chain was rewound to.
+        mirror = BalancedChainBuilder()
+        barrier, fresh = samples[0], []
+        depth = 0  # where the last query's descent stopped
+        starts = []
+        i = 0
+        for tick in range(40):
+            if i >= len(samples):
+                break
+            if tick == 25:  # barrier move: every chain starts over
+                barrier, fresh = samples[i], []
+                mirror, depth = BalancedChainBuilder(), 0
+            batch = samples[i : i + rng.randint(2, 5)]
+            i += len(batch)
+            fresh.extend(batch)
+            mirror.extend(batch)
+            chain = mirror.chain()
+            start = min(mirror.preserved("I0"), depth, len(chain))
+            _CountingChildren.gets = 0
+            got = engine.find_deciding_schedule(
+                proposals, fresh, target, barrier=barrier,
+                minimize_participants=False,
+            )
+            want = find_deciding_schedule(
+                QuorumMR(), n, proposals, fresh, target=target,
+                minimize_participants=False,
+            )
+            assert sims_equal(got, want), tick
+            depth = got.target_decided_at if got is not None else len(chain)
+            # One lookup per level walked, plus one for a cache miss.
+            assert max(0, depth - start) <= _CountingChildren.gets, tick
+            assert _CountingChildren.gets <= depth - start + 1, tick
+            starts.append((tick, start, len(chain)))
+        resumed = [t for t, start, _ in starts if start > 0]
+        assert resumed and min(resumed) < 25 < max(resumed)
+        # Some query resumed strictly inside the last chain (a rewind below
+        # its tip), and the first query after the barrier moved started at
+        # the root.
+        assert any(0 < start < prev for (_, start, _), (_, _, prev)
+                   in zip(starts[1:], starts))
+        assert dict((t, start) for t, start, _ in starts)[25] == 0
+
+
+class TestPinnedEngineWork:
+    def test_ledger_trial_3_counters(self):
+        """The engine's full work ledger on the extract_trie benchmark's
+        trial-3 case (one output per process).  Resuming descents changes
+        what a query walks, never what it counts."""
+        pattern = random_pattern(5, random.Random(3), max_faulty=2)
+        outcome = run_extraction(
+            QuorumMR(),
+            PairedDetector(Omega(), Sigma("pivot")),
+            pattern,
+            seed=3,
+            max_steps=2500,
+            min_outputs=1,
+            trace="metrics",
+        )
+        assert outcome.search_counters == {
+            "queries": 1246,
+            "prefix_hits": 1106,
+            "cached_results": 130,
+            "known_failure_hits": 130,
+            "steps_simulated": 3346,
+            "steps_replayed": 980,
+            "steps_from_cache": 7374,
+            "subsets_tried": 1246,
+            "snapshots_stored": 1380,
+            "snapshot_restores": 1106,
+            "nodes_created": 1673,
+        }
+
+
+class TestEngineAcrossTargets:
+    @pytest.mark.parametrize("trial", range(4))
+    def test_one_engine_many_targets(self, trial):
+        """Walks kept for one target never answer another's query."""
+        rng = random.Random(100 + trial)
+        n = 3
+        # A common leader, so processes decide and their walks stop there.
+        samples = [
+            s._replace(d=(0, frozenset({0, 1})))
+            for s in random_dag_samples(rng, n, 120)
+        ]
+        engine = IncrementalExtractionEngine(QuorumMR(), n)
+        proposals = {p: trial % 2 for p in range(n)}
+        fresh = []
+        decided = 0
+        for i in range(0, len(samples), 4):
+            fresh.extend(samples[i : i + 4])
+            for target in range(n):
+                # One chain (every process) and one configuration, so the
+                # targets' searches meet on the same trie path.
+                got = engine.find_deciding_schedule(
+                    proposals, fresh, target, barrier=samples[0],
+                    minimize_participants=False,
+                )
+                want = find_deciding_schedule(
+                    QuorumMR(), n, proposals, fresh, target=target,
+                    minimize_participants=False,
+                )
+                assert sims_equal(got, want), (i, target)
+                decided += got is not None
+        assert decided
 
 class ScratchExtractor(SigmaNuExtractor):
     """The oracle side: every search from scratch, the trie never asked."""

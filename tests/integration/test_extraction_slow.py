@@ -1,7 +1,7 @@
 """Large-n extraction smoke (``pytest -m slow``).
 
-Excluded from the default run (see ``pyproject.toml``); CI runs it in a
-non-blocking job.  The point is scale, not new properties: at n=7 the
+Excluded from the default run (see ``pyproject.toml``); CI runs it as a
+blocking job of its own.  The point is scale, not new properties: at n=7 the
 chains are far longer than in the n<=4 tier-1 cases, so this exercises the
 trie's cache depth and snapshot machinery well past what the fast suite
 reaches — and still demands a valid Sigma^nu history.  The search runs in

@@ -2,6 +2,8 @@
 and the ``repro trace`` report."""
 
 from repro.obs.analyze import (
+    WALL_REL_TOL,
+    WALL_TOL_MS,
     PathDelta,
     aggregate_paths,
     diff_traces,
@@ -188,7 +190,19 @@ class TestRenderDiff:
     def test_exact_banner_on_same_seed(self):
         out = render_diff(diff_traces(_nested_records(), _nested_records()))
         assert "EXACT" in out
-        assert "4 compared, 0 differ" in out
+        assert "4 compared, 0 tick-differing, 0 wall-only" in out
+
+    def test_wall_only_and_tick_paths_counted_apart(self):
+        b = _nested_records()
+        b[4] = _span(1, "outer", 0, 20, parent=None, wall_ms=100.0)
+        out = render_diff(diff_traces(_nested_records(), b))
+        assert "EXACT" in out
+        assert "0 tick-differing, 1 wall-only" in out
+        b[1] = _span(3, "leaf", 4, 9, parent=2, wall_ms=1.0)
+        out = render_diff(diff_traces(_nested_records(), b))
+        assert "EXACT" not in out
+        assert "tick-differing, 1 wall-only" in out
+        assert "0 tick-differing" not in out
 
     def test_signal_column_distinguishes_ticks_and_wall(self):
         b = _nested_records()
@@ -250,6 +264,24 @@ class TestPathDelta:
         # 10ms > 5ms absolute floor but within 25% relative tolerance
         assert not d.wall_significant()
         assert d.wall_significant(tol_ms=1.0, rel_tol=0.01)
+
+    def test_wall_significance_is_strictly_above_the_floor(self):
+        def delta(wall_a, wall_b):
+            return PathDelta(
+                path="p", count_a=1, count_b=1, ticks_a=0, ticks_b=0,
+                self_a=0, self_b=0, wall_a=wall_a, wall_b=wall_b,
+            )
+
+        # Defaults: 5ms absolute floor, 25% of the larger side.
+        assert (WALL_TOL_MS, WALL_REL_TOL) == (5.0, 0.25)
+        # Small spans: the absolute floor decides, in either direction.
+        assert not delta(1.0, 6.0).wall_significant()
+        assert delta(1.0, 6.5).wall_significant()
+        assert delta(6.5, 1.0).wall_significant()
+        # Large spans: the relative tolerance decides (300 of 1200 is not
+        # above 25%; 400 of 1400 is).
+        assert not delta(900.0, 1200.0).wall_significant()
+        assert delta(1000.0, 1400.0).wall_significant()
 
 
 def _three_span_records():
