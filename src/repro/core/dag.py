@@ -423,11 +423,19 @@ class BalancedChainBuilder:
         self._marks[reader] = len(self._chain)
         return kept
 
+    def frozen(self) -> int:
+        """Length of the chain prefix that feeding more samples keeps.
+
+        The checkpoint's chain length: the next rewind lands there, unless
+        a new process's first sample resets the run to 0.
+        """
+        return self._ckpt[2] if self._ckpt is not None else 0
+
     def _rewind_and_run(self) -> None:
         if self._ckpt is not None:
-            pointers, counts, chain_len, last = self._ckpt
-            self._pointers = dict(pointers)
-            self._counts = dict(counts)
+            # The checkpoint is spent here, so its dicts are taken, not
+            # copied.
+            self._pointers, self._counts, chain_len, last = self._ckpt
             del self._chain[chain_len:]
             self._last = last
             self._ckpt = None
@@ -444,7 +452,10 @@ class BalancedChainBuilder:
         last = self._last
         built0 = len(chain)
         while True:
-            candidates: Dict[int, Sample] = {}
+            # The least-served candidate (from the start: the shallowest),
+            # ties to the lowest pid.
+            node: Optional[Sample] = None
+            best_rank = best_pid = 0
             exhausted = False
             last_pid = last.pid if last is not None else -1
             last_k = last.k if last is not None else 0
@@ -461,7 +472,14 @@ class BalancedChainBuilder:
                         i += 1
                 pointers[pid] = i
                 if i < ln:
-                    candidates[pid] = samples[i]
+                    sample = samples[i]
+                    rank = sample.depth if last is None else counts.get(pid, 0)
+                    if (
+                        node is None
+                        or rank < best_rank
+                        or (rank == best_rank and pid < best_pid)
+                    ):
+                        node, best_rank, best_pid = sample, rank, pid
                 else:
                     exhausted = True
             if exhausted and self._ckpt is None:
@@ -469,16 +487,9 @@ class BalancedChainBuilder:
                 # samples of that process may re-enter here.  Snapshot the
                 # pre-selection state so extend() replays from this point.
                 self._ckpt = (dict(pointers), dict(counts), len(chain), last)
-            if not candidates:
+            if node is None:
                 break
-            if last is None:
-                # Start from the globally shallowest sample.
-                pid = min(candidates, key=lambda q: (candidates[q].depth, q))
-            else:
-                pid = min(
-                    candidates, key=lambda q: (counts.get(q, 0), q)
-                )
-            node = candidates[pid]
+            pid = best_pid
             chain.append(node)
             counts[pid] = counts.get(pid, 0) + 1
             pointers[pid] += 1

@@ -15,19 +15,22 @@ deterministic, so a key sequence pins down the whole simulation); per
 initial configuration each node caches
 
 * the :class:`~repro.kernel.steps.Step` taken to reach it (message receipt
-  is deterministic under the oldest-message rule of Lemma 4.10),
-* the decision, if any, that the stepping process reached at it, and
-* every :data:`SNAPSHOT_STRIDE` levels, a forked simulator snapshot.
+  is deterministic under the oldest-message rule of Lemma 4.10), and
+* the decision, if any, that the stepping process reached at it.
 
-:meth:`SimulationTrie.simulate` then returns exactly the
-:class:`PathSimulation` a from-scratch simulation of the chain gives — same
-schedule, same path truncation, same decisions — while replaying only the
-suffix past the longest cached prefix.  So a (node, initial configuration)
-step is simulated at most once.  Chains that were already simulated in full are
-answered with zero simulator work, which is also how failed searches are
-settled: by Sch-monotonicity (Lemmas 4.5/4.11) a chain that did not let the
-target decide still does not at any prefix, and the cached decision deltas
-witness this directly.
+The trie holds no simulator.  Simulators belong to *walks*: a walk is one
+(chain, configuration, target) line of queries, and it keeps at most two
+:class:`~repro.kernel.runs.PureSystemSimulator` objects — its *tip*, where
+its last descent stopped, and its *base*, at the prefix of the chain that
+its next change keeps.  :meth:`SimulationTrie.simulate` returns
+exactly the :class:`PathSimulation` a from-scratch simulation of the chain
+gives — same schedule, same path truncation, same decisions — while
+simulating only the suffix past the longest cached prefix.  So a (node,
+initial configuration) step is simulated at most once.  Chains that were
+already simulated in full are answered with zero simulator work, which is
+also how failed searches are settled: by Sch-monotonicity (Lemmas
+4.5/4.11) a chain that did not let the target decide still does not at any
+prefix, and the cached decision deltas witness this directly.
 
 :class:`IncrementalExtractionEngine` is the search of ``T_{D ->
 Sigma^nu}`` on top: per candidate subset it keeps an incremental
@@ -35,9 +38,13 @@ Sigma^nu}`` on top: per candidate subset it keeps an incremental
 chain through the trie.  The I_0 and I_1 searches share one trie — the node
 structure is common; only the per-configuration caches differ.  DAG growth
 only changes a subset's chain past the point its builder rewound to, so the
-engine keeps the trie nodes each query walked and starts the next descent
-of that chain there: ``simulate`` is the descent from depth 0, and an
-engine query walks only the part of its chain that changed since the last.
+engine keeps one walk per (subset, configuration, target) and starts the
+next descent of that chain there: ``simulate`` is the descent from depth 0
+with a fresh walk, and an engine query walks only the part of its chain
+that changed since the last.  The builder also says where its next rewind
+lands (:meth:`~repro.core.dag.BalancedChainBuilder.frozen`); the walk's
+base waits there, so a query whose chain was rewound below the tip resumes
+from the base instead of the root.
 
 Counters (prefix hit-rate, steps simulated vs. replayed for free) surface
 through :mod:`repro.analysis.metrics`.
@@ -126,11 +133,15 @@ class TrieCounters:
     """Work accounting for the incremental engine.
 
     ``steps_simulated`` are genuine simulator transitions; ``steps_replayed``
-    are cached steps re-applied from the nearest snapshot (no delivery
-    search); ``steps_from_cache`` were served without touching a simulator
-    at all.  ``known_failure_hits`` are whole queries answered negatively
-    from cached decision deltas; ``subsets_tried`` counts the candidate
-    subsets whose chain the engine built.
+    are cached steps a simulator re-applied (no delivery search), moving a
+    walk's base included; ``steps_from_cache`` were served without touching
+    a simulator at all.  Per query the three sum to the depth the descent
+    reached, as if it had started at the root.  ``known_failure_hits`` are
+    whole queries answered negatively from cached decision deltas;
+    ``subsets_tried`` counts the candidate subsets whose chain the engine
+    built.  ``snapshots_stored`` counts simulators forked to become a
+    walk's base, ``snapshot_restores`` descents that resumed from a walk's
+    tip or base rather than from a fresh simulator.
     """
 
     queries: int = 0
@@ -166,24 +177,16 @@ class TrieCounters:
         return (self.steps_replayed + self.steps_from_cache) / total
 
 
-#: Store a forked simulator every this many levels of a fresh chain.
-SNAPSHOT_STRIDE = 8
-#: Cap on stored snapshots per trie — the trie's memory bound.  Past it,
-#: queries replay cached steps from the deepest existing snapshot.
-SNAPSHOT_BUDGET = 4096
-
-
 class _Node:
     """One interned prefix.  Per-configuration caches are keyed by the
     small integers handed out by :meth:`SimulationTrie.config_index`."""
 
-    __slots__ = ("children", "steps", "dstep", "snaps")
+    __slots__ = ("children", "steps", "dstep")
 
     def __init__(self) -> None:
         self.children: Dict[SampleKey, "_Node"] = {}
         self.steps: Dict[int, Step] = {}
         self.dstep: Dict[int, Tuple[int, Any]] = {}
-        self.snaps: Dict[int, PureSystemSimulator] = {}
 
 
 class _Walk:
@@ -191,14 +194,21 @@ class _Walk:
 
     ``nodes[i]`` is the trie node at depth ``i`` (the root first), so the
     walk reached depth ``len(nodes) - 1``; ``deltas`` lists the
-    ``(depth, pid, value)`` decisions met on the way, by depth.
+    ``(depth, pid, value)`` decisions met on the way, by depth.  ``tip``
+    and ``base`` are ``(node, simulator)`` pairs or ``None``: the tip
+    simulator stands at the node where the last simulating descent
+    stopped, the base at the chain's frozen prefix.  A simulator's depth
+    is its ``steps_applied``.  They are the only simulators the trie's
+    descents keep, so a walk holds at most two.
     """
 
-    __slots__ = ("nodes", "deltas")
+    __slots__ = ("nodes", "deltas", "tip", "base")
 
     def __init__(self, root: _Node) -> None:
         self.nodes: List[_Node] = [root]
         self.deltas: List[Tuple[int, int, Any]] = []
+        self.tip: Optional[Tuple[_Node, PureSystemSimulator]] = None
+        self.base: Optional[Tuple[_Node, PureSystemSimulator]] = None
 
 
 class SimulationTrie:
@@ -206,7 +216,7 @@ class SimulationTrie:
 
     One trie serves every initial configuration of the automaton — register
     each with :meth:`config_index`; the structure (nodes, children) is
-    shared, the step/decision/snapshot caches are per configuration.
+    shared, the step and decision caches are per configuration.
     """
 
     def __init__(self, automaton: Automaton, n: int):
@@ -245,7 +255,7 @@ class SimulationTrie:
         """
         cfg = self.config_index(proposals)
         walk = _Walk(self.root)
-        decided_at = self._descend(cfg, path, target, walk, 0)
+        decided_at = self._descend(cfg, path, target, walk, 0, 0)
         return self._simulation(cfg, path, walk, decided_at)
 
     def _decided(self, cfg: int, walk: _Walk) -> Dict[int, Any]:
@@ -278,6 +288,7 @@ class SimulationTrie:
         target: Optional[int],
         walk: _Walk,
         start: int,
+        frozen: int,
     ) -> Optional[int]:
         """The one descent: walk ``path`` until it ends or ``target`` decides.
 
@@ -285,9 +296,11 @@ class SimulationTrie:
         along a path whose first ``start`` samples equal ``path``'s (so it
         stopped at or past depth ``start``, and at the target's decision at
         the latest).  The descent keeps those nodes, resumes at depth
-        ``start`` and leaves ``walk`` where it stops.  Returns the depth at
-        which ``target`` decided, or ``None``.  The counters read as if the
-        descent had started at the root.
+        ``start`` and leaves ``walk`` where it stops.  ``frozen`` is the
+        depth of the prefix the path keeps through its next change; the
+        walk's base moves there when a simulator passes it (0: no base).
+        Returns the depth at which ``target`` decided, or ``None``.  The
+        counters read as if the descent had started at the root.
         """
         c = self.counters
         c.queries += 1
@@ -329,20 +342,32 @@ class SimulationTrie:
                 c.known_failure_hits += 1
             return decided_at
 
-        # Phase 2: restore the nearest snapshot on the path and replay
-        # cached steps.
-        snap_depth = i
-        while snap_depth > 0 and cfg not in nodes[snap_depth].snaps:
-            snap_depth -= 1
-        if snap_depth > 0:
-            sim = nodes[snap_depth].snaps[cfg].fork()
+        # Phase 2: restore a simulator on the walked path — the walk's tip,
+        # in place; else a fork of its base, first brought up to the frozen
+        # prefix; else a fresh one at the root — and replay cached steps.
+        tip, base = walk.tip, walk.base
+        replayed = 0
+        if tip is not None and _on_path(nodes, i, tip):
+            sim = tip[1]
+            c.snapshot_restores += 1
+        elif base is not None and _on_path(nodes, i, base):
+            held = base[1]
+            for j in range(held.steps_applied, min(frozen, i)):
+                held.apply_step(nodes[j + 1].steps[cfg], time=j)
+                replayed += 1
+            walk.base = (nodes[held.steps_applied], held)
+            sim = held.fork()
             c.snapshot_restores += 1
         else:
             sim = PureSystemSimulator(self.automaton, self.n, self._proposals[cfg])
-        for j in range(snap_depth, i):
+        for j in range(sim.steps_applied, i):
             sim.apply_step(nodes[j + 1].steps[cfg], time=j)
-        c.steps_replayed += i - snap_depth
-        c.steps_from_cache += snap_depth
+            replayed += 1
+            if j + 1 == frozen:
+                walk.base = (nodes[frozen], sim.fork())
+                c.snapshots_stored += 1
+        c.steps_replayed += replayed
+        c.steps_from_cache += i - replayed
         if i > 0:
             c.prefix_hits += 1
 
@@ -370,26 +395,24 @@ class SimulationTrie:
             if target is not None and target in decided:
                 decided_at = i
                 break
-            if (
-                i % SNAPSHOT_STRIDE == 0
-                and cfg not in child.snaps
-                and c.snapshots_stored < SNAPSHOT_BUDGET
-            ):
-                child.snaps[cfg] = sim.fork()
+            if i == frozen:
+                walk.base = (child, sim.fork())
                 c.snapshots_stored += 1
 
-        # Always snapshot an undecided chain's end: chains extend as the DAG
-        # grows, so the tip is the likeliest future restore point.  Decided
-        # chains end the search (the barrier moves), so skip those.  The
-        # simulator is not stepped further, so it is stored without forking.
-        if (
-            decided_at is None
-            and cfg not in node.snaps
-            and c.snapshots_stored < SNAPSHOT_BUDGET
-        ):
-            node.snaps[cfg] = sim
-            c.snapshots_stored += 1
+        # The stepping simulator is the walk's new tip, un-forked: nothing
+        # steps it until the walk's next descent takes it back.
+        walk.tip = (node, sim)
         return decided_at
+
+
+def _on_path(
+    nodes: Sequence[_Node],
+    depth: int,
+    held: Tuple[_Node, PureSystemSimulator],
+) -> bool:
+    """Whether ``held`` stands on ``nodes`` at or above ``depth``."""
+    at = held[1].steps_applied
+    return at <= depth and nodes[at] is held[0]
 
 
 class IncrementalExtractionEngine:
@@ -404,11 +427,13 @@ class IncrementalExtractionEngine:
     ever justified by pre-barrier samples.  The trie itself is
     barrier-agnostic (keyed by full chains), so it needs no invalidation.
 
-    Per (subset, configuration, target) the engine also keeps the trie
-    nodes its last query walked.  Between two queries the chain changes
-    only past the prefix its builder reports as preserved, so the next
-    query resumes the descent there instead of at the root: a query walks
-    only the part of the chain that changed since the last one.
+    Per (subset, configuration, target) the engine also keeps a walk: the
+    trie nodes its last query walked and its two simulators.  Between two
+    queries the chain changes only past the prefix its builder reports as
+    preserved, so the next query resumes the descent there instead of at
+    the root: a query walks only the part of the chain that changed since
+    the last one.  The walk's base waits at the builder's frozen prefix,
+    where that change will start.
     """
 
     def __init__(self, automaton: Automaton, n: int):
@@ -504,7 +529,8 @@ class IncrementalExtractionEngine:
             if walk is None:
                 walk = self._walks[(subset, reader)] = _Walk(trie.root)
             start = min(builder.preserved(reader), len(walk.nodes) - 1, len(chain))
-            decided_at = trie._descend(cfg, chain, target, walk, start)
+            frozen = min(builder.frozen(), len(chain))
+            decided_at = trie._descend(cfg, chain, target, walk, start, frozen)
             if decided_at is not None:
                 return trie._simulation(cfg, chain, walk, decided_at)
         return None

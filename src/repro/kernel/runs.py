@@ -68,9 +68,10 @@ class PureSystemSimulator:
         :meth:`~repro.kernel.automaton.Automaton.copy_state` (transitions
         may mutate in place), once per process and fork.  States no side
         steps again are never copied; messages are immutable and shared.
-        Neither side observes the other's later steps: the simulation trie
-        stores forks (and un-forked chain tips) as snapshots and restores
-        from them, and the bounded explorer forks one successor per step.
+        Neither side observes the other's later steps: an extraction walk
+        (:mod:`repro.core.simtrie`) keeps a fork as its base and forks it
+        again to resume a rewound chain, and the bounded explorer forks one
+        successor per step.
         """
         twin = PureSystemSimulator.__new__(PureSystemSimulator)
         twin.automaton = self.automaton

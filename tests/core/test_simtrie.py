@@ -11,6 +11,7 @@ output quorum is justified by post-barrier samples only (no stale cached
 schedule leaks).
 """
 
+import gc
 import random
 
 import pytest
@@ -19,12 +20,13 @@ from repro.consensus.quorum_mr import QuorumMR
 from repro.core.dag import BalancedChainBuilder, Sample, SampleDAG, balanced_chain
 from repro.core.extraction import SigmaNuExtractor
 from repro.core import simtrie
-from repro.core.simtrie import IncrementalExtractionEngine, SimulationTrie
+from repro.core.simtrie import IncrementalExtractionEngine, SimulationTrie, _Walk
 from repro.detectors import Omega, PairedDetector, Sigma
 from repro.detectors.base import sample_history_cached
 from repro.harness.runner import random_pattern, run_extraction
 from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import CoalescingDelivery
+from repro.kernel.runs import PureSystemSimulator
 from repro.kernel.system import System
 from tests.core.reference_search import canonical_schedule, find_deciding_schedule
 
@@ -314,6 +316,125 @@ class TestDescentResumesAtPreservedPrefix:
         assert dict((t, start) for t, start, _ in starts)[25] == 0
 
 
+class _OneSubset:
+    """One subset's chain, queried the way the engine queries it: one
+    builder and one walk; each descent resumes at ``min(preserved,
+    walked, len(chain))`` and keeps the walk's base at the builder's
+    frozen prefix."""
+
+    def __init__(self, trie, proposals, target):
+        self.trie = trie
+        self.proposals = proposals
+        self.cfg = trie.config_index(proposals)
+        self.target = target
+        self.builder = BalancedChainBuilder()
+        self.walk = _Walk(trie.root)
+
+    def query(self, batch):
+        """Feed ``batch``, descend the chain; returns how the descent got
+        its simulator and whether it equals the from-scratch simulation."""
+        builder, walk, trie = self.builder, self.walk, self.trie
+        builder.extend(batch)
+        chain = list(builder.chain())
+        start = min(builder.preserved("r"), len(walk.nodes) - 1, len(chain))
+        frozen = min(builder.frozen(), len(chain))
+        tip = walk.tip[1] if walk.tip is not None else None
+        before = trie.counters.as_dict()
+        at = trie._descend(self.cfg, chain, self.target, walk, start, frozen)
+        after = trie.counters.as_dict()
+        if after["cached_results"] > before["cached_results"]:
+            how = "cache"
+        elif walk.tip[1] is tip:
+            how = "tip"
+        elif after["snapshot_restores"] > before["snapshot_restores"]:
+            how = "base"
+        else:
+            how = "root"
+        want = canonical_schedule(
+            trie.automaton, trie.n, self.proposals, chain, self.target
+        )
+        got = trie._simulation(self.cfg, chain, walk, at)
+        return how, sims_equal(got, want)
+
+
+def _sample(pid, k, *frontier):
+    # Leader 2 and a quorum of everyone: nobody decides before p2 steps.
+    return Sample(pid=pid, k=k, d=(2, frozenset({0, 1, 2})), frontier=frontier)
+
+
+class TestWalkRestorePaths:
+    """A descent takes the walk's tip in place while its chain still passes
+    the tip's node, else forks the walk's base, else starts at the root."""
+
+    def test_extend_rewind_extend_reset_barrier_move(self):
+        trie = SimulationTrie(QuorumMR(), 3)
+        proposals = {p: 0 for p in range(3)}
+        subset = _OneSubset(trie, proposals, target=0)
+        first = [
+            _sample(0, 1, 0, 0, 0), _sample(1, 1, 1, 0, 0),
+            _sample(0, 2, 1, 1, 0), _sample(0, 3, 2, 1, 0),
+        ]
+        extend = [_sample(0, 4, 3, 1, 0)]
+        # p1's next sample takes depth 4 from p0#3, below the tip at 5.
+        rewind = [
+            _sample(1, 2, 2, 1, 0), _sample(0, 5, 4, 2, 0),
+            _sample(1, 3, 5, 2, 0), _sample(0, 6, 5, 3, 0),
+            _sample(1, 4, 6, 3, 0),
+        ]
+        # p1 runs out after its first sample: the builder freezes the
+        # chain's first two samples, where the base waits.
+        assert subset.query(first) == ("root", True)
+        assert subset.query(extend) == ("tip", True)
+        # Another walk caches the rewound chain to depth 6, past the tip's
+        # depth, so only node identity tells the tip is off the path.
+        other = _OneSubset(trie, proposals, target=0)
+        assert other.query(first + extend + rewind[:3]) == ("root", True)
+        assert subset.query(rewind) == ("base", True)
+        assert subset.query(
+            [_sample(0, 7, 7, 4, 0), _sample(1, 5, 8, 4, 0)]
+        ) == ("tip", True)
+        # p2's first sample fits at depth 3: the builder starts over.
+        assert subset.query([_sample(2, 1, 1, 1, 0)]) == ("root", True)
+        assert subset.walk.base[1].steps_applied == subset.builder.frozen()
+        # A barrier move drops builders and walks; the first query of the
+        # fresh subset starts at the root.
+        subset = _OneSubset(trie, proposals, target=0)
+        assert subset.query(
+            [_sample(0, 2, 1, 1, 0), _sample(1, 2, 2, 1, 0)]
+        ) == ("root", True)
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_crashed_pid_pins_the_base(self, trial):
+        """p2 stops sampling: the builder's checkpoint, so the walk's base,
+        stays where p2's last sample entered the chain, and every later
+        rewind resumes from the tip or that base."""
+        rng = random.Random(trial)
+        n, crash = 3, 10
+        samples = [
+            s for s in random_dag_samples(rng, n, 120, quorum=[0, 1])
+            if s.pid != 2 or s.t < crash
+        ]
+        trie = SimulationTrie(QuorumMR(), n)
+        subset = _OneSubset(trie, {p: trial % 2 for p in range(n)}, target=0)
+        seen, frozen = [], []
+        i = 0
+        while i < len(samples):
+            batch = samples[i : i + rng.randint(2, 5)]
+            i += len(batch)
+            how, equal = subset.query(batch)
+            assert equal, i
+            seen.append(how)
+            if all(s.t >= crash for s in batch):
+                frozen.append(subset.builder.frozen())
+        assert len(set(frozen)) == 1, frozen
+        assert {"tip", "base"} <= set(seen), seen
+
+
+def live_simulators():
+    gc.collect()
+    return sum(isinstance(obj, PureSystemSimulator) for obj in gc.get_objects())
+
+
 class TestPinnedEngineWork:
     def test_ledger_trial_3_counters(self):
         """The engine's full work ledger on the extract_trie benchmark's
@@ -329,19 +450,74 @@ class TestPinnedEngineWork:
             min_outputs=1,
             trace="metrics",
         )
-        assert outcome.search_counters == {
+        counters = outcome.search_counters
+        assert counters == {
             "queries": 1246,
             "prefix_hits": 1106,
             "cached_results": 130,
             "known_failure_hits": 130,
             "steps_simulated": 3346,
-            "steps_replayed": 980,
-            "steps_from_cache": 7374,
+            "steps_replayed": 694,
+            "steps_from_cache": 7660,
             "subsets_tried": 1246,
-            "snapshots_stored": 1380,
-            "snapshot_restores": 1106,
+            "snapshots_stored": 672,
+            "snapshot_restores": 956,
             "nodes_created": 1673,
         }
+        # Every step a query asks for is simulated, replayed by a simulator
+        # (moving a base included) or served from the cache — exactly one.
+        assert (
+            counters["steps_simulated"]
+            + counters["steps_replayed"]
+            + counters["steps_from_cache"]
+        ) == 11700
+
+    def test_simulators_live_in_walks_only(self, monkeypatch):
+        """The memory bound is structural: after the trial-3 case no trie
+        node holds a simulator, no walk holds more than two, and those are
+        all the simulators left alive."""
+        engines = []
+        init = IncrementalExtractionEngine.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            engines.append(self)
+
+        monkeypatch.setattr(IncrementalExtractionEngine, "__init__", recording_init)
+        before = live_simulators()
+        pattern = random_pattern(5, random.Random(3), max_faulty=2)
+        run_extraction(
+            QuorumMR(),
+            PairedDetector(Omega(), Sigma("pivot")),
+            pattern,
+            seed=3,
+            max_steps=2500,
+            min_outputs=1,
+            trace="metrics",
+        )
+        assert len(engines) == 5
+        walks = held = 0
+        for engine in engines:
+            stack = [engine.trie.root]
+            while stack:
+                node = stack.pop()
+                for slot in simtrie._Node.__slots__:
+                    value = getattr(node, slot)
+                    assert not any(
+                        isinstance(v, PureSystemSimulator) for v in value.values()
+                    ), slot
+                stack.extend(node.children.values())
+            for walk in engine._walks.values():
+                sims = [
+                    pair[1]
+                    for pair in (walk.tip, walk.base)
+                    if pair is not None
+                ]
+                assert all(isinstance(s, PureSystemSimulator) for s in sims)
+                walks += 1
+                held += len(sims)
+        assert walks and held
+        assert live_simulators() - before == held <= 2 * walks
 
 
 class TestEngineAcrossTargets:

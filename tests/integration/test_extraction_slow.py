@@ -1,13 +1,14 @@
 """Large-n extraction smoke (``pytest -m slow``).
 
-Excluded from the default run (see ``pyproject.toml``); CI runs it as a
-blocking job of its own.  The point is scale, not new properties: at n=7 the
-chains are far longer than in the n<=4 tier-1 cases, so this exercises the
-trie's cache depth and snapshot machinery well past what the fast suite
-reaches — and still demands a valid Sigma^nu history.  The search runs in
-its single-attempt mode (``minimize_participants=False``): with pivot
-quorums averaging ~n/2 members, minimizing over all small subsets at n=7
-mostly simulates chains that cannot cover any quorum.
+Excluded from the default run (see ``pyproject.toml``); CI runs it in a
+blocking job next to the full EXP-3 reference table.  The point is scale,
+not new properties: at n=7 the chains are far longer than in the n<=4
+tier-1 cases, so this exercises the trie's cache depth and the walks' tip
+and base simulators well past what the fast suite reaches — and still
+demands a valid Sigma^nu history.  The search runs in its single-attempt
+mode (``minimize_participants=False``): with pivot quorums averaging ~n/2
+members, minimizing over all small subsets at n=7 mostly simulates chains
+that cannot cover any quorum.
 """
 
 import random

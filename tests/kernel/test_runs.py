@@ -160,30 +160,40 @@ class TestFork:
         twin.apply_step(lam(0))
         assert automaton.copies == 6
 
-    def test_trie_tip_snapshot_survives_restores(self):
-        """The trie stores an undecided chain's tip without forking it;
-        later queries fork from it, so the stored tip never changes."""
+    def test_walk_base_survives_restores(self):
+        """A walk keeps its base simulator at the chain's frozen prefix.
+        Every query whose chain diverges below the walk's tip forks the
+        base, so the base's configuration never changes."""
         from repro.core.dag import Sample
-        from repro.core.simtrie import SimulationTrie
+        from repro.core.simtrie import SimulationTrie, _Walk
 
-        n = 3
-        path = [
-            Sample(pid=i % n, k=i // n + 1, d=i, frontier=(0,) * n, t=i)
-            for i in range(12)
-        ]
+        n, frozen = 3, 4
+
+        def chain(pids):
+            counts = [0] * n
+            out = []
+            for t, pid in enumerate(pids):
+                counts[pid] += 1
+                key = (pid, counts[pid])
+                out.append(Sample(pid=pid, k=key[1], d=key, frontier=(0,) * n, t=t))
+            return out
+
+        prefix = [0, 1, 2, 0]
         trie = SimulationTrie(CountingChatter(), n)
-        proposals = {p: p for p in range(n)}
-        cfg = trie.config_index(proposals)
-        tips = []
-        for end in (5, 7, 12):
-            trie.simulate(proposals, path[:end])
-            for tip, before in tips:
-                assert configuration(tip) == before
-            node = trie.root
-            for sample in path[:end]:
-                node = node.children[sample.key]
-            tips.append((node.snaps[cfg], configuration(node.snaps[cfg])))
-        assert trie.counters.snapshot_restores == 2
+        cfg = trie.config_index({p: p for p in range(n)})
+        walk = _Walk(trie.root)
+        trie._descend(cfg, chain(prefix + [1, 2, 0, 1]), None, walk, 0, frozen)
+        node, base = walk.base
+        assert base.steps_applied == frozen
+        before = configuration(base)
+        for tail in ([2, 1, 1, 0], [0, 0, 2], [1, 1, 2, 2, 0]):
+            tip = walk.tip[1]
+            trie._descend(cfg, chain(prefix + tail), None, walk, frozen, frozen)
+            assert walk.tip[1] is not tip and walk.tip[1] is not base
+            assert walk.base == (node, base)
+            assert configuration(base) == before
+        assert trie.counters.snapshot_restores == 3
+        assert trie.counters.snapshots_stored == 1
 
 
 def build_run(n=2, steps=None, times=None, pattern=None, history=null_history):
