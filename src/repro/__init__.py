@@ -78,7 +78,6 @@ from repro.kernel import (
     Step,
     System,
 )
-from repro.kernel.failures import DeferredCrashPattern
 from repro.kernel.messages import CoalescingDelivery
 from repro.registers import (
     RegisterClient,
@@ -104,7 +103,6 @@ __all__ = [
     "ConsensusOutcome",
     "DagBuilder",
     "DagCore",
-    "DeferredCrashPattern",
     "Environment",
     "FailurePattern",
     "FloodSetPerfect",

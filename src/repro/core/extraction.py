@@ -23,6 +23,7 @@ full Sigma (Theorem 5.8); only the checker changes.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Generator, List, Mapping, Optional, Tuple
 
@@ -195,19 +196,17 @@ class SigmaNuExtractor(Process):
             # (steps, decisions, snapshots) differ.
             if obslib._ENABLED:
                 obslib.metrics().inc("extract.search_ticks")
-                with obslib.tracer().span(
+            with (
+                obslib.tracer().span(
                     "extract.search_tick",
                     tick=obs.time,
                     pid=ctx.pid,
                     dag=len(core.dag),
                     fresh=len(fresh),
-                ):
-                    for index, proposals in ((0, proposals0), (1, proposals1)):
-                        if cached[index] is None:
-                            cached[index] = self._find(
-                                proposals, fresh, ctx.pid, barrier
-                            )
-            else:
+                )
+                if obslib._ENABLED
+                else nullcontext()
+            ):
                 for index, proposals in ((0, proposals0), (1, proposals1)):
                     if cached[index] is None:
                         cached[index] = self._find(

@@ -18,7 +18,6 @@ The routing rule
 
 * ``automaton`` is exactly a ``QuorumMR`` or ``NaiveSigmaNuConsensus``
   (subclasses may override the hooks the loop inlines);
-* ``pattern`` is a plain :class:`~repro.kernel.failures.FailurePattern`;
 * ``scheduler`` is ``None`` or a ``("random-fair", max_gap)`` spec and
   ``delivery`` is ``None`` or a ``("fair-random", lambda_prob, max_age)``
   spec;
@@ -138,8 +137,6 @@ def _route(spec: LaneSpec):
         return "obs-enabled", None
     if type(spec.automaton) not in (QuorumMR, NaiveSigmaNuConsensus):
         return "automaton", None
-    if type(spec.pattern) is not FailurePattern:
-        return "pattern", None
     if spec.scheduler is not None and spec.scheduler[0] != "random-fair":
         return "scheduler", None
     if spec.delivery is not None and spec.delivery[0] != "fair-random":

@@ -57,6 +57,20 @@ class FailurePattern:
         """A pattern in which ``crashed`` are down from time 0 onwards."""
         return cls(n, {p: 0 for p in crashed})
 
+    def crashing(self, processes: Iterable[int], t: int) -> "FailurePattern":
+        """This pattern with ``processes`` also crashing at time ``t``.
+
+        A process that already crashes keeps its own time.  Scenario drivers
+        pick crash times while the run goes (:meth:`System.crash
+        <repro.kernel.system.System.crash>`); the pattern a finished run
+        exhibited is its live pattern with the still-doomed processes
+        crashing just past the horizon.
+        """
+        times = dict(self._crash_times)
+        for p in processes:
+            times.setdefault(p, t)
+        return FailurePattern(self._n, times)
+
     # ------------------------------------------------------------------
     # The function F
     # ------------------------------------------------------------------
@@ -154,83 +168,3 @@ class FailurePattern:
         )
         return f"FailurePattern(n={self._n}, crashes=[{crashes}])"
 
-
-class DeferredCrashPattern:
-    """A failure pattern whose crash *times* are fixed during the run.
-
-    Scenario drivers (the Section 6.3 contamination run, the Theorem 7.1
-    partition adversary) know upfront *which* processes are faulty but decide
-    *when* to crash them based on how the run unfolds.  Formally the run they
-    produce has an ordinary failure pattern — obtained post hoc via
-    :meth:`freeze` — this class merely lets the driver pick the crash times
-    online.
-
-    ``doomed`` processes are alive until :meth:`trigger` is called for them;
-    everything else mirrors :class:`FailurePattern`.
-    """
-
-    def __init__(self, n: int, doomed: Iterable[int]):
-        self._n = n
-        self._doomed = frozenset(doomed)
-        for p in self._doomed:
-            if not 0 <= p < n:
-                raise ValueError(f"unknown process {p}")
-        self._crash_times: Dict[int, int] = {}
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def processes(self) -> range:
-        return range(self._n)
-
-    @property
-    def faulty(self) -> FrozenSet[int]:
-        return self._doomed
-
-    @property
-    def correct(self) -> FrozenSet[int]:
-        return frozenset(p for p in range(self._n) if p not in self._doomed)
-
-    def trigger(self, processes: Iterable[int], t: int) -> None:
-        """Crash the given doomed processes at time ``t`` (idempotent)."""
-        for p in processes:
-            if p not in self._doomed:
-                raise ValueError(f"process {p} was not declared doomed")
-            self._crash_times.setdefault(p, t)
-
-    def trigger_all(self, t: int) -> None:
-        self.trigger(self._doomed, t)
-
-    def is_crashed(self, p: int, t: int) -> bool:
-        ct = self._crash_times.get(p)
-        return ct is not None and ct <= t
-
-    def is_alive(self, p: int, t: int) -> bool:
-        return not self.is_crashed(p, t)
-
-    def alive_at(self, t: int) -> FrozenSet[int]:
-        return frozenset(p for p in range(self._n) if not self.is_crashed(p, t))
-
-    def crashed_at(self, t: int) -> FrozenSet[int]:
-        return frozenset(p for p in range(self._n) if self.is_crashed(p, t))
-
-    def crash_time(self, p: int) -> Optional[int]:
-        return self._crash_times.get(p)
-
-    @property
-    def last_crash_time(self) -> int:
-        return max(self._crash_times.values(), default=0)
-
-    def freeze(self, horizon: int) -> FailurePattern:
-        """The ordinary pattern this run exhibited.
-
-        Doomed processes not yet crashed are assigned ``horizon + 1`` (they
-        crash right after everything observed; any time past the horizon
-        yields the same finite run).
-        """
-        times = dict(self._crash_times)
-        for p in self._doomed:
-            times.setdefault(p, horizon + 1)
-        return FailurePattern(self._n, times)

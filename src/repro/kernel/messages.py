@@ -299,48 +299,34 @@ class BlockingPolicy(DeliveryPolicy):
     """Wrap a policy, holding back messages matching a predicate.
 
     Used to build the delayed-link scenarios of Theorem 7.1 (messages across
-    a partition are withheld until a release time) and the contamination
-    scenario of Section 6.3.  ``release_time`` is a global time; messages
-    matching ``blocked`` are invisible to the inner policy before it.
+    a partition are withheld until the driver opens the links) and the
+    lost-write scenario of the register counterexample.  Messages matching
+    ``blocked`` are invisible to the inner policy until :meth:`release`.
 
     A blocking policy violates property (7) only if blocked messages to
     correct processes are never released; scenario drivers always release.
     """
 
-    def __init__(
-        self,
-        inner: DeliveryPolicy,
-        blocked: Callable[[Message], bool],
-        release_time: Optional[int] = None,
-    ):
+    def __init__(self, inner: DeliveryPolicy, blocked: Callable[[Message], bool]):
         self.inner = inner
         self.blocked = blocked
-        self.release_time = release_time
-        self._now = 0
+        self._released = False
 
-    def set_now(self, now: int) -> None:
-        self._now = now
-
-    def release(self, now: Optional[int] = None) -> None:
-        """Lift the block from now on."""
-        self.release_time = self._now if now is None else now
-
-    def _is_blocked(self, message: Message) -> bool:
-        if self.release_time is not None and self._now >= self.release_time:
-            return False
-        return self.blocked(message)
+    def release(self) -> None:
+        """Open the links: every step from the next one on sees all messages."""
+        self._released = True
 
     def choose(self, buffer, dest, dest_step_index, rng):
-        entries = [
-            e for e in buffer.entries_for(dest) if not self._is_blocked(e.message)
-        ]
+        entries = buffer.entries_for(dest)
+        if not self._released:
+            entries = [e for e in entries if not self.blocked(e.message)]
         if not entries:
             return None
         view = _FilteredBufferView(entries)
         return self.inner.choose(view, dest, dest_step_index, rng)  # type: ignore[arg-type]
 
     def ensures_eventual_delivery(self) -> bool:
-        return self.release_time is not None
+        return self._released
 
 
 class _FilteredBufferView:

@@ -18,6 +18,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     NamedTuple,
@@ -167,33 +168,44 @@ class System:
             p: processes[p].initial_output() for p in range(self.n)
         }
         # Resolve step dispatch once.  The history accessor is either a
-        # History object (``.value``) or a plain callable; the delivery's
-        # clock hook exists only on time-aware policies; the alive-set
-        # timeline is precomputable only for immutable patterns
-        # (DeferredCrashPattern mutates mid-run and stays on the slow path).
+        # History object (``.value``) or a plain callable.
         self._history_fn: Callable[[int, int], Any] = (
             history.value if hasattr(history, "value") else history
         )
-        self._set_now = getattr(self.delivery, "set_now", None)
         self._next_process = self.scheduler.next_process
         self._note_dest_step = self.buffer.note_dest_step
         self._choose = self.delivery.choose
         self._deliver = self.buffer.deliver
         self._send = self.buffer.send
-        epochs_fn = getattr(pattern, "alive_epochs", None)
-        if callable(epochs_fn):
-            self._epochs: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = (
-                tuple(epochs_fn())
-            )
-            self._epoch_idx = 0
-            self._alive_now: Tuple[int, ...] = self._epochs[0][1]
-            self._next_epoch_at: Optional[int] = (
-                self._epochs[1][0] if len(self._epochs) > 1 else None
-            )
-        else:
-            self._epochs = None
-            self._alive_now = ()
-            self._next_epoch_at = None
+        self._seat_epochs()
+
+    def _seat_epochs(self) -> None:
+        """Point the crash-epoch cursor at the epoch of ``self.time``.
+
+        Between crash times the alive tuple is a constant, so the step
+        loop reads it from ``pattern.alive_epochs()`` by a cursor instead
+        of rebuilding the alive set every step.
+        """
+        epochs = self._epochs = self.pattern.alive_epochs()
+        idx = 0
+        while idx + 1 < len(epochs) and epochs[idx + 1][0] <= self.time:
+            idx += 1
+        self._epoch_idx = idx
+        self._alive_now: Tuple[int, ...] = epochs[idx][1]
+        self._next_epoch_at: Optional[int] = (
+            epochs[idx + 1][0] if idx + 1 < len(epochs) else None
+        )
+
+    def crash(self, processes: Iterable[int]) -> None:
+        """Crash ``processes`` now: none of them takes another step.
+
+        Scenario drivers pick crash times as the run unfolds and call this
+        between steps.  The pattern becomes
+        ``pattern.crashing(processes, self.time)``; a process that already
+        crashes keeps its own time.
+        """
+        self.pattern = self.pattern.crashing(processes, self.time)
+        self._seat_epochs()
 
     # ------------------------------------------------------------------
     # Stepping
@@ -209,8 +221,6 @@ class System:
         """
         record_trace = self._record_trace
         epochs = self._epochs
-        alive_at = self.pattern.alive_at
-        set_now = self._set_now
         next_process = self._next_process
         sched_rng = self._sched_rng
         buffer = self.buffer
@@ -229,10 +239,7 @@ class System:
         next_epoch_at = self._next_epoch_at
         taken = 0
         while taken < budget:
-            if epochs is None:
-                # Mutable pattern (DeferredCrashPattern): ask it every step.
-                alive = tuple(sorted(alive_at(t)))
-            elif next_epoch_at is not None and t >= next_epoch_at:
+            if next_epoch_at is not None and t >= next_epoch_at:
                 # Crash-epoch cursor: between crash times the alive tuple
                 # is a constant.
                 idx = self._epoch_idx
@@ -247,8 +254,6 @@ class System:
                 self._next_epoch_at = next_epoch_at
             if not alive:
                 break
-            if set_now is not None:
-                set_now(t)
             pid = next_process(alive, t, sched_rng)
             if pid is None:
                 break

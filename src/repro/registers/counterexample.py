@@ -29,7 +29,7 @@ from typing import List, Optional
 
 from repro.detectors.base import FunctionalHistory
 from repro.detectors.checkers import CheckResult, check_sigma, check_sigma_nu
-from repro.kernel.failures import DeferredCrashPattern, FailurePattern
+from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import BlockingPolicy, FairRandomDelivery
 from repro.kernel.scheduler import RoundRobinScheduler, ScriptedScheduler
 from repro.kernel.system import System
@@ -72,7 +72,6 @@ def _history(uniform: bool) -> FunctionalHistory:
 
 def run_lost_write_scenario(seed: int = 0, max_steps: int = 8000) -> LostWriteReport:
     """Drive the Σν lost-write run and validate every moving part."""
-    pattern = DeferredCrashPattern(3, doomed=[0])
     history = _history(uniform=False)
     blocking = BlockingPolicy(
         inner=FairRandomDelivery(),
@@ -86,7 +85,7 @@ def run_lost_write_scenario(seed: int = 0, max_steps: int = 8000) -> LostWriteRe
     scheduler = ScriptedScheduler([0] * max_steps, fallback=RoundRobinScheduler())
     system = System(
         processes,
-        pattern,
+        FailurePattern(3),
         history,
         scheduler=scheduler,
         delivery=blocking,
@@ -98,7 +97,7 @@ def run_lost_write_scenario(seed: int = 0, max_steps: int = 8000) -> LostWriteRe
     for _ in range(max_steps):
         if processes[0].records:
             crash_time = system.time
-            pattern.trigger([0], crash_time)
+            system.crash([0])
             break
         if system.step() is None:
             break
@@ -111,7 +110,7 @@ def run_lost_write_scenario(seed: int = 0, max_steps: int = 8000) -> LostWriteRe
             break
 
     # Phase 3: open the links (reliability) and let the system settle.
-    blocking.release(system.time)
+    blocking.release()
     for _ in range(600):
         system.step()
 
@@ -128,7 +127,7 @@ def run_lost_write_scenario(seed: int = 0, max_steps: int = 8000) -> LostWriteRe
     )
 
     horizon = max(0, system.time - 1)
-    frozen = pattern.freeze(horizon)
+    frozen = system.pattern.crashing([0], horizon + 1)
     sigma_nu_check = check_sigma_nu(history, frozen, horizon)
     sigma_check = check_sigma(history, frozen, horizon)
 

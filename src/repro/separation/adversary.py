@@ -30,7 +30,7 @@ from typing import Any, Callable, FrozenSet, List, Optional, Tuple
 
 from repro.detectors.base import FunctionalHistory
 from repro.kernel.automaton import Process
-from repro.kernel.failures import DeferredCrashPattern, FailurePattern
+from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import BlockingPolicy, PerSenderFifoDelivery
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.kernel.system import System
@@ -156,14 +156,13 @@ def run_partition_adversary(
     # Run R': B correct, cross-partition traffic blocked until A replays
     # its R behaviour, then A crashes and the links open.
     # ------------------------------------------------------------------
-    pattern_r2 = DeferredCrashPattern(n, doomed=part_a)
     blocking = BlockingPolicy(
         inner=PerSenderFifoDelivery(),
         blocked=lambda m: (m.sender in part_a) != (m.dest in part_a),
     )
     system_r2 = System(
         processes={p: factory(p) for p in range(n)},
-        pattern=pattern_r2,
+        pattern=FailurePattern(n),
         history=history,
         scheduler=RoundRobinScheduler(),
         delivery=blocking,
@@ -200,9 +199,8 @@ def run_partition_adversary(
         notes.append("A-side output prefixes differ between R and R'")
 
     # Crash A now and open the partition: B must reach completeness alone.
-    t_star = system_r2.time
-    pattern_r2.trigger_all(t_star)
-    blocking.release(t_star)
+    system_r2.crash(part_a)
+    blocking.release()
 
     def b_contained_output(system: System) -> Optional[Tuple[int, int, FrozenSet[int]]]:
         for p in sorted(part_b):

@@ -19,9 +19,10 @@ Against A_nuc, under the same history family, the LEAD message from 2
 carries a quorum history showing ``{2}``, which misses ``{0} ∈ H[0]``; both
 correct processes *distrust* 2, refuse the estimate, and decide ``v``.
 
-The driver uses adaptive histories and a deferred crash (the formal pattern
-and histories are frozen afterwards and re-validated by the independent
-checkers), so the scenario is a genuine admissible run, not a hand-wave.
+The driver uses adaptive histories and crashes process 2 mid-run (the
+formal pattern and histories are frozen afterwards and re-validated by the
+independent checkers), so the scenario is a genuine admissible run, not a
+hand-wave.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.detectors.checkers import (
     project_history,
 )
 from repro.kernel.automaton import AutomatonProcess
-from repro.kernel.failures import DeferredCrashPattern, FailurePattern
+from repro.kernel.failures import FailurePattern
 from repro.kernel.system import System
 
 V, W = "v", "w"
@@ -75,10 +76,10 @@ class ContaminationReport:
 class _ScenarioDriver:
     """Adaptive (Omega, Sigma^nu) strategy + crash trigger for the scenario."""
 
-    def __init__(self, algorithm: str, processes: Dict[int, Any], pattern: DeferredCrashPattern):
+    def __init__(self, algorithm: str, processes: Dict[int, Any]):
         self.algorithm = algorithm
         self.processes = processes
-        self.pattern = pattern
+        self.crash_time: Optional[int] = None
 
     # -- probes --------------------------------------------------------
 
@@ -119,7 +120,7 @@ class _ScenarioDriver:
             return frozenset([0])
         if p == 2:
             return frozenset([2])
-        if self.pattern.is_crashed(2, t):
+        if self.crash_time is not None and self.crash_time <= t:
             return frozenset([0, 1])
         return frozenset([0, 1, 2])
 
@@ -140,25 +141,23 @@ def run_contamination_scenario(
     if algorithm not in ("naive", "anuc"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
-    pattern = DeferredCrashPattern(3, doomed=[2])
     automaton = NaiveSigmaNuConsensus() if algorithm == "naive" else AnucAutomaton()
     processes = {p: AutomatonProcess(automaton, PROPOSALS[p]) for p in range(3)}
 
-    driver = _ScenarioDriver(algorithm, processes, pattern)
+    driver = _ScenarioDriver(algorithm, processes)
     history = AdaptiveHistory(3, driver.detector_value)
     system = System(
         processes=processes,
-        pattern=pattern,
+        pattern=FailurePattern(3),
         history=history,
         seed=seed,
     )
 
-    crash_time: Optional[int] = None
     cooldown: Optional[int] = None
     for _ in range(max_steps):
-        if crash_time is None and driver.should_crash_two():
-            crash_time = system.time
-            pattern.trigger([2], crash_time)
+        if driver.crash_time is None and driver.should_crash_two():
+            driver.crash_time = system.time
+            system.crash([2])
         decided = (
             system.contexts[0].decision is not None
             and system.contexts[1].decision is not None
@@ -179,7 +178,7 @@ def run_contamination_scenario(
 
     result = system.result(stop_reason="scenario")
     horizon = max(0, system.time - 1)
-    frozen = pattern.freeze(horizon)
+    frozen = system.pattern.crashing([2], horizon + 1)
     outcome = ConsensusOutcome(
         n=3,
         pattern=frozen,
@@ -205,7 +204,7 @@ def run_contamination_scenario(
         pattern=frozen,
         agreement=agreement,
         contaminated=not agreement.ok,
-        crash_time=crash_time,
+        crash_time=driver.crash_time,
         omega_check=omega_check,
         sigma_check=sigma_check,
         distrust_events=distrust,

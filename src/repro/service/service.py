@@ -254,12 +254,12 @@ class ConsensusService:
 
     async def _batcher(self) -> None:
         while True:
-            first = await self._intake.get()
-            # Wait for an inflight slot before draining the queue: holding
-            # a full batch outside the queue would free queue slots early
-            # and silently extend intake capacity beyond queue_depth.
+            # Wait for an inflight slot before taking anything off the
+            # queue: a submitted command is then always in the queue or in
+            # flight, and queue_depth alone bounds intake.
             while len(self._inflight) >= self.config.max_inflight:
                 await self.clock.sleep_ticks(1)  # pipelining bound
+            first = await self._intake.get()
             batch = [first]
             while len(batch) < self.config.batch_size:
                 try:
@@ -297,7 +297,10 @@ class ConsensusService:
                 self.stats["refeeds"] += self.core.refeed_pending(
                     list(self._inflight.values())
                 )
-            if self.core.has_work():
+            # An inflight batch needs time to move even when no alive
+            # replica holds it: a crash or a leader change still to come
+            # refeeds it.
+            if self._inflight or self.core.has_work():
                 if obs._ENABLED:
                     with obs.tracer().span(
                         "service.kernel", tick=tick

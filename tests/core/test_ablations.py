@@ -18,7 +18,7 @@ from repro.consensus import check_nonuniform_consensus, consensus_outcome
 from repro.core.nuc import AnucAutomaton
 from repro.detectors import AdaptiveHistory, Omega, PairedDetector, SigmaNuPlus
 from repro.kernel.automaton import AutomatonProcess
-from repro.kernel.failures import DeferredCrashPattern, FailurePattern
+from repro.kernel.failures import FailurePattern
 from repro.kernel.system import System
 from repro.separation.contamination import PROPOSALS, _ScenarioDriver
 
@@ -30,16 +30,14 @@ def anuc_processes(proposals, **flags):
 
 def run_scenario_with(processes, seed=0, max_steps=30000):
     """Drive the Section 6.3 scenario against given A_nuc-family processes."""
-    pattern = DeferredCrashPattern(3, doomed=[2])
-    driver = _ScenarioDriver("anuc", processes, pattern)
+    driver = _ScenarioDriver("anuc", processes)
     history = AdaptiveHistory(3, driver.detector_value)
-    system = System(processes, pattern, history, seed=seed)
+    system = System(processes, FailurePattern(3), history, seed=seed)
 
-    crash_time = None
     for _ in range(max_steps):
-        if crash_time is None and driver.should_crash_two():
-            crash_time = system.time
-            pattern.trigger([2], crash_time)
+        if driver.crash_time is None and driver.should_crash_two():
+            driver.crash_time = system.time
+            system.crash([2])
         if (
             system.contexts[0].decision is not None
             and system.contexts[1].decision is not None
@@ -47,7 +45,7 @@ def run_scenario_with(processes, seed=0, max_steps=30000):
             break
         if system.step() is None:
             break
-    return system, crash_time
+    return system, driver.crash_time
 
 
 class TestDistrustAblation:
@@ -61,7 +59,6 @@ class TestDistrustAblation:
         from 2 and decides 'w' — a nonuniform-agreement violation that real
         A_nuc's distrust provably prevents (previous test family)."""
         processes = anuc_processes(PROPOSALS, enable_distrust=False)
-        pattern = DeferredCrashPattern(3, doomed=[2])
         system_box = {}
 
         class Driver(_ScenarioDriver):
@@ -77,9 +74,9 @@ class TestDistrustAblation:
                 )
                 return 2 if window else 0
 
-        driver = Driver("anuc", processes, pattern)
+        driver = Driver("anuc", processes)
         history = AdaptiveHistory(3, driver.detector_value)
-        system = System(processes, pattern, history, seed=0)
+        system = System(processes, FailurePattern(3), history, seed=0)
         system_box["system"] = system
         for _ in range(60000):
             if (

@@ -21,14 +21,13 @@ from repro.core.nuc import AnucAutomaton
 from repro.detectors import AdaptiveHistory, check_omega, check_sigma_nu_plus
 from repro.detectors.checkers import project_history
 from repro.kernel.automaton import AutomatonProcess
-from repro.kernel.failures import DeferredCrashPattern
+from repro.kernel.failures import FailurePattern
 from repro.kernel.system import System
 
 PROPOSALS = {0: "v", 1: "v", 2: "w"}
 
 
 def build_run(seed=0, max_steps=40000):
-    pattern = DeferredCrashPattern(3, doomed=[2])
     processes = {
         p: AutomatonProcess(AnucAutomaton(), PROPOSALS[p]) for p in range(3)
     }
@@ -39,15 +38,15 @@ def build_run(seed=0, max_steps=40000):
         return (0, frozenset({0, 1}))
 
     history = AdaptiveHistory(3, value)
-    system = System(processes, pattern, history, seed=seed)
+    system = System(processes, FailurePattern(3), history, seed=seed)
     for _ in range(max_steps):
         if all(system.contexts[p].decision is not None for p in range(3)):
             break
         if system.step() is None:
             break
     horizon = max(0, system.time - 1)
-    pattern.trigger([2], horizon + 1)  # crashes right past the run
-    return system, pattern.freeze(horizon), history, horizon
+    # 2 is faulty: it crashes right past the run.
+    return system, system.pattern.crashing([2], horizon + 1), history, horizon
 
 
 @pytest.fixture(scope="module")

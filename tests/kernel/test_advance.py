@@ -4,8 +4,11 @@
 so what could go wrong is state carried across burst boundaries: the
 crash-epoch cursor, the clock, the RNG streams, the buffer.  Two systems
 built alike, one advanced in uneven bursts and one stepped one at a time,
-must agree on all of it after every burst.  ``run()`` is pinned against
-fingerprints taken from the per-step loop it replaced.
+must agree on all of it after every burst, also when a driver crashes
+processes (:meth:`System.crash`) or opens blocked links between steps.
+A crash made mid-run must equal the same crash fixed in the pattern from
+the start.  ``run()`` is pinned against fingerprints taken from the
+per-step loop it replaced.
 """
 
 import hashlib
@@ -16,36 +19,75 @@ import pytest
 from repro.consensus.quorum_mr import QuorumMR
 from repro.detectors import Omega, PairedDetector, Sigma
 from repro.kernel.automaton import AutomatonProcess
-from repro.kernel.failures import DeferredCrashPattern, FailurePattern
+from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import BlockingPolicy, FairRandomDelivery
 from repro.kernel.system import STEP_TAKEN, System, all_correct_decided
+from tests.core.reference_nuc import AnucProcess
 
 BURSTS = [1, 7, 0, 33, 2, 100, 5, 1, 64, 300]
 
 
-def build(crashes, trace="full", n=4, seed=5, deferred=False, blocking=False):
+def build(
+    crashes, trace="full", n=4, seed=5, live=None, blocking=False,
+    coroutine=False,
+):
+    """A QuorumMR system (the coroutine reference A_nuc if ``coroutine``).
+
+    The history is sampled for ``crashes``.  The crashes named in ``live``
+    are left out of the system's pattern, for the driver to make with
+    :meth:`System.crash`.
+    """
     frozen = FailurePattern(n, crashes)
     detector = PairedDetector(Omega(), Sigma("pivot"))
     history = detector.sample_history(frozen, random.Random(seed))
-    if deferred:
-        # The no-epochs path: the system asks the pattern every step.
-        pattern = DeferredCrashPattern(n, crashes)
-        for p, t in crashes.items():
-            pattern.trigger([p], t)
-    else:
-        pattern = frozen
+    pattern = FailurePattern(
+        n, {p: t for p, t in crashes.items() if p not in (live or ())}
+    )
     delivery = None
     if blocking:
-        # The set_now path: the policy reads the clock the loop hands it.
         delivery = BlockingPolicy(
-            FairRandomDelivery(),
-            blocked=lambda m: m.sender == 0 and m.dest != 0,
-            release_time=90,
+            FairRandomDelivery(), blocked=lambda m: m.sender == 0 and m.dest != 0
         )
-    processes = {p: AutomatonProcess(QuorumMR(), p % 2) for p in range(n)}
+    if coroutine:
+        processes = {p: AnucProcess(p % 2) for p in range(n)}
+    else:
+        processes = {p: AutomatonProcess(QuorumMR(), p % 2) for p in range(n)}
     return System(
         processes, pattern, history, delivery=delivery, seed=seed, trace=trace
     )
+
+
+def events_of(crashes, live=None, release_at=None):
+    """``{time: action}``: the live crashes, and the release of the links."""
+    events = {}
+    for p in live or ():
+        events.setdefault(crashes[p], []).append(lambda s, p=p: s.crash([p]))
+    if release_at is not None:
+        events.setdefault(release_at, []).append(lambda s: s.delivery.release())
+    return events
+
+
+def fire(system, events):
+    for action in events.get(system.time, ()):
+        action(system)
+
+
+def advance(system, size, events):
+    """``advance(size)``, split only where an event falls due."""
+    taken = 0
+    while True:
+        fire(system, events)
+        due = [t for t in events if system.time < t < system.time + size - taken]
+        burst = (min(due) - system.time) if due else size - taken
+        got = system.advance(burst)
+        taken += got
+        if got < burst or not due:
+            return taken
+
+
+def step(system, events):
+    fire(system, events)
+    return system.step()
 
 
 def observable_state(system):
@@ -78,23 +120,63 @@ CONFIGS = {
     "full": dict(crashes={3: 40}),
     "metrics": dict(crashes={3: 40}, trace="metrics"),
     "crash-epochs-inside-bursts": dict(crashes={1: 9, 4: 23, 2: 23}, n=5),
-    "blocking-policy": dict(crashes={3: 40}, blocking=True),
+    "blocking-policy": dict(crashes={3: 40}, blocking=True, release_at=90),
     "blocking-policy-metrics": dict(
-        crashes={3: 40}, blocking=True, trace="metrics"
+        crashes={3: 40}, blocking=True, release_at=90, trace="metrics"
     ),
-    "deferred-pattern": dict(crashes={3: 25, 0: 130}, deferred=True),
+    "deferred-pattern": dict(crashes={3: 25, 0: 130}, live=(3, 0)),
+    "deferred-pattern-coroutine": dict(
+        crashes={3: 25, 0: 130}, live=(3, 0), coroutine=True
+    ),
 }
+
+
+def split(config):
+    config = dict(config)
+    release_at = config.pop("release_at", None)
+    return config, events_of(config["crashes"], config.get("live"), release_at)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_bursts_equal_single_steps(name):
-    burst, single = build(**CONFIGS[name]), build(**CONFIGS[name])
+    config, events = split(CONFIGS[name])
+    burst, single = build(**config), build(**config)
     for size in BURSTS:
-        assert burst.advance(size) == size
+        assert advance(burst, size, events) == size
         for _ in range(size):
-            assert single.step() is not None
+            assert step(single, events) is not None
         assert observable_state(burst) == observable_state(single), size
     assert burst.time == sum(BURSTS)
+
+
+@pytest.mark.parametrize("coroutine", [False, True], ids=["automaton", "coroutine"])
+@pytest.mark.parametrize("trace", ["full", "metrics"])
+@pytest.mark.parametrize("bursts", [False, True], ids=["steps", "bursts"])
+def test_crash_mid_run_equals_crash_in_pattern(coroutine, trace, bursts):
+    crashes = {1: 9, 3: 40, 2: 40, 0: 170}
+    kwargs = dict(crashes=crashes, n=5, trace=trace, coroutine=coroutine)
+    upfront = build(**kwargs)
+    live = build(live=(1, 3, 2), **kwargs)
+    events = events_of(crashes, live=(1, 3, 2))
+    for size in BURSTS:
+        upfront.advance(size)
+        if bursts:
+            advance(live, size, events)
+        else:
+            for _ in range(size):
+                step(live, events)
+    assert live.pattern == upfront.pattern
+    assert live.result() == upfront.result()
+    assert observable_state(live) == observable_state(upfront)
+
+
+def test_crash_of_a_crashed_process_keeps_its_time():
+    system = build({3: 40})
+    system.advance(60)
+    system.crash([3, 1])
+    assert system.pattern == FailurePattern(4, {3: 40, 1: 60})
+    assert system.advance(40) == 40
+    assert {s.pid for s in system.steps[60:]} == {0, 2}
 
 
 def test_step_keeps_its_return_contract():

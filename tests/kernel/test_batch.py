@@ -28,7 +28,7 @@ from repro.detectors import (
 from repro.detectors.base import FunctionalHistory, sample_history_cached
 from repro.kernel.automaton import AutomatonProcess
 from repro.kernel.batch import BatchSystem, LaneSpec, probe_spec
-from repro.kernel.failures import DeferredCrashPattern, FailurePattern
+from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import build_delivery
 from repro.kernel.scheduler import RoundRobinScheduler, build_scheduler
 from repro.kernel.system import System, all_correct_decided
@@ -328,23 +328,6 @@ class TestCapabilityProbeAndFallback:
         )
         got = self._assert_interpreted(spec, "scheduler")
         assert_identical(serial_reference(spec), got)
-
-    def test_deferred_crash_pattern_falls_back(self):
-        deferred = DeferredCrashPattern(5, {4: 30})
-        history = PAIRED.sample_history(deferred, random.Random(2))
-        got = self._assert_interpreted(
-            measured_spec(pattern=deferred, history=history), "pattern"
-        )
-        # Deferred patterns are mutable; a fresh one keeps the reference run
-        # independent of the lane's own crash bookkeeping.
-        ref = serial_reference(
-            measured_spec(
-                pattern=DeferredCrashPattern(5, {4: 30}), history=history
-            )
-        )
-        assert ref.decisions == got.decisions
-        assert ref.total_steps == got.total_steps
-        assert ref.messages_sent == got.messages_sent
 
     def test_functional_history_falls_back(self):
         spec = measured_spec(

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.kernel.failures import DeferredCrashPattern, FailurePattern
+from repro.kernel.failures import FailurePattern
 
 
 class TestFailurePatternBasics:
@@ -95,41 +95,46 @@ class TestFailurePatternBasics:
 
 
 class TestDeferredCrashPattern:
+    """Crash times a scenario driver fixes while the run goes: it grows the
+    live pattern with :meth:`FailurePattern.crashing` (what ``System.crash``
+    does) and reads the pattern the run exhibited off the result."""
+
     def test_doomed_alive_until_triggered(self):
-        pattern = DeferredCrashPattern(3, doomed=[2])
+        pattern = FailurePattern(3)
         assert pattern.is_alive(2, 100)
-        pattern.trigger([2], 50)
+        pattern = pattern.crashing([2], 50)
         assert pattern.is_alive(2, 49)
         assert pattern.is_crashed(2, 50)
+        assert pattern.faulty == {2} and pattern.correct == {0, 1}
 
-    def test_faulty_and_correct_fixed_upfront(self):
-        pattern = DeferredCrashPattern(4, doomed=[1, 2])
-        assert pattern.faulty == {1, 2}
-        assert pattern.correct == {0, 3}
+    def test_crashing_returns_a_new_pattern(self):
+        base = FailurePattern(4, {1: 3})
+        grown = base.crashing([2], 9)
+        assert base == FailurePattern(4, {1: 3})
+        assert grown == FailurePattern(4, {1: 3, 2: 9})
 
     def test_trigger_is_idempotent(self):
-        pattern = DeferredCrashPattern(3, doomed=[0])
-        pattern.trigger([0], 5)
-        pattern.trigger([0], 9)
+        # A process that already crashes keeps its time, also a future one.
+        pattern = FailurePattern(3).crashing([0], 5).crashing([0], 9)
         assert pattern.crash_time(0) == 5
+        assert FailurePattern(3, {0: 20}).crashing([0], 9).crash_time(0) == 20
 
-    def test_cannot_trigger_undoomed_process(self):
-        pattern = DeferredCrashPattern(3, doomed=[0])
+    def test_crashing_unknown_process_rejected(self):
         with pytest.raises(ValueError):
-            pattern.trigger([1], 5)
+            FailurePattern(3).crashing([3], 5)
 
     def test_freeze_produces_equivalent_pattern(self):
-        pattern = DeferredCrashPattern(4, doomed=[1, 3])
-        pattern.trigger([1], 7)
-        frozen = pattern.freeze(horizon=20)
+        # What crashed keeps its time; the still-doomed processes crash
+        # right past the horizon.
+        live = FailurePattern(4).crashing([1], 7)
+        frozen = live.crashing([1, 3], 21)
         assert frozen.crash_time(1) == 7
-        # untriggered doomed processes crash just past the horizon
         assert frozen.crash_time(3) == 21
         assert frozen.faulty == {1, 3}
         for t in range(21):
-            assert frozen.crashed_at(t) == pattern.crashed_at(t)
+            assert frozen.crashed_at(t) == live.crashed_at(t)
 
     def test_trigger_all(self):
-        pattern = DeferredCrashPattern(4, doomed=[0, 1])
-        pattern.trigger_all(3)
+        pattern = FailurePattern(4).crashing([0, 1], 3)
         assert pattern.crashed_at(3) == {0, 1}
+        assert pattern.crashed_at(2) == frozenset()

@@ -160,16 +160,14 @@ class TestBlockingPolicy:
         policy = BlockingPolicy(
             inner=OldestFirstDelivery(), blocked=lambda m: m.sender == 0
         )
-        policy.set_now(0)
         assert policy.choose(buffer, 1, 0, random.Random(0)) == msgs[1]
-        policy.release(5)
-        policy.set_now(5)
+        policy.release()
         assert policy.choose(buffer, 1, 0, random.Random(0)) == msgs[0]
 
     def test_eventual_delivery_depends_on_release(self):
         policy = BlockingPolicy(OldestFirstDelivery(), blocked=lambda m: True)
         assert not policy.ensures_eventual_delivery()
-        policy.release(0)
+        policy.release()
         assert policy.ensures_eventual_delivery()
 
 

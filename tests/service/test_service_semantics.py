@@ -323,3 +323,58 @@ def test_drain_helper_reports_quiescence():
         return drained
 
     assert run_logical(main)
+
+
+def eight_submits(config, settle):
+    """Eight ``try_submit`` on session ``s0``, then ``await settle(service,
+    clock)``; returns what it returned, how many futures resolved, and the
+    tick at which it returned."""
+
+    async def main(loop):
+        clock = TickClock(loop)
+        service = ConsensusService(config, clock)
+        service.start()
+        futures = [service.try_submit("s0", i, ("set", "k", i)) for i in range(8)]
+        start = clock.now_ticks()
+        settled = await settle(service, clock, futures)
+        resolved = sum(f.done() and not f.cancelled() for f in futures)
+        ticks = clock.now_ticks() - start
+        await service.stop()
+        return settled, resolved, ticks
+
+    return run_logical(main)
+
+
+class TestLiveness:
+    def test_pump_steps_while_a_batch_is_in_flight(self):
+        # Faulty p0 decides batch 1 at slot 1, p1 and p2 decide noop there;
+        # slot 1 is certified noop and no alive replica holds batch 1, so
+        # the core has no work.  The pump must keep time moving so that p0
+        # crashes at t=538 and the batch is refed to the new leader.
+        async def settle(service, clock, futures):
+            for _ in range(2000):
+                if all(f.done() for f in futures):
+                    return True
+                await clock.sleep_ticks(1)
+            return False
+
+        config = ServiceConfig(n=3, seed=5933, batch_size=4, crash_times={0: 538})
+        settled, resolved, _ = eight_submits(config, settle)
+        assert settled and resolved == 8
+
+    @pytest.mark.parametrize(
+        "seed,crash_times",
+        [(865, {2: 431}), (66, {1: 300}), (359, {0: 253}), (7881, {2: 301})],
+    )
+    def test_drained_means_every_submit_resolved(self, seed, crash_times):
+        # The batcher takes a command off the queue only once it has an
+        # inflight slot for it, so a command is always in the queue or in
+        # flight and drain() cannot miss it.
+        async def settle(service, clock, futures):
+            return await drain(service, clock)
+
+        config = ServiceConfig(
+            n=3, seed=seed, batch_size=1, crash_times=crash_times
+        )
+        drained, resolved, _ = eight_submits(config, settle)
+        assert drained and resolved == 8

@@ -245,7 +245,7 @@ def test_laggard_replays_stashed_slots():
     # p0 and p1 form a quorum of their own and race ahead; p2 rarely steps
     # and hears no DECIDED notice until late, so the others' traffic for
     # the slots it has not reached piles up in its stash and is replayed,
-    # slot by slot, once it gets there.
+    # slot by slot, once it gets there.  The notices are released at t=600.
     n, slots = 3, 6
     pattern = FailurePattern(n, {})
     fast, everyone = frozenset({0, 1}), frozenset({0, 1, 2})
@@ -263,7 +263,6 @@ def test_laggard_replays_stashed_slots():
         delivery = BlockingPolicy(
             FairRandomDelivery(),
             blocked=lambda m: m.dest == 2 and m.payload[0] == DECIDED,
-            release_time=600,
         )
         system = System(
             processes,
@@ -274,9 +273,15 @@ def test_laggard_replays_stashed_slots():
             delivery=delivery,
         )
         worst_lag.append(0)
+        current[:] = [system]
         return system, processes
 
+    current = []
+
     def watch_lag(processes):
+        # Called before every step, so the links open between two steps.
+        if current[0].time >= 600:
+            current[0].delivery.release()
         lag = max(len(r.log) for r in processes.values()) - len(processes[2].log)
         worst_lag[-1] = max(worst_lag[-1], lag)
         return all(len(r.log) >= slots for r in processes.values())
