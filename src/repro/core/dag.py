@@ -22,10 +22,15 @@ space per node:
 Paths of the DAG are then chains of this partial order, and Observations
 4.1-4.4 and Lemmas 4.5-4.8 become simple order-theoretic facts which the
 test suite checks directly.
+
+Ancestor closure and unique keys also make a version O(n): it holds exactly
+the samples ``(q, 1..max_k[q])`` (each has its process's previous one below
+it), so a :class:`SampleDAG` is its frontier over shared per-process lists.
 """
 
 from __future__ import annotations
 
+from operator import ge
 from typing import (
     Any,
     Dict,
@@ -73,32 +78,26 @@ class Sample(NamedTuple):
 
 
 class SampleDAG:
-    """An immutable DAG of samples with structural sharing on update.
+    """An immutable DAG of samples: its frontier over shared sample lists.
 
-    All mutation-like operations return a new DAG; message payloads can
-    therefore share DAG objects safely.
+    ``_lists[q][k - 1]`` is sample ``(q, k)``; a version sees the prefixes
+    ``_lists[q][:max_k[q]]``.  A sample is appended in place at its list's
+    tip, else onto a copy of the prefix (copy on write, for forks).  So a
+    tip sample, a union or a DAG in a message costs O(n), not O(|G|).
     """
 
-    __slots__ = ("n", "_nodes", "_max_k")
+    __slots__ = ("n", "_lists", "_max_k")
 
     def __init__(
-        self,
-        n: int,
-        nodes: Optional[Dict[SampleKey, Sample]] = None,
-        max_k: Optional[Tuple[int, ...]] = None,
+        self, n: int, lists: Tuple[List[Sample], ...], max_k: Tuple[int, ...]
     ):
         self.n = n
-        self._nodes: Dict[SampleKey, Sample] = nodes if nodes is not None else {}
-        if max_k is None:
-            counters = [0] * n
-            for pid, k in self._nodes:
-                counters[pid] = max(counters[pid], k)
-            max_k = tuple(counters)
+        self._lists = lists
         self._max_k = max_k
 
     @classmethod
     def empty(cls, n: int) -> "SampleDAG":
-        return cls(n, {}, tuple([0] * n))
+        return cls(n, tuple([] for _ in range(n)), (0,) * n)
 
     # ------------------------------------------------------------------
     # Construction (the operations of A_DAG lines 7-10)
@@ -112,47 +111,53 @@ class SampleDAG:
         Returns the new DAG and the created node (A_DAG lines 8-10: the
         frontier encodes 'edges from every other node to the new node').
         """
-        k = self._max_k[pid] + 1
-        sample = Sample(pid=pid, k=k, d=d, frontier=self._max_k, t=t)
-        nodes = dict(self._nodes)
-        nodes[sample.key] = sample
-        max_k = tuple(
-            k if q == pid else self._max_k[q] for q in range(self.n)
-        )
-        return SampleDAG(self.n, nodes, max_k), sample
+        max_k = self._max_k
+        k = max_k[pid] + 1
+        sample = Sample(pid=pid, k=k, d=d, frontier=max_k, t=t)
+        lists = self._lists
+        own = lists[pid]
+        if len(own) != k - 1:  # not at the tip: copy on write
+            own = own[: k - 1]
+            lists = lists[:pid] + (own,) + lists[pid + 1 :]
+        own.append(sample)
+        return SampleDAG(self.n, lists, max_k[:pid] + (k,) + max_k[pid + 1 :]), sample
 
     def union(self, other: "SampleDAG") -> "SampleDAG":
         """``G_p <- G_p ∪ m`` (A_DAG line 7).
 
         Sample keys are globally unique and deterministic, so equal keys
-        always carry equal nodes; the union is a plain dict merge.
+        always carry equal nodes, and each process's samples in the union
+        are the longer of the two prefixes (ties to ``self``).
         """
-        if other is self or not other._nodes:
+        mine, theirs = self._max_k, other._max_k
+        if all(map(ge, mine, theirs)):
             return self
-        if not self._nodes:
+        if all(map(ge, theirs, mine)):
             return other
-        nodes = dict(self._nodes)
-        nodes.update(other._nodes)
-        max_k = tuple(
-            max(self._max_k[q], other._max_k[q]) for q in range(self.n)
+        lists = tuple(
+            a if i >= j else b
+            for a, b, i, j in zip(self._lists, other._lists, mine, theirs)
         )
-        return SampleDAG(self.n, nodes, max_k)
+        return SampleDAG(self.n, lists, tuple(map(max, mine, theirs)))
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return sum(self._max_k)
 
     def __contains__(self, key: SampleKey) -> bool:
-        return key in self._nodes
+        return self.get(key) is not None
 
     def get(self, key: SampleKey) -> Optional[Sample]:
-        return self._nodes.get(key)
+        pid, k = key
+        present = 0 <= pid < self.n and 0 < k <= self._max_k[pid]
+        return self._lists[pid][k - 1] if present else None
 
     def nodes(self) -> List[Sample]:
-        return list(self._nodes.values())
+        """Every sample, process by process, each in ascending ``k``."""
+        return [s for lst, k in zip(self._lists, self._max_k) for s in lst[:k]]
 
     def max_k(self, pid: int) -> int:
         """Largest sample index of ``pid`` present (0 if none)."""
@@ -165,13 +170,10 @@ class SampleDAG:
 
     def latest_sample(self, pid: int) -> Optional[Sample]:
         k = self._max_k[pid]
-        return self._nodes.get((pid, k)) if k else None
+        return self._lists[pid][k - 1] if k else None
 
     def samples_of(self, pid: int) -> List[Sample]:
-        return sorted(
-            (s for s in self._nodes.values() if s.pid == pid),
-            key=lambda s: s.k,
-        )
+        return self._lists[pid][: self._max_k[pid]]
 
     @staticmethod
     def is_ancestor(u: Sample, v: Sample) -> bool:
@@ -195,26 +197,20 @@ class SampleDAG:
         belongs to ``G | root``; pass ``include_root=False`` to drop it.
         Returned in topological order (by depth, then pid/k for determinism).
         """
-        found = [
-            s
-            for s in self._nodes.values()
+        return self.topological(
+            s for s in self.nodes()
             if self.is_ancestor(root, s) or (include_root and s.key == root.key)
-        ]
-        found.sort(key=lambda s: (s.depth, s.pid, s.k))
-        return found
+        )
 
     def ancestors(self, node: Sample, include_node: bool = True) -> List[Sample]:
-        found = [
-            s
-            for s in self._nodes.values()
+        return self.topological(
+            s for s in self.nodes()
             if self.is_ancestor(s, node) or (include_node and s.key == node.key)
-        ]
-        found.sort(key=lambda s: (s.depth, s.pid, s.k))
-        return found
+        )
 
     def topological(self, nodes: Optional[Iterable[Sample]] = None) -> List[Sample]:
         """A deterministic linear extension of (a subset of) the DAG."""
-        pool = list(nodes) if nodes is not None else list(self._nodes.values())
+        pool = list(nodes) if nodes is not None else self.nodes()
         pool.sort(key=lambda s: (s.depth, s.pid, s.k))
         return pool
 

@@ -155,14 +155,13 @@ class SigmaNuExtractor(Process):
         barrier: Optional[Sample] = None
         cached: Dict[int, Optional[PathSimulation]] = {0: None, 1: None}
         last_search_size = -(10**9)
-        # The fresh subgraph (line 14) is maintained incrementally: DAG
-        # nodes are insertion-ordered and only ever appended (dict update
-        # keeps existing positions), so scanning nodes past the last-seen
-        # index finds exactly the new samples.  Whether a sample descends
-        # from the barrier never changes, so old verdicts stay valid; a
-        # barrier move resets the scan.
+        # The fresh subgraph (line 14) is maintained incrementally: each
+        # process's samples only grow by ascending k, so scanning them past
+        # the last-scanned k finds exactly the new ones, in the per-process
+        # order the engine ingests.  Old verdicts on descending from the
+        # barrier stay valid; a barrier move resets the scan.
         fresh: List[Sample] = []
-        scanned = 0
+        scanned = (0,) * ctx.n
 
         while True:
             obs = yield from ctx.take_step()  # line 6
@@ -175,7 +174,7 @@ class SigmaNuExtractor(Process):
                 cached = {0: None, 1: None}
                 last_search_size = -(10**9)
                 fresh = []
-                scanned = 0
+                scanned = (0,) * ctx.n
             assert barrier is not None
 
             # Throttle: the schedule search is the expensive part, so only
@@ -183,12 +182,14 @@ class SigmaNuExtractor(Process):
             if len(core.dag) - last_search_size < search.search_growth:
                 continue
             last_search_size = len(core.dag)
-            nodes = core.dag.nodes()  # line 14: G_p | u_p, incrementally
+            dag = core.dag  # line 14: G_p | u_p, incrementally
             is_ancestor = SampleDAG.is_ancestor
-            for s in nodes[scanned:]:
-                if is_ancestor(barrier, s) or s.key == barrier.key:
-                    fresh.append(s)
-            scanned = len(nodes)
+            for q, top in enumerate(dag.frontier):
+                for k in range(scanned[q] + 1, top + 1):
+                    s = dag.get((q, k))
+                    if is_ancestor(barrier, s) or s.key == barrier.key:
+                        fresh.append(s)
+            scanned = dag.frontier
 
             # Lines 15-17: look for deciding schedules from I_0 and I_1.
             # Both configurations search through the same trie: the interned
@@ -234,4 +235,4 @@ class SigmaNuExtractor(Process):
             cached = {0: None, 1: None}
             last_search_size = -(10**9)
             fresh = []
-            scanned = 0
+            scanned = (0,) * ctx.n

@@ -92,7 +92,7 @@ class TickClock:
         # round() tolerates float accumulation drift well below a tick.
         return int(round(self._loop.time() / self._tick))
 
-    async def sleep_ticks(self, ticks: int) -> None:
+    async def sleep_ticks(self, ticks: float) -> None:
         await asyncio.sleep(ticks * self._tick)
 
 

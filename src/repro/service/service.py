@@ -289,8 +289,10 @@ class ConsensusService:
 
     async def _pump(self) -> None:
         clock = self.clock
+        loop = asyncio.get_running_loop()
         steps_per_tick = self.config.steps_per_tick
         while True:
+            started = loop.time()
             tick = clock.now_ticks()
             self.stats["ticks"] += 1
             if self._inflight:
@@ -313,7 +315,8 @@ class ConsensusService:
                 if obs._ENABLED:
                     obs.metrics().inc("service.kernel_steps", taken)
             self._apply_certified(tick)
-            await clock.sleep_ticks(1)
+            elapsed = (loop.time() - started) / clock.tick_seconds
+            await clock.sleep_ticks(max(0.0, 1 - elapsed))  # the tick's rest
 
     def _apply_certified(self, tick: int) -> None:
         # Apply from the per-slot quorum-majority log, never from any

@@ -378,3 +378,37 @@ class TestLiveness:
         )
         drained, resolved, _ = eight_submits(config, settle)
         assert drained and resolved == 8
+
+
+def test_pump_sleeps_only_the_rest_of_an_overrun_tick():
+    # A burst that takes longer than its tick (here: two ticks, on the
+    # logical clock) must be followed at once by the next iteration, not
+    # by a further tick of sleep: the tick is a period, not a pause.
+    async def main(loop):
+        clock = TickClock(loop)
+        config = ServiceConfig(n=3, seed=2, batch_size=1)
+        service = ConsensusService(config, clock)
+        real_step, real_apply = service.core.step, service._apply_certified
+        ends = []  # loop time at the end of each pump iteration
+
+        def overrunning_step(steps):
+            taken = real_step(steps)
+            if not ends:
+                loop._advance(2 * clock.tick_seconds)
+            return taken
+
+        def apply_certified(tick):
+            real_apply(tick)
+            ends.append(loop.time())
+
+        service.core.step = overrunning_step
+        service._apply_certified = apply_certified
+        service.start()
+        await service.submit("s", 0, ("set", "x", 0))
+        await clock.sleep_ticks(3)
+        await service.stop()
+        return [round(t / clock.tick_seconds, 9) for t in ends[:4]]
+
+    # The first iteration ends two ticks in; the second starts then and
+    # takes no time; from there the pump is back on a one-tick period.
+    assert run_logical(main) == [2, 2, 3, 4]
