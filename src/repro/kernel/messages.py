@@ -17,6 +17,13 @@ age in the destination's local step count, never from global state.  This
 makes a process's behaviour a function of its own observation sequence, which
 the partition adversary of Theorem 7.1 exploits (indistinguishable runs must
 stay indistinguishable in the simulator, too).
+
+A crashed process takes no further steps, so a message addressed to it can
+never be received, and property (7) asks for delivery only to correct
+processes.  :meth:`MessageBuffer.close` therefore closes a crashed process's
+mailbox: its pending queue is dropped, and later sends to it are stamped and
+counted but never queued.  No step can tell the difference, because a
+delivery policy only ever looks at the queue of the process that steps.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -84,24 +92,40 @@ class MessageBuffer:
         self._pending: Dict[int, List[_PendingEntry]] = {}
         self._dest_steps: Dict[int, int] = {}  # steps noted per destination
         self._seq: Dict[int, int] = {}
+        self._closed: Set[int] = set()  # destinations that take no more steps
         self._sent_count = 0
         self._delivered_count = 0
         self._superseded_count = 0
+        self._discarded_count = 0
 
     # ------------------------------------------------------------------
     # Sending and receiving
     # ------------------------------------------------------------------
 
     def send(self, sender: int, dest: int, payload: Any, now: int) -> Message:
-        """Place a new unique message in the buffer and return it."""
+        """Place a new unique message in the buffer and return it.
+
+        A message to a closed destination is stamped, counted and returned
+        like any other, but it is not queued."""
         seq = self._seq.get(sender, 0)
         self._seq[sender] = seq + 1
         message = Message(sender, dest, payload, (sender, seq), now)
-        self._pending.setdefault(dest, []).append(
-            _PendingEntry(message, self._dest_steps)
-        )
+        if dest in self._closed:
+            self._discarded_count += 1
+        else:
+            self._pending.setdefault(dest, []).append(
+                _PendingEntry(message, self._dest_steps)
+            )
         self._sent_count += 1
         return message
+
+    def close(self, dest: int) -> None:
+        """Close ``dest``'s mailbox: ``dest`` has crashed and takes no more
+        steps, so what is pending for it and what is sent to it later can
+        never be received.  Both are dropped and counted as discarded.
+        Closing a closed mailbox does nothing."""
+        self._closed.add(dest)
+        self._discarded_count += len(self._pending.pop(dest, _NO_ENTRIES))
 
     def pending_for(self, dest: int) -> List[Message]:
         """Pending messages addressed to ``dest``, oldest first."""
@@ -175,7 +199,15 @@ class MessageBuffer:
         return self._superseded_count
 
     @property
+    def discarded_count(self) -> int:
+        """Messages dropped by :meth:`close`, or sent to a closed mailbox."""
+        return self._discarded_count
+
+    @property
     def in_flight(self) -> int:
+        """Pending messages that can still be received: those addressed to
+        a closed mailbox are not kept, so they are not counted.
+        ``sent - delivered - superseded - discarded == in_flight``."""
         return sum(len(v) for v in self._pending.values())
 
     def __repr__(self) -> str:

@@ -119,6 +119,12 @@ class System:
       only the recording is skipped, which makes large sweeps markedly
       cheaper (``interp_steps_per_s`` of ``benchmarks/ledger/run.py``'s
       ``kernel_lanes`` workload is measured in this mode).
+
+    When a process crashes — at a crash time of the pattern, or by
+    :meth:`crash` — its mailbox in the buffer is closed: the messages
+    pending for it are dropped and later sends to it are recorded but not
+    queued (see :meth:`MessageBuffer.close`).  A crashed process takes no
+    step, so no delivery, draw or transition of the run changes.
     """
 
     def __init__(
@@ -195,6 +201,15 @@ class System:
         self._next_epoch_at: Optional[int] = (
             epochs[idx + 1][0] if idx + 1 < len(epochs) else None
         )
+        self._close_mailboxes(self._alive_now)
+
+    def _close_mailboxes(self, alive: Tuple[int, ...]) -> None:
+        """Close the mailbox of every process not in ``alive``; called
+        wherever the alive tuple shrinks (closing is idempotent)."""
+        close = self.buffer.close
+        for pid in range(self.n):
+            if pid not in alive:
+                close(pid)
 
     def crash(self, processes: Iterable[int]) -> None:
         """Crash ``processes`` now: none of them takes another step.
@@ -252,6 +267,7 @@ class System:
                 self._epoch_idx = idx
                 self._alive_now = alive
                 self._next_epoch_at = next_epoch_at
+                self._close_mailboxes(alive)
             if not alive:
                 break
             pid = next_process(alive, t, sched_rng)

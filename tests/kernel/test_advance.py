@@ -103,6 +103,7 @@ def observable_state(system):
             result.final_time,
             result.messages_sent,
             result.messages_delivered,
+            system.buffer.discarded_count,
         ),
         "sched_rng": system._sched_rng.getstate(),
         "dest_rngs": {p: r.getstate() for p, r in system._dest_rngs.items()},

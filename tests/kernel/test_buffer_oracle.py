@@ -5,7 +5,9 @@ now minus its step count at the send, and touches nothing per step.  The
 reference here does it the long way — one counter per pending message,
 incremented on every step of its destination — and the two must agree
 after every operation of a random ``send`` / ``note_dest_step`` /
-``deliver`` / ``supersede`` interleaving.  The fairness rules that read the
+``deliver`` / ``supersede`` / ``close`` interleaving.  A closed destination
+(a crashed process) keeps nothing: the reference drops its pending
+messages and ignores later sends to it.  The fairness rules that read the
 age (forced delivery at ``max_age``) and the coalescing policy are pinned
 on top of the same interleavings.
 """
@@ -32,6 +34,7 @@ OPS = st.lists(
         st.tuples(st.just("deliver"), st.integers(0, N - 1), st.integers(0, 7)),
         st.tuples(st.just("deliver-copy"), st.integers(0, N - 1), st.integers(0, 7)),
         st.tuples(st.just("supersede"), st.integers(0, N - 1), st.integers(0, 7)),
+        st.tuples(st.just("close"), st.integers(0, N - 1)),
     ),
     max_size=60,
 )
@@ -43,10 +46,22 @@ class ReferenceAges:
     def __init__(self):
         self.pending = {p: [] for p in range(N)}  # dest -> [uid], oldest first
         self.age = {}
+        self.closed = set()
+        self.discarded = 0
 
     def send(self, message):
+        if message.dest in self.closed:
+            self.discarded += 1
+            return
         self.pending[message.dest].append(message.uid)
         self.age[message.uid] = 0
+
+    def close(self, dest):
+        self.closed.add(dest)
+        self.discarded += len(self.pending[dest])
+        for uid in self.pending[dest]:
+            del self.age[uid]
+        self.pending[dest] = []
 
     def note(self, dest):
         for uid in self.pending[dest]:
@@ -75,6 +90,9 @@ def apply(op, buffer, reference, clock):
     elif kind == "note":
         buffer.note_dest_step(op[1])
         reference.note(op[1])
+    elif kind == "close":
+        buffer.close(op[1])
+        reference.close(op[1])
     else:
         pending = buffer.pending_for(op[1])
         if not pending:
@@ -100,7 +118,10 @@ def test_ages_equal_the_per_step_reference(ops):
             assert view == reference.view(dest)
             ages = [age for _, age in view]
             assert ages == sorted(ages, reverse=True)  # the oldest is up front
-    removed = buffer.delivered_count + buffer.superseded_count
+    assert buffer.discarded_count == reference.discarded
+    removed = (
+        buffer.delivered_count + buffer.superseded_count + buffer.discarded_count
+    )
     assert buffer.sent_count - removed == buffer.in_flight
 
 

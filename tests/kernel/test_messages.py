@@ -76,6 +76,37 @@ class TestMessageBuffer:
         assert buffer.in_flight == 2
         assert buffer.sent_count == 3
 
+    def test_close_drops_the_pending_queue(self):
+        buffer = MessageBuffer()
+        msgs = fill(buffer, [(0, 2, "a"), (1, 2, "b"), (0, 1, "c")])
+        buffer.close(2)
+        assert buffer.pending_for(2) == [] and not buffer.has_pending(2)
+        assert buffer.entries_for(2) == [] and buffer.oldest_for(2) is None
+        assert buffer.pending_for(1) == [msgs[2]]
+        assert (buffer.discarded_count, buffer.in_flight) == (2, 1)
+
+    def test_sends_to_a_closed_mailbox_are_stamped_but_not_queued(self):
+        buffer = MessageBuffer()
+        buffer.send(0, 2, "before", now=0)
+        buffer.close(2)
+        late = buffer.send(0, 2, "late", now=5)
+        after = buffer.send(0, 1, "other", now=6)
+        assert late.uid == (0, 1) and late.sent_at == 5
+        assert after.uid == (0, 2)
+        assert not buffer.has_pending(2)
+        assert buffer.sent_count == 3
+        assert (buffer.discarded_count, buffer.in_flight) == (2, 1)
+
+    def test_close_is_idempotent(self):
+        buffer = MessageBuffer()
+        fill(buffer, [(0, 2, "a")])
+        buffer.close(2)
+        buffer.close(2)
+        buffer.close(3)  # nothing was ever sent to 3
+        assert buffer.discarded_count == 1
+        buffer.send(1, 3, "x", now=0)
+        assert buffer.discarded_count == 2 and buffer.in_flight == 0
+
 
 class TestOldestFirstDelivery:
     def test_delivers_oldest(self):
