@@ -59,11 +59,7 @@ def _canonical_counters(snapshot: dict) -> str:
 def run_once(exp: str, quick: bool, jobs: int) -> dict:
     """One full experiment run; returns digests of everything observable."""
     from repro import obs
-    from repro.detectors.base import clear_history_cache
 
-    # Fresh cross-run state: the point is to prove a rerun reproduces the
-    # first run from nothing but (parameters, seeds).
-    clear_history_cache()
     obs.enable(label=f"determinism:{exp}", fresh_metrics=True)
     try:
         table = EXPERIMENTS[exp].run(quick=quick, jobs=jobs)
@@ -100,7 +96,6 @@ def run_service_once(quick: bool) -> dict:
     double-run identity and that batching never changes what is applied.
     """
     from repro import obs
-    from repro.detectors.base import clear_history_cache
     from repro.harness.load import LoadSpec, run_service_load
     from repro.service.service import ServiceConfig
 
@@ -108,7 +103,6 @@ def run_service_once(quick: bool) -> dict:
     spec = LoadSpec(mode="open", arrival_every=0, deadline_ticks=8000,
                     **params)
 
-    clear_history_cache()
     obs.enable(label="determinism:service", fresh_metrics=True)
     try:
         lines = []
@@ -150,12 +144,10 @@ def run_chaos_once(quick: bool, jobs: int) -> dict:
     """One chaos-matrix run; returns digests of verdicts and counters."""
     from repro import obs
     from repro.chaos.matrix import run_matrix
-    from repro.detectors.base import clear_history_cache
 
     names = CHAOS_QUICK_NAMES if quick else None
     budget = CHAOS_QUICK_BUDGET if quick else None
 
-    clear_history_cache()
     obs.enable(label="determinism:chaos", fresh_metrics=True)
     try:
         report = run_matrix(seed=0, budget=budget, jobs=jobs, names=names)

@@ -19,6 +19,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.chaos.fuzzer import CaseOutcome, execute_case
 from repro.chaos.shrinker import ShrinkResult
 from repro.chaos.space import FuzzCase
+from repro.kernel.messages import build_delivery
+from repro.kernel.scheduler import build_scheduler
 
 FORMAT = "repro-counterexample/1"
 
@@ -65,7 +67,12 @@ def save_counterexample(
 
 
 def load_counterexample(source: Union[str, Path, Dict[str, Any]]) -> Dict[str, Any]:
-    """Load and structurally validate an artifact document."""
+    """Load and validate an artifact document.
+
+    Raises ``OSError`` if the file cannot be read and ``ValueError`` for
+    any document that is not a replayable case: bad JSON, a wrong shape,
+    or a case whose failure pattern, scheduler or delivery cannot be built.
+    """
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())
     else:
@@ -85,8 +92,15 @@ def load_counterexample(source: Union[str, Path, Dict[str, Any]]) -> Dict[str, A
                 f"counterexample key {key!r} must be {kind.__name__}, "
                 f"got {type(data[key]).__name__}"
             )
-    # The embedded case must itself round-trip.
-    FuzzCase.from_json(data["case"])
+    # The embedded case must round-trip and build, so a bad case is refused
+    # here and not halfway through a replay.
+    try:
+        case = FuzzCase.from_json(data["case"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"counterexample case is malformed: {exc!r}") from exc
+    case.pattern()
+    build_scheduler(case.scheduler)
+    build_delivery(case.delivery)
     return data
 
 

@@ -41,7 +41,7 @@ from repro.consensus.properties import (
     check_nonuniform_consensus,
     check_uniform_consensus,
 )
-from repro.detectors.base import FailureDetector, sample_history_cached
+from repro.detectors.base import FailureDetector, History, sample_run_history
 from repro.kernel.automaton import AutomatonProcess
 from repro.kernel.messages import build_delivery
 from repro.kernel.scheduler import build_scheduler
@@ -198,11 +198,9 @@ def _classify(report_violations: Sequence[str], config: str, case: FuzzCase, ste
 
 
 def _execute_consensus(
-    config: ChaosConfig, case: FuzzCase, trace: str
+    config: ChaosConfig, case: FuzzCase, history: History, trace: str
 ) -> CaseOutcome:
     pattern = case.pattern()
-    detector = config.detector()
-    history = sample_history_cached(detector, pattern, case.run_seed())
     system = System(
         _consensus_processes(config, case),
         pattern,
@@ -229,14 +227,12 @@ def _execute_consensus(
 
 
 def _execute_register(
-    config: ChaosConfig, case: FuzzCase, trace: str
+    config: ChaosConfig, case: FuzzCase, history: History, trace: str
 ) -> CaseOutcome:
     from repro.registers.abd import RegisterClient, RegisterHarness
     from repro.registers.properties import check_register_safety
 
     pattern = case.pattern()
-    detector = config.detector()
-    history = sample_history_cached(detector, pattern, case.run_seed())
     scripts = case.proposal_map()
     processes = {p: RegisterClient(scripts.get(p, ())) for p in range(case.n)}
     system = System(
@@ -277,13 +273,13 @@ def _execute_register(
     return _outcome(case, result, violations, trace)
 
 
-def _execute_smr(config: ChaosConfig, case: FuzzCase, trace: str) -> CaseOutcome:
+def _execute_smr(
+    config: ChaosConfig, case: FuzzCase, history: History, trace: str
+) -> CaseOutcome:
     from repro.smr.properties import check_smr
     from repro.smr.replicated_log import ReplicatedLogProcess
 
     pattern = case.pattern()
-    detector = config.detector()
-    history = sample_history_cached(detector, pattern, case.run_seed())
     commands = case.proposal_map()
     slots = 2
     processes = {
@@ -357,6 +353,22 @@ def execute_case(
     Pure in ``(config, case)``: the run seed, detector history, scheduler
     and delivery are all rebuilt from the case spec.  ``trace="full"``
     additionally returns the executed pid schedule (for the shrinker).
+    The run is judged by :func:`judge_case`.
+    """
+    history = sample_run_history(
+        config.detector(), case.pattern(), case.run_seed()
+    )
+    return judge_case(config, case, history, trace)
+
+
+def judge_case(
+    config: ChaosConfig, case: FuzzCase, history: History, trace: str = "metrics"
+) -> CaseOutcome:
+    """:func:`execute_case` over a given ``history`` of the case's run.
+
+    ``history`` must be the one :func:`execute_case` samples for ``case``
+    (any case with the same pattern and run seed draws the same one), so a
+    caller that runs many scheduler variants of one case samples it once.
 
     Termination is a liveness property, so a finite budget-bounded run can
     only ever *suggest* a violation.  The kernel receives at most one
@@ -367,23 +379,23 @@ def execute_case(
     decides.  For configs whose declared lie is *not* a liveness attack
     (``"termination" not in config.expected``), a suggested termination
     violation is therefore re-checked under the canonical fair environment
-    (round-robin scheduler, oldest-first delivery): if the fair run
-    decides, the termination finding is discarded as a budget artifact.
-    Liveness-attack rows keep their raw finding — there the bounded-fair
-    fuzzed run (every process steps within ``max_gap``, every message
-    arrives within ``max_age``) is the finite witness that non-terminating
-    admissible extensions exist.
+    (round-robin scheduler, oldest-first delivery) over the same history:
+    if the fair run decides, the termination finding is discarded as a
+    budget artifact.  Liveness-attack rows keep their raw finding — there
+    the bounded-fair fuzzed run (every process steps within ``max_gap``,
+    every message arrives within ``max_age``) is the finite witness that
+    non-terminating admissible extensions exist.
     """
     executor = _EXECUTORS.get(config.kind)
     if executor is None:
         raise ValueError(f"unknown chaos kind {config.kind!r}")
-    outcome = executor(config, case, trace)
+    outcome = executor(config, case, history, trace)
     suggested = any(v.property == "termination" for v in outcome.violations)
     if suggested and "termination" not in config.expected:
         fair_case = _dc_replace(
             case, scheduler=("round-robin",), delivery=("oldest-first",)
         )
-        fair = executor(config, fair_case, "metrics")
+        fair = executor(config, fair_case, history, "metrics")
         if not any(v.property == "termination" for v in fair.violations):
             kept = tuple(
                 v for v in outcome.violations if v.property != "termination"

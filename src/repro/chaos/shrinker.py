@@ -26,8 +26,10 @@ Shrinking then minimizes the *script*:
   the empty script when the detector lie alone (not the schedule) causes
   non-termination — which is itself the interesting diagnosis.
 
-Every candidate evaluation is a fresh deterministic kernel run; the whole
-shrink is a pure function of the input case.
+Every candidate evaluation is a fresh deterministic kernel run over the
+case's one history: a scripted variant keeps the case's pattern and run
+seed, so the shrinker samples that history once and judges every candidate
+with it.  The whole shrink is a pure function of the input case.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.chaos.fuzzer import CaseOutcome, ChaosConfig, execute_case
+from repro.chaos.fuzzer import ChaosConfig, judge_case
 from repro.chaos.space import FuzzCase
+from repro.detectors.base import History, sample_run_history
 from repro import obs as _obs
 
 #: Properties whose violations persist under run extension.
@@ -91,6 +94,7 @@ def scripted_case(
 def _violates(
     config: ChaosConfig,
     case: FuzzCase,
+    history: History,
     script: Sequence[int],
     prop: str,
     safety: bool,
@@ -100,7 +104,7 @@ def _violates(
         script,
         max_steps=max(len(script), 1) if safety else case.max_steps,
     )
-    outcome = execute_case(config, candidate)
+    outcome = judge_case(config, candidate, history)
     return any(v.property == prop for v in outcome.violations)
 
 
@@ -162,7 +166,10 @@ def shrink_schedule(
     violation (which would indicate a determinism bug — the chaos tests
     assert it never happens).
     """
-    full = execute_case(config, case, trace="full")
+    history = sample_run_history(
+        config.detector(), case.pattern(), case.run_seed()
+    )
+    full = judge_case(config, case, history, trace="full")
     if not any(v.property == prop for v in full.violations):
         return None
     evals = 1
@@ -170,7 +177,7 @@ def shrink_schedule(
     safety = prop in SAFETY_PROPERTIES
 
     def test(script: Sequence[int]) -> bool:
-        return _violates(config, case, script, prop, safety)
+        return _violates(config, case, history, script, prop, safety)
 
     if safety:
         # Binary-search the minimal violating prefix before ddmin: safety
@@ -204,7 +211,7 @@ def shrink_schedule(
         schedule,
         max_steps=max(len(schedule), 1) if safety else case.max_steps,
     )
-    outcome = execute_case(config, final)
+    outcome = judge_case(config, final, history)
     violation = next(v for v in outcome.violations if v.property == prop)
     if _obs._ENABLED:
         _obs.metrics().inc("chaos.shrinks")

@@ -342,10 +342,19 @@ def cmd_chaos(args) -> int:
     from repro.chaos import CONFIGS
 
     if args.replay:
-        from repro.chaos import replay_counterexample
+        from repro.chaos import load_counterexample, replay_counterexample
 
+        try:
+            document = load_counterexample(args.replay)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if document["config"] not in CONFIGS:
+            print(f"error: unknown chaos config {document['config']!r}",
+                  file=sys.stderr)
+            return 2
         with _maybe_traced(args, "chaos:replay"):
-            reproduced, outcome, document = replay_counterexample(args.replay)
+            reproduced, outcome, document = replay_counterexample(document)
         print(f"artifact : {args.replay}")
         print(f"config   : {document['config']}")
         print(f"property : {document['property']}")
@@ -715,7 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay",
         default=None,
         metavar="ARTIFACT",
-        help="replay a repro-counterexample/1 JSON artifact",
+        help="replay a repro-counterexample/1 JSON artifact (exit 0: "
+        "reproduced, 1: not reproduced, 2: unreadable or malformed)",
     )
     chaos.add_argument(
         "--shrink",

@@ -15,14 +15,12 @@ from repro.detectors.base import (
     RecordedHistory,
     ScheduleHistory,
     clear_history_cache,
-    history_cache_info,
-    sample_history_cached,
+    sample_run_history,
 )
 from repro.detectors.checkers import (
     CheckResult,
     check_eventually_perfect,
     check_omega,
-    check_paired,
     check_sigma,
     check_sigma_nu,
     check_sigma_nu_plus,
@@ -58,14 +56,12 @@ __all__ = [
     "SigmaNuPlus",
     "check_eventually_perfect",
     "check_omega",
-    "check_paired",
     "check_sigma",
     "check_sigma_nu",
     "check_sigma_nu_plus",
     "clear_history_cache",
     "history_breakpoints",
-    "history_cache_info",
     "recorded_output_history",
-    "sample_history_cached",
+    "sample_run_history",
     "segment_merge",
 ]

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import bisect
 import random
-from collections import OrderedDict
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -188,117 +186,36 @@ class FailureDetector:
         """Draw one history from ``D(F)`` for failure pattern ``F``."""
         raise NotImplementedError
 
-    def cache_key(self) -> Optional[Tuple[Any, ...]]:
-        """A hashable key identifying this detector's *configuration*.
-
-        Two detector instances with equal keys must sample identical
-        histories from identical ``(pattern, rng)`` inputs, and the sampled
-        histories must be immutable (safe to share across runs) — the
-        contract :func:`sample_history_cached` relies on.  The default walks
-        the instance dict, recursing into component detectors (products) and
-        accepting hashable primitives; anything else makes the detector
-        uncacheable (``None``).  Detectors whose histories are stateful must
-        override this to return ``None``.
-        """
-        return _generic_cache_key(self)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 
 
-_KEYABLE_PRIMITIVES = (int, float, str, bool, bytes, frozenset, type(None))
-
-
-def _keyable(value: Any) -> Optional[Any]:
-    """A hashable stand-in for ``value``, or ``None`` if there is none."""
-    if isinstance(value, FailureDetector):
-        return value.cache_key()
-    if isinstance(value, _KEYABLE_PRIMITIVES):
-        return value
-    if isinstance(value, tuple):
-        parts = tuple(_keyable(item) for item in value)
-        return None if any(part is None for part in parts) else parts
-    return None
-
-
-def _generic_cache_key(detector: FailureDetector) -> Optional[Tuple[Any, ...]]:
-    parts: List[Any] = [f"{type(detector).__module__}.{type(detector).__qualname__}"]
-    for attr, value in sorted(vars(detector).items()):
-        key = _keyable(value)
-        if key is None and value is not None:
-            return None
-        parts.append((attr, key))
-    return tuple(parts)
-
-
 # ----------------------------------------------------------------------
-# History cache
+# Run histories
 # ----------------------------------------------------------------------
 
 #: Seed salt used by every runner when deriving a history RNG from a run
-#: seed; kept here so cached and uncached sampling agree bit-for-bit.
+#: seed.
 HISTORY_SEED_SALT = 0x5EED
 
-HISTORY_CACHE_MAXSIZE = 256
 
-_history_cache: "OrderedDict[Tuple[Any, ...], History]" = OrderedDict()
-_history_cache_hits = 0
-_history_cache_misses = 0
-
-
-def sample_history_cached(
-    detector: FailureDetector,
-    pattern: FailurePattern,
-    seed: int,
-    salt: int = HISTORY_SEED_SALT,
+def sample_run_history(
+    detector: FailureDetector, pattern: FailurePattern, seed: int
 ) -> History:
-    """``detector.sample_history`` with an LRU cache over runs.
+    """The history ``H`` of the run with kernel seed ``seed``.
 
-    Keyed by ``(detector.cache_key(), pattern, seed)``; repeated runs over
-    the same pattern (sweep reruns, serial-vs-parallel comparisons, property
-    re-checks) reuse the sampled history instead of regenerating it.  The
-    RNG handed to an uncached sample is ``random.Random(seed ^ salt)`` —
-    exactly what the runners used before the cache existed — so cached and
-    fresh histories are indistinguishable.  Uncacheable detectors
-    (``cache_key() is None``) always sample fresh.
+    A run fixes one history from ``D(F)``; the runners draw it with
+    ``random.Random(seed ^ HISTORY_SEED_SALT)``, so a run is a pure function
+    of ``(detector, pattern, seed)``.  Nothing is kept between calls: a
+    caller that judges one run several times holds the history itself.
     """
-    global _history_cache_hits, _history_cache_misses
-    detector_key = detector.cache_key()
-    if detector_key is None:
-        return detector.sample_history(pattern, random.Random(seed ^ salt))
-    key = (detector_key, pattern, seed ^ salt)
-    try:
-        history = _history_cache.pop(key)  # repro: noqa RPR401 -- LRU memo of a pure function: same key, same history in every worker
-        # re-insert: most recently used
-        _history_cache[key] = history  # repro: noqa RPR401 -- pure-function memo; worker-local reordering cannot change results
-        _history_cache_hits += 1  # repro: noqa RPR401 -- diagnostic counter only (history_cache_info), never feeds results
-        return history
-    except KeyError:
-        pass
-    history = detector.sample_history(pattern, random.Random(seed ^ salt))
-    _history_cache[key] = history  # repro: noqa RPR401 -- pure-function memo; a forked worker just re-fills it
-    _history_cache_misses += 1  # repro: noqa RPR401 -- diagnostic counter only (history_cache_info), never feeds results
-    while len(_history_cache) > HISTORY_CACHE_MAXSIZE:
-        _history_cache.popitem(last=False)  # repro: noqa RPR401 -- LRU eviction of the pure-function memo
-    return history
-
-
-def history_cache_info() -> Dict[str, int]:
-    return {
-        "size": len(_history_cache),
-        "maxsize": HISTORY_CACHE_MAXSIZE,
-        "hits": _history_cache_hits,
-        "misses": _history_cache_misses,
-    }
+    rng = random.Random(seed ^ HISTORY_SEED_SALT)
+    return detector.sample_history(pattern, rng)
 
 
 def clear_history_cache() -> None:
-    global _history_cache_hits, _history_cache_misses
-    _history_cache.clear()
-    _history_cache_hits = 0
-    _history_cache_misses = 0
+    """Does nothing: histories are sampled per run and never cached.
 
-
-def stabilization_horizon(pattern: FailurePattern, slack: int = 0) -> int:
-    """A time by which everything eventual should have stabilized."""
-    return pattern.last_crash_time + slack
+    Kept only because the perf ledger's ``extract_trie`` workload still
+    calls it (ROADMAP item 6(g)).
+    """

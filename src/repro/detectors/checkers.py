@@ -351,20 +351,3 @@ class _ProjectedHistory(History):
 def project_history(history: History, index: int) -> History:
     """The ``index``-th component of a tuple-valued history."""
     return _ProjectedHistory(history, index)
-
-
-def check_paired(
-    history: History,
-    pattern: FailurePattern,
-    horizon: int,
-    checkers: Sequence,
-) -> List[CheckResult]:
-    """Check a tuple-valued history component-wise.
-
-    ``checkers[i]`` is applied to the ``i``-th projection.  Returns one
-    :class:`CheckResult` per component.
-    """
-    return [
-        checker(project_history(history, i), pattern, horizon)
-        for i, checker in enumerate(checkers)
-    ]

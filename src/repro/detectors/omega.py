@@ -73,8 +73,3 @@ class Omega(FailureDetector):
             dedup[stabilize_at] = leader
             breakpoints[p] = sorted(dedup.items())
         return ScheduleHistory(breakpoints)
-
-
-def constant_omega(pattern: FailurePattern, leader: int) -> ScheduleHistory:
-    """An Omega history that outputs ``leader`` everywhere from time 0."""
-    return ScheduleHistory({p: [(0, leader)] for p in pattern.processes})

@@ -32,7 +32,7 @@ from repro.detectors.base import (
     FailureDetector,
     History,
     RecordedHistory,
-    sample_history_cached,
+    sample_run_history,
 )
 from repro.detectors.checkers import (
     CheckResult,
@@ -134,7 +134,7 @@ def run_consensus_algorithm(
     """Run a pure-automaton consensus algorithm live."""
 
     def go() -> ConsensusRunOutcome:
-        history = sample_history_cached(detector, pattern, seed)
+        history = sample_run_history(detector, pattern, seed)
         processes = {
             p: AutomatonProcess(automaton, proposals[p]) for p in range(pattern.n)
         }
@@ -164,7 +164,7 @@ def run_nuc(
 
     def go() -> ConsensusRunOutcome:
         d = PairedDetector(Omega(), SigmaNuPlus()) if detector is None else detector
-        history = sample_history_cached(d, pattern, seed)
+        history = sample_run_history(d, pattern, seed)
         processes = {
             p: AutomatonProcess(AnucAutomaton(), proposals[p])
             for p in range(pattern.n)
@@ -194,7 +194,7 @@ def run_stack(
 
     def go() -> StackRunOutcome:
         d = PairedDetector(Omega(), SigmaNu()) if detector is None else detector
-        history = sample_history_cached(d, pattern, seed)
+        history = sample_run_history(d, pattern, seed)
         processes = {
             p: StackedNucProcess(proposals[p], pattern.n) for p in range(pattern.n)
         }
@@ -253,7 +253,7 @@ def run_boosting(
 
     def go() -> BoostRunOutcome:
         d = SigmaNu() if detector is None else detector
-        history = sample_history_cached(d, pattern, seed)
+        history = sample_run_history(d, pattern, seed)
         processes = {p: SigmaNuPlusBooster(pattern.n) for p in range(pattern.n)}
         system = System(
             processes,
@@ -317,7 +317,7 @@ def run_extraction(
     """
 
     def go() -> ExtractionRunOutcome:
-        history = sample_history_cached(detector, pattern, seed)
+        history = sample_run_history(detector, pattern, seed)
         processes = {
             p: SigmaNuExtractor(subject, pattern.n, search=search)
             for p in range(pattern.n)

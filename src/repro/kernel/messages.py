@@ -451,16 +451,19 @@ def build_delivery(spec: Sequence[Any]) -> DeliveryPolicy:
     max_age)``, ``("per-sender-fifo", lambda_prob, max_age)``,
     ``("oldest-first",)``, ``("coalescing"[, inner_spec])`` — the delivery
     half of the vocabulary :func:`repro.kernel.scheduler.build_scheduler`
-    speaks.
+    speaks, with the same ``ValueError`` on an unknown kind or a wrong
+    number of fields.
     """
-    kind = spec[0]
-    if kind == "fair-random":
-        return FairRandomDelivery(lambda_prob=spec[1], max_age=spec[2])
-    if kind == "per-sender-fifo":
-        return PerSenderFifoDelivery(lambda_prob=spec[1], max_age=spec[2])
-    if kind == "oldest-first":
+    kind, *args = spec
+    if kind == "fair-random" and len(args) == 2:
+        return FairRandomDelivery(lambda_prob=args[0], max_age=args[1])
+    if kind == "per-sender-fifo" and len(args) == 2:
+        return PerSenderFifoDelivery(lambda_prob=args[0], max_age=args[1])
+    if kind == "oldest-first" and not args:
         return OldestFirstDelivery()
-    if kind == "coalescing":
-        inner = build_delivery(spec[1]) if len(spec) > 1 else None
+    if kind == "coalescing" and len(args) <= 1:
+        inner = build_delivery(args[0]) if args else None
         return CoalescingDelivery(inner=inner)
-    raise ValueError(f"unknown delivery spec {spec!r}")
+    raise ValueError(
+        f"bad delivery spec {spec!r}: unknown kind or wrong number of fields"
+    )

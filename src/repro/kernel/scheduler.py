@@ -173,17 +173,20 @@ def build_scheduler(spec: Sequence[Any]) -> SchedulingPolicy:
     ``("random-fair", max_gap)``, ``("weighted", ((pid, weight), ...),
     max_gap)``, ``("scripted", script[, fallback_spec])`` — so a run's
     scheduler can be written into an artifact and rebuilt per execution
-    (instances carry cursors and cannot be shared).
+    (instances carry cursors and cannot be shared).  An unknown kind or a
+    wrong number of fields raises ``ValueError``.
     """
-    kind = spec[0]
-    if kind == "round-robin":
+    kind, *args = spec
+    if kind == "round-robin" and not args:
         return RoundRobinScheduler()
-    if kind == "random-fair":
-        return RandomFairScheduler(max_gap=spec[1])
-    if kind == "weighted":
-        weights = {int(p): w for p, w in spec[1]}
-        return WeightedScheduler(weights, max_gap=spec[2])
-    if kind == "scripted":
-        fallback = build_scheduler(spec[2]) if len(spec) > 2 else None
-        return ScriptedScheduler(list(spec[1]), fallback=fallback)
-    raise ValueError(f"unknown scheduler spec {spec!r}")
+    if kind == "random-fair" and len(args) == 1:
+        return RandomFairScheduler(max_gap=args[0])
+    if kind == "weighted" and len(args) == 2:
+        weights = {int(p): w for p, w in args[0]}
+        return WeightedScheduler(weights, max_gap=args[1])
+    if kind == "scripted" and len(args) in (1, 2):
+        fallback = build_scheduler(args[1]) if len(args) > 1 else None
+        return ScriptedScheduler(list(args[0]), fallback=fallback)
+    raise ValueError(
+        f"bad scheduler spec {spec!r}: unknown kind or wrong number of fields"
+    )

@@ -2,7 +2,7 @@
 
 Every load-bearing feature of this reproduction — prefix replay in the
 simulation trie, byte-identical ``--jobs N`` sweeps, the traced-vs-untraced
-oracle tests, the LRU history cache — is sound only because the codebase
+oracle tests — is sound only because the codebase
 follows the determinism discipline of the paper's step/schedule/run
 formalism: seeded RNGs only, no wall clock in the kernel, ordered iteration
 over unordered containers, pure automata, guarded instrumentation,

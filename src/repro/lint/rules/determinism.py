@@ -2,8 +2,8 @@
 
 The step/schedule/run formalism (Section 2) makes a run a pure function of
 (initial configuration, schedule, detector history, seed).  Prefix replay,
-the LRU history cache, ``--jobs N`` parity and the traced/untraced oracle
-all assume exactly that.  These rules catch the patterns that break it:
+``--jobs N`` parity and the traced/untraced oracle all assume exactly
+that.  These rules catch the patterns that break it:
 ambient randomness, wall-clock and environment reads, iteration order
 leaking out of unordered containers, and identity-based keys.
 

@@ -10,6 +10,7 @@ from repro.chaos.fuzzer import (
     ChaosConfig,
     execute_case,
     fuzz_config,
+    judge_case,
 )
 from repro.chaos.matrix import (
     CONFIGS,
@@ -19,6 +20,7 @@ from repro.chaos.matrix import (
     split_quorum_detector,
 )
 from repro.chaos.space import draw_case
+from repro.detectors.base import sample_run_history
 
 
 def _kw(**kwargs):
@@ -74,16 +76,41 @@ FAST_REGISTER = ChaosConfig(
 )
 
 
+def counting_detector(factory, calls):
+    """``factory`` whose detectors append to ``calls`` per sampled history."""
+
+    def make():
+        detector = factory()
+        sample = detector.sample_history
+
+        def counted(pattern, rng):
+            calls.append(pattern)
+            return sample(pattern, rng)
+
+        detector.sample_history = counted
+        return detector
+
+    return make
+
+
 class TestExecuteCase:
     def test_deterministic(self):
+        """Reruns agree, and so does the judging body given the history
+        sampled for the case's run."""
         case = draw_case(
             "test-nuc-honest", seed=0, index=0, ns=(3,), max_steps=6000
         )
         a = execute_case(FAST_HONEST, case)
-        b = execute_case(FAST_HONEST, case)
-        assert a.signature == b.signature
-        assert a.steps == b.steps
-        assert a.violations == b.violations
+        history = sample_run_history(
+            FAST_HONEST.detector(), case.pattern(), case.run_seed()
+        )
+        for b in (
+            execute_case(FAST_HONEST, case),
+            judge_case(FAST_HONEST, case, history),
+        ):
+            assert a.signature == b.signature
+            assert a.steps == b.steps
+            assert a.violations == b.violations
 
     def test_honest_consensus_case_clean(self):
         case = draw_case(
@@ -133,7 +160,12 @@ class TestExecuteCase:
     def test_termination_recheck_discards_starvation_artifacts(self):
         """An adversarially weighted schedule can starve one process past
         any finite budget; the fair-environment recheck must discard the
-        suggested termination violation for non-liveness-attack configs."""
+        suggested termination violation for non-liveness-attack configs.
+        The recheck runs over the case's history, sampled once."""
+        calls = []
+        counted = dataclasses.replace(
+            FAST_HONEST, detector=counting_detector(FAST_HONEST.detector, calls)
+        )
         starved = dataclasses.replace(
             draw_case(
                 "test-nuc-honest", seed=0, index=0, ns=(3,), max_steps=400
@@ -141,10 +173,12 @@ class TestExecuteCase:
             scheduler=("weighted", ((0, 0.05), (1, 20.0), (2, 20.0)), 4096),
             delivery=("per-sender-fifo", 0.9, 60),
         )
-        outcome = execute_case(FAST_HONEST, starved)
+        outcome = execute_case(counted, starved)
         assert not any(
             v.property == "termination" for v in outcome.violations
         )
+        assert outcome.steps > starved.max_steps  # the fair rerun's steps
+        assert len(calls) == 1
 
     def test_liveness_attack_rows_keep_raw_findings(self):
         """For configs that *expect* termination violations the bounded-fair

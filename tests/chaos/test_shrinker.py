@@ -1,5 +1,7 @@
 """Shrinker soundness: scripted replay fidelity and minimality."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos.fuzzer import execute_case, fuzz_config
@@ -10,7 +12,20 @@ from repro.chaos.shrinker import (
     shrink_schedule,
 )
 from repro.chaos.space import draw_case
-from tests.chaos.test_fuzzer import FAST_CRASHED, FAST_HONEST, FAST_SPLIT
+from tests.chaos.test_fuzzer import (
+    FAST_CRASHED,
+    FAST_HONEST,
+    FAST_SPLIT,
+    counting_detector,
+)
+
+#: The script the ``FAST_SPLIT`` seed-0 shrink has always returned (69 of
+#: the original 151 steps, in the full 400 evaluations).
+SPLIT_SCRIPT = (
+    2, 2, 0, 2, 0, 3, 5, 3, 0, 5, 2, 1, 3, 1, 5, 3, 1, 0, 0, 3, 5, 5, 3, 5,
+    2, 3, 0, 0, 2, 2, 3, 0, 0, 5, 2, 5, 0, 2, 3, 5, 2, 5, 3, 5, 3, 0, 5, 5,
+    3, 5, 2, 5, 5, 0, 3, 3, 0, 5, 0, 3, 3, 5, 3, 5, 3, 5, 3, 5, 5,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +127,20 @@ class TestShrinkSchedule:
             FAST_SPLIT, split_violation.case, "nonuniform agreement"
         )
         assert a == b
+
+    def test_shrink_samples_the_history_once(self, split_violation):
+        """Every evaluation is a scripted variant of one run, so the shrink
+        draws that run's history once and judges all 400 with it."""
+        calls = []
+        counted = dataclasses.replace(
+            FAST_SPLIT, detector=counting_detector(FAST_SPLIT.detector, calls)
+        )
+        result = shrink_schedule(
+            counted, split_violation.case, "nonuniform agreement"
+        )
+        assert len(calls) == 1
+        assert result.evaluations == 400
+        assert result.script == SPLIT_SCRIPT
 
     def test_termination_shrinks_to_empty_when_lie_suffices(self):
         """The crashed-leader lie blocks under the original environment

@@ -207,10 +207,24 @@ class TestSpecBuilders:
         assert isinstance(build_delivery(("oldest-first",)), OldestFirstDelivery)
 
     def test_unknown_specs_rejected(self):
-        with pytest.raises(ValueError):
-            build_scheduler(("martian",))
-        with pytest.raises(ValueError):
-            build_delivery(("martian",))
+        """An unknown kind, or a known one with the wrong number of
+        fields, is a ``ValueError``."""
+        bad = [
+            (build_scheduler, ("martian",)),
+            (build_delivery, ("martian",)),
+            (build_scheduler, ()),
+            (build_scheduler, ("round-robin", 3)),
+            (build_scheduler, ("random-fair",)),
+            (build_scheduler, ("weighted", ((0, 1.0),))),
+            (build_scheduler, ("scripted",)),
+            (build_delivery, ("per-sender-fifo", 0.218)),
+            (build_delivery, ("fair-random", 0.5, 40, 1)),
+            (build_delivery, ("oldest-first", 1)),
+            (build_delivery, ("coalescing", ("oldest-first",), 2)),
+        ]
+        for builder, spec in bad:
+            with pytest.raises(ValueError):
+                builder(spec)
 
     def test_builders_return_fresh_instances(self):
         spec = ("random-fair", 16)

@@ -22,7 +22,7 @@ from repro.core.extraction import SigmaNuExtractor
 from repro.core import simtrie
 from repro.core.simtrie import IncrementalExtractionEngine, SimulationTrie, _Walk
 from repro.detectors import Omega, PairedDetector, Sigma
-from repro.detectors.base import sample_history_cached
+from repro.detectors.base import sample_run_history
 from repro.harness.runner import random_pattern, run_extraction
 from repro.kernel.failures import FailurePattern
 from repro.kernel.messages import CoalescingDelivery
@@ -571,7 +571,7 @@ class ScratchExtractor(SigmaNuExtractor):
 
 def run_extractors(pattern, seed, extractor=SigmaNuExtractor, max_steps=1200):
     detector = PairedDetector(Omega(), Sigma("pivot"))
-    history = sample_history_cached(detector, pattern, seed)
+    history = sample_run_history(detector, pattern, seed)
     processes = {
         p: extractor(QuorumMR(), pattern.n) for p in range(pattern.n)
     }

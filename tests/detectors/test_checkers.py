@@ -8,7 +8,6 @@ history that satisfies it and ones that violate it in each possible way.
 from repro.detectors.base import ScheduleHistory
 from repro.detectors.checkers import (
     check_omega,
-    check_paired,
     check_sigma,
     check_sigma_nu,
     check_sigma_nu_plus,
@@ -257,10 +256,3 @@ class TestPairedProjection:
         sigma_view = project_history(h, 1)
         assert omega_view.value(0, 5) == "L"
         assert sigma_view.value(1, 5) == frozenset({0, 1})
-
-    def test_check_paired_runs_componentwise(self):
-        pattern = FailurePattern.no_failures(2)
-        h = const(2, (0, frozenset({0, 1})))
-        results = check_paired(h, pattern, H, [check_omega, check_sigma])
-        assert all(r.ok for r in results)
-        assert [r.detector for r in results] == ["Omega", "Sigma"]

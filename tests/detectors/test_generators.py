@@ -10,14 +10,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detectors.base import stabilization_horizon
 from repro.detectors.checkers import (
     check_omega,
     check_sigma,
     check_sigma_nu,
     check_sigma_nu_plus,
 )
-from repro.detectors.omega import Omega, constant_omega
+from repro.detectors.omega import Omega
 from repro.detectors.paired import PairedDetector, PairedHistory
 from repro.detectors.sigma import Sigma
 from repro.detectors.sigma_nu import SigmaNu
@@ -56,11 +55,6 @@ class TestOmegaEdgeCases:
         pattern = FailurePattern(3, {0: 5})
         with pytest.raises(ValueError):
             Omega(leader=0).sample_history(pattern, random.Random(0))
-
-    def test_constant_omega_helper(self):
-        pattern = FailurePattern.no_failures(3)
-        h = constant_omega(pattern, leader=1)
-        assert check_omega(h, pattern, HORIZON).ok
 
     def test_no_correct_process_yields_some_history(self):
         pattern = FailurePattern.initial_crashes(2, [0, 1])
@@ -153,13 +147,6 @@ class TestPairedDetector:
         d = PairedDetector(Omega(), Sigma(), SigmaNu())
         value = d.sample_history(pattern, random.Random(0)).value(0, 0)
         assert len(value) == 3
-
-
-class TestStabilizationHorizon:
-    def test_tracks_last_crash(self):
-        pattern = FailurePattern(3, {0: 7, 1: 20})
-        assert stabilization_horizon(pattern) == 20
-        assert stabilization_horizon(pattern, slack=5) == 25
 
 
 @settings(max_examples=30, deadline=None)

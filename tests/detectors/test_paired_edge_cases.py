@@ -1,4 +1,4 @@
-"""Edge cases for the product detector: arity, projection, caching."""
+"""Edge cases for the product detector: arity and projection."""
 
 import random
 
@@ -11,7 +11,6 @@ from repro.detectors import (
     Sigma,
     SigmaNu,
     SigmaNuPlus,
-    sample_history_cached,
 )
 from repro.detectors.base import RecordedHistory
 from repro.kernel.failures import FailurePattern
@@ -67,46 +66,3 @@ class TestSingleProcessSystems:
         )
         assert check_omega(history.project(0), pattern, 100).ok
         assert check_sigma_nu(history.project(1), pattern, 100).ok
-
-
-class TestCacheKey:
-    def test_stable_across_instances(self):
-        a = PairedDetector(Omega(), SigmaNuPlus())
-        b = PairedDetector(Omega(), SigmaNuPlus())
-        assert a.cache_key() is not None
-        assert a.cache_key() == b.cache_key()
-
-    def test_distinguishes_component_configuration(self):
-        base = PairedDetector(Omega(), SigmaNu())
-        tweaked = PairedDetector(Omega(stabilization_slack=99), SigmaNu())
-        reordered = PairedDetector(SigmaNu(), Omega())
-        assert base.cache_key() != tweaked.cache_key()
-        assert base.cache_key() != reordered.cache_key()
-
-    def test_uncacheable_component_poisons_the_product(self):
-        class Opaque(Omega):
-            def __init__(self):
-                super().__init__()
-                self.blob = object()  # unkeyable attribute
-
-        assert PairedDetector(Opaque(), SigmaNu()).cache_key() is None
-
-    def test_cached_sampling_shares_histories(self):
-        pattern = FailurePattern(3, {2: 5})
-        a = sample_history_cached(
-            PairedDetector(Omega(), SigmaNuPlus()), pattern, 1234
-        )
-        b = sample_history_cached(
-            PairedDetector(Omega(), SigmaNuPlus()), pattern, 1234
-        )
-        assert a is b
-
-    def test_injectors_are_cacheable(self):
-        """The chaos injectors ride through sample_history_cached; their
-        keys must be stable and distinct from their honest inners."""
-        from repro.chaos.injectors import SplitQuorums
-
-        a, b = SplitQuorums(), SplitQuorums()
-        assert a.cache_key() is not None
-        assert a.cache_key() == b.cache_key()
-        assert a.cache_key() != a.inner.cache_key()

@@ -25,7 +25,7 @@ from repro.detectors import (
     Sigma,
     SigmaNu,
 )
-from repro.detectors.base import FunctionalHistory, sample_history_cached
+from repro.detectors.base import FunctionalHistory, sample_run_history
 from repro.kernel.automaton import AutomatonProcess
 from repro.kernel.batch import BatchSystem, LaneSpec, probe_spec
 from repro.kernel.failures import FailurePattern
@@ -88,7 +88,7 @@ PAIRED = PairedDetector(Omega(), Sigma("pivot"))
 
 
 def paired_history(pattern, seed):
-    return sample_history_cached(PAIRED, pattern, seed)
+    return sample_run_history(PAIRED, pattern, seed)
 
 
 def measured_spec(**overrides):
@@ -113,8 +113,8 @@ def corner_specs():
     for seed in (0, 3):
         h = paired_history(PATTERN, seed)
         hc = paired_history(PATTERN_CRASH, seed)
-        om = sample_history_cached(Omega(), PATTERN_CRASH, seed)
-        nu = sample_history_cached(
+        om = sample_run_history(Omega(), PATTERN_CRASH, seed)
+        nu = sample_run_history(
             PairedDetector(Omega(), SigmaNu()), PATTERN_CRASH, seed
         )
         specs += [
@@ -222,7 +222,7 @@ class TestHypothesisOracle:
         )
         spec = LaneSpec(
             pattern,
-            sample_history_cached(detector, pattern, case.run_seed()),
+            sample_run_history(detector, pattern, case.run_seed()),
             case.run_seed(),
             min(case.max_steps, 400),
             automaton,
@@ -272,9 +272,9 @@ class _OverridingQuorumMR(QuorumMR):
 #: history, a scripted scheduler, observability) have their own tests below.
 DEVIATIONS = [
     ("automaton", dict(automaton=MostefaouiRaynal(),
-                       history=sample_history_cached(Omega(), PATTERN, 2))),
+                       history=sample_run_history(Omega(), PATTERN, 2))),
     ("automaton", dict(automaton=ChandraTouegS(),
-                       history=sample_history_cached(
+                       history=sample_run_history(
                            EventuallyPerfect(), PATTERN, 2))),
     ("automaton", dict(automaton=_OverridingQuorumMR())),
     ("scheduler", dict(scheduler=("round-robin",))),

@@ -10,7 +10,7 @@ sweeps are only cheap because metrics mode is a faithful stand-in.
 import random
 
 from repro.consensus.quorum_mr import QuorumMR
-from repro.detectors import Omega, PairedDetector, Sigma, clear_history_cache
+from repro.detectors import Omega, PairedDetector, Sigma
 from repro.harness.runner import run_nuc, run_stack
 from repro.kernel.automaton import AutomatonProcess
 from repro.kernel.failures import FailurePattern
@@ -45,15 +45,6 @@ class TestByteIdenticalReruns:
         b = run_nuc(pattern, proposals, seed=7)
         assert a.result.steps == b.result.steps
         assert a.result.decisions == b.result.decisions
-
-    def test_history_cache_does_not_change_runs(self):
-        pattern = FailurePattern(3, {})
-        proposals = {0: 1, 1: 0, 2: 1}
-        clear_history_cache()
-        cold = run_nuc(pattern, proposals, seed=3)
-        warm = run_nuc(pattern, proposals, seed=3)  # history now cached
-        assert cold.result.steps == warm.result.steps
-        assert cold.result.decisions == warm.result.decisions
 
 
 class TestTraceModeEquivalence:

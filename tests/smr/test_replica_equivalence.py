@@ -33,7 +33,7 @@ from repro.detectors import (
     PairedHistory,
     ScheduleHistory,
     SigmaNuPlus,
-    sample_history_cached,
+    sample_run_history,
 )
 from repro.kernel.automaton import (
     CoroutineRuntime,
@@ -215,7 +215,7 @@ def test_chaos_smr_rows(index):
         config.name, 0, index, max_steps=config.max_steps, **config.draw_kwargs()
     )
     pattern = case.pattern()
-    history = sample_history_cached(config.detector(), pattern, case.run_seed())
+    history = sample_run_history(config.detector(), pattern, case.run_seed())
     commands = case.proposal_map()
     slots = 2
 

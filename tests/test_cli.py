@@ -1,5 +1,8 @@
 """The command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -195,6 +198,33 @@ class TestChaosCommand:
         assert code == 0
         assert "reproduced" in out
         assert "nonuniform agreement" in out
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "format", "delivery", "crash", "config"],
+    )
+    def test_replay_refuses_malformed_artifact(self, damage, capsys, tmp_path):
+        """A malformed artifact exits 2 with one error line, apart from
+        exit 1 ("NOT reproduced") and without a traceback."""
+        document = json.loads(Path(self.FIXTURE).read_text())
+        if damage == "format":
+            document = {"format": "nope"}
+        elif damage == "delivery":
+            document["case"]["delivery"] = ["per-sender-fifo", 0.218]
+        elif damage == "crash":
+            assert document["case"]["n"] == 5
+            document["case"]["crash_times"] = [[9, 13]]
+        elif damage == "config":
+            document["config"] = "martian"
+        path = tmp_path / "ce.json"
+        if damage != "missing":
+            path.write_text(json.dumps(document))
+        code = main(["chaos", "--replay", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
 
     def test_shrink_writes_artifact(self, capsys, tmp_path):
         code = main(
