@@ -113,13 +113,18 @@ def replay_counterexample(
     Returns ``(reproduced, outcome, document)`` where ``reproduced`` is
     whether the recorded property is violated again.  ``config`` may be a
     :class:`~repro.chaos.fuzzer.ChaosConfig`; by default it is resolved by
-    name from the matrix registry.
+    name from the matrix registry (``ValueError`` for a name it lacks).
     """
     document = load_counterexample(source)
     if config is None:
         from repro.chaos.matrix import CONFIGS
 
-        config = CONFIGS[document["config"]]
+        name = document["config"]
+        if name not in CONFIGS:
+            raise ValueError(
+                f"unknown chaos config {name!r}; known: {', '.join(sorted(CONFIGS))}"
+            )
+        config = CONFIGS[name]
     case = FuzzCase.from_json(document["case"])
     outcome = execute_case(config, case)
     reproduced = any(

@@ -548,6 +548,19 @@ class _Extractor:
                             node.module,
                             item.name,
                         )
+        # A lazy export table (``repro._exports``) forwards like from-imports.
+        for stmt in tree.body:
+            call = stmt.value if isinstance(stmt, ast.Assign) else None
+            if (
+                isinstance(call, ast.Call)
+                and dotted_text(call.func) == "lazy_exports"
+                and len(call.args) == 2
+                and isinstance(call.args[1], ast.Dict)
+            ):
+                for key, value in zip(call.args[1].keys, call.args[1].values):
+                    if isinstance(key, ast.Constant) and isinstance(value, ast.Constant):
+                        for name in value.value.split():
+                            self.from_imports[name] = (key.value, name)
         # Set bindings per lexical scope, and of the scope of every node
         # (nodes inside a lambda belong to none).
         self.bound_of_scope: Dict[int, Set[str]] = {}

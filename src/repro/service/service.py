@@ -30,9 +30,11 @@ a read serves the certified prefix regardless of who holds the lease.
 from __future__ import annotations
 
 import asyncio
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.service.clock import TickClock
@@ -46,6 +48,28 @@ class Backpressure(Exception):
 
 class Unavailable(Exception):
     """No alive replica can serve (all crashed or no lease obtainable)."""
+
+
+class PrefixView(Sequence):
+    """The first ``length`` items of an append-only list, read-only and
+    fixed in length: what one read served, recorded without a copy."""
+
+    __slots__ = ("_items", "_length")
+
+    def __init__(self, items: List, length: int):
+        self._items = items
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._items[slice(*index.indices(self._length))])
+        return self._items[range(self._length)[index]]
+
+    def __iter__(self) -> Iterator:
+        return islice(self._items, self._length)
 
 
 @dataclass
@@ -97,8 +121,9 @@ class ConsensusService:
         self._lease: Optional[Tuple[int, int]] = None  # (holder, expiry tick)
         self.applied_commands: List[Tuple] = []
         self.invariants = ServiceInvariants()
-        self.read_log: List[Tuple[int, Tuple]] = []  # audit: (prefix, view)
-        self._read_view: Optional[Tuple] = None  # shared until next apply
+        # audit: (certified slots, what the read served)
+        self.read_log: List[Tuple[int, PrefixView]] = []
+        self._read_view: Optional[Tuple[Tuple, PrefixView]] = None  # per apply
         self.stats: Dict[str, int] = {
             "submitted": 0,
             "shed": 0,
@@ -194,10 +219,15 @@ class ConsensusService:
         self.stats["reads"] += 1
         if obs._ENABLED:
             obs.metrics().inc("service.reads")
-        view = self._read_view
-        if view is None:
-            view = self._read_view = tuple(self.applied_commands)
-        self.read_log.append((self._applied_slots, view))
+        cached = self._read_view
+        if cached is None:
+            commands = self.applied_commands
+            cached = self._read_view = (
+                tuple(commands),
+                PrefixView(commands, len(commands)),
+            )
+        view, served = cached
+        self.read_log.append((self._applied_slots, served))
         return view
 
     # ------------------------------------------------------------------

@@ -250,10 +250,11 @@ def check_certified_reads(
 ) -> SmrReport:
     """Every served read must be a certified prefix of the final logs.
 
-    ``read_log`` holds ``(prefix_len, applied_commands)`` audit entries
-    recorded by the service at reply time; ``logs`` the final per-replica
-    decided logs.  A read is safe when its prefix is within the final
-    certified length and its commands match the flattened certified log.
+    ``read_log`` holds ``(prefix_len, served)`` audit entries recorded by
+    the service at reply time, ``served`` being the commands the read
+    returned; ``logs`` the final per-replica decided logs.  A read is
+    safe when its prefix is within the final certified length and its
+    commands match the flattened certified log.
     """
     report = SmrReport(ok=True)
     reference = certified_log(logs, quorum)

@@ -107,6 +107,12 @@ class TestReplay:
         assert reproduced
         assert document["config"] == "split-quorums"
 
+    def test_replay_refuses_an_unknown_config(self):
+        document = json.loads(THEOREM_71_FIXTURE.read_text())
+        document["config"] = "martian"
+        with pytest.raises(ValueError, match="'martian'.*split-quorums"):
+            replay_counterexample(document)
+
 
 class TestCommittedFixture:
     """The Theorem 7.1 artifact: t >= n/2 split quorums make the naive

@@ -48,7 +48,9 @@ def run_service_scenario(config: ServiceConfig, scenario) -> dict:
                 p: tuple(log) for p, log in sorted(service.core.logs().items())
             },
             "stats": dict(service.stats),
-            "read_log": tuple(service.read_log),
+            "read_log": tuple(
+                (prefix, tuple(view)) for prefix, view in service.read_log
+            ),
             "invariant_violations": tuple(service.invariants.violations),
             "extra": extra,
         }
