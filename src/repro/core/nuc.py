@@ -105,7 +105,10 @@ _PHASE_PROP = "prop"
 class _NucState:
     """One process's variables.  ``k`` is the current round, and
     ``distrust_events`` lists ``(round, process)`` for every leader refused
-    at line 18 and every quorum member that forced a phase-3 retry."""
+    at line 18 and every quorum member that forced a phase-3 retry.
+    ``parked`` is the detector value of the last step's wait check if
+    that check failed, else ``None``; it is bookkeeping, not a variable
+    of Figs. 4-5, so ``snapshot`` and ``==`` ignore it."""
 
     pid: int
     n: int
@@ -123,10 +126,7 @@ class _NucState:
     distrust_events: List[Tuple[int, int]] = field(default_factory=list)
     # (tag, round) -> {sender: payload}
     log: Dict[Tuple[str, int], Dict[int, Tuple]] = field(default_factory=dict)
-
-    def record(self, sender: int, payload: Tuple) -> None:
-        tag, rnd = payload[0], payload[1]
-        self.log.setdefault((tag, rnd), {}).setdefault(sender, payload)
+    parked: Any = field(default=None, compare=False)
 
     def received(self, tag: str, rnd: int) -> Dict[int, Tuple]:
         return self.log.get((tag, rnd), {})
@@ -191,6 +191,12 @@ class AnucAutomaton(Automaton):
     # -- one model step ----------------------------------------------------
 
     def transition(self, state, pid, msg, d):
+        if msg is None and d == state.parked:
+            # A stutter: the last step's wait check failed on this same
+            # message log, round, phase and detector value, and a lambda
+            # step changes none of them, so the check fails again and
+            # leaves the state as it is.
+            return TransitionOutcome(state=state, sends=[])
         sends: List[Tuple[int, Any]] = []
 
         # Round 1 opens on the very first step (Fig. 4 initializes, then
@@ -214,10 +220,14 @@ class AnucAutomaton(Automaton):
                 state.round_no[quorum] = max(state.round_no.get(quorum, 0), k)
                 if state.acks[quorum] == set(quorum):
                     state.seen[quorum] = state.round_no[quorum]
-            else:
-                state.record(msg.sender, payload)
+            else:  # LEAD, REP, PROP: the first of each (tag, round, sender)
+                state.log.setdefault((tag, payload[1]), {}).setdefault(
+                    msg.sender, payload
+                )
 
-        # Exactly one wait-condition check per step, with this step's d.
+        # Exactly one wait-condition check per step, with this step's d;
+        # a check that gets past its wait unparks the state.
+        state.parked = d
         leader, quorum_value = d
         if state.phase == _PHASE_LEAD:
             self._check_lead(state, sends, leader)
@@ -240,6 +250,7 @@ class AnucAutomaton(Automaton):
         lead = state.received(LEAD, state.k).get(leader)
         if lead is None:
             return
+        state.parked = None
         self._import_history(state, lead[3])
         if not self.enable_distrust or not distrusts(
             state.history, state.pid, leader, state.n
@@ -255,6 +266,7 @@ class AnucAutomaton(Automaton):
         reports = state.received(REP, state.k)
         if not quorum or not reports.keys() >= quorum:
             return
+        state.parked = None
         values = {reports[q][2] for q in quorum}
         if len(values) == 1:
             (proposal,) = values
@@ -272,6 +284,8 @@ class AnucAutomaton(Automaton):
         proposals = state.received(PROP, state.k)
         if not quorum or not proposals.keys() >= quorum:
             return
+        # Past the wait: even a retry (lines 25-28) records distrust events.
+        state.parked = None
         for q in sorted(quorum):  # line 27
             self._import_history(state, proposals[q][3])
         if self.enable_distrust:

@@ -29,10 +29,12 @@ delivery policy only ever looks at the queue of the process that steps.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -58,28 +60,30 @@ class Message(NamedTuple):
         )
 
 
-class _PendingEntry:
+class _PendingEntry(NamedTuple):
     """A pending message plus what its age is measured from.
 
     A message's age is the number of steps its destination has taken
     since the message became pending: the destination's step count now
-    minus its step count at the send.  Nothing is touched per step.
+    minus its step count at the send, which the entry stores.  Nothing is
+    touched per step.
     """
 
-    __slots__ = ("message", "_sent_at_dest_step", "_dest_steps")
-
-    def __init__(self, message: Message, dest_steps: Dict[int, int]):
-        self.message = message
-        self._dest_steps = dest_steps  # the buffer's live per-destination counts
-        self._sent_at_dest_step = dest_steps.get(message.dest, 0)
+    message: Message
+    sent_at_dest_step: int
+    dest_steps: Dict[int, int]  # the buffer's live per-destination counts
 
     @property
     def age_in_dest_steps(self) -> int:
         """The aging counter used by fairness rules."""
         return (
-            self._dest_steps.get(self.message.dest, 0) - self._sent_at_dest_step
+            self.dest_steps.get(self.message.dest, 0) - self.sent_at_dest_step
         )
 
+
+#: ``tuple.__new__``: builds a :class:`Message` or :class:`_PendingEntry`
+#: from its field tuple without the Python-level ``NamedTuple.__new__``.
+_new_tuple = tuple.__new__
 
 #: Shared empty queue returned for destinations with nothing pending.
 _NO_ENTRIES: List[_PendingEntry] = []
@@ -90,7 +94,8 @@ class MessageBuffer:
 
     def __init__(self) -> None:
         self._pending: Dict[int, List[_PendingEntry]] = {}
-        self._dest_steps: Dict[int, int] = {}  # steps noted per destination
+        # Steps noted per destination (a defaultdict: read by subscript).
+        self._dest_steps: Dict[int, int] = defaultdict(int)
         self._seq: Dict[int, int] = {}
         self._closed: Set[int] = set()  # destinations that take no more steps
         self._sent_count = 0
@@ -103,21 +108,38 @@ class MessageBuffer:
     # ------------------------------------------------------------------
 
     def send(self, sender: int, dest: int, payload: Any, now: int) -> Message:
-        """Place a new unique message in the buffer and return it.
+        """Place a new unique message in the buffer and return it."""
+        return self.send_all(sender, ((dest, payload),), now)[0]
+
+    def send_all(
+        self, sender: int, sends: Iterable[Tuple[int, Any]], now: int
+    ) -> List[Message]:
+        """Place one step's sends, ``(dest, payload)`` pairs, in the buffer
+        in order; returns their messages.
 
         A message to a closed destination is stamped, counted and returned
         like any other, but it is not queued."""
         seq = self._seq.get(sender, 0)
-        self._seq[sender] = seq + 1
-        message = Message(sender, dest, payload, (sender, seq), now)
-        if dest in self._closed:
-            self._discarded_count += 1
-        else:
-            self._pending.setdefault(dest, []).append(
-                _PendingEntry(message, self._dest_steps)
+        pending, closed, steps = self._pending, self._closed, self._dest_steps
+        messages = []
+        for dest, payload in sends:
+            message = _new_tuple(
+                Message, (sender, dest, payload, (sender, seq), now)
             )
-        self._sent_count += 1
-        return message
+            seq += 1
+            messages.append(message)
+            if dest in closed:
+                self._discarded_count += 1
+                continue
+            queue = pending.get(dest)
+            if queue is None:
+                queue = pending[dest] = []
+            queue.append(
+                _new_tuple(_PendingEntry, (message, steps[dest], steps))
+            )
+        self._seq[sender] = seq
+        self._sent_count += len(messages)
+        return messages
 
     def close(self, dest: int) -> None:
         """Close ``dest``'s mailbox: ``dest`` has crashed and takes no more
@@ -164,7 +186,7 @@ class MessageBuffer:
         """Age every message pending for ``dest`` by one destination step;
         returns the step's index among ``dest``'s steps (0 for its first)."""
         steps = self._dest_steps
-        index = steps.get(dest, 0)
+        index = steps[dest]
         steps[dest] = index + 1
         return index
 
@@ -176,7 +198,9 @@ class MessageBuffer:
         """Pending entries for ``dest``, oldest first.
 
         The returned sequence is the live queue — callers must treat it as
-        read-only (policies that remove entries copy it first).  Because
+        read-only (policies that remove entries copy it first; only
+        ``FairRandomDelivery.receive``, in this module, pops from it and
+        counts the delivery).  Because
         sends append and aging is uniform, ``age_in_dest_steps`` is
         non-increasing along it: the first entry is always the oldest.
         """
@@ -220,6 +244,20 @@ class MessageBuffer:
 class DeliveryPolicy:
     """Chooses the message (or lambda) a stepping process receives."""
 
+    def receive(
+        self, buffer: MessageBuffer, dest: int, rng: random.Random
+    ) -> Optional[Message]:
+        """One step's receipt for ``dest``: note the step, choose, deliver.
+
+        Returns the received message, or ``None`` for lambda.  The kernel
+        calls this once per step; a policy may override it with a cheaper
+        pass that makes the same draws and the same delivery.
+        """
+        message = self.choose(buffer, dest, buffer.note_dest_step(dest), rng)
+        if message is not None:
+            buffer.deliver(message)
+        return message
+
     def choose(
         self,
         buffer: MessageBuffer,
@@ -238,6 +276,18 @@ class DeliveryPolicy:
     def ensures_eventual_delivery(self) -> bool:
         """Whether the policy satisfies admissibility property (7)."""
         raise NotImplementedError
+
+
+def _check_fairness(lambda_prob: Any, max_age: Any) -> None:
+    """``ValueError`` unless both are numbers, ``0 <= lambda_prob < 1``
+    and ``max_age >= 1`` (the aging rule's parameters)."""
+    for value in (lambda_prob, max_age):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"delivery parameter {value!r} is not a number")
+    if not 0.0 <= lambda_prob < 1.0:
+        raise ValueError("lambda_prob must be in [0, 1)")
+    if max_age < 1:
+        raise ValueError("max_age must be >= 1")
 
 
 class OldestFirstDelivery(DeliveryPolicy):
@@ -265,10 +315,7 @@ class FairRandomDelivery(DeliveryPolicy):
     """
 
     def __init__(self, lambda_prob: float = 0.25, max_age: int = 40):
-        if not 0.0 <= lambda_prob < 1.0:
-            raise ValueError("lambda_prob must be in [0, 1)")
-        if max_age < 1:
-            raise ValueError("max_age must be >= 1")
+        _check_fairness(lambda_prob, max_age)
         self.lambda_prob = lambda_prob
         self.max_age = max_age
 
@@ -276,11 +323,31 @@ class FairRandomDelivery(DeliveryPolicy):
         entries = buffer.entries_for(dest)
         if not entries:
             return None
-        oldest = entries[0]  # ages are non-increasing: the max is up front
-        if oldest.age_in_dest_steps >= self.max_age:
-            return oldest.message
-        if rng.random() < self.lambda_prob:
+        # Ages are non-increasing along the queue: the max is up front.
+        index = self._pick(entries, entries[0].age_in_dest_steps, rng)
+        return None if index < 0 else entries[index].message
+
+    def receive(self, buffer, dest, rng):
+        # choose() in one pass over the buffer's own tables: note the
+        # step, draw, and pop the chosen entry by its index.
+        steps = buffer._dest_steps
+        now = steps[dest] + 1
+        steps[dest] = now
+        entries = buffer._pending.get(dest)
+        if not entries:
             return None
+        index = self._pick(entries, now - entries[0].sent_at_dest_step, rng)
+        if index < 0:
+            return None
+        buffer._delivered_count += 1
+        return entries.pop(index).message
+
+    def _pick(self, entries, oldest_age: int, rng: random.Random) -> int:
+        """The index of the entry to deliver, or -1 for lambda."""
+        if oldest_age >= self.max_age:
+            return 0
+        if rng.random() < self.lambda_prob:
+            return -1
         # rng.choice(entries), draw for draw: the stdlib's
         # _randbelow_with_getrandbits, inlined.
         count = len(entries)
@@ -288,7 +355,7 @@ class FairRandomDelivery(DeliveryPolicy):
         index = rng.getrandbits(bits)
         while index >= count:
             index = rng.getrandbits(bits)
-        return entries[index].message
+        return index
 
     def ensures_eventual_delivery(self) -> bool:
         return True
@@ -304,6 +371,7 @@ class PerSenderFifoDelivery(DeliveryPolicy):
     """
 
     def __init__(self, lambda_prob: float = 0.2, max_age: int = 60):
+        _check_fairness(lambda_prob, max_age)
         self.lambda_prob = lambda_prob
         self.max_age = max_age
 

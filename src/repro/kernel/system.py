@@ -179,10 +179,8 @@ class System:
             history.value if hasattr(history, "value") else history
         )
         self._next_process = self.scheduler.next_process
-        self._note_dest_step = self.buffer.note_dest_step
-        self._choose = self.delivery.choose
-        self._deliver = self.buffer.deliver
-        self._send = self.buffer.send
+        self._receive = self.delivery.receive
+        self._send_all = self.buffer.send_all
         self._seat_epochs()
 
     def _seat_epochs(self) -> None:
@@ -239,21 +237,19 @@ class System:
         next_process = self._next_process
         sched_rng = self._sched_rng
         buffer = self.buffer
-        note_dest_step = self._note_dest_step
-        deliver = self._deliver
-        send = self._send
-        choose = self._choose
+        receive = self._receive
+        send_all = self._send_all
         dest_rngs = self._dest_rngs
         history_value = self._history_fn
         runtimes = self.runtimes
         steps = self.steps
         queried = self.queried
 
-        t = self.time
+        t = start = self.time
+        end = start + budget
         alive = self._alive_now
         next_epoch_at = self._next_epoch_at
-        taken = 0
-        while taken < budget:
+        while t < end:
             if next_epoch_at is not None and t >= next_epoch_at:
                 # Crash-epoch cursor: between crash times the alive tuple
                 # is a constant.
@@ -274,27 +270,21 @@ class System:
             if pid is None:
                 break
 
-            message = choose(buffer, pid, note_dest_step(pid), dest_rngs[pid])
-            if message is not None:
-                deliver(message)
+            message = receive(buffer, pid, dest_rngs[pid])
             d = history_value(pid, t)
             sends = runtimes[pid].step(message, d, t)
             self.time = t + 1
             if record_trace:
-                sent_messages = tuple(
-                    [send(pid, dest, payload, t) for dest, payload in sends]
-                )
+                sent_messages = tuple(send_all(pid, sends, t))
                 queried[pid].append((t, d))
                 steps.append(
                     StepRecord(len(steps), t, pid, message, d, sent_messages)
                 )
-            else:
+            elif sends:
                 # Metrics mode: enqueue the sends, build no per-step record.
-                for dest, payload in sends:
-                    send(pid, dest, payload, t)
+                send_all(pid, sends, t)
             t += 1
-            taken += 1
-        return taken
+        return t - start
 
     def step(self) -> Optional[StepRecord]:
         """Execute one step; ``None`` when no process can step.

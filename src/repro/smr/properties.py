@@ -255,11 +255,17 @@ def check_certified_reads(
     returned; ``logs`` the final per-replica decided logs.  A read is
     safe when its prefix is within the final certified length and its
     commands match the flattened certified log.
+
+    Many reads serve the same view (the service hands out one view per
+    apply), so each distinct ``served`` object is compared once and its
+    verdict reused; every diverging entry is still reported.
     """
     report = SmrReport(ok=True)
     reference = certified_log(logs, quorum)
     certified = len(reference)
     certified_flat = flatten_batches(reference)
+    # id(served) -> (served, matches); holding ``served`` keeps its id.
+    verdicts: Dict[int, Tuple[Sequence, bool]] = {}
     for prefix_len, commands in read_log:
         if prefix_len > certified:
             report.ok = False
@@ -268,8 +274,14 @@ def check_certified_reads(
                 f"{certified}"
             )
             continue
-        served = list(commands)
-        if served != certified_flat[: len(served)]:
+        verdict = verdicts.get(id(commands))
+        if verdict is None:
+            served = list(commands)
+            verdict = verdicts[id(commands)] = (
+                commands,
+                served == certified_flat[: len(served)],
+            )
+        if not verdict[1]:
             report.ok = False
             report.violations.append(
                 f"read: served commands diverge from the certified log "

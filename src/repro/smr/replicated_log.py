@@ -83,6 +83,8 @@ Command = Tuple  # e.g. ("append", pid, k) or ("noop", pid)
 
 NOOP: Command = ("noop", -1)
 
+_UNPARKED = object()  # equal to no detector value
+
 #: Every slot of every replica is an instance of this one automaton; the
 #: per-slot state is what ``initial_state`` returns.
 _ANUC = AnucAutomaton()
@@ -147,6 +149,7 @@ class ReplicatedLogProcess(Process):
             return False
         self.commands.append(command)
         self._known[command] = 1
+        self._parked = _UNPARKED  # the next step forwards it
         return True
 
     def _is_new(self, command: Command) -> bool:
@@ -181,16 +184,27 @@ class ReplicatedLogProcess(Process):
         self._instance: Any = None  # the open slot's AnucAutomaton state
         self._replay: List[DeliveredMessage] = []  # its stashed traffic
         self._serving = False  # every bounded slot is decided
+        # The detector value of the last step if its check left the open
+        # slot waiting; a lambda step with this value is a stutter.
+        self._parked: Any = _UNPARKED
         return self
 
     def step(self, message: Any, d: Any, t: int) -> List[Send]:
         """One model step: intake, then the open slot's transition.
 
         A slot that closes opens the next, which runs on its stashed
-        traffic within this same step, until a slot is left waiting.
+        traffic within this same step, until a slot is left waiting.  A
+        lambda step that would re-check a failed wait on an unchanged
+        detector value, with nothing fed since, returns at once; it
+        still counts as a step.
         """
         ctx = self._ctx
         ctx.step_count += 1
+        if message is None and d == self._parked:
+            # A stutter (see AnucAutomaton.transition), and no feed has
+            # added a command to forward since the last step.
+            return []
+        self._parked = _UNPARKED
         pid = ctx.pid
         notices = self._notices
         sends: List[Send] = []
@@ -213,13 +227,18 @@ class ReplicatedLogProcess(Process):
                 return sends
             inner = None
             if tag == SLOT:
-                inner = self._route(message, self._slot, self._stashed)
+                _, slot, payload = message.payload
+                if slot == self._slot:  # _route's common case, inline
+                    inner = DeliveredMessage(message.sender, payload)
+                else:
+                    self._route(message, self._slot, self._stashed)
             while True:
                 slot = self._slot
                 if slot in notices:
                     value = notices[slot]
                 else:
-                    self._maybe_forward(pid, d, sends)
+                    if self.commands:
+                        self._maybe_forward(pid, d, sends)
                     state = self._instance
                     outcome = _ANUC.transition(state, pid, inner, d)
                     for dest, payload in outcome.sends:
@@ -227,6 +246,7 @@ class ReplicatedLogProcess(Process):
                     value = state.decided
                     if value is None:
                         if not self._replay:
+                            self._parked = state.parked
                             return sends
                         inner = self._replay.pop(0)
                         continue

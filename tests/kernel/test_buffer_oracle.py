@@ -9,7 +9,9 @@ after every operation of a random ``send`` / ``note_dest_step`` /
 (a crashed process) keeps nothing: the reference drops its pending
 messages and ignores later sends to it.  The fairness rules that read the
 age (forced delivery at ``max_age``) and the coalescing policy are pinned
-on top of the same interleavings.
+on top of the same interleavings, and so is every shipped policy's
+one-call ``receive`` against the ``note_dest_step`` + ``choose`` +
+``deliver`` it stands for.
 """
 
 import random
@@ -18,26 +20,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.messages import (
+    BlockingPolicy,
     CoalescingDelivery,
     FairRandomDelivery,
     Message,
     MessageBuffer,
+    OldestFirstDelivery,
     PerSenderFifoDelivery,
 )
 
 N = 3
 
-OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("send"), st.integers(0, N - 1), st.integers(0, N - 1)),
-        st.tuples(st.just("note"), st.integers(0, N - 1)),
-        st.tuples(st.just("deliver"), st.integers(0, N - 1), st.integers(0, 7)),
-        st.tuples(st.just("deliver-copy"), st.integers(0, N - 1), st.integers(0, 7)),
-        st.tuples(st.just("supersede"), st.integers(0, N - 1), st.integers(0, 7)),
-        st.tuples(st.just("close"), st.integers(0, N - 1)),
-    ),
-    max_size=60,
+SEND = st.tuples(st.just("send"), st.integers(0, N - 1), st.integers(0, N - 1))
+OP = st.one_of(
+    SEND,
+    st.tuples(st.just("note"), st.integers(0, N - 1)),
+    st.tuples(st.just("deliver"), st.integers(0, N - 1), st.integers(0, 7)),
+    st.tuples(st.just("deliver-copy"), st.integers(0, N - 1), st.integers(0, 7)),
+    st.tuples(st.just("supersede"), st.integers(0, N - 1), st.integers(0, 7)),
+    st.tuples(st.just("close"), st.integers(0, N - 1)),
 )
+OPS = st.lists(OP, max_size=60)
 
 
 class ReferenceAges:
@@ -192,3 +195,100 @@ def test_coalescing_still_supersedes(ops, seed):
             reference.remove(message)
         assert buffer.superseded_count - superseded_before == len(stale)
         assert buffer_view(buffer, dest) == reference.view(dest)
+
+
+#: Every shipped policy, built fresh (a blocking policy has state).
+POLICIES = {
+    "fair-random": lambda: FairRandomDelivery(lambda_prob=0.3, max_age=4),
+    "per-sender-fifo": lambda: PerSenderFifoDelivery(
+        lambda_prob=0.3, max_age=4
+    ),
+    "oldest-first": OldestFirstDelivery,
+    "coalescing": lambda: CoalescingDelivery(
+        inner=FairRandomDelivery(lambda_prob=0.3, max_age=4),
+        coalescible=lambda payload: payload[0] == "dag",
+    ),
+    # Messages from p0 are held back until the op list releases them.
+    "blocking": lambda: BlockingPolicy(
+        FairRandomDelivery(lambda_prob=0.3, max_age=4),
+        blocked=lambda message: message.sender == 0,
+    ),
+}
+
+# Sends and receives in equal shares, so queues hold several messages;
+# one op in 20 opens the blocked links.
+RECEIVE_OPS = st.lists(
+    st.sampled_from(["send"] * 8 + ["receive"] * 8 + ["op"] * 3 + ["release"])
+    .flatmap(
+        lambda kind: {
+            "send": SEND,
+            "receive": st.tuples(st.just("receive"), st.integers(0, N - 1)),
+            "op": OP,
+            "release": st.just(("release",)),
+        }[kind]
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+def buffer_state(buffer):
+    return (
+        [buffer_view(buffer, dest) for dest in range(N)],
+        buffer.sent_count,
+        buffer.delivered_count,
+        buffer.superseded_count,
+        buffer.discarded_count,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(RECEIVE_OPS, st.sampled_from(sorted(POLICIES)), st.integers(0, 2**16))
+def test_receive_is_note_choose_deliver(ops, name, seed):
+    # Twin buffers, policies and streams: ``receive`` steps one,
+    # ``note_dest_step`` + ``choose`` + ``deliver`` the other.
+    policy, twin_policy = POLICIES[name](), POLICIES[name]()
+    buffer, twin = MessageBuffer(), MessageBuffer()
+    rng, twin_rng = random.Random(seed), random.Random(seed)
+    for clock, op in enumerate(ops):
+        kind = op[0]
+        if kind == "receive":
+            dest = op[1]
+            received = policy.receive(buffer, dest, rng)
+            expected = twin_policy.choose(
+                twin, dest, twin.note_dest_step(dest), twin_rng
+            )
+            if expected is not None:
+                twin.deliver(expected)
+            assert received == expected
+            assert rng.getstate() == twin_rng.getstate()
+        elif kind == "release":
+            for each in (policy, twin_policy):
+                if isinstance(each, BlockingPolicy):
+                    each.release()
+        elif kind == "send":
+            tag = "dag" if op[1] % 2 else "m"  # odd senders coalesce
+            for each in (buffer, twin):
+                each.send(op[1], op[2], (tag, clock), now=clock)
+        elif kind == "note":
+            for each in (buffer, twin):
+                each.note_dest_step(op[1])
+        elif kind == "close":
+            for each in (buffer, twin):
+                each.close(op[1])
+        else:
+            pending = buffer.pending_for(op[1])
+            if pending:
+                message = pending[op[2] % len(pending)]
+                for each in (buffer, twin):  # the twin's copy, by uid
+                    if kind == "supersede":
+                        each.supersede(message)
+                    else:
+                        each.deliver(message)
+        assert buffer_state(buffer) == buffer_state(twin)
+        removed = (
+            buffer.delivered_count
+            + buffer.superseded_count
+            + buffer.discarded_count
+        )
+        assert buffer.sent_count - removed == buffer.in_flight

@@ -11,6 +11,7 @@ from repro.kernel.messages import (
     MessageBuffer,
     OldestFirstDelivery,
     PerSenderFifoDelivery,
+    build_delivery,
 )
 
 
@@ -159,6 +160,35 @@ class TestFairRandomDelivery:
 
 
 class TestPerSenderFifoDelivery:
+    @pytest.mark.parametrize(
+        "policy_cls", [FairRandomDelivery, PerSenderFifoDelivery]
+    )
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(lambda_prob=1.0),
+            dict(lambda_prob=-0.1),
+            dict(max_age=0),
+            dict(max_age=-3),
+            dict(lambda_prob="x"),
+            dict(max_age="5"),
+            dict(max_age=True),
+            dict(lambda_prob=None),
+        ],
+    )
+    def test_fair_policies_reject_bad_parameters(self, policy_cls, params):
+        with pytest.raises(ValueError):
+            policy_cls(**params)
+        # build_delivery reports the same ValueError for a spec.
+        spec = (
+            "per-sender-fifo" if policy_cls is PerSenderFifoDelivery
+            else "fair-random",
+            params.get("lambda_prob", 0.2),
+            params.get("max_age", 20),
+        )
+        with pytest.raises(ValueError):
+            build_delivery(spec)
+
     def test_fifo_within_sender(self):
         buffer = MessageBuffer()
         msgs = fill(buffer, [(0, 1, "first"), (0, 1, "second")])

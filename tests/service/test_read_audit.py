@@ -100,3 +100,39 @@ def test_audit_still_names_what_each_read_served():
         service.read_log, service.core.logs(), service.core.quorum
     )
     assert report.ok, report.violations
+
+
+class CountingView(PrefixView):
+    """A view that counts how often it is materialized."""
+
+    __slots__ = ("iterated",)
+
+    def __init__(self, items, length):
+        super().__init__(items, length)
+        self.iterated = 0
+
+    def __iter__(self):
+        self.iterated += 1
+        return super().__iter__()
+
+
+def test_audit_materializes_each_distinct_view_once():
+    # 3 distinct views served by 30 reads; the 3-command view diverges.
+    good = [("s", seq, "put") for seq in range(3)]
+    logs = {
+        p: [("batch", "svc", seq, (command,)) for seq, command in enumerate(good)]
+        for p in range(3)
+    }
+    views = [
+        CountingView(good, 1),
+        CountingView(good, 2),
+        CountingView(good[:2] + [("s", 2, "forged")], 3),
+    ]
+    read_log = [(len(views[i % 3]), views[i % 3]) for i in range(30)]
+    report = check_certified_reads(read_log, logs, quorum=2)
+    assert [view.iterated for view in views] == [1, 1, 1]
+    assert not report.ok
+    # Every one of the ten reads of the diverging view is reported.
+    assert report.violations == [
+        "read: served commands diverge from the certified log at prefix 3"
+    ] * 10

@@ -91,3 +91,23 @@ class TestCheckDeterminism:
         script = load_script("check_determinism.py")
         rendered = script.run_once(exp, quick=True, jobs=1)["rendered"]
         assert rendered + "\n" == printed
+
+
+class TestStepOpcodes:
+    def test_help(self):
+        proc = run_script("step_opcodes.py", "--help")
+        assert proc.returncode == 0
+        for token in ("--commands", "--functions", "usage"):
+            assert token in proc.stdout
+
+    def test_layers_sum_to_the_total(self):
+        proc = run_script("step_opcodes.py", "--commands", "4")
+        assert proc.returncode == 0, proc.stderr
+        rows = {
+            line[:12].strip(): float(line.split()[-2])
+            for line in proc.stdout.splitlines()[2:]
+        }
+        script = load_script("step_opcodes.py")
+        assert set(rows) == set(script.LAYERS) | {"total"}
+        assert all(rows[layer] > 0 for layer in script.LAYERS)
+        assert abs(sum(rows[layer] for layer in script.LAYERS) - rows["total"]) < 0.5

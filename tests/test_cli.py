@@ -201,7 +201,15 @@ class TestChaosCommand:
 
     @pytest.mark.parametrize(
         "damage",
-        ["missing", "format", "delivery", "crash", "config"],
+        [
+            "missing",
+            "format",
+            "delivery",
+            "delivery-type",
+            "delivery-age",
+            "crash",
+            "config",
+        ],
     )
     def test_replay_refuses_malformed_artifact(self, damage, capsys, tmp_path):
         """A malformed artifact exits 2 with one error line, apart from
@@ -211,6 +219,10 @@ class TestChaosCommand:
             document = {"format": "nope"}
         elif damage == "delivery":
             document["case"]["delivery"] = ["per-sender-fifo", 0.218]
+        elif damage == "delivery-type":
+            document["case"]["delivery"] = ["per-sender-fifo", "x", 5]
+        elif damage == "delivery-age":
+            document["case"]["delivery"] = ["per-sender-fifo", 0.218, -3]
         elif damage == "crash":
             assert document["case"]["n"] == 5
             document["case"]["crash_times"] = [[9, 13]]
