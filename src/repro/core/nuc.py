@@ -195,7 +195,8 @@ class AnucAutomaton(Automaton):
             # A stutter: the last step's wait check failed on this same
             # message log, round, phase and detector value, and a lambda
             # step changes none of them, so the check fails again and
-            # leaves the state as it is.
+            # leaves the state as it is.  (Histories hand out values that
+            # are never mutated; the kernel's trace records them too.)
             return TransitionOutcome(state=state, sends=[])
         sends: List[Tuple[int, Any]] = []
 
