@@ -9,6 +9,8 @@ returns no sends at once on such a step, and still counts it.
 
 import random
 
+import pytest
+
 from repro.detectors import Omega, PairedDetector, SigmaNuPlus
 from repro.kernel.automaton import ProcessContext
 from repro.kernel.failures import FailurePattern
@@ -58,26 +60,27 @@ class NeverParkedReplica(ReplicatedLogProcess):
         return super().step(message, d, t)
 
 
-def fed_run(replica_cls, seed):
+def fed_run(replica_cls, n, seed):
     """A service-shaped run: unbounded slots, commands fed to random
-    replicas between bursts, p2 crashing mid-run."""
-    pattern = FailurePattern(3, {2: 1500})
+    replicas between bursts, the last replica crashing mid-run."""
+    pattern = FailurePattern(n, {n - 1: 1500})
     detector = PairedDetector(Omega(), SigmaNuPlus())
     history = detector.sample_history(pattern, random.Random(seed))
-    replicas = {p: replica_cls([], slots=None) for p in range(3)}
+    replicas = {p: replica_cls([], slots=None) for p in range(n)}
     system = System(replicas, pattern, history, seed=seed)
     rng = random.Random(f"feeds/{seed}")
     for burst in range(30):
-        replicas[rng.randrange(3)].feed(("put", burst))
+        replicas[rng.randrange(n)].feed(("put", burst))
         system.advance(rng.randint(1, 150))
     return system.result(), replicas
 
 
-def test_the_skip_changes_no_step_of_a_fed_run():
-    for seed in range(3):
-        shipped, shipped_replicas = fed_run(ReplicatedLogProcess, seed)
-        reference, reference_replicas = fed_run(NeverParkedReplica, seed)
-        assert shipped.steps == reference.steps
-        for p in range(3):
-            assert shipped_replicas[p].log == reference_replicas[p].log
-        assert any(shipped_replicas[p].applied for p in range(3))
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_skip_changes_no_step_of_a_fed_run(n, seed):
+    shipped, shipped_replicas = fed_run(ReplicatedLogProcess, n, seed)
+    reference, reference_replicas = fed_run(NeverParkedReplica, n, seed)
+    assert shipped.steps == reference.steps
+    for p in range(n):
+        assert shipped_replicas[p].log == reference_replicas[p].log
+    assert any(shipped_replicas[p].applied for p in range(n))
