@@ -6,8 +6,10 @@ unique (the model stipulates a per-sender counter), which we realize with a
 ``uid = (sender, seq)`` stamped by the buffer.
 
 Receipt is nondeterministic: in each step a process receives either a pending
-message addressed to it or the empty message (lambda).  That choice is made
-by a :class:`DeliveryPolicy`.  Admissibility property (7) — every message
+message addressed to it or the empty message (lambda).
+:meth:`MessageBuffer.receive` is the one way a step receives: the buffer counts
+the step and delivers, and a :class:`DeliveryPolicy` only picks the entry (or
+lambda).  Admissibility property (7) — every message
 sent to a correct process is eventually received — is realized by giving the
 shipped policies a *fairness aging* rule: once a message has been passed over
 often enough it is delivered with certainty.
@@ -65,20 +67,12 @@ class _PendingEntry(NamedTuple):
 
     A message's age is the number of steps its destination has taken
     since the message became pending: the destination's step count now
-    minus its step count at the send, which the entry stores.  Nothing is
-    touched per step.
+    (the ``now`` a policy is handed) minus its step count at the send,
+    which the entry stores.  Nothing is touched per step.
     """
 
     message: Message
     sent_at_dest_step: int
-    dest_steps: Dict[int, int]  # the buffer's live per-destination counts
-
-    @property
-    def age_in_dest_steps(self) -> int:
-        """The aging counter used by fairness rules."""
-        return (
-            self.dest_steps.get(self.message.dest, 0) - self.sent_at_dest_step
-        )
 
 
 #: ``tuple.__new__``: builds a :class:`Message` or :class:`_PendingEntry`
@@ -89,18 +83,21 @@ _new_tuple = tuple.__new__
 _NO_ENTRIES: List[_PendingEntry] = []
 
 
+#: A delivery policy's pick: ``(queue, now, rng) -> index | -1``.
+Pick = Callable[[List[_PendingEntry], int, random.Random], int]
+
+
 class MessageBuffer:
     """The message buffer ``M``, with per-destination pending queues."""
 
     def __init__(self) -> None:
         self._pending: Dict[int, List[_PendingEntry]] = {}
-        # Steps noted per destination (a defaultdict: read by subscript).
+        # Steps taken per destination (a defaultdict: read by subscript).
         self._dest_steps: Dict[int, int] = defaultdict(int)
         self._seq: Dict[int, int] = {}
         self._closed: Set[int] = set()  # destinations that take no more steps
         self._sent_count = 0
         self._delivered_count = 0
-        self._superseded_count = 0
         self._discarded_count = 0
 
     # ------------------------------------------------------------------
@@ -134,12 +131,34 @@ class MessageBuffer:
             queue = pending.get(dest)
             if queue is None:
                 queue = pending[dest] = []
-            queue.append(
-                _new_tuple(_PendingEntry, (message, steps[dest], steps))
-            )
+            queue.append(_new_tuple(_PendingEntry, (message, steps[dest])))
         self._seq[sender] = seq
         self._sent_count += len(messages)
         return messages
+
+    def receive(
+        self, dest: int, pick: Pick, rng: random.Random
+    ) -> Optional[Message]:
+        """One step's receipt for ``dest``: the message received, or
+        ``None`` for lambda.
+
+        Counts the step, then hands ``pick`` the live queue of ``dest``
+        (never empty: an empty queue is lambda without a pick) and
+        ``dest``'s step count ``now``, this step included; pops the
+        entry at the index ``pick`` returns and counts the delivery, or
+        receives lambda on ``-1``.
+        """
+        steps = self._dest_steps
+        now = steps[dest] + 1
+        steps[dest] = now
+        queue = self._pending.get(dest)
+        if not queue:
+            return None
+        index = pick(queue, now, rng)
+        if index < 0:
+            return None
+        self._delivered_count += 1
+        return queue.pop(index).message
 
     def close(self, dest: int) -> None:
         """Close ``dest``'s mailbox: ``dest`` has crashed and takes no more
@@ -156,54 +175,10 @@ class MessageBuffer:
     def has_pending(self, dest: int) -> bool:
         return bool(self._pending.get(dest))
 
-    def deliver(self, message: Message) -> None:
-        """Remove ``message`` from the buffer (it is being received)."""
-        self._remove(message)
-        self._delivered_count += 1
-
-    def supersede(self, message: Message) -> None:
-        """Remove ``message`` as superseded by a newer equivalent.
-
-        Counted separately from deliveries; semantically the message is
-        received immediately after the message that subsumes it, where it
-        changes nothing."""
-        self._remove(message)
-        self._superseded_count += 1
-
-    def _remove(self, message: Message) -> None:
-        entries = self._pending.get(message.dest, _NO_ENTRIES)
-        uid = message.uid
-        for i, entry in enumerate(entries):
-            pending = entry.message
-            # The message handed back is nearly always the pending object
-            # itself; uids settle the rest (a rebuilt but equal message).
-            if pending is message or pending.uid == uid:
-                del entries[i]
-                return
-        raise LookupError(f"{message!r} is not pending")
-
-    def note_dest_step(self, dest: int) -> int:
-        """Age every message pending for ``dest`` by one destination step;
-        returns the step's index among ``dest``'s steps (0 for its first)."""
-        steps = self._dest_steps
-        index = steps[dest]
-        steps[dest] = index + 1
-        return index
-
-    def oldest_for(self, dest: int) -> Optional[Message]:
-        entries = self._pending.get(dest, [])
-        return entries[0].message if entries else None
-
     def entries_for(self, dest: int) -> Sequence[_PendingEntry]:
-        """Pending entries for ``dest``, oldest first.
-
-        The returned sequence is the live queue — callers must treat it as
-        read-only (policies that remove entries copy it first; only
-        ``FairRandomDelivery.receive``, in this module, pops from it and
-        counts the delivery).  Because
-        sends append and aging is uniform, ``age_in_dest_steps`` is
-        non-increasing along it: the first entry is always the oldest.
-        """
+        """Pending entries for ``dest``, oldest first (the live queue: read
+        only).  Sends append, so ``sent_at_dest_step`` is non-decreasing
+        along it and the first entry is always the oldest."""
         return self._pending.get(dest, _NO_ENTRIES)
 
     # ------------------------------------------------------------------
@@ -220,7 +195,15 @@ class MessageBuffer:
 
     @property
     def superseded_count(self) -> int:
-        return self._superseded_count
+        """Messages a policy dropped from a queue as superseded by a newer
+        equivalent (:class:`CoalescingDelivery`): what left the buffer
+        neither by delivery nor by :meth:`close`."""
+        return (
+            self._sent_count
+            - self._delivered_count
+            - self._discarded_count
+            - self.in_flight
+        )
 
     @property
     def discarded_count(self) -> int:
@@ -242,34 +225,19 @@ class MessageBuffer:
 
 
 class DeliveryPolicy:
-    """Chooses the message (or lambda) a stepping process receives."""
+    """Picks the message (or lambda) a stepping process receives."""
 
-    def receive(
-        self, buffer: MessageBuffer, dest: int, rng: random.Random
-    ) -> Optional[Message]:
-        """One step's receipt for ``dest``: note the step, choose, deliver.
+    def pick(
+        self, queue: List[_PendingEntry], now: int, rng: random.Random
+    ) -> int:
+        """The index in ``queue`` of the entry to deliver, or -1 for lambda.
 
-        Returns the received message, or ``None`` for lambda.  The kernel
-        calls this once per step; a policy may override it with a cheaper
-        pass that makes the same draws and the same delivery.
-        """
-        message = self.choose(buffer, dest, buffer.note_dest_step(dest), rng)
-        if message is not None:
-            buffer.deliver(message)
-        return message
-
-    def choose(
-        self,
-        buffer: MessageBuffer,
-        dest: int,
-        dest_step_index: int,
-        rng: random.Random,
-    ) -> Optional[Message]:
-        """Return a pending message for ``dest``, or ``None`` for lambda.
-
-        ``rng`` is the destination's private random stream and
-        ``dest_step_index`` counts the destination's own steps; policies must
-        not consult any other global state (see module docstring).
+        ``queue`` holds the destination's pending entries, oldest first,
+        and is never empty; ``now`` is the destination's step count, this
+        step included, so an entry's age is ``now - sent_at_dest_step``;
+        ``rng`` is the destination's private random stream.  Policies must
+        not consult any other global state (see module docstring), and
+        only a superseding policy removes entries from ``queue``.
         """
         raise NotImplementedError
 
@@ -297,8 +265,8 @@ class OldestFirstDelivery(DeliveryPolicy):
     exactly this rule.
     """
 
-    def choose(self, buffer, dest, dest_step_index, rng):
-        return buffer.oldest_for(dest)
+    def pick(self, queue, now, rng):
+        return 0
 
     def ensures_eventual_delivery(self) -> bool:
         return True
@@ -319,38 +287,15 @@ class FairRandomDelivery(DeliveryPolicy):
         self.lambda_prob = lambda_prob
         self.max_age = max_age
 
-    def choose(self, buffer, dest, dest_step_index, rng):
-        entries = buffer.entries_for(dest)
-        if not entries:
-            return None
+    def pick(self, queue, now, rng):
         # Ages are non-increasing along the queue: the max is up front.
-        index = self._pick(entries, entries[0].age_in_dest_steps, rng)
-        return None if index < 0 else entries[index].message
-
-    def receive(self, buffer, dest, rng):
-        # choose() in one pass over the buffer's own tables: note the
-        # step, draw, and pop the chosen entry by its index.
-        steps = buffer._dest_steps
-        now = steps[dest] + 1
-        steps[dest] = now
-        entries = buffer._pending.get(dest)
-        if not entries:
-            return None
-        index = self._pick(entries, now - entries[0].sent_at_dest_step, rng)
-        if index < 0:
-            return None
-        buffer._delivered_count += 1
-        return entries.pop(index).message
-
-    def _pick(self, entries, oldest_age: int, rng: random.Random) -> int:
-        """The index of the entry to deliver, or -1 for lambda."""
-        if oldest_age >= self.max_age:
+        if now - queue[0].sent_at_dest_step >= self.max_age:
             return 0
         if rng.random() < self.lambda_prob:
             return -1
-        # rng.choice(entries), draw for draw: the stdlib's
+        # rng.choice(queue), draw for draw: the stdlib's
         # _randbelow_with_getrandbits, inlined.
-        count = len(entries)
+        count = len(queue)
         bits = count.bit_length()
         index = rng.getrandbits(bits)
         while index >= count:
@@ -375,20 +320,16 @@ class PerSenderFifoDelivery(DeliveryPolicy):
         self.lambda_prob = lambda_prob
         self.max_age = max_age
 
-    def choose(self, buffer, dest, dest_step_index, rng):
-        entries = buffer.entries_for(dest)
-        if not entries:
-            return None
-        oldest = entries[0]  # ages are non-increasing: the max is up front
-        if oldest.age_in_dest_steps >= self.max_age:
-            return oldest.message
+    def pick(self, queue, now, rng):
+        # Ages are non-increasing along the queue: the max is up front.
+        if now - queue[0].sent_at_dest_step >= self.max_age:
+            return 0
         if rng.random() < self.lambda_prob:
-            return None
-        senders = sorted({e.message.sender for e in entries})
-        sender = rng.choice(senders)
-        for entry in entries:
+            return -1
+        sender = rng.choice(sorted({e.message.sender for e in queue}))
+        for index, entry in enumerate(queue):
             if entry.message.sender == sender:
-                return entry.message
+                return index
         raise AssertionError("unreachable: sender chosen from pending set")
 
     def ensures_eventual_delivery(self) -> bool:
@@ -401,7 +342,10 @@ class BlockingPolicy(DeliveryPolicy):
     Used to build the delayed-link scenarios of Theorem 7.1 (messages across
     a partition are withheld until the driver opens the links) and the
     lost-write scenario of the register counterexample.  Messages matching
-    ``blocked`` are invisible to the inner policy until :meth:`release`.
+    ``blocked`` are invisible to the inner policy until :meth:`release`:
+    until then it picks from a copy of the unblocked entries, so it must
+    not supersede (wrap a blocking policy in a :class:`CoalescingDelivery`,
+    not the other way round).
 
     A blocking policy violates property (7) only if blocked messages to
     correct processes are never released; scenario drivers always release.
@@ -416,33 +360,21 @@ class BlockingPolicy(DeliveryPolicy):
         """Open the links: every step from the next one on sees all messages."""
         self._released = True
 
-    def choose(self, buffer, dest, dest_step_index, rng):
-        entries = buffer.entries_for(dest)
-        if not self._released:
-            entries = [e for e in entries if not self.blocked(e.message)]
-        if not entries:
-            return None
-        view = _FilteredBufferView(entries)
-        return self.inner.choose(view, dest, dest_step_index, rng)  # type: ignore[arg-type]
+    def pick(self, queue, now, rng):
+        if self._released:
+            return self.inner.pick(queue, now, rng)
+        blocked = self.blocked
+        visible = [
+            index for index, entry in enumerate(queue)
+            if not blocked(entry.message)
+        ]
+        if not visible:
+            return -1
+        index = self.inner.pick([queue[i] for i in visible], now, rng)
+        return -1 if index < 0 else visible[index]
 
     def ensures_eventual_delivery(self) -> bool:
         return self._released
-
-
-class _FilteredBufferView:
-    """Duck-typed read-only buffer view over a subset of pending entries."""
-
-    def __init__(self, entries: Sequence[_PendingEntry]):
-        self._entries = tuple(entries)
-
-    def entries_for(self, dest: int) -> Sequence[_PendingEntry]:
-        return self._entries
-
-    def oldest_for(self, dest: int) -> Optional[Message]:
-        return self._entries[0].message if self._entries else None
-
-    def pending_for(self, dest: int) -> List[Message]:
-        return [e.message for e in self._entries]
 
 
 class CoalescingDelivery(DeliveryPolicy):
@@ -472,23 +404,19 @@ class CoalescingDelivery(DeliveryPolicy):
             coalescible if coalescible is not None else _default_coalescible
         )
 
-    def choose(self, buffer, dest, dest_step_index, rng):
-        entries = buffer.entries_for(dest)
-        newest_per_sender: Dict[int, int] = {}
-        for entry in entries:
-            if self.coalescible(entry.message.payload):
-                sender = entry.message.sender
-                seq = entry.message.uid[1]
-                if seq > newest_per_sender.get(sender, -1):
-                    newest_per_sender[sender] = seq
-        for entry in list(entries):
-            message = entry.message
-            if (
-                self.coalescible(message.payload)
-                and message.uid[1] < newest_per_sender.get(message.sender, -1)
-            ):
-                buffer.supersede(message)
-        return self.inner.choose(buffer, dest, dest_step_index, rng)
+    def pick(self, queue, now, rng):
+        # A sender's messages sit in the queue in send order, so walking
+        # it newest first, a coalescible message from a sender already
+        # seen is stale.  The newest one stays: the queue stays non-empty.
+        coalescible, seen = self.coalescible, set()
+        for index in range(len(queue) - 1, -1, -1):
+            message = queue[index].message
+            if coalescible(message.payload):
+                if message.sender in seen:
+                    del queue[index]
+                else:
+                    seen.add(message.sender)
+        return self.inner.pick(queue, now, rng)
 
     def ensures_eventual_delivery(self) -> bool:
         return self.inner.ensures_eventual_delivery()

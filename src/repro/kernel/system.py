@@ -179,7 +179,8 @@ class System:
             history.value if hasattr(history, "value") else history
         )
         self._next_process = self.scheduler.next_process
-        self._receive = self.delivery.receive
+        self._receive = self.buffer.receive
+        self._pick = self.delivery.pick
         self._send_all = self.buffer.send_all
         self._seat_epochs()
 
@@ -236,8 +237,8 @@ class System:
         epochs = self._epochs
         next_process = self._next_process
         sched_rng = self._sched_rng
-        buffer = self.buffer
         receive = self._receive
+        pick = self._pick
         send_all = self._send_all
         dest_rngs = self._dest_rngs
         history_value = self._history_fn
@@ -270,7 +271,7 @@ class System:
             if pid is None:
                 break
 
-            message = receive(buffer, pid, dest_rngs[pid])
+            message = receive(pid, pick, dest_rngs[pid])
             d = history_value(pid, t)
             sends = runtimes[pid].step(message, d, t)
             self.time = t + 1

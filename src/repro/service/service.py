@@ -89,6 +89,12 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.max_inflight < 1:
             raise ValueError("batch_size and max_inflight must be >= 1")
+        # asyncio.Queue(maxsize=0) is unbounded: no backpressure at all.
+        if self.queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
+        # A pump that takes no step per tick never resolves a submit.
+        if self.steps_per_tick < 1:
+            raise ValueError("steps_per_tick must be >= 1")
 
 
 class ConsensusService:

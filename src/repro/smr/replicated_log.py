@@ -228,10 +228,15 @@ class ReplicatedLogProcess(Process):
             inner = None
             if tag == SLOT:
                 _, slot, payload = message.payload
-                if slot == self._slot:  # _route's common case, inline
+                if slot == self._slot:
                     inner = DeliveredMessage(message.sender, payload)
-                else:
-                    self._route(message, self._slot, self._stashed)
+                elif slot > self._slot:
+                    self._stashed.setdefault(slot, []).append(
+                        DeliveredMessage(message.sender, payload)
+                    )
+                # Past-slot traffic is dropped: the DECIDED notice is the
+                # catch-all for laggards (a serving replica answers it
+                # instead).
             while True:
                 slot = self._slot
                 if slot in notices:
@@ -355,26 +360,6 @@ class ReplicatedLogProcess(Process):
         if not self._known[value]:
             del self._known[value]
         self._forwarded.pop(value, None)
-
-    def _route(
-        self,
-        message: Any,
-        current_slot: int,
-        stashed: Dict[int, List[DeliveredMessage]],
-    ) -> Optional[DeliveredMessage]:
-        """Unwrap a SLOT message for the current instance or stash it."""
-        payload = message.payload
-        if payload[0] != SLOT:
-            return None
-        _, slot, inner = payload
-        unwrapped = DeliveredMessage(message.sender, inner)
-        if slot == current_slot:
-            return unwrapped
-        if slot > current_slot:
-            stashed.setdefault(slot, []).append(unwrapped)
-        # Past-slot traffic is dropped: the DECIDED notice is the
-        # catch-all for laggards (a serving replica answers it instead).
-        return None
 
 
 def run_replicated_log(

@@ -107,11 +107,13 @@ def observable_state(system):
         ),
         "sched_rng": system._sched_rng.getstate(),
         "dest_rngs": {p: r.getstate() for p, r in system._dest_rngs.items()},
+        # Each destination's step count and its pending entries (message,
+        # step count at the send): together, every pending message's age.
         "buffer": {
-            p: [
-                (entry.message, entry.age_in_dest_steps)
-                for entry in system.buffer.entries_for(p)
-            ]
+            p: (
+                system.buffer._dest_steps.get(p, 0),
+                list(system.buffer.entries_for(p)),
+            )
             for p in range(system.n)
         },
     }

@@ -1,17 +1,18 @@
-"""Message age against a per-step-increment reference.
+"""Receipt against a long-hand reference.
 
-The buffer defines a pending message's age as the destination's step count
-now minus its step count at the send, and touches nothing per step.  The
-reference here does it the long way — one counter per pending message,
-incremented on every step of its destination — and the two must agree
-after every operation of a random ``send`` / ``note_dest_step`` /
-``deliver`` / ``supersede`` / ``close`` interleaving.  A closed destination
-(a crashed process) keeps nothing: the reference drops its pending
-messages and ignores later sends to it.  The fairness rules that read the
-age (forced delivery at ``max_age``) and the coalescing policy are pinned
-on top of the same interleavings, and so is every shipped policy's
-one-call ``receive`` against the ``note_dest_step`` + ``choose`` +
-``deliver`` it stands for.
+``MessageBuffer.receive`` counts the destination's step, hands the
+policy's ``pick`` the live queue and the step count ``now``, pops the
+entry it names and counts the delivery.  A pending message's age is
+``now`` minus the destination's step count at the send, so nothing is
+touched per step.  The reference here does it the long way: one counter
+per pending message, incremented on every step of its destination, and
+each policy's choice drawn from those ages long-hand (``rng.choice`` for
+a uniform draw, a list filter for a blocking policy, a stale-drop for a
+coalescing one).  The two must agree after every operation of a random
+send / receive / close interleaving: on the message received, the rng
+state, every pending age and all four counts.  A closed destination (a
+crashed process) keeps nothing: the reference drops its pending messages
+and ignores later sends to it.
 """
 
 import random
@@ -23,20 +24,19 @@ from repro.kernel.messages import (
     BlockingPolicy,
     CoalescingDelivery,
     FairRandomDelivery,
-    Message,
     MessageBuffer,
     OldestFirstDelivery,
     PerSenderFifoDelivery,
 )
 
 N = 3
+LAMBDA_PROB, MAX_AGE = 0.3, 4
 
 SEND = st.tuples(st.just("send"), st.integers(0, N - 1), st.integers(0, N - 1))
 OP = st.one_of(
     SEND,
-    st.tuples(st.just("note"), st.integers(0, N - 1)),
+    st.tuples(st.just("lambda"), st.integers(0, N - 1)),
     st.tuples(st.just("deliver"), st.integers(0, N - 1), st.integers(0, 7)),
-    st.tuples(st.just("deliver-copy"), st.integers(0, N - 1), st.integers(0, 7)),
     st.tuples(st.just("supersede"), st.integers(0, N - 1), st.integers(0, 7)),
     st.tuples(st.just("close"), st.integers(0, N - 1)),
 )
@@ -44,70 +44,112 @@ OPS = st.lists(OP, max_size=60)
 
 
 class ReferenceAges:
-    """uid -> age, aged one destination step at a time."""
+    """uid -> age, aged one destination step at a time, and the buffer's
+    four counts kept long-hand."""
 
     def __init__(self):
-        self.pending = {p: [] for p in range(N)}  # dest -> [uid], oldest first
+        self.pending = {p: [] for p in range(N)}  # dest -> [message], oldest first
         self.age = {}
         self.closed = set()
-        self.discarded = 0
+        self.sent = self.delivered = self.superseded = self.discarded = 0
 
     def send(self, message):
+        self.sent += 1
         if message.dest in self.closed:
             self.discarded += 1
             return
-        self.pending[message.dest].append(message.uid)
+        self.pending[message.dest].append(message)
         self.age[message.uid] = 0
 
     def close(self, dest):
         self.closed.add(dest)
         self.discarded += len(self.pending[dest])
-        for uid in self.pending[dest]:
-            del self.age[uid]
+        for message in self.pending[dest]:
+            del self.age[message.uid]
         self.pending[dest] = []
 
     def note(self, dest):
-        for uid in self.pending[dest]:
-            self.age[uid] += 1
+        for message in self.pending[dest]:
+            self.age[message.uid] += 1
 
-    def remove(self, message):
-        self.pending[message.dest].remove(message.uid)
+    def _remove(self, message):
+        self.pending[message.dest].remove(message)
         del self.age[message.uid]
 
+    def deliver(self, message):
+        self._remove(message)
+        self.delivered += 1
+
+    def supersede(self, message):
+        self._remove(message)
+        self.superseded += 1
+
+    def entries(self, dest):
+        """``(message, age)`` pairs pending for ``dest``, oldest first."""
+        return [(m, self.age[m.uid]) for m in self.pending[dest]]
+
     def view(self, dest):
-        return [(uid, self.age[uid]) for uid in self.pending[dest]]
+        return [(m.uid, age) for m, age in self.entries(dest)]
+
+    def counts(self):
+        return (self.sent, self.delivered, self.superseded, self.discarded)
 
 
 def buffer_view(buffer, dest):
+    now = buffer._dest_steps.get(dest, 0)
     return [
-        (entry.message.uid, entry.age_in_dest_steps)
+        (entry.message.uid, now - entry.sent_at_dest_step)
         for entry in buffer.entries_for(dest)
     ]
 
 
+def buffer_counts(buffer):
+    return (
+        buffer.sent_count,
+        buffer.delivered_count,
+        buffer.superseded_count,
+        buffer.discarded_count,
+    )
+
+
+def take(index):
+    """A pick that names ``queue[index % len(queue)]``; -1 is lambda."""
+    return lambda queue, now, rng: index if index < 0 else index % len(queue)
+
+
+def supersede(index):
+    """A pick that drops ``queue[index % len(queue)]`` and receives lambda."""
+
+    def pick(queue, now, rng):
+        del queue[index % len(queue)]
+        return -1
+
+    return pick
+
+
 def apply(op, buffer, reference, clock):
+    """One op on both; odd senders send coalescible ``("dag", ...)``."""
     kind = op[0]
     if kind == "send":
-        message = buffer.send(op[1], op[2], ("m", clock), now=clock)
+        tag = "dag" if op[1] % 2 else "m"
+        message = buffer.send(op[1], op[2], (tag, clock), now=clock)
         reference.send(message)
-    elif kind == "note":
-        buffer.note_dest_step(op[1])
-        reference.note(op[1])
     elif kind == "close":
         buffer.close(op[1])
         reference.close(op[1])
     else:
-        pending = buffer.pending_for(op[1])
-        if not pending:
-            return
-        message = pending[op[2] % len(pending)]
-        reference.remove(message)
-        if kind == "supersede":
-            buffer.supersede(message)
-        elif kind == "deliver-copy":  # equal, not identical: matched by uid
-            buffer.deliver(Message(*message))
+        dest = op[1]
+        pending = reference.pending[dest]
+        chosen = pending[op[2] % len(pending)] if len(op) > 2 and pending else None
+        reference.note(dest)
+        if kind == "lambda" or chosen is None:
+            assert buffer.receive(dest, take(-1), None) is None
+        elif kind == "supersede":
+            assert buffer.receive(dest, supersede(op[2]), None) is None
+            reference.supersede(chosen)
         else:
-            buffer.deliver(message)
+            assert buffer.receive(dest, take(op[2]), None) == chosen
+            reference.deliver(chosen)
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,11 +163,8 @@ def test_ages_equal_the_per_step_reference(ops):
             assert view == reference.view(dest)
             ages = [age for _, age in view]
             assert ages == sorted(ages, reverse=True)  # the oldest is up front
-    assert buffer.discarded_count == reference.discarded
-    removed = (
-        buffer.delivered_count + buffer.superseded_count + buffer.discarded_count
-    )
-    assert buffer.sent_count - removed == buffer.in_flight
+        assert buffer_counts(buffer) == reference.counts()
+        assert buffer.in_flight == sum(map(len, reference.pending.values()))
 
 
 class NoDraws(random.Random):
@@ -151,14 +190,34 @@ def test_forced_delivery_at_max_age(ops, policy_cls, max_age, seed):
     rng = random.Random(seed)
     for clock, op in enumerate(ops):
         apply(op, buffer, reference, clock)
-        for dest in range(N):
-            view = reference.view(dest)
-            if view and view[0][1] >= max_age:
-                chosen = policy.choose(buffer, dest, clock, NoDraws())
-                assert chosen is not None and chosen.uid == view[0][0]
-            else:
-                chosen = policy.choose(buffer, dest, clock, rng)
-                assert chosen is None or chosen.uid in dict(view)
+        dest = clock % N
+        reference.note(dest)
+        entries = reference.entries(dest)
+        if entries and entries[0][1] >= max_age:
+            chosen = buffer.receive(dest, policy.pick, NoDraws())
+            assert chosen == entries[0][0]
+        else:
+            chosen = buffer.receive(dest, policy.pick, rng)
+            assert chosen is None or chosen in dict(entries)
+        if chosen is not None:
+            reference.deliver(chosen)
+
+
+def is_dag(message):
+    return message.payload[0] == "dag"
+
+
+def drop_stale(reference, dest):
+    """Supersede, per sender, every pending DAG but its newest."""
+    newest = {}
+    for message in reference.pending[dest]:
+        if is_dag(message):
+            newest[message.sender] = max(
+                newest.get(message.sender, -1), message.uid[1]
+            )
+    for message in list(reference.pending[dest]):
+        if is_dag(message) and message.uid[1] < newest[message.sender]:
+            reference.supersede(message)
 
 
 @settings(max_examples=150, deadline=None)
@@ -172,45 +231,77 @@ def test_coalescing_still_supersedes(ops, seed):
     buffer, reference = MessageBuffer(), ReferenceAges()
     rng = random.Random(seed)
     for clock, op in enumerate(ops):
-        if op[0] == "send" and op[1] % 2:
-            message = buffer.send(op[1], op[2], ("dag", clock), now=clock)
-            reference.send(message)
-        else:
-            apply(op, buffer, reference, clock)
+        apply(op, buffer, reference, clock)
         dest = clock % N
-        before = buffer.pending_for(dest)
-        superseded_before = buffer.superseded_count
-        policy.choose(buffer, dest, clock, rng)
-        newest = {}
-        for message in before:
-            if message.payload[0] == "dag":
-                newest[message.sender] = max(
-                    newest.get(message.sender, -1), message.uid[1]
-                )
-        stale = [
-            m for m in before
-            if m.payload[0] == "dag" and m.uid[1] < newest[m.sender]
-        ]
-        for message in stale:
-            reference.remove(message)
-        assert buffer.superseded_count - superseded_before == len(stale)
+        reference.note(dest)
+        drop_stale(reference, dest)
+        chosen = buffer.receive(dest, policy.pick, rng)
+        if chosen is not None:
+            reference.deliver(chosen)
+        assert buffer.superseded_count == reference.superseded
         assert buffer_view(buffer, dest) == reference.view(dest)
+
+
+# ----------------------------------------------------------------------
+# Every shipped policy's pick against its long-hand choice.
+# ----------------------------------------------------------------------
+
+
+def fair_random(entries, rng):
+    """FairRandomDelivery long-hand: the oldest once due, else lambda or
+    ``rng.choice``."""
+    oldest, age = max(entries, key=lambda entry: entry[1])
+    if age >= MAX_AGE:
+        return oldest
+    if rng.random() < LAMBDA_PROB:
+        return None
+    return rng.choice(entries)[0]
+
+
+def per_sender_fifo(entries, rng):
+    oldest, age = max(entries, key=lambda entry: entry[1])
+    if age >= MAX_AGE:
+        return oldest
+    if rng.random() < LAMBDA_PROB:
+        return None
+    sender = rng.choice(sorted({message.sender for message, _ in entries}))
+    return next(message for message, _ in entries if message.sender == sender)
+
+
+def oldest_first(entries, rng):
+    return max(entries, key=lambda entry: entry[1])[0]
+
+
+def long_hand(name, reference, dest, rng, released):
+    """One step of ``dest`` under policy ``name``, the long way; returns
+    the message received (``None`` for lambda)."""
+    reference.note(dest)
+    if name == "coalescing":
+        drop_stale(reference, dest)
+    entries = reference.entries(dest)
+    if name == "blocking" and not released:
+        entries = [(m, age) for m, age in entries if m.sender != 0]
+    if not entries:
+        return None
+    choose = {"per-sender-fifo": per_sender_fifo, "oldest-first": oldest_first}
+    message = choose.get(name, fair_random)(entries, rng)
+    if message is not None:
+        reference.deliver(message)
+    return message
 
 
 #: Every shipped policy, built fresh (a blocking policy has state).
 POLICIES = {
-    "fair-random": lambda: FairRandomDelivery(lambda_prob=0.3, max_age=4),
-    "per-sender-fifo": lambda: PerSenderFifoDelivery(
-        lambda_prob=0.3, max_age=4
-    ),
+    "fair-random": lambda: FairRandomDelivery(LAMBDA_PROB, MAX_AGE),
+    "per-sender-fifo": lambda: PerSenderFifoDelivery(LAMBDA_PROB, MAX_AGE),
     "oldest-first": OldestFirstDelivery,
     "coalescing": lambda: CoalescingDelivery(
-        inner=FairRandomDelivery(lambda_prob=0.3, max_age=4),
+        inner=FairRandomDelivery(LAMBDA_PROB, MAX_AGE),
         coalescible=lambda payload: payload[0] == "dag",
     ),
     # Messages from p0 are held back until the op list releases them.
     "blocking": lambda: BlockingPolicy(
-        FairRandomDelivery(lambda_prob=0.3, max_age=4),
+        FairRandomDelivery(LAMBDA_PROB, MAX_AGE),
         blocked=lambda message: message.sender == 0,
     ),
 }
@@ -232,63 +323,25 @@ RECEIVE_OPS = st.lists(
 )
 
 
-def buffer_state(buffer):
-    return (
-        [buffer_view(buffer, dest) for dest in range(N)],
-        buffer.sent_count,
-        buffer.delivered_count,
-        buffer.superseded_count,
-        buffer.discarded_count,
-    )
-
-
 @settings(max_examples=200, deadline=None)
 @given(RECEIVE_OPS, st.sampled_from(sorted(POLICIES)), st.integers(0, 2**16))
-def test_receive_is_note_choose_deliver(ops, name, seed):
-    # Twin buffers, policies and streams: ``receive`` steps one,
-    # ``note_dest_step`` + ``choose`` + ``deliver`` the other.
-    policy, twin_policy = POLICIES[name](), POLICIES[name]()
-    buffer, twin = MessageBuffer(), MessageBuffer()
+def test_receive_matches_the_long_hand_choice(ops, name, seed):
+    policy = POLICIES[name]()
+    buffer, reference = MessageBuffer(), ReferenceAges()
     rng, twin_rng = random.Random(seed), random.Random(seed)
+    released = False
     for clock, op in enumerate(ops):
-        kind = op[0]
-        if kind == "receive":
-            dest = op[1]
-            received = policy.receive(buffer, dest, rng)
-            expected = twin_policy.choose(
-                twin, dest, twin.note_dest_step(dest), twin_rng
-            )
-            if expected is not None:
-                twin.deliver(expected)
+        if op[0] == "receive":
+            received = buffer.receive(op[1], policy.pick, rng)
+            expected = long_hand(name, reference, op[1], twin_rng, released)
             assert received == expected
             assert rng.getstate() == twin_rng.getstate()
-        elif kind == "release":
-            for each in (policy, twin_policy):
-                if isinstance(each, BlockingPolicy):
-                    each.release()
-        elif kind == "send":
-            tag = "dag" if op[1] % 2 else "m"  # odd senders coalesce
-            for each in (buffer, twin):
-                each.send(op[1], op[2], (tag, clock), now=clock)
-        elif kind == "note":
-            for each in (buffer, twin):
-                each.note_dest_step(op[1])
-        elif kind == "close":
-            for each in (buffer, twin):
-                each.close(op[1])
+        elif op[0] == "release":
+            released = True
+            if name == "blocking":
+                policy.release()
         else:
-            pending = buffer.pending_for(op[1])
-            if pending:
-                message = pending[op[2] % len(pending)]
-                for each in (buffer, twin):  # the twin's copy, by uid
-                    if kind == "supersede":
-                        each.supersede(message)
-                    else:
-                        each.deliver(message)
-        assert buffer_state(buffer) == buffer_state(twin)
-        removed = (
-            buffer.delivered_count
-            + buffer.superseded_count
-            + buffer.discarded_count
-        )
-        assert buffer.sent_count - removed == buffer.in_flight
+            apply(op, buffer, reference, clock)
+        for dest in range(N):
+            assert buffer_view(buffer, dest) == reference.view(dest)
+        assert buffer_counts(buffer) == reference.counts()

@@ -1,6 +1,6 @@
 """The kernel's inlined uniform draws consume the stream ``Random.choice`` does.
 
-``RandomFairScheduler.next_process`` and ``FairRandomDelivery.choose`` take
+``RandomFairScheduler.next_process`` and ``FairRandomDelivery.pick`` take
 ``rng.getrandbits(k)`` with rejection instead of calling ``rng.choice``.
 Every seeded run — the experiment tables, the golden service digests — is
 pinned to that stream, so each draw must pick the index ``choice`` would
@@ -40,8 +40,9 @@ def test_delivery_draw_is_random_choice(seed):
     for n in SIZES:
         buffer = MessageBuffer()
         sent = [buffer.send(0, 1, ("m", i), now=0) for i in range(n)]
-        for _ in range(DRAWS):
-            chosen = policy.choose(buffer, 1, 0, rng)
+        queue = buffer.entries_for(1)
+        for now in range(1, DRAWS + 1):
+            chosen = queue[policy.pick(queue, now, rng)].message
             twin.random()
             assert chosen == twin.choice(sent)
             assert rng.getstate() == twin.getstate()

@@ -15,6 +15,11 @@ from repro.kernel.messages import (
 )
 
 
+def take(index):
+    """A pick that always names ``index`` (-1: lambda)."""
+    return lambda queue, now, rng: index
+
+
 def fill(buffer, triples, start_time=0):
     out = []
     for i, (sender, dest, payload) in enumerate(triples):
@@ -41,21 +46,31 @@ class TestMessageBuffer:
     def test_deliver_removes_exactly_one(self):
         buffer = MessageBuffer()
         msgs = fill(buffer, [(0, 1, "a"), (0, 1, "a")])
-        buffer.deliver(msgs[0])
+        assert buffer.receive(1, take(0), None) == msgs[0]
         assert buffer.pending_for(1) == [msgs[1]]
         assert buffer.delivered_count == 1
 
-    def test_deliver_unknown_raises(self):
+    def test_receive_from_an_empty_queue_is_lambda(self):
         buffer = MessageBuffer()
-        msg = buffer.send(0, 1, "a", now=0)
-        buffer.deliver(msg)
-        with pytest.raises(LookupError):
-            buffer.deliver(msg)
+        buffer.send(0, 1, "a", now=0)
+        buffer.receive(1, take(0), None)
+
+        def never(queue, now, rng):
+            raise AssertionError("an empty queue is lambda without a pick")
+
+        assert buffer.receive(1, never, None) is None
+        assert buffer.receive(2, never, None) is None  # never sent to
+        assert buffer.delivered_count == 1
 
     def test_supersede_counts_separately(self):
         buffer = MessageBuffer()
         msgs = fill(buffer, [(0, 1, "old"), (0, 1, "new")])
-        buffer.supersede(msgs[0])
+
+        def supersede_oldest(queue, now, rng):
+            del queue[0]
+            return -1
+
+        assert buffer.receive(1, supersede_oldest, None) is None
         assert buffer.superseded_count == 1
         assert buffer.delivered_count == 0
         assert buffer.pending_for(1) == [msgs[1]]
@@ -63,17 +78,22 @@ class TestMessageBuffer:
     def test_aging_counts_destination_steps(self):
         buffer = MessageBuffer()
         fill(buffer, [(0, 1, "a")])
-        buffer.note_dest_step(1)
-        buffer.note_dest_step(1)
-        buffer.note_dest_step(2)  # unrelated destination
-        (entry,) = buffer.entries_for(1)
-        assert entry.age_in_dest_steps == 2
+        seen = []
+
+        def record(queue, now, rng):
+            seen.append(now - queue[0].sent_at_dest_step)
+            return -1
+
+        buffer.receive(1, record, None)
+        buffer.receive(2, record, None)  # unrelated destination
+        buffer.receive(1, record, None)
+        assert seen == [1, 2]  # the step that receives counts
 
     def test_in_flight_accounting(self):
         buffer = MessageBuffer()
         msgs = fill(buffer, [(0, 1, "a"), (1, 0, "b"), (0, 2, "c")])
         assert buffer.in_flight == 3
-        buffer.deliver(msgs[1])
+        assert buffer.receive(0, take(0), None) == msgs[1]
         assert buffer.in_flight == 2
         assert buffer.sent_count == 3
 
@@ -82,7 +102,7 @@ class TestMessageBuffer:
         msgs = fill(buffer, [(0, 2, "a"), (1, 2, "b"), (0, 1, "c")])
         buffer.close(2)
         assert buffer.pending_for(2) == [] and not buffer.has_pending(2)
-        assert buffer.entries_for(2) == [] and buffer.oldest_for(2) is None
+        assert buffer.entries_for(2) == []
         assert buffer.pending_for(1) == [msgs[2]]
         assert (buffer.discarded_count, buffer.in_flight) == (2, 1)
 
@@ -114,12 +134,12 @@ class TestOldestFirstDelivery:
         buffer = MessageBuffer()
         msgs = fill(buffer, [(0, 1, "a"), (2, 1, "b")])
         policy = OldestFirstDelivery()
-        assert policy.choose(buffer, 1, 0, random.Random(0)) == msgs[0]
+        assert buffer.receive(1, policy.pick, random.Random(0)) == msgs[0]
 
     def test_lambda_only_when_empty(self):
         buffer = MessageBuffer()
         policy = OldestFirstDelivery()
-        assert policy.choose(buffer, 1, 0, random.Random(0)) is None
+        assert buffer.receive(1, policy.pick, random.Random(0)) is None
 
 
 class TestFairRandomDelivery:
@@ -128,9 +148,10 @@ class TestFairRandomDelivery:
         msgs = fill(buffer, [(0, 1, "a")])
         policy = FairRandomDelivery(lambda_prob=0.99, max_age=3)
         rng = random.Random(0)
-        for _ in range(3):
-            buffer.note_dest_step(1)
-        assert policy.choose(buffer, 1, 3, rng) == msgs[0]
+        for _ in range(2):
+            assert buffer.receive(1, take(-1), None) is None
+        # The third step is the message's third: it is due.
+        assert buffer.receive(1, policy.pick, rng) == msgs[0]
 
     def test_every_message_eventually_delivered(self):
         """Property (7) on a finite run: drain a batch under the policy."""
@@ -139,11 +160,9 @@ class TestFairRandomDelivery:
         policy = FairRandomDelivery(lambda_prob=0.5, max_age=10)
         rng = random.Random(42)
         delivered = []
-        for step in range(500):
-            buffer.note_dest_step(1)
-            choice = policy.choose(buffer, 1, step, rng)
+        for _ in range(500):
+            choice = buffer.receive(1, policy.pick, rng)
             if choice is not None:
-                buffer.deliver(choice)
                 delivered.append(choice.uid)
             if not buffer.has_pending(1):
                 break
@@ -194,7 +213,7 @@ class TestPerSenderFifoDelivery:
         msgs = fill(buffer, [(0, 1, "first"), (0, 1, "second")])
         policy = PerSenderFifoDelivery(lambda_prob=0.0)
         rng = random.Random(5)
-        first = policy.choose(buffer, 1, 0, rng)
+        first = buffer.receive(1, policy.pick, rng)
         assert first == msgs[0]
 
     def test_choice_depends_only_on_pending_sender_set(self):
@@ -206,7 +225,7 @@ class TestPerSenderFifoDelivery:
             for sender, payload in order:
                 buffer.send(sender, 9, payload, now=0)
             policy = PerSenderFifoDelivery(lambda_prob=0.0)
-            choice = policy.choose(buffer, 9, 0, random.Random("fixed"))
+            choice = buffer.receive(9, policy.pick, random.Random("fixed"))
             return choice.sender, choice.payload
 
         a = run([(0, "a0"), (1, "b0"), (0, "a1")])
@@ -221,9 +240,9 @@ class TestBlockingPolicy:
         policy = BlockingPolicy(
             inner=OldestFirstDelivery(), blocked=lambda m: m.sender == 0
         )
-        assert policy.choose(buffer, 1, 0, random.Random(0)) == msgs[1]
+        assert buffer.receive(1, policy.pick, random.Random(0)) == msgs[1]
         policy.release()
-        assert policy.choose(buffer, 1, 0, random.Random(0)) == msgs[0]
+        assert buffer.receive(1, policy.pick, random.Random(0)) == msgs[0]
 
     def test_eventual_delivery_depends_on_release(self):
         policy = BlockingPolicy(OldestFirstDelivery(), blocked=lambda m: True)
@@ -249,7 +268,7 @@ class TestCoalescingDelivery:
         old = buffer.send(0, 1, _FakeDag(), now=0)
         new = buffer.send(0, 1, _FakeDag(), now=1)
         policy = CoalescingDelivery(inner=OldestFirstDelivery())
-        choice = policy.choose(buffer, 1, 0, random.Random(0))
+        choice = buffer.receive(1, policy.pick, random.Random(0))
         assert choice == new
         assert buffer.superseded_count == 1
 
@@ -258,7 +277,7 @@ class TestCoalescingDelivery:
         a = buffer.send(0, 1, _FakeDag(), now=0)
         b = buffer.send(2, 1, _FakeDag(), now=0)
         policy = CoalescingDelivery(inner=OldestFirstDelivery())
-        policy.choose(buffer, 1, 0, random.Random(0))
+        buffer.receive(1, policy.pick, random.Random(0))
         assert buffer.superseded_count == 0
 
     def test_ignores_non_dag_payloads(self):
@@ -266,7 +285,7 @@ class TestCoalescingDelivery:
         first = buffer.send(0, 1, ("REP", 1, "v"), now=0)
         second = buffer.send(0, 1, ("REP", 2, "v"), now=1)
         policy = CoalescingDelivery(inner=OldestFirstDelivery())
-        choice = policy.choose(buffer, 1, 0, random.Random(0))
+        choice = buffer.receive(1, policy.pick, random.Random(0))
         assert choice == first
         assert buffer.superseded_count == 0
 
@@ -275,6 +294,6 @@ class TestCoalescingDelivery:
         buffer.send(0, 1, ("B", _FakeDag()), now=0)
         newest = buffer.send(0, 1, ("B", _FakeDag()), now=1)
         policy = CoalescingDelivery(inner=OldestFirstDelivery())
-        choice = policy.choose(buffer, 1, 0, random.Random(0))
+        choice = buffer.receive(1, policy.pick, random.Random(0))
         assert choice == newest
         assert buffer.superseded_count == 1

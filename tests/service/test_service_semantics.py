@@ -311,6 +311,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ServiceConfig(max_inflight=0)
 
+    def test_unbounded_intake_rejected(self):
+        # asyncio.Queue(maxsize=0) would turn backpressure off.
+        with pytest.raises(ValueError, match="queue_depth"):
+            ServiceConfig(queue_depth=0)
+
+    def test_stepless_pump_rejected(self):
+        # A pump that never steps would leave every submit pending.
+        with pytest.raises(ValueError, match="steps_per_tick"):
+            ServiceConfig(steps_per_tick=0)
+
 
 def test_drain_helper_reports_quiescence():
     async def main(loop):

@@ -54,6 +54,23 @@ from tests.core.reference_nuc import AnucProcess
 _ANUC = AnucAutomaton()
 
 
+def route(
+    message, current_slot: int, stashed: Dict[int, List[DeliveredMessage]]
+) -> Optional[DeliveredMessage]:
+    """The reference's own routing: unwrap a SLOT message for the current
+    instance, stash one for a later slot, drop the rest."""
+    payload = message.payload
+    if payload[0] != SLOT:
+        return None
+    _, slot, inner = payload
+    unwrapped = DeliveredMessage(message.sender, inner)
+    if slot == current_slot:
+        return unwrapped
+    if slot > current_slot:
+        stashed.setdefault(slot, []).append(unwrapped)
+    return None  # past-slot traffic: the DECIDED notice covers laggards
+
+
 class GeneratorReplica(ReplicatedLogProcess):
     """The reference: the replica's slot loop as a generator program."""
 
@@ -114,14 +131,14 @@ class GeneratorReplica(ReplicatedLogProcess):
                         d = obs.detector_value
                         obs_time = obs.time
                         if obs.message is not None:
-                            self._route(obs.message, slot, stashed)
+                            route(obs.message, slot, stashed)
                 else:
                     obs = yield from ctx.take_step()
                     d = obs.detector_value
                     obs_time = obs.time
                     message = None
                     if obs.message is not None:
-                        message = self._route(obs.message, slot, stashed)
+                        message = route(obs.message, slot, stashed)
                 if slot in decided_notices:
                     value = decided_notices[slot]
                     break
